@@ -23,14 +23,17 @@ from .etf import (
     verify_etf,
 )
 from .losses import (
+    NumericDivergence,
     PullPush,
     ce_grad_classifier,
     ce_grad_feature,
     ce_loss,
+    ce_terms,
     decompose_pull_push_classifier,
     decompose_pull_push_feature,
     dr_grad,
     dr_loss,
+    dr_terms,
     softmax_probs,
 )
 from .metrics import (
@@ -45,7 +48,6 @@ from .metrics import (
 )
 from .peeled import (
     MinorityProbe,
-    NumericDivergenceError,
     OptimizerConfig,
     PeeledProblem,
     Trajectory,

@@ -32,6 +32,7 @@ from .etf import (
     uniform_classifier,
     verify_etf,
 )
+from .losses import NumericDivergence
 from .serialize import derive_seed, sha256_file, write_csv, write_json
 from .trainer import SyntheticDatasetSpec
 
@@ -156,9 +157,23 @@ def _parse_counts(args):
     return spec.counts()
 
 
+def _parse_minor_classes(args, counts):
+    """The probed classes: --minor-classes, or else the K//2 smallest classes."""
+    if args.minor_classes:
+        minor = [int(v) for v in args.minor_classes.split(",")]
+    else:
+        minor = sorted(np.argsort(counts, kind="stable")[: args.K // 2].tolist())
+    if any(not 0 <= k < args.K for k in minor):
+        raise ConfigError(f"--minor-classes entries must lie in [0, {args.K}), got {minor}")
+    if len(minor) < 2 or len(set(minor)) != len(minor):
+        raise ConfigError(f"the minority probe needs at least two distinct classes, got {minor}")
+    return minor
+
+
 def cmd_peeled(args):
     out = _out_dir(args.out)
     counts = _parse_counts(args)
+    minor = _parse_minor_classes(args, counts) if args.mode == "lpm" else None
     if args.mode == "dlpm":
         frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
         clf = uniform_classifier(frame, args.e_w)
@@ -210,11 +225,6 @@ def cmd_peeled(args):
 
     artifacts = ["trajectory.csv", "final_state.json"]
     if args.mode == "lpm":
-        minor = (
-            [int(v) for v in args.minor_classes.split(",")]
-            if args.minor_classes
-            else sorted(np.argsort(counts, kind="stable")[: args.K // 2].tolist())
-        )
         probe = lp.minority_collapse_probe(final.classifier, minor)
         write_csv(
             f"{out}/probe.csv",
@@ -568,7 +578,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (lp.NumericDivergenceError, reg.NumericDivergenceTrial, FloatingPointError) as e:
+    except NumericDivergence as e:
         print(f"numeric divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
     except ValueError as e:

@@ -4,7 +4,13 @@ Both losses act on a feature h in R^d and a classifier matrix W in
 R^{d x K} whose k-th column scores class k. The negative CE gradient
 splits into a "pull" term toward the own-class column and a "push" term
 away from the other columns; the DR loss keeps only an (exact) pull.
-Gradients here are per-sample (no 1/N); batch objectives average.
+
+Batches go through two kernels, ``ce_terms`` and ``dr_terms``. Each
+returns the per-sample loss and dL/dlogits: CE returns the probabilities
+P, with dL/dlogits = P - onehot; DR returns the residual r = dL/d(w_y . h).
+Callers apply the chain rule to h or W and any 1/N averaging themselves.
+The per-sample functions are the paper-form reference (eqs. (3)-(7));
+their gradients carry no 1/N.
 """
 
 from dataclasses import dataclass
@@ -13,6 +19,10 @@ import numpy as np
 
 from .batches import FeatureBatch
 from .etf import FixedClassifier
+
+
+class NumericDivergence(FloatingPointError):
+    """A loss or an update produced non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -26,34 +36,52 @@ class PullPush:
         return self.pull + self.push
 
 
-def softmax_probs(h: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Class probabilities p_k proportional to exp(h . w_k).
+def _softmax(h: np.ndarray, W: np.ndarray):
+    """Logits, their max m, the sum s of exp(logits - m), and the probabilities.
 
-    Computed with max-logit subtraction so large logits cannot overflow.
+    Shifting by the max keeps large logits from overflowing.
     """
     with np.errstate(invalid="ignore"):
         logits = np.asarray(h, dtype=float) @ np.asarray(W, dtype=float)
     if not np.all(np.isfinite(logits)):
-        raise FloatingPointError("non-finite logits in softmax")
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+        raise NumericDivergence("non-finite logits in softmax")
+    # a single sample reduces to scalars, which keeps the per-sample calls cheap
+    batch = logits.ndim > 1
+    m = logits.max(axis=-1, keepdims=batch)
+    e = np.exp(logits - m)
+    s = e.sum(axis=-1, keepdims=batch)
+    return logits, m, s, e / s
 
 
-def _batch_probs(features: np.ndarray, W: np.ndarray) -> np.ndarray:
-    logits = features @ W
-    if not np.all(np.isfinite(logits)):
-        raise FloatingPointError("non-finite logits in softmax")
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def ce_terms(h: np.ndarray, labels, W: np.ndarray):
+    """(per-sample CE loss, softmax probabilities P) for h of shape (d,) or (B, d).
+
+    dL/dlogits = P - onehot(labels).
+    """
+    logits, m, s, P = _softmax(h, W)
+    if logits.ndim == 1:
+        return np.log(s) + m - logits[labels], P
+    return np.log(s[:, 0]) + m[:, 0] - logits[np.arange(len(logits)), labels], P
+
+
+def dr_terms(features: np.ndarray, labels, W: np.ndarray, targets: np.ndarray):
+    """(per-sample DR loss, residual r) for a (B, d) batch; targets[k] = sqrt(E_{w_k} E_H).
+
+    r_i = (w_{y_i} . h_i - t_{y_i}) / t_{y_i}, so dL_i/dh_i = r_i w_{y_i}.
+    """
+    dots = np.einsum("ij,ji->i", features, W[:, labels])
+    t = targets[labels]
+    return (dots - t) ** 2 / (2.0 * t), (dots - t) / t
+
+
+def softmax_probs(h: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Class probabilities p_k proportional to exp(h . w_k)."""
+    return _softmax(h, W)[3]
 
 
 def ce_loss(h: np.ndarray, label: int, W: np.ndarray) -> float:
     """-log p_label(h), evaluated through log-sum-exp."""
-    logits = np.asarray(h, dtype=float) @ np.asarray(W, dtype=float)
-    m = logits.max()
-    return float(np.log(np.exp(logits - m).sum()) + m - logits[label])
+    return float(ce_terms(h, label, W)[0])
 
 
 def decompose_pull_push_feature(h: np.ndarray, label: int, W: np.ndarray) -> PullPush:
@@ -71,34 +99,22 @@ def ce_grad_feature(h: np.ndarray, label: int, W: np.ndarray) -> np.ndarray:
     return -decompose_pull_push_feature(h, label, W).neg_gradient()
 
 
-def _classifier_pull_push(batch: FeatureBatch, W: np.ndarray, k: int) -> PullPush:
+def decompose_pull_push_classifier(batch: FeatureBatch, W: np.ndarray, k: int) -> PullPush:
+    """Pull from own-class features, push from all other-class features."""
     if batch.size == 0:
         raise ValueError("empty batch")
     if not 0 <= k < batch.num_classes:
         raise ValueError(f"class index {k} out of range")
-    W = np.asarray(W, dtype=float)
-    P = _batch_probs(batch.features, W)
+    P = ce_terms(batch.features, batch.labels, W)[1]
     own = batch.labels == k
-    pull = (1.0 - P[own, k]) @ batch.features[own] if own.any() else np.zeros(batch.dim)
-    # accumulate the push in class-major order for determinism
-    push = np.zeros(batch.dim)
-    for c in range(batch.num_classes):
-        if c == k:
-            continue
-        rows = batch.labels == c
-        if rows.any():
-            push -= P[rows, k] @ batch.features[rows]
+    pull = (1.0 - P[own, k]) @ batch.features[own]
+    push = -(P[~own, k] @ batch.features[~own])
     return PullPush(pull=pull, push=push)
 
 
 def ce_grad_classifier(batch: FeatureBatch, W: np.ndarray, k: int) -> np.ndarray:
     """dL_CE/dw_k over a batch (sum over samples, no 1/N)."""
-    return -_classifier_pull_push(batch, W, k).neg_gradient()
-
-
-def decompose_pull_push_classifier(batch: FeatureBatch, W: np.ndarray, k: int) -> PullPush:
-    """Pull from own-class features, push from all other-class features."""
-    return _classifier_pull_push(batch, W, k)
+    return -decompose_pull_push_classifier(batch, W, k).neg_gradient()
 
 
 def _dr_target(classifier: FixedClassifier, c: int, e_h: float) -> float:
@@ -124,20 +140,3 @@ def dr_grad(h: np.ndarray, classifier: FixedClassifier, c: int, e_h: float) -> n
     w = classifier.scaled_columns[:, c]
     dot = float(np.asarray(h, dtype=float) @ w)
     return (dot / t - 1.0) * w
-
-
-def ce_batch_loss(features: np.ndarray, labels: np.ndarray, W: np.ndarray) -> float:
-    """Mean CE loss over a batch (the 1/N objective)."""
-    logits = features @ W
-    m = logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits - m).sum(axis=1)) + m[:, 0]
-    return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
-
-
-def dr_batch_loss(
-    features: np.ndarray, labels: np.ndarray, scaled_columns: np.ndarray, targets: np.ndarray
-) -> float:
-    """Mean DR loss; targets[k] = sqrt(E_{w_k} E_H)."""
-    dots = np.einsum("ij,ji->i", features, scaled_columns[:, labels])
-    t = targets[labels]
-    return float(np.mean((dots - t) ** 2 / (2.0 * t)))

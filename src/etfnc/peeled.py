@@ -22,15 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .etf import FixedClassifier
-from .losses import _batch_probs, ce_batch_loss, dr_batch_loss
-
-
-class NumericDivergenceError(RuntimeError):
-    """Raised when an optimizer step produces non-finite values."""
-
-    def __init__(self, step: int):
-        super().__init__(f"non-finite values encountered at step {step}")
-        self.step = step
+from .losses import NumericDivergence, ce_terms, dr_terms
 
 
 def project_ball(v: np.ndarray, E: float) -> np.ndarray:
@@ -224,15 +216,6 @@ class Trajectory:
         return header, rows
 
 
-def _feature_grads(X, labels, Wmat, loss_kind, targets):
-    if loss_kind == "ce":
-        P = _batch_probs(X, Wmat)
-        return P @ Wmat.T - Wmat[:, labels].T, P
-    dots = np.einsum("ij,ji->i", X, Wmat[:, labels])
-    coef = dots / targets[labels] - 1.0
-    return coef[:, None] * Wmat[:, labels].T, None
-
-
 def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) -> Trajectory:
     """Projected gradient descent on a peeled problem.
 
@@ -269,11 +252,18 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
 
     onehot = np.eye(problem.num_classes)[labels] if not fixed else None
 
-    def snapshot(step, grad_norm):
+    def loss_terms(rows, y):
         if loss_kind == "ce":
-            loss = ce_batch_loss(X, labels, Wmat)
-        else:
-            loss = dr_batch_loss(X, labels, Wmat, dr_targets)
+            return ce_terms(rows, y, Wmat)
+        return dr_terms(rows, y, Wmat, dr_targets)
+
+    def feature_grads(aux, y):
+        if loss_kind == "ce":
+            return aux @ Wmat.T - Wmat[:, y].T
+        return aux[:, None] * Wmat[:, y].T
+
+    def snapshot(step, grad_norm, per_sample):
+        loss = float(np.mean(per_sample))
         if has_oracle:
             gap = float(np.abs(X @ Wmat - gap_targets[labels]).max())
             dists = np.linalg.norm(X - h_star[:, labels].T, axis=1)
@@ -285,26 +275,21 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
             mean_d = np.full(problem.num_classes, np.nan)
         return StepRecord(step, loss, gap, grad_norm, mean_d)
 
+    # the terms of X_t give the record of step t and the gradient of step t+1
+    per_sample, aux = loss_terms(X, labels)
     traj = Trajectory()
-    traj.records.append(snapshot(0, float("nan")))
+    traj.records.append(snapshot(0, float("nan"), per_sample))
     stop_reason = "max_steps"
 
     for t in range(1, config.max_steps + 1):
         if config.mode == "full-batch":
-            G, P = _feature_grads(X, labels, Wmat, loss_kind, dr_targets)
+            G = feature_grads(aux, labels)
             # overflow here surfaces as the divergence error below
             with np.errstate(over="ignore", invalid="ignore"):
                 X_new = _project_rows(X - gamma * G, problem.e_h)
             if not fixed:
-                if loss_kind == "ce":
-                    Gw = X.T @ (P - onehot) / N
-                else:
-                    dots = np.einsum("ij,ji->i", X, Wmat[:, labels])
-                    coef = (dots / dr_targets[labels] - 1.0) / N
-                    Gw = np.zeros_like(Wmat)
-                    for k in range(problem.num_classes):
-                        rows = labels == k
-                        Gw[:, k] = X[rows].T @ coef[rows]
+                dlogits = aux - onehot if loss_kind == "ce" else aux[:, None] * onehot
+                Gw = X.T @ dlogits / N
                 W_new = _project_rows((Wmat - gamma * Gw).T, problem.e_w).T
             else:
                 W_new = Wmat
@@ -312,12 +297,13 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
             # cyclic sweep in class-major, index-major order
             X_new = X.copy()
             for i in range(N):
-                g, _ = _feature_grads(X_new[i : i + 1], labels[i : i + 1], Wmat, loss_kind, dr_targets)
+                y = labels[i : i + 1]
+                g = feature_grads(loss_terms(X_new[i : i + 1], y)[1], y)
                 X_new[i] = project_ball(X_new[i] - gamma * g[0], problem.e_h)
             W_new = Wmat
 
         if not (np.all(np.isfinite(X_new)) and np.all(np.isfinite(W_new))):
-            raise NumericDivergenceError(t)
+            raise NumericDivergence(f"non-finite values encountered at step {t}")
 
         disp = np.linalg.norm(X_new - X, axis=1).max()
         if not fixed:
@@ -325,7 +311,8 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
         grad_norm = float(disp / gamma)
         X, Wmat = X_new, W_new
 
-        traj.records.append(snapshot(t, grad_norm))
+        per_sample, aux = loss_terms(X, labels)
+        traj.records.append(snapshot(t, grad_norm, per_sample))
         if config.stop_tol > 0:
             if has_oracle and traj.records[-1].gap < config.stop_tol:
                 stop_reason = "gap"

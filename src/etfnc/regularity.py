@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .etf import FixedClassifier
-from .losses import ce_grad_feature, dr_grad, softmax_probs
+from .losses import NumericDivergence, ce_grad_feature, dr_grad, softmax_probs
 from .peeled import project_ball
 
 #: trials closer to the optimum than this are flagged at-optimum, not ratios
@@ -151,7 +151,7 @@ def run_regularity_experiment(
             grad = dr_grad(h0, classifier, c, e_h)
         pre = h0 - g * grad
         if not np.all(np.isfinite(pre)):
-            raise NumericDivergenceTrial(t)
+            raise NumericDivergence(f"non-finite step in trial {t}")
         h1 = project_ball(pre, e_h)
         records.append(
             RegularityRecord(
@@ -170,12 +170,6 @@ def run_regularity_experiment(
             )
         )
     return records
-
-
-class NumericDivergenceTrial(RuntimeError):
-    def __init__(self, trial: int):
-        super().__init__(f"non-finite step in trial {trial}")
-        self.trial = trial
 
 
 #: gate on check_offclass_uniformity for the CE-vs-DR dominance assertion

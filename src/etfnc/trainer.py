@@ -22,6 +22,7 @@ import numpy as np
 
 from .batches import FeatureBatch
 from .etf import generate_etf, scale_classifier, uniform_classifier
+from .losses import NumericDivergence, ce_terms, dr_terms
 from .metrics import NC_FIELDS, NcReport, nc_report
 
 REGIMES = ("learnable-ce", "learnable-wce", "etf-ce", "etf-dr")
@@ -209,15 +210,27 @@ def save_dataset_csv(path, dataset: Dataset):
 
 
 def load_dataset_csv(path, num_classes: int = 0) -> Dataset:
+    """Read a ``label,x0,...`` CSV; a bad row raises ValueError naming file and line."""
     import csv as _csv
 
-    with open(path) as f:
+    with open(path, newline="") as f:
         reader = _csv.reader(f)
-        next(reader)
+        next(reader, None)
         ys, xs = [], []
         for row in reader:
-            ys.append(int(row[0]))
-            xs.append([float(v) for v in row[1:]])
+            where = f"{path} line {reader.line_num}"
+            try:
+                label, x = int(row[0]), [float(v) for v in row[1:]]
+            except (IndexError, ValueError):
+                raise ValueError(f"{where}: expected an integer label followed by numbers") from None
+            if not 0 <= label < (num_classes or float("inf")):
+                raise ValueError(f"{where}: label {label} outside [0, {num_classes or 'inf'})")
+            if xs and len(x) != len(xs[0]):
+                raise ValueError(f"{where}: {len(x)} features, the first row has {len(xs[0])}")
+            ys.append(label)
+            xs.append(x)
+    if not ys:
+        raise ValueError(f"{path}: no data rows")
     y = np.asarray(ys, dtype=int)
     return Dataset(np.asarray(xs, dtype=float), y, num_classes or int(y.max()) + 1)
 
@@ -383,13 +396,7 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
                 used = feats
 
             if config.loss_kind in ("ce", "weighted-ce"):
-                logits = used @ W
-                m = logits.max(axis=1, keepdims=True)
-                ez = np.exp(logits - m)
-                sum_ez = ez.sum(axis=1, keepdims=True)
-                P = ez / sum_ez
-                per_sample = np.log(sum_ez[:, 0]) + m[:, 0] - logits[np.arange(B), yb]
-                coef = P.copy()
+                per_sample, coef = ce_terms(used, yb, W)
                 coef[np.arange(B), yb] -= 1.0
                 if sample_weights is not None:
                     wts = sample_weights[idx]
@@ -398,11 +405,8 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
                 grad_used = coef @ W.T / B
                 grad_clf = used.T @ coef / B if learnable else None
             else:  # dr
-                cols = W[:, yb]
-                dots = np.einsum("ij,ji->i", used, cols)
-                t = dr_targets[yb]
-                per_sample = (dots - t) ** 2 / (2.0 * t)
-                grad_used = (((dots - t) / t) / B)[:, None] * cols.T
+                per_sample, r = dr_terms(used, yb, W, dr_targets)
+                grad_used = (r / B)[:, None] * W[:, yb].T
                 grad_clf = None
             loss_sum += float(per_sample.sum())
 
@@ -416,7 +420,7 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
                 grad_feats = grad_feats + 4.0 * config.norm_lambda * (nsq - config.e_h) * feats / B
 
             if not np.isfinite(loss_sum):
-                raise FloatingPointError(f"training diverged at epoch {epoch}")
+                raise NumericDivergence(f"training diverged at epoch {epoch}")
 
             d_ws, d_bs = model.backward(cache, grad_feats)
             for l in range(len(model.weights)):
@@ -428,9 +432,11 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
                 vel_clf = config.momentum * vel_clf + grad_clf
                 W = W - lr * vel_clf
 
-        per_class_acc, bal_acc = evaluate(model, test_set, W, config)
         train_feats = _features_for_metrics(model, train_set.x, config)
         test_feats = _features_for_metrics(model, test_set.x, config)
+        if not all(np.all(np.isfinite(a)) for a in (W, train_feats, test_feats)):
+            raise NumericDivergence(f"parameters diverged at epoch {epoch}")
+        per_class_acc, bal_acc = evaluate(model, test_set, W, config)
         log.records.append(
             EpochRecord(
                 epoch=epoch,

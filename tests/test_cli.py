@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from etfnc.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 
@@ -84,6 +85,24 @@ class TestPeeledCommand:
         assert len(probe) == 2  # one pair
         summary = (out / "probe_summary.csv").read_text().splitlines()[1].split(",")
         assert float(summary[1]) > -1 / 3  # above the balanced reference
+
+    @pytest.mark.parametrize(
+        "minor,message",
+        [
+            ("2,7", "entries must lie in [0, 4)"),
+            ("-1,2", "entries must lie in [0, 4)"),
+            ("2,2", "at least two distinct classes"),
+        ],
+    )
+    def test_bad_minor_classes_rejected_before_run(self, tmp_path, capsys, minor, message):
+        out = tmp_path / "x"
+        code = run(
+            "peeled", "--mode", "lpm", "--loss", "ce", "--K", 4, "--d", 6,
+            "--counts", "60,60,2,2", "--steps", 400, f"--minor-classes={minor}", "--out", out,
+        )
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
     def test_counts_mismatch_exit_config(self, tmp_path):
         assert run(
@@ -200,6 +219,20 @@ class TestTrainCommand:
         path.write_text(json.dumps(cfg))
         assert run("train", "--config", path, "--out", tmp_path / "x") == EXIT_CONFIG
         assert "dataset.input_dim" in capsys.readouterr().err
+
+    def test_diverged_training_exit_code(self, tmp_path, capsys):
+        cfg = write_train_config(tmp_path / "cfg.json", train={"epochs": 3, "step_size": 1e200})
+        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_DIVERGED
+        assert "numeric divergence" in capsys.readouterr().err
+
+    def test_bad_dataset_row_named(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("label,x0,x1\n0,1.0,2.0\n1,0.5\n")
+        cfg = write_train_config(
+            tmp_path / "cfg.json", dataset={"num_classes": 2, "train_csv": str(data)}
+        )
+        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
+        assert f"{data} line 3: 1 features" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert run("train", "--config", tmp_path / "nope.json", "--out", tmp_path / "x") == EXIT_CONFIG

@@ -3,18 +3,24 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import central_diff, rel_error
 from etfnc.batches import FeatureBatch
-from etfnc.etf import generate_etf, uniform_classifier
+from etfnc.etf import generate_etf, scale_classifier, uniform_classifier
 from etfnc.losses import (
+    NumericDivergence,
     ce_grad_classifier,
     ce_grad_feature,
     ce_loss,
+    ce_terms,
     decompose_pull_push_classifier,
     decompose_pull_push_feature,
     dr_grad,
     dr_loss,
+    dr_terms,
     softmax_probs,
 )
 
@@ -189,6 +195,23 @@ class TestPullPushClassifier:
             g = ce_grad_classifier(batch, W, k)
             assert rel_error(pp.pull + pp.push, -g) < 1e-12
 
+    def test_matches_per_sample_sums(self, rng):
+        """pull = sum_{y_i=k} (1-p_k(h_i)) h_i, push = -sum_{y_i!=k} p_k(h_i) h_i."""
+        d, K, N = 5, 4, 30
+        batch = FeatureBatch(rng.standard_normal((N, d)), rng.integers(K, size=N), K)
+        W = rng.standard_normal((d, K))
+        for k in range(K):
+            pull, push = np.zeros(d), np.zeros(d)
+            for h, y in zip(batch.features, batch.labels):
+                p_k = softmax_probs(h, W)[k]
+                if y == k:
+                    pull += (1.0 - p_k) * h
+                else:
+                    push -= p_k * h
+            pp = decompose_pull_push_classifier(batch, W, k)
+            np.testing.assert_allclose(pp.pull, pull, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(pp.push, push, rtol=1e-12, atol=1e-12)
+
     def test_extreme_imbalance_push_dominates(self, rng):
         d, K = 8, 4
         counts = [2, 200, 200, 200]
@@ -297,3 +320,99 @@ class TestGradientProperties:
             if np.linalg.norm(g) < 1e-12:
                 continue
             assert ce_loss(h - 1e-4 * g, c, W) < ce_loss(h, c, W)
+
+
+class TestKernels:
+    """ce_terms/dr_terms return the loss and dL/dlogits; callers chain to h or W."""
+
+    def test_ce_terms_finite_difference(self, rng):
+        B, d, K = 6, 5, 4
+        H, W = rng.standard_normal((B, d)), rng.standard_normal((d, K))
+        y = rng.integers(K, size=B)
+        _, P = ce_terms(H, y, W)
+        dlogits = P - np.eye(K)[y]
+        for i in range(B):
+            fd = central_diff(lambda h: ce_terms(h, y[i], W)[0], H[i])
+            assert rel_error(dlogits[i] @ W.T, fd) < 1e-6
+        fd = central_diff(lambda M: ce_terms(H, y, M)[0].sum(), W)
+        assert rel_error(H.T @ dlogits, fd) < 1e-6
+
+    def test_weighted_ce_finite_difference(self, rng):
+        """The trainer's weighted-CE step: (1/B) sum_i v_i L_i with dlogits scaled by v_i."""
+        B, d, K = 7, 4, 3
+        H, W = rng.standard_normal((B, d)), rng.standard_normal((d, K))
+        y = rng.integers(K, size=B)
+        v = rng.uniform(0.2, 5.0, size=B)
+        loss, P = ce_terms(H, y, W)
+        coef = (P - np.eye(K)[y]) * v[:, None]
+        fd_h = central_diff(lambda X: float(np.sum(v * ce_terms(X, y, W)[0])) / B, H)
+        assert rel_error(coef @ W.T / B, fd_h) < 1e-6
+        fd_w = central_diff(lambda M: float(np.sum(v * ce_terms(H, y, M)[0])) / B, W)
+        assert rel_error(H.T @ coef / B, fd_w) < 1e-6
+
+    def test_dr_terms_finite_difference(self, rng):
+        B, d, K = 6, 5, 4
+        H, W = rng.standard_normal((B, d)), rng.standard_normal((d, K))
+        y = rng.integers(K, size=B)
+        targets = rng.uniform(0.5, 2.0, size=K)
+        _, r = dr_terms(H, y, W, targets)
+        fd_h = central_diff(lambda X: dr_terms(X, y, W, targets)[0].sum(), H)
+        assert rel_error(r[:, None] * W[:, y].T, fd_h) < 1e-6
+        fd_w = central_diff(lambda M: dr_terms(H, y, M, targets)[0].sum(), W)
+        assert rel_error(H.T @ (r[:, None] * np.eye(K)[y]), fd_w) < 1e-6
+
+    def test_nonfinite_logits_diverge(self):
+        with pytest.raises(NumericDivergence):
+            ce_terms(np.array([[np.inf, 0.0]]), np.array([0]), np.eye(2))
+
+
+@st.composite
+def loss_batches(draw):
+    """A (B, d) batch with labels and a class-weighted ETF classifier."""
+    K = draw(st.integers(2, 5))
+    d = draw(st.integers(K - 1, 7))
+    B = draw(st.integers(1, 6))
+    H = draw(arrays(float, (B, d), elements=st.floats(-3, 3)))
+    y = np.array(draw(st.lists(st.integers(0, K - 1), min_size=B, max_size=B)))
+    lengths = draw(arrays(float, K, elements=st.floats(0.5, 3)))
+    clf = scale_classifier(generate_etf(d, K, draw(st.integers(0, 99))), lengths)
+    return H, y, clf, draw(st.floats(0.5, 3))
+
+
+class TestKernelsMatchReference:
+    """Batched rows agree with the per-sample paper-form functions.
+
+    The comparison is to 1e-12, not bitwise: a batched matmul may round a
+    row's logits differently from the single-sample product.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(loss_batches())
+    def test_ce_rows(self, case):
+        H, y, clf, _ = case
+        W = clf.scaled_columns
+        loss, P = ce_terms(H, y, W)
+        grads = (P - np.eye(W.shape[1])[y]) @ W.T
+        for i in range(len(y)):
+            np.testing.assert_allclose(loss[i], ce_loss(H[i], y[i], W), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(P[i], softmax_probs(H[i], W), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                grads[i], ce_grad_feature(H[i], y[i], W), rtol=1e-12, atol=1e-12
+            )
+            row_loss, row_P = ce_terms(H[i], y[i], W)
+            np.testing.assert_allclose(row_loss, loss[i], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(row_P, P[i], rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(loss_batches())
+    def test_dr_rows(self, case):
+        H, y, clf, e_h = case
+        W = clf.scaled_columns
+        loss, r = dr_terms(H, y, W, clf.lengths * np.sqrt(e_h))
+        for i in range(len(y)):
+            np.testing.assert_allclose(
+                loss[i], dr_loss(H[i], clf, y[i], e_h), rtol=1e-12, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                r[i] * W[:, y[i]], dr_grad(H[i], clf, y[i], e_h), rtol=1e-12, atol=1e-12
+            )

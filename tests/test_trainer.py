@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, rel_error
+from etfnc.losses import ce_loss, ce_terms, dr_loss, dr_terms
 from etfnc.trainer import (
+    REGIMES,
     Dataset,
     MlpBackbone,
     SyntheticDatasetSpec,
@@ -18,6 +20,7 @@ from etfnc.trainer import (
     save_dataset_csv,
     train,
 )
+from etfnc.trainer import _build_classifier
 
 
 class TestDatasetSpec:
@@ -59,6 +62,28 @@ class TestDatasetSpec:
         back = load_dataset_csv(path, num_classes=3)
         assert np.array_equal(back.y, train_set.y)
         assert np.abs(back.x - train_set.x).max() < 1e-15
+
+    @pytest.mark.parametrize(
+        "bad_row,message",
+        [
+            ("3,0.5,0.5", "line 3: label 3 outside [0, 3)"),
+            ("-1,0.5,0.5", "line 3: label -1 outside [0, 3)"),
+            ("1,0.5", "line 3: 1 features, the first row has 2"),
+            ("1,0.5,abc", "line 3: expected an integer label followed by numbers"),
+        ],
+    )
+    def test_csv_bad_row_named(self, tmp_path, bad_row, message):
+        path = tmp_path / "data.csv"
+        path.write_text(f"label,x0,x1\n0,1.0,2.0\n{bad_row}\n2,0.0,0.0\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset_csv(path, num_classes=3)
+        assert str(err.value) == f"{path} {message}"
+
+    def test_csv_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("label,x0\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_dataset_csv(path)
 
 
 class TestForward:
@@ -288,16 +313,14 @@ class TestEndToEndGradients:
 
         f, cache = model.forward(x)
         fn, norms = _normalize_rows(f, 1.0)
-        dots = np.einsum("ij,ji->i", fn, W[:, y])
-        grad_fn = ((dots - 1.0) / len(y))[:, None] * W[:, y].T
+        _, r = dr_terms(fn, y, W, clf.lengths)
+        grad_fn = (r / len(y))[:, None] * W[:, y].T
         grad_f = _normalize_rows_vjp(f, norms, grad_fn, 1.0)
         d_ws, d_bs = model.backward(cache, grad_f)
         analytic = np.concatenate([a.ravel() for a in d_ws + d_bs])
         assert rel_error(analytic, fd) < 1e-5
 
     def test_softmax_ce_chain(self, rng):
-        from etfnc.losses import ce_loss
-
         sizes = [3, 5, 4]
         W = rng.standard_normal((4, 3))
         x = rng.standard_normal((5, 3))
@@ -312,15 +335,53 @@ class TestEndToEndGradients:
         fd = central_diff(loss_fn, self._flatten(model), step=1e-5)
 
         f, cache = model.forward(x)
-        logits = f @ W
-        m = logits.max(axis=1, keepdims=True)
-        P = np.exp(logits - m)
-        P /= P.sum(axis=1, keepdims=True)
-        coef = P.copy()
+        _, coef = ce_terms(f, y, W)
         coef[np.arange(len(y)), y] -= 1.0
         d_ws, d_bs = model.backward(cache, coef @ W.T / len(y))
         analytic = np.concatenate([a.ravel() for a in d_ws + d_bs])
         assert rel_error(analytic, fd) < 1e-5
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_train_step_is_objective_gradient(self, regime):
+        """One full-batch step of train() without momentum moves the backbone
+        and the learnable classifier by -step_size times the FD gradient of
+        the regime's objective, whose value is the logged loss."""
+        spec = SyntheticDatasetSpec(
+            num_classes=3, input_dim=4, n_max=8, imbalance_ratio=0.25, seed=1, test_per_class=2
+        )
+        train_set, test_set = make_imbalanced_dataset(spec)
+        x, y, N = train_set.x, train_set.y, train_set.size
+        sizes = [4, 6, 3]
+        config = regime_config(
+            regime, epochs=1, seed=2, batch_size=N, momentum=0.0, step_size=0.5
+        )
+        counts = np.bincount(y, minlength=3)
+        W0, clf = _build_classifier(config, 3, counts, np.random.default_rng([2, 13]))
+        weights = class_weights(counts)[y] if regime == "learnable-wce" else np.ones(N)
+        n_model = self._flatten(MlpBackbone.init(sizes, seed=5)).size
+
+        def objective(theta):
+            f, _ = self._model_from_flat(theta[:n_model], sizes, seed=5).forward(x)
+            W = theta[n_model:].reshape(W0.shape) if clf is None else W0
+            if config.feature_norm == "sphere":
+                f = np.array([feature_normalize(row, config.e_h) for row in f])
+            if config.loss_kind == "dr":
+                per = [dr_loss(f[i], clf, y[i], config.e_h) for i in range(N)]
+            else:
+                per = [ce_loss(f[i], y[i], W) for i in range(N)]
+            return float(np.mean(weights * np.array(per)))
+
+        model = MlpBackbone.init(sizes, seed=5)
+        before = np.concatenate([self._flatten(model), W0.ravel() if clf is None else []])
+        log = train(model, train_set, test_set, config)
+        after = np.concatenate(
+            [self._flatten(model), log.classifier.ravel() if clf is None else []]
+        )
+        if clf is not None:
+            assert np.array_equal(log.classifier, W0)
+        np.testing.assert_allclose(log.records[0].loss, objective(before), rtol=1e-12)
+        fd = central_diff(objective, before, step=1e-6)
+        assert rel_error((before - after) / config.step_size, fd) < 1e-6
 
 
 class TestEvaluate:
