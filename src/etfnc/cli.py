@@ -262,27 +262,39 @@ def cmd_peeled(args):
 # --- regularity ----------------------------------------------------------------
 
 
+def _float_list(flag, text):
+    try:
+        return [float(v) for v in text.split(",")] if text else []
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def cmd_regularity(args):
+    gammas = _float_list("--gammas", args.gammas)
+    deltas = _float_list("--deltas", args.deltas)
+    losses = args.losses.split(",")
+    if args.trials < 0:
+        raise ConfigError(f"--trials must be >= 0, got {args.trials}")
+    if not deltas or not all(np.isfinite(deltas)) or min(deltas) <= 0:
+        raise ConfigError(f"--deltas entries must be finite and > 0, got {args.deltas!r}")
+    if not all(np.isfinite(gammas)):
+        raise ConfigError(f"--gammas entries must be finite, got {args.gammas!r}")
+    if not set(losses) <= {"ce", "dr"}:
+        raise ConfigError(f"--losses entries must be 'ce' or 'dr', got {args.losses!r}")
+    for flag, value in (("--e-h", args.e_h), ("--e-w", args.e_w)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
     out = _out_dir(args.out)
     frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
     clf = uniform_classifier(frame, args.e_w)
-    gammas = [float(g) for g in args.gammas.split(",")] if args.gammas else []
-    deltas = [float(d) for d in args.deltas.split(",")]
-    losses = args.losses.split(",")
 
-    records = []
-    gamma_dr = float(np.sqrt(args.e_h / args.e_w))
-    for delta in deltas:
-        for loss in losses:
-            sweep = gammas if loss == "ce" else [gamma_dr]
-            for gamma in sweep:
-                records += reg.run_regularity_experiment(
-                    clf, loss, gamma, delta, args.trials, args.seed, args.e_h
-                )
-        if args.instance_optimal and "ce" in losses:
-            records += reg.run_regularity_experiment(
-                clf, "ce", "instance-optimal", delta, args.trials, args.seed, args.e_h
-            )
+    gamma_dr = float(np.sqrt(args.e_h / clf.e_w))  # clf.e_w, as in paired_dominance_summary
+    steps = [(loss, g) for loss in losses for g in (gammas if loss == "ce" else [gamma_dr])]
+    if args.instance_optimal and "ce" in losses:
+        steps.append(("ce", "instance-optimal"))
+    runs = [reg.run_regularity_sweep(clf, steps, delta, args.trials, args.seed, args.e_h)
+            for delta in deltas]
+    records = [r for run in runs for step_records in run for r in step_records]
     header, rows = reg.records_csv(records)
     write_csv(f"{out}/records.csv", header, rows)
 
@@ -303,9 +315,11 @@ def cmd_regularity(args):
             }
             failed |= worst > 1e-9
         if "ce" in losses and "dr" in losses and gammas:
-            dom = reg.paired_dominance_summary(
-                clf, gammas, deltas, args.trials, args.seed, args.e_h
-            )
+            # the first DR step and the first CE block (one step per --gammas entry)
+            dr_at, ce_at = steps.index(("dr", gamma_dr)), steps.index(("ce", gammas[0]))
+            dom = reg.pair_dominance(gamma_dr, gammas, deltas, args.trials, [
+                (run[dr_at], run[ce_at:ce_at + len(gammas)]) for run in runs
+            ])
             summary["paired_dominance"] = dom
             for cfg in dom["configs"]:
                 frac = cfg.get("raw_dominance_frac")
@@ -347,6 +361,13 @@ def _require(cfg, path):
     return node
 
 
+def _load_dataset(path, num_classes):
+    try:
+        return tr.load_dataset_csv(path, num_classes)
+    except OSError as e:
+        raise ConfigError(f"cannot read dataset file {path}: {e.strerror}") from None
+
+
 def cmd_train(args):
     out = _out_dir(args.out)
     try:
@@ -376,8 +397,8 @@ def cmd_train(args):
     artifacts = []
     for seed in seeds:
         if "train_csv" in ds_cfg:  # external dataset replaces the generator
-            train_set = tr.load_dataset_csv(ds_cfg["train_csv"], ds_cfg["num_classes"])
-            test_set = tr.load_dataset_csv(
+            train_set = _load_dataset(ds_cfg["train_csv"], ds_cfg["num_classes"])
+            test_set = _load_dataset(
                 ds_cfg.get("test_csv", ds_cfg["train_csv"]), ds_cfg["num_classes"]
             )
             input_dim = train_set.x.shape[1]
@@ -459,6 +480,11 @@ def cmd_train(args):
 # --- report ----------------------------------------------------------------------
 
 
+#: per-run summary fields that report_long.csv lists
+REPORT_METRICS = ("final_bal_acc", "final_loss",
+                  "final_quarter_cos_ff_std", "final_quarter_cos_fc_std")
+
+
 def cmd_report(args):
     out = _out_dir(args.out)
     if not args.runs:
@@ -474,7 +500,18 @@ def cmd_report(args):
             raise ConfigError(f"run directory {run_dir} is missing {e.filename}")
         if manifest.get("command") != "train":
             raise ConfigError(f"{run_dir} is not a train run (command={manifest.get('command')!r})")
-        for run in run_summary["runs"]:
+        runs = run_summary.get("runs") if isinstance(run_summary, dict) else None
+        if not isinstance(runs, list):
+            raise ConfigError(f"{run_dir}/summary.json has no 'runs' list")
+        for i, run in enumerate(runs):
+            missing = [k for k in ("regime", "seed", *REPORT_METRICS)
+                       if not isinstance(run, dict) or k not in run]
+            if missing:
+                raise ConfigError(
+                    f"{run_dir}/summary.json: run {i} is missing {', '.join(missing)}"
+                )
+            if not all(isinstance(run[k], (int, float)) for k in REPORT_METRICS):
+                raise ConfigError(f"{run_dir}/summary.json: run {i} has a non-numeric metric")
             rows.append((run_dir, run))
     by_regime = {}
     for run_dir, run in rows:
@@ -489,8 +526,7 @@ def cmd_report(args):
     )
     long_rows = []
     for run_dir, run in rows:
-        for metric in ("final_bal_acc", "final_loss",
-                       "final_quarter_cos_ff_std", "final_quarter_cos_fc_std"):
+        for metric in REPORT_METRICS:
             long_rows.append([run_dir, run["regime"], run["seed"], metric, run[metric]])
     write_csv(
         f"{out}/report_long.csv",

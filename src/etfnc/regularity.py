@@ -19,6 +19,10 @@ pre-projection point (the quantity the bound constrains). Projection can
 shrink an overshooting CE step below DR's bound, so the CE >= DR
 dominance is a statement about ``raw_ratio``; the DR <= bound check
 holds for both.
+
+One pass over the trials per delta draws each start once and takes
+every (loss, gamma) step from it; the dominance summary pairs the
+records of that same pass.
 """
 
 from dataclasses import dataclass
@@ -109,6 +113,72 @@ def ce_instance_rate(classifier: FixedClassifier, h: np.ndarray, c: int, e_h: fl
     return (K - 1) / K * np.sqrt(e_h / e_w) * (1.0 - cos) / (1.0 - p[c])
 
 
+def run_regularity_sweep(
+    classifier: FixedClassifier,
+    steps,
+    delta: float,
+    trials: int,
+    seed: int,
+    e_h: float = 1.0,
+) -> list:
+    """One projected step per trial for each ``(loss_kind, gamma)`` in ``steps``.
+
+    Returns one list of RegularityRecords per step. Trial t draws its
+    start once, with rng seed (seed, t), and every step starts from it,
+    so the lists are paired by trial. Trials starting within DIST_GUARD
+    of h* are excluded. ``gamma`` may be a float or "instance-optimal"
+    (CE only), which applies the per-trial bound-matching rate and is
+    reported for illustration.
+    """
+    for loss_kind, gamma in steps:
+        if loss_kind not in ("ce", "dr"):
+            raise ValueError(f"unknown loss kind {loss_kind!r}")
+        if gamma == "instance-optimal" and loss_kind != "ce":
+            raise ValueError("instance-optimal rate is defined for the CE loss")
+    if not classifier.is_uniform():
+        raise ValueError("regularity experiment needs a uniform-length classifier")
+
+    per_step = [[] for _ in steps]
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        c, h_star, h0 = _sample_start(classifier, delta, e_h, rng)
+        dist0 = np.linalg.norm(h0 - h_star)
+        if dist0 < DIST_GUARD:
+            continue
+        w = classifier.scaled_columns[:, c]
+        cos0 = float(h0 @ w / (np.linalg.norm(h0) * np.linalg.norm(w)))
+        bound = dr_eta_bound(cos0)
+        uniformity_dev = check_offclass_uniformity(h0, classifier, c)
+        grads = {}
+        for records, (loss_kind, gamma) in zip(per_step, steps):
+            if loss_kind not in grads:
+                grads[loss_kind] = (ce_grad_feature(h0, c, classifier.scaled_columns)
+                                    if loss_kind == "ce" else dr_grad(h0, classifier, c, e_h))
+            instance_opt = gamma == "instance-optimal"
+            g = ce_instance_rate(classifier, h0, c, e_h) if instance_opt else float(gamma)
+            pre = h0 - g * grads[loss_kind]
+            if not np.all(np.isfinite(pre)):
+                raise NumericDivergence(f"non-finite step in trial {t}")
+            h1 = project_ball(pre, e_h)
+            records.append(
+                RegularityRecord(
+                    trial=t,
+                    loss_kind=loss_kind + ("-opt" if instance_opt else ""),
+                    gamma=g,
+                    delta=delta,
+                    class_index=c,
+                    cos_before=cos0,
+                    ratio=float(np.linalg.norm(h1 - h_star) ** 2 / dist0**2),
+                    raw_ratio=float(np.linalg.norm(pre - h_star) ** 2 / dist0**2),
+                    bound=bound,
+                    uniformity_dev=uniformity_dev,
+                    sphere_dev=float(abs(h1 @ h1 - e_h)),
+                    cos_after=float(h1 @ w / (np.linalg.norm(h1) * np.linalg.norm(w))),
+                )
+            )
+    return per_step
+
+
 def run_regularity_experiment(
     classifier: FixedClassifier,
     loss_kind: str,
@@ -118,100 +188,34 @@ def run_regularity_experiment(
     seed: int,
     e_h: float = 1.0,
 ) -> list:
-    """One projected step per trial; returns the surviving RegularityRecords.
-
-    Starts are sampled on the sphere within distance ~delta of h* for a
-    trial-dependent class; trial i uses rng seed (seed, i), so records
-    are deterministic and order-independent. Trials starting within
-    DIST_GUARD of h* are excluded. ``gamma`` may be a float or
-    "instance-optimal" (CE only), which applies the per-trial
-    bound-matching rate and is reported for illustration.
-    """
-    if loss_kind not in ("ce", "dr"):
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    if not classifier.is_uniform():
-        raise ValueError("regularity experiment needs a uniform-length classifier")
-    instance_opt = gamma == "instance-optimal"
-    if instance_opt and loss_kind != "ce":
-        raise ValueError("instance-optimal rate is defined for the CE loss")
-
-    records = []
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        c, h_star, h0 = _sample_start(classifier, delta, e_h, rng)
-        dist0 = np.linalg.norm(h0 - h_star)
-        if dist0 < DIST_GUARD:
-            continue
-        w = classifier.scaled_columns[:, c]
-        cos0 = float(h0 @ w / (np.linalg.norm(h0) * np.linalg.norm(w)))
-        g = ce_instance_rate(classifier, h0, c, e_h) if instance_opt else float(gamma)
-        if loss_kind == "ce":
-            grad = ce_grad_feature(h0, c, classifier.scaled_columns)
-        else:
-            grad = dr_grad(h0, classifier, c, e_h)
-        pre = h0 - g * grad
-        if not np.all(np.isfinite(pre)):
-            raise NumericDivergence(f"non-finite step in trial {t}")
-        h1 = project_ball(pre, e_h)
-        records.append(
-            RegularityRecord(
-                trial=t,
-                loss_kind=loss_kind + ("-opt" if instance_opt else ""),
-                gamma=g,
-                delta=delta,
-                class_index=c,
-                cos_before=cos0,
-                ratio=float(np.linalg.norm(h1 - h_star) ** 2 / dist0**2),
-                raw_ratio=float(np.linalg.norm(pre - h_star) ** 2 / dist0**2),
-                bound=dr_eta_bound(cos0),
-                uniformity_dev=check_offclass_uniformity(h0, classifier, c),
-                sphere_dev=float(abs(h1 @ h1 - e_h)),
-                cos_after=float(h1 @ w / (np.linalg.norm(h1) * np.linalg.norm(w))),
-            )
-        )
-    return records
+    """The records of a one-step sweep: ``loss_kind`` at rate ``gamma``."""
+    return run_regularity_sweep(classifier, [(loss_kind, gamma)], delta, trials, seed, e_h)[0]
 
 
 #: gate on check_offclass_uniformity for the CE-vs-DR dominance assertion
 UNIFORMITY_GATE = 1e-3
 
 
-def paired_dominance_summary(
-    classifier: FixedClassifier,
-    gammas,
-    deltas,
-    trials: int,
-    seed: int,
-    e_h: float = 1.0,
-) -> dict:
-    """Run CE over a gamma sweep against DR at gamma = sqrt(E_H/E_W).
+def pair_dominance(gamma_dr: float, gammas, deltas, trials: int, runs) -> dict:
+    """Pair the CE records of a gamma sweep with DR records at ``gamma_dr``.
 
-    Starts are matched per trial (the sampling rng ignores the loss), so
-    per-trial comparisons are paired. Per (delta, gamma) configuration
-    the summary reports, over trials passing the uniformity gate, the
-    fraction with raw CE ratio >= raw DR ratio - 1e-9, the means of both
-    readings, and the post-projection comparison for reference.
+    ``runs[i] = (dr, ce)`` holds one sweep's records at ``deltas[i]``, with
+    ``ce[j]`` at ``gammas[j]``, so CE and DR list the same trials. Per
+    (delta, gamma) position the summary reports, over trials passing the
+    uniformity gate, the fraction with raw CE ratio >= raw DR ratio - 1e-9,
+    the means of both readings, and the post-projection comparison.
     """
-    e_w = classifier.e_w
-    gamma_dr = float(np.sqrt(e_h / e_w))
     out = {"gamma_dr": gamma_dr, "uniformity_gate": UNIFORMITY_GATE, "configs": []}
-    for delta in deltas:
-        dr = run_regularity_experiment(classifier, "dr", gamma_dr, delta, trials, seed, e_h)
-        dr_by_trial = {r.trial: r for r in dr}
-        bound_gap = max((r.ratio - r.bound) for r in dr) if dr else float("nan")
-        for gamma in gammas:
-            ce = run_regularity_experiment(classifier, "ce", gamma, delta, trials, seed, e_h)
-            paired = [
-                (r, dr_by_trial[r.trial])
-                for r in ce
-                if r.trial in dr_by_trial and r.uniformity_dev < UNIFORMITY_GATE
-            ]
+    for delta, (dr, ce_runs) in zip(deltas, runs):
+        bound_gap = max((r.ratio - r.bound) for r in dr) if dr else None
+        for gamma, ce in zip(gammas, ce_runs):
+            paired = [(c, d) for c, d in zip(ce, dr) if c.uniformity_dev < UNIFORMITY_GATE]
             cfg = {
                 "delta": delta,
                 "gamma_ce": float(gamma),
                 "trials": trials,
                 "gated_trials": len(paired),
-                "dr_max_ratio_minus_bound": float(bound_gap),
+                "dr_max_ratio_minus_bound": bound_gap,
             }
             if paired:
                 raw_ok = [c.raw_ratio >= d.raw_ratio - 1e-9 for c, d in paired]
@@ -226,6 +230,21 @@ def paired_dominance_summary(
                 cfg.update(raw_dominance_frac=None, note="no trials passed the gate")
             out["configs"].append(cfg)
     return out
+
+
+def paired_dominance_summary(
+    classifier: FixedClassifier,
+    gammas,
+    deltas,
+    trials: int,
+    seed: int,
+    e_h: float = 1.0,
+) -> dict:
+    """Run CE over a gamma sweep against DR at gamma = sqrt(E_H/E_W); see pair_dominance."""
+    gamma_dr = float(np.sqrt(e_h / classifier.e_w))
+    steps = [("dr", gamma_dr)] + [("ce", gamma) for gamma in gammas]
+    runs = [run_regularity_sweep(classifier, steps, delta, trials, seed, e_h) for delta in deltas]
+    return pair_dominance(gamma_dr, gammas, deltas, trials, [(run[0], run[1:]) for run in runs])
 
 
 def records_csv(records) -> tuple:

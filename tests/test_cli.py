@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from etfnc.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from etfnc.etf import generate_etf, uniform_classifier
+from etfnc.regularity import paired_dominance_summary
+from etfnc.serialize import derive_seed
 
 
 def run(*argv):
@@ -170,6 +173,42 @@ class TestRegularityCommand:
         records = (out / "records.csv").read_text()
         assert "ce-opt" in records
 
+    @pytest.mark.parametrize("argv", [
+        ("--gammas", "0.1,0.1", "--deltas", "0.05,0.01"),
+        ("--gammas", "0.5,0.05", "--deltas", "0.01,0.05,0.01", "--losses", "dr,ce"),
+        ("--gammas", "0.1,0.5", "--deltas", "0.05", "--e-w", "4", "--instance-optimal"),
+    ])
+    def test_paired_dominance_from_written_records(self, tmp_path, argv):
+        out = tmp_path / "run"
+        assert run("regularity", *argv, "--trials", 30, "--K", 5, "--d", 7,
+                   "--seed", 2, "--out", out) == EXIT_OK
+        args = dict(zip(argv[::2], argv[1::2]))
+        e_w = float(args.get("--e-w", 1.0))
+        clf = uniform_classifier(generate_etf(7, 5, derive_seed(2, "etf")), e_w)
+        gammas = [float(g) for g in args["--gammas"].split(",")]
+        deltas = [float(d) for d in args["--deltas"].split(",")]
+        expected = paired_dominance_summary(clf, gammas, deltas, 30, 2)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["paired_dominance"] == json.loads(json.dumps(expected))
+        assert len(expected["configs"]) == len(gammas) * len(deltas)
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--trials", "-3", "--trials must be >= 0"),
+        ("--deltas", "0", "--deltas entries must be finite and > 0"),
+        ("--deltas", "0.05,nan", "--deltas entries must be finite and > 0"),
+        ("--deltas", "0.05,x", "--deltas must be comma-separated numbers"),
+        ("--gammas", "0.1,inf", "--gammas entries must be finite"),
+        ("--losses", "ce,xx", "--losses entries must be 'ce' or 'dr'"),
+        ("--e-h", "0", "--e-h must be finite and > 0"),
+        ("--e-w", "inf", "--e-w must be finite and > 0"),
+    ])
+    def test_bad_flags_rejected_before_trials(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "run"
+        code = run("regularity", flag, value, "--K", 4, "--d", 8, "--out", out)
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         payloads = []
         for name in ("a", "b"):
@@ -234,6 +273,15 @@ class TestTrainCommand:
         assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
         assert f"{data} line 3: 1 features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["train_csv", "test_csv"])
+    def test_missing_dataset_file_named(self, tmp_path, capsys, key):
+        data = tmp_path / "data.csv"
+        data.write_text("label,x0\n0,1.0\n1,2.0\n")
+        dataset = {"num_classes": 2, "train_csv": str(data), key: str(tmp_path / "nope.csv")}
+        cfg = write_train_config(tmp_path / "cfg.json", dataset=dataset)
+        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
+        assert f"cannot read dataset file {tmp_path / 'nope.csv'}" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert run("train", "--config", tmp_path / "nope.json", "--out", tmp_path / "x") == EXIT_CONFIG
 
@@ -266,6 +314,23 @@ class TestReportCommand:
 
     def test_empty_input_rejected(self, tmp_path):
         assert run("report", "--out", tmp_path / "x") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("summary,message", [
+        ({}, "has no 'runs' list"),
+        ({"runs": [{"seed": 0, "final_bal_acc": 0.5}]}, "run 0 is missing regime, final_loss"),
+        ({"runs": "x"}, "has no 'runs' list"),
+        ({"runs": [{"regime": "etf-dr", "seed": 0, "final_bal_acc": "x", "final_loss": 1.0,
+                    "final_quarter_cos_ff_std": 0.0, "final_quarter_cos_fc_std": 0.0}]},
+         "run 0 has a non-numeric metric"),
+    ])
+    def test_malformed_summary_named(self, tmp_path, capsys, summary, message):
+        run_dir = tmp_path / "run"
+        write_train_config(tmp_path / "cfg.json")
+        assert run("train", "--config", tmp_path / "cfg.json", "--out", run_dir) == EXIT_OK
+        (run_dir / "summary.json").write_text(json.dumps(summary))
+        assert run("report", "--runs", run_dir, "--out", tmp_path / "x") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{run_dir}/summary.json" in err and message in err
 
     def test_missing_manifest_rejected(self, tmp_path):
         empty = tmp_path / "empty"

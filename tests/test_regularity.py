@@ -1,16 +1,27 @@
 """One-step contraction ratios, the DR bound, and the CE/DR ordering."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etfnc.etf import generate_etf, uniform_classifier
+from etfnc.losses import ce_grad_feature, dr_grad
+from etfnc.peeled import project_ball
 from etfnc.regularity import (
+    DIST_GUARD,
     AtOptimumError,
+    RegularityRecord,
+    _sample_start,
+    ce_instance_rate,
     check_offclass_uniformity,
     contraction_ratio,
     dr_eta_bound,
     paired_dominance_summary,
     run_regularity_experiment,
+    run_regularity_sweep,
 )
 
 
@@ -155,3 +166,96 @@ class TestInstanceOptimalRate:
         clf = make_classifier()
         with pytest.raises(ValueError):
             run_regularity_experiment(clf, "dr", "instance-optimal", 0.01, 10, 0)
+
+
+def reference_records(clf, loss_kind, gamma, delta, trials, seed, e_h=1.0):
+    """One step per trial, each (step, trial) drawing and evaluating its own start."""
+    instance_opt = gamma == "instance-optimal"
+    records = []
+    for t in range(trials):
+        c, h_star, h0 = _sample_start(clf, delta, e_h, np.random.default_rng([seed, t]))
+        dist0 = np.linalg.norm(h0 - h_star)
+        if dist0 < DIST_GUARD:
+            continue
+        w = clf.scaled_columns[:, c]
+        cos0 = float(h0 @ w / (np.linalg.norm(h0) * np.linalg.norm(w)))
+        g = ce_instance_rate(clf, h0, c, e_h) if instance_opt else float(gamma)
+        if loss_kind == "ce":
+            grad = ce_grad_feature(h0, c, clf.scaled_columns)
+        else:
+            grad = dr_grad(h0, clf, c, e_h)
+        pre = h0 - g * grad
+        h1 = project_ball(pre, e_h)
+        records.append(RegularityRecord(
+            trial=t,
+            loss_kind=loss_kind + ("-opt" if instance_opt else ""),
+            gamma=g,
+            delta=delta,
+            class_index=c,
+            cos_before=cos0,
+            ratio=float(np.linalg.norm(h1 - h_star) ** 2 / dist0**2),
+            raw_ratio=float(np.linalg.norm(pre - h_star) ** 2 / dist0**2),
+            bound=dr_eta_bound(cos0),
+            uniformity_dev=check_offclass_uniformity(h0, clf, c),
+            sphere_dev=float(abs(h1 @ h1 - e_h)),
+            cos_after=float(h1 @ w / (np.linalg.norm(h1) * np.linalg.norm(w))),
+        ))
+    return records
+
+
+STEPS = [("ce", 0.05), ("dr", 1.0), ("ce", 0.5), ("ce", "instance-optimal"), ("ce", 0.5)]
+
+
+class TestSweep:
+    """A multi-step sweep reproduces separate one-step runs exactly."""
+
+    @pytest.mark.parametrize("e_w,e_h", [(1.0, 1.0), (4.0, 1.0), (4.0, 2.0)])
+    def test_matches_separate_runs(self, e_w, e_h):
+        clf = make_classifier(e_w=e_w)
+        steps = STEPS + [("dr", float(np.sqrt(e_h / e_w)))]
+        sweep = run_regularity_sweep(clf, steps, 0.05, 40, 13, e_h)
+        assert len(sweep) == len(steps)
+        for (loss, gamma), records in zip(steps, sweep):
+            assert records == run_regularity_experiment(clf, loss, gamma, 0.05, 40, 13, e_h)
+            assert records == reference_records(clf, loss, gamma, 0.05, 40, 13, e_h)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        K=st.integers(3, 8),
+        extra_d=st.integers(-1, 5),
+        seed=st.integers(0, 2**16),
+        delta=st.sampled_from([0.01, 0.05, 0.1]),
+    )
+    def test_matches_separate_runs_property(self, K, extra_d, seed, delta):
+        clf = make_classifier(K + extra_d, K, seed=seed)
+        sweep = run_regularity_sweep(clf, STEPS, delta, 8, seed)
+        for (loss, gamma), records in zip(STEPS, sweep):
+            assert records == reference_records(clf, loss, gamma, delta, 8, seed)
+
+    def test_excluded_trials_drop_from_every_step(self):
+        clf = make_classifier()
+        assert run_regularity_sweep(clf, STEPS, 0.0, 5, 0) == [[] for _ in STEPS]
+
+    def test_bad_step_rejected_before_trials(self):
+        clf = make_classifier()
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            run_regularity_sweep(clf, [("ce", 0.1), ("xx", 0.1)], 0.05, 10, 0)
+        with pytest.raises(ValueError, match="instance-optimal"):
+            run_regularity_sweep(clf, [("dr", "instance-optimal")], 0.05, 10, 0)
+
+
+class TestPairDominance:
+    def test_repeated_gammas_and_deltas_paired_by_position(self):
+        clf = make_classifier()
+        out = paired_dominance_summary(clf, [0.1, 0.1], [0.05, 0.01, 0.05], trials=30, seed=4)
+        configs = out["configs"]
+        assert [(c["delta"], c["gamma_ce"]) for c in configs] == [
+            (0.05, 0.1), (0.05, 0.1), (0.01, 0.1), (0.01, 0.1), (0.05, 0.1), (0.05, 0.1),
+        ]
+        assert configs[0] == configs[1] == configs[4] == configs[5]
+
+    def test_no_records_is_valid_json(self):
+        clf = make_classifier()
+        out = paired_dominance_summary(clf, [0.1], [0.05], trials=0, seed=0)
+        assert out["configs"][0]["dr_max_ratio_minus_bound"] is None
+        json.dumps(out, allow_nan=False)
