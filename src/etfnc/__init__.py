@@ -36,16 +36,7 @@ from .losses import (
     dr_terms,
     softmax_probs,
 )
-from .metrics import (
-    NcReport,
-    class_and_global_means,
-    cosine_panels,
-    duality_gap,
-    nc4_agreement,
-    nc_report,
-    self_duality,
-    within_class_variability,
-)
+from .metrics import NcReport, class_and_global_means, nc_report
 from .peeled import (
     MinorityProbe,
     OptimizerConfig,

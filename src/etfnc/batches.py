@@ -44,9 +44,6 @@ class FeatureBatch:
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
 
-    def class_rows(self, k: int) -> np.ndarray:
-        return self.features[self.labels == k]
-
     @classmethod
     def from_class_lists(cls, per_class) -> "FeatureBatch":
         """Build a class-major batch from a list of (n_k, d) arrays."""

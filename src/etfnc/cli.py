@@ -292,6 +292,8 @@ def cmd_regularity(args):
     steps = [(loss, g) for loss in losses for g in (gammas if loss == "ce" else [gamma_dr])]
     if args.instance_optimal and "ce" in losses:
         steps.append(("ce", "instance-optimal"))
+    if not steps:
+        raise ConfigError("no step to measure: --losses ce needs --gammas or --instance-optimal")
     runs = [reg.run_regularity_sweep(clf, steps, delta, args.trials, args.seed, args.e_h)
             for delta in deltas]
     records = [r for run in runs for step_records in run for r in step_records]
@@ -342,6 +344,10 @@ def cmd_regularity(args):
     config = vars(args).copy()
     config.pop("func", None)
     _write_manifest(out, "regularity", config, artifacts, args.label)
+    if args.trials and not records:
+        print(f"regularity: no records: all {args.trials * len(deltas)} trials started within "
+              f"{reg.DIST_GUARD:g} of the optimum and were excluded", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     if failed:
         print("regularity: bound or dominance check FAILED", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -485,19 +491,25 @@ REPORT_METRICS = ("final_bal_acc", "final_loss",
                   "final_quarter_cos_ff_std", "final_quarter_cos_fc_std")
 
 
+def _read_run_json(run_dir, name):
+    path = f"{run_dir}/{name}"
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except FileNotFoundError:
+        raise ConfigError(f"run directory {run_dir} is missing {path}") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path} is not valid JSON: {e}") from None
+
+
 def cmd_report(args):
     out = _out_dir(args.out)
     if not args.runs:
         raise ConfigError("no run directories given")
     rows = []
     for run_dir in args.runs:
-        try:
-            with open(f"{run_dir}/manifest.json") as f:
-                manifest = json.load(f)
-            with open(f"{run_dir}/summary.json") as f:
-                run_summary = json.load(f)
-        except FileNotFoundError as e:
-            raise ConfigError(f"run directory {run_dir} is missing {e.filename}")
+        manifest = _read_run_json(run_dir, "manifest.json")
+        run_summary = _read_run_json(run_dir, "summary.json")
         if manifest.get("command") != "train":
             raise ConfigError(f"{run_dir} is not a train run (command={manifest.get('command')!r})")
         runs = run_summary.get("runs") if isinstance(run_summary, dict) else None

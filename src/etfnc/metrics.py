@@ -1,17 +1,20 @@
 """Neural-collapse statistics.
 
-Given a labeled feature batch and a classifier matrix, this module
-computes the classic collapse indicators: the within-class covariance
-trace (variability collapse), the averages/stds of centered-class-mean
-cosines with each other and with the classifier columns (convergence to
-the ETF and its alignment), self-duality, the Frobenius gap between the
-normalized classifier and centered-mean matrices, and the agreement
-between argmax-logit and nearest-class-mean prediction.
+Given a labeled feature batch and a classifier matrix, ``nc_report``
+computes the classic collapse indicators from one pass over the class
+statistics: the within-class covariance trace (variability collapse),
+the averages/stds of centered-class-mean cosines with each other and
+with the classifier columns (convergence to the ETF and its alignment),
+self-duality, the Frobenius gap between the normalized classifier and
+centered-mean matrices, and the agreement between argmax-logit and
+nearest-class-mean prediction.
 
 Conventions (pinned here, noted where the sources are ambiguous): the
 global mean weights samples, not classes; cosine panels aggregate over
 all K(K-1) ordered pairs of distinct classes with population stds; the
-duality gap normalizes both matrices to unit Frobenius norm by default.
+duality gap normalizes both matrices to unit Frobenius norm, so it is
+scale-free and lies in [0, 4]; nc4 compares against the batch's own
+class means, and ties resolve to the lowest class index on both sides.
 """
 
 from dataclasses import dataclass
@@ -29,105 +32,8 @@ def class_and_global_means(batch: FeatureBatch):
         raise ValueError(f"class {int(empty[0])} has no samples")
     means = np.zeros((batch.num_classes, batch.dim))
     for k in range(batch.num_classes):
-        means[k] = batch.class_rows(k).mean(axis=0)
+        means[k] = batch.features[batch.labels == k].mean(axis=0)
     return means, batch.features.mean(axis=0)
-
-
-def within_class_variability(batch: FeatureBatch):
-    """Sigma_W = Avg_{i,k} (h_{k,i} - h_k)(h_{k,i} - h_k)^T and its trace."""
-    means, _ = class_and_global_means(batch)
-    dev = batch.features - means[batch.labels]
-    sigma_w = dev.T @ dev / batch.size
-    return sigma_w, float(np.trace(sigma_w))
-
-
-def _centered_means(batch: FeatureBatch) -> np.ndarray:
-    means, h_g = class_and_global_means(batch)
-    centered = means - h_g
-    norms = np.linalg.norm(centered, axis=1)
-    if np.any(norms < 1e-300):
-        k = int(np.argmin(norms))
-        raise ValueError(f"centered mean of class {k} has zero norm")
-    return centered
-
-
-def cosine_panels(batch: FeatureBatch, W: np.ndarray):
-    """(avg, std) of cos(h_c - h_G, h_k - h_G) and of cos(h_c - h_G, w_k).
-
-    Both panels aggregate over the K(K-1) ordered pairs c != k; stds are
-    population stds.
-    """
-    centered = _centered_means(batch)
-    W = np.asarray(W, dtype=float)
-    wnorms = np.linalg.norm(W, axis=0)
-    if np.any(wnorms < 1e-300):
-        raise ValueError("classifier has a zero-norm column")
-    m_hat = centered / np.linalg.norm(centered, axis=1, keepdims=True)
-    w_hat = W / wnorms
-    K = batch.num_classes
-    off = ~np.eye(K, dtype=bool)
-    ff = (m_hat @ m_hat.T)[off]
-    fc = (m_hat @ w_hat)[off]
-    return (
-        (float(ff.mean()), float(ff.std())),
-        (float(fc.mean()), float(fc.std())),
-    )
-
-
-def self_duality(batch: FeatureBatch, W: np.ndarray) -> float:
-    """Average over classes of cos(h_c - h_G, w_c)."""
-    centered = _centered_means(batch)
-    W = np.asarray(W, dtype=float)
-    wnorms = np.linalg.norm(W, axis=0)
-    if np.any(wnorms < 1e-300):
-        raise ValueError("classifier has a zero-norm column")
-    cos = np.einsum("kd,dk->k", centered, W) / (
-        np.linalg.norm(centered, axis=1) * wnorms
-    )
-    return float(cos.mean())
-
-
-def duality_gap(batch: FeatureBatch, W: np.ndarray, normalization: str = "unit") -> float:
-    """Squared Frobenius distance between normalized W and centered means.
-
-    ``normalization="unit"`` divides each matrix by its Frobenius norm,
-    making the gap scale-free and bounded in [0, 4] (zero iff the
-    matrices are positively proportional). ``"literal"`` divides by the
-    squared Frobenius norm instead, reproducing the unnormalized variant
-    some sources write.
-    """
-    centered = _centered_means(batch).T  # (d, K), one class mean per column
-    W = np.asarray(W, dtype=float)
-    nw, nh = np.linalg.norm(W), np.linalg.norm(centered)
-    if nw < 1e-300 or nh < 1e-300:
-        raise ValueError("degenerate zero Frobenius norm")
-    if normalization == "unit":
-        diff = W / nw - centered / nh
-    elif normalization == "literal":
-        diff = W / nw**2 - centered / nh**2
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    return float(np.sum(diff * diff))
-
-
-def nc4_agreement(batch: FeatureBatch, W: np.ndarray, means: np.ndarray = None) -> float:
-    """Fraction of samples where argmax_k h . w_k == argmin_k |h - h_k|.
-
-    ``means`` defaults to the batch's own class means but may come from a
-    reference (train) batch. Ties resolve to the lowest class index on
-    both sides.
-    """
-    if means is None:
-        means, _ = class_and_global_means(batch)
-    logits = batch.features @ np.asarray(W, dtype=float)
-    pred_logit = np.argmax(logits, axis=1)
-    d2 = (
-        np.sum(batch.features**2, axis=1, keepdims=True)
-        - 2.0 * batch.features @ means.T
-        + np.sum(means**2, axis=1)
-    )
-    pred_center = np.argmin(d2, axis=1)
-    return float(np.mean(pred_logit == pred_center))
 
 
 NC_FIELDS = (
@@ -162,17 +68,56 @@ class NcReport:
         return {f: getattr(self, f) for f in NC_FIELDS}
 
 
-def nc_report(batch: FeatureBatch, W: np.ndarray, duality_normalization: str = "unit") -> NcReport:
-    """Compute the full statistics bundle for one snapshot."""
-    _, trace = within_class_variability(batch)
-    (ff_avg, ff_std), (fc_avg, fc_std) = cosine_panels(batch, W)
+def nc_report(batch: FeatureBatch, W: np.ndarray) -> NcReport:
+    """Compute the full statistics bundle for one snapshot.
+
+    With class means h_k, global mean h_G and columns w_k of W:
+    sigma_w_trace is tr(Sigma_W), Sigma_W = Avg_{i,k} (h_{k,i} - h_k)(h_{k,i} - h_k)^T;
+    the cos_ff/cos_fc panels are (avg, std) of cos(h_c - h_G, h_k - h_G)
+    and of cos(h_c - h_G, w_k) over c != k; self_duality averages
+    cos(h_c - h_G, w_c) over classes; duality_gap is the squared
+    Frobenius distance between W and the centered-mean matrix, each
+    divided by its Frobenius norm; nc4 is the fraction of samples where
+    argmax_k h . w_k == argmin_k |h - h_k|.
+    """
+    means, h_g = class_and_global_means(batch)
+    centered = means - h_g
+    norms = np.linalg.norm(centered, axis=1)
+    if np.any(norms < 1e-300):
+        raise ValueError(f"centered mean of class {int(np.argmin(norms))} has zero norm")
+    W = np.asarray(W, dtype=float)
+    wnorms = np.linalg.norm(W, axis=0)
+    if np.any(wnorms < 1e-300):
+        raise ValueError("classifier has a zero-norm column")
+    feats = batch.features
+
+    dev = feats - means[batch.labels]
+    sigma_w = dev.T @ dev / batch.size
+
+    m_hat = centered / norms[:, None]
+    off = ~np.eye(batch.num_classes, dtype=bool)
+    ff = (m_hat @ m_hat.T)[off]
+    fc = (m_hat @ (W / wnorms))[off]
+
+    self_cos = np.einsum("kd,dk->k", centered, W) / (norms * wnorms)
+
+    diff = W / np.linalg.norm(W) - centered.T / np.linalg.norm(centered)
+
+    pred_logit = np.argmax(feats @ W, axis=1)
+    d2 = (
+        np.sum(feats**2, axis=1, keepdims=True)
+        - 2.0 * feats @ means.T
+        + np.sum(means**2, axis=1)
+    )
+    pred_center = np.argmin(d2, axis=1)
+
     return NcReport(
-        sigma_w_trace=trace,
-        cos_ff_avg=ff_avg,
-        cos_ff_std=ff_std,
-        cos_fc_avg=fc_avg,
-        cos_fc_std=fc_std,
-        self_duality=self_duality(batch, W),
-        duality_gap=duality_gap(batch, W, duality_normalization),
-        nc4=nc4_agreement(batch, W),
+        sigma_w_trace=float(np.trace(sigma_w)),
+        cos_ff_avg=float(ff.mean()),
+        cos_ff_std=float(ff.std()),
+        cos_fc_avg=float(fc.mean()),
+        cos_fc_std=float(fc.std()),
+        self_duality=float(self_cos.mean()),
+        duality_gap=float(np.sum(diff * diff)),
+        nc4=float(np.mean(pred_logit == pred_center)),
     )

@@ -436,7 +436,7 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
         test_feats = _features_for_metrics(model, test_set.x, config)
         if not all(np.all(np.isfinite(a)) for a in (W, train_feats, test_feats)):
             raise NumericDivergence(f"parameters diverged at epoch {epoch}")
-        per_class_acc, bal_acc = evaluate(model, test_set, W, config)
+        per_class_acc, bal_acc = _balanced_accuracy(test_feats, test_set, W, config)
         log.records.append(
             EpochRecord(
                 epoch=epoch,
@@ -460,15 +460,20 @@ def evaluate(model: MlpBackbone, test_set: Dataset, W: np.ndarray, config: Train
     unit frame directions; learnable classifiers predict with W as
     learned.
     """
+    if config is not None:
+        feats = _features_for_metrics(model, test_set.x, config)
+    else:
+        feats, _ = model.forward(test_set.x)
+    return _balanced_accuracy(feats, test_set, W, config)
+
+
+def _balanced_accuracy(feats, test_set: Dataset, W: np.ndarray, config: TrainConfig):
+    """evaluate's scoring of the test features ``feats``."""
     counts = np.bincount(test_set.y, minlength=test_set.num_classes)
     if np.any(counts == 0):
         raise ValueError("test set is missing a class")
-    if config is not None:
-        feats = _features_for_metrics(model, test_set.x, config)
-        if config.classifier_mode == "fixed-etf":
-            W = W / np.linalg.norm(W, axis=0, keepdims=True)
-    else:
-        feats, _ = model.forward(test_set.x)
+    if config is not None and config.classifier_mode == "fixed-etf":
+        W = W / np.linalg.norm(W, axis=0, keepdims=True)
     pred = np.argmax(feats @ W, axis=1)
     per_class = np.array(
         [float(np.mean(pred[test_set.y == k] == k)) for k in range(test_set.num_classes)]

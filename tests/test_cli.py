@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etfnc.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from etfnc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from etfnc.etf import generate_etf, uniform_classifier
 from etfnc.regularity import paired_dominance_summary
 from etfnc.serialize import derive_seed
@@ -156,6 +156,22 @@ class TestRegularityCommand:
         lines = (out / "records.csv").read_text().splitlines()
         assert len(lines) == 1  # header only
         assert json.loads((out / "summary.json").read_text())["status"] == "no-data"
+
+    def test_all_trials_excluded_fails(self, tmp_path, capsys):
+        # a delta below DIST_GUARD puts every start at the optimum
+        out = tmp_path / "run"
+        code = run("regularity", "--deltas", "1e-13", "--trials", 20, "--K", 4, "--d", 8,
+                   "--out", out)
+        assert code == EXIT_CHECK_FAILED
+        assert "all 20 trials started within 1e-12 of the optimum" in capsys.readouterr().err
+        assert len((out / "records.csv").read_text().splitlines()) == 1
+
+    def test_no_step_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run("regularity", "--losses", "ce", "--gammas", "", "--K", 4, "--d", 8,
+                   "--out", out)
+        assert code == EXIT_CONFIG
+        assert "no step to measure" in capsys.readouterr().err
 
     def test_paired_dominance_summary_present(self, tmp_path):
         out = tmp_path / "run"
@@ -322,15 +338,21 @@ class TestReportCommand:
         ({"runs": [{"regime": "etf-dr", "seed": 0, "final_bal_acc": "x", "final_loss": 1.0,
                     "final_quarter_cos_ff_std": 0.0, "final_quarter_cos_fc_std": 0.0}]},
          "run 0 has a non-numeric metric"),
+        (("summary.json", "{"), "is not valid JSON"),
+        (("manifest.json", '{"command": "train",'), "is not valid JSON"),
     ])
     def test_malformed_summary_named(self, tmp_path, capsys, summary, message):
+        """``summary`` is written as summary.json, or is a (file, raw text) pair."""
         run_dir = tmp_path / "run"
         write_train_config(tmp_path / "cfg.json")
         assert run("train", "--config", tmp_path / "cfg.json", "--out", run_dir) == EXIT_OK
-        (run_dir / "summary.json").write_text(json.dumps(summary))
+        if not isinstance(summary, tuple):
+            summary = ("summary.json", json.dumps(summary))
+        name, text = summary
+        (run_dir / name).write_text(text)
         assert run("report", "--runs", run_dir, "--out", tmp_path / "x") == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"{run_dir}/summary.json" in err and message in err
+        assert f"{run_dir}/{name}" in err and message in err
 
     def test_missing_manifest_rejected(self, tmp_path):
         empty = tmp_path / "empty"

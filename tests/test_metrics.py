@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etfnc import metrics
 from etfnc.batches import FeatureBatch
 from etfnc.etf import generate_etf
-from etfnc.metrics import (
-    NC_FIELDS,
-    class_and_global_means,
-    cosine_panels,
-    duality_gap,
-    nc4_agreement,
-    nc_report,
-    self_duality,
-    within_class_variability,
-)
+from etfnc.metrics import NC_FIELDS, NcReport, class_and_global_means, nc_report
+
+
+def panels(report):
+    """((cos_ff avg, std), (cos_fc avg, std)) of a report."""
+    return (
+        (report.cos_ff_avg, report.cos_ff_std),
+        (report.cos_fc_avg, report.cos_fc_std),
+    )
 
 
 def collapsed_batch(d=6, K=4, per_class=2, seed=1, scale=1.0):
@@ -62,24 +64,23 @@ class TestMeans:
 
 class TestWithinClassVariability:
     def test_collapsed_is_zero(self):
-        batch, _ = collapsed_batch()
-        _, trace = within_class_variability(batch)
-        assert trace == 0.0
+        batch, frame = collapsed_batch()
+        assert nc_report(batch, frame.columns).sigma_w_trace == 0.0
 
     def test_hand_computed_outer_product(self):
-        feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        batch = FeatureBatch(feats, np.array([0, 0]), 1)
-        sigma, trace = within_class_variability(batch)
-        np.testing.assert_allclose(sigma, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
-        np.testing.assert_allclose(trace, 1.0)
+        # class 0 spreads +-1 along x, class 1 sits at one point:
+        # Sigma_W = (2 e_x e_x^T) / 4, trace 1/2
+        feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, 2.0]])
+        batch = FeatureBatch(feats, np.array([0, 0, 1, 1]), 2)
+        np.testing.assert_allclose(nc_report(batch, np.eye(2)).sigma_w_trace, 0.5)
 
     def test_trace_rotation_invariant(self, rng):
         feats = rng.standard_normal((12, 5))
         labels = rng.integers(3, size=12)
-        batch = FeatureBatch(feats, labels, 3)
-        _, t1 = within_class_variability(batch)
+        W = np.ones((5, 3))
+        t1 = nc_report(FeatureBatch(feats, labels, 3), W).sigma_w_trace
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        _, t2 = within_class_variability(FeatureBatch(feats @ q.T, labels, 3))
+        t2 = nc_report(FeatureBatch(feats @ q.T, labels, 3), W).sigma_w_trace
         np.testing.assert_allclose(t1, t2, atol=1e-10)
 
 
@@ -87,7 +88,7 @@ class TestCosinePanels:
     def test_collapsed_etf_values(self):
         batch, frame = collapsed_batch()
         W = frame.columns
-        (ff_avg, ff_std), (fc_avg, fc_std) = cosine_panels(batch, W)
+        (ff_avg, ff_std), (fc_avg, fc_std) = panels(nc_report(batch, W))
         np.testing.assert_allclose(ff_avg, -1 / 3, atol=1e-12)
         np.testing.assert_allclose(fc_avg, -1 / 3, atol=1e-12)
         assert ff_std < 1e-12 and fc_std < 1e-12
@@ -95,7 +96,7 @@ class TestCosinePanels:
     def test_two_class_antipodal(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
         batch = FeatureBatch(feats, np.array([0, 1]), 2)
-        (ff_avg, ff_std), _ = cosine_panels(batch, np.eye(2))
+        (ff_avg, ff_std), _ = panels(nc_report(batch, np.eye(2)))
         np.testing.assert_allclose(ff_avg, -1.0, atol=1e-12)
         assert ff_std < 1e-12
 
@@ -108,33 +109,35 @@ class TestCosinePanels:
         batch_p = FeatureBatch(feats, perm[labels], 4)
         W_p = np.empty_like(W)
         W_p[:, perm] = W
-        a = cosine_panels(batch, W)
-        b = cosine_panels(batch_p, W_p)
+        a = panels(nc_report(batch, W))
+        b = panels(nc_report(batch_p, W_p))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_degenerate_centered_mean_rejected(self):
         feats = np.zeros((4, 3))
         batch = FeatureBatch(feats, np.array([0, 0, 1, 1]), 2)
-        with pytest.raises(ValueError):
-            cosine_panels(batch, np.ones((3, 2)))
+        with pytest.raises(ValueError, match="zero norm"):
+            nc_report(batch, np.ones((3, 2)))
 
 
 class TestSelfDuality:
     def test_perfect_alignment(self):
         batch, frame = collapsed_batch()
-        np.testing.assert_allclose(self_duality(batch, frame.columns), 1.0, atol=1e-12)
+        np.testing.assert_allclose(
+            nc_report(batch, frame.columns).self_duality, 1.0, atol=1e-12
+        )
 
     def test_permuted_classifier_below_one(self):
         batch, frame = collapsed_batch()
         W = frame.columns[:, [1, 2, 3, 0]]
-        assert self_duality(batch, W) < 1.0
+        assert nc_report(batch, W).self_duality < 1.0
 
     def test_column_rescaling_invariance(self, rng):
         batch, frame = collapsed_batch()
         scales = rng.uniform(0.1, 10.0, size=4)
         np.testing.assert_allclose(
-            self_duality(batch, frame.columns * scales),
-            self_duality(batch, frame.columns),
+            nc_report(batch, frame.columns * scales).self_duality,
+            nc_report(batch, frame.columns).self_duality,
             atol=1e-12,
         )
 
@@ -142,42 +145,42 @@ class TestSelfDuality:
 class TestDualityGap:
     def test_proportional_matrices_zero(self, rng):
         batch, frame = collapsed_batch(scale=3.7)
-        np.testing.assert_allclose(duality_gap(batch, frame.columns), 0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            nc_report(batch, frame.columns).duality_gap, 0.0, atol=1e-12
+        )
 
     def test_antipodal_is_four(self):
         batch, frame = collapsed_batch()
-        np.testing.assert_allclose(duality_gap(batch, -frame.columns), 4.0, atol=1e-12)
+        np.testing.assert_allclose(
+            nc_report(batch, -frame.columns).duality_gap, 4.0, atol=1e-12
+        )
 
     def test_range_zero_to_four(self, rng):
         for _ in range(25):
             feats = rng.standard_normal((12, 5))
             labels = np.repeat(np.arange(4), 3)
             batch = FeatureBatch(feats, labels, 4)
-            gap = duality_gap(batch, rng.standard_normal((5, 4)))
+            gap = nc_report(batch, rng.standard_normal((5, 4))).duality_gap
             assert 0.0 <= gap <= 4.0
-
-    def test_literal_variant_differs(self, rng):
-        feats = rng.standard_normal((8, 4)) * 5
-        batch = FeatureBatch(feats, np.repeat(np.arange(4), 2), 4)
-        W = rng.standard_normal((4, 4)) * 2
-        unit = duality_gap(batch, W, normalization="unit")
-        literal = duality_gap(batch, W, normalization="literal")
-        assert unit != literal
 
 
 class TestNc4Agreement:
     def test_collapsed_agrees(self):
         batch, frame = collapsed_batch()
-        np.testing.assert_allclose(nc4_agreement(batch, frame.columns), 1.0)
+        np.testing.assert_allclose(nc_report(batch, frame.columns).nc4, 1.0)
 
     def test_tie_break_lowest_index(self):
-        # identical columns make every logit a tie; an equidistant feature
-        # makes the nearest-center side a tie too -> both resolve to class 0
+        # identical columns make every logit a tie -> class 0. The class
+        # means are exactly (2, 1) and (2, -1), so (2, 0) and (5, 0) are
+        # equidistant from both -> class 0 as well; (2, 2) and (2, 1) are
+        # nearest mean 0, (-1, -2) mean 1. Lowest index on both sides
+        # agrees on 4 of 5 samples (highest index on both: 3 of 5).
         W = np.array([[1.0, 1.0], [0.0, 0.0]])
-        ref = FeatureBatch(np.array([[2.0, 1.0], [2.0, -1.0]]), np.array([0, 1]), 2)
-        means, _ = class_and_global_means(ref)
-        probe = FeatureBatch(np.array([[2.0, 0.0], [5.0, 0.0]]), np.array([0, 1]), 2)
-        assert nc4_agreement(probe, W, means=means) == 1.0
+        feats = np.array([[2.0, 0.0], [2.0, 2.0], [2.0, 1.0], [5.0, 0.0], [-1.0, -2.0]])
+        batch = FeatureBatch(feats, np.array([0, 0, 0, 1, 1]), 2)
+        means, _ = class_and_global_means(batch)
+        np.testing.assert_array_equal(means, [[2.0, 1.0], [2.0, -1.0]])
+        assert nc_report(batch, W).nc4 == 0.8
 
     def test_brute_force_recount(self, rng):
         d, K, N = 4, 3, 30
@@ -195,14 +198,7 @@ class TestNc4Agreement:
                 if np.linalg.norm(feats[i] - means[k]) < np.linalg.norm(feats[i] - means[best_dist]):
                     best_dist = k
             agree += best_logit == best_dist
-        np.testing.assert_allclose(nc4_agreement(batch, W), agree / N)
-
-    def test_external_means(self, rng):
-        feats = rng.standard_normal((9, 4))
-        batch = FeatureBatch(feats, np.repeat(np.arange(3), 3), 3)
-        means = rng.standard_normal((3, 4))
-        val = nc4_agreement(batch, np.eye(4)[:, :3], means=means)
-        assert 0.0 <= val <= 1.0
+        np.testing.assert_allclose(nc_report(batch, W).nc4, agree / N)
 
 
 class TestReportInvariances:
@@ -233,3 +229,102 @@ class TestReportInvariances:
         report = nc_report(batch, frame.columns)
         assert list(report.as_dict()) == list(NC_FIELDS)
         assert len(report.as_row()) == 8
+
+
+def reference_report(batch, W):
+    """nc_report as five separate helpers, each redoing the means pass."""
+    K, W = batch.num_classes, np.asarray(W, dtype=float)
+
+    def means_pass():
+        means = np.zeros((K, batch.dim))
+        for k in range(K):
+            means[k] = batch.features[batch.labels == k].mean(axis=0)
+        return means, batch.features.mean(axis=0)
+
+    def centered_means():
+        means, h_g = means_pass()
+        return means - h_g
+
+    def within_class_trace():
+        means, _ = means_pass()
+        dev = batch.features - means[batch.labels]
+        return float(np.trace(dev.T @ dev / batch.size))
+
+    def cosine_panels():
+        centered = centered_means()
+        m_hat = centered / np.linalg.norm(centered, axis=1, keepdims=True)
+        w_hat = W / np.linalg.norm(W, axis=0)
+        off = ~np.eye(K, dtype=bool)
+        ff, fc = (m_hat @ m_hat.T)[off], (m_hat @ w_hat)[off]
+        return float(ff.mean()), float(ff.std()), float(fc.mean()), float(fc.std())
+
+    def self_duality():
+        centered = centered_means()
+        cos = np.einsum("kd,dk->k", centered, W) / (
+            np.linalg.norm(centered, axis=1) * np.linalg.norm(W, axis=0)
+        )
+        return float(cos.mean())
+
+    def duality_gap():
+        centered = centered_means().T
+        diff = W / np.linalg.norm(W) - centered / np.linalg.norm(centered)
+        return float(np.sum(diff * diff))
+
+    def nc4_agreement():
+        means, _ = means_pass()
+        pred_logit = np.argmax(batch.features @ W, axis=1)
+        d2 = (
+            np.sum(batch.features**2, axis=1, keepdims=True)
+            - 2.0 * batch.features @ means.T
+            + np.sum(means**2, axis=1)
+        )
+        return float(np.mean(pred_logit == np.argmin(d2, axis=1)))
+
+    return NcReport(
+        within_class_trace(), *cosine_panels(), self_duality(), duality_gap(), nc4_agreement()
+    )
+
+
+@st.composite
+def random_snapshots(draw):
+    """(batch, W) with 2-6 classes, d in 1..7, 1-40 samples per class, shuffled labels.
+
+    Counts go past 8 because numpy sums a d == 1 column pairwise from 8
+    rows on: a means pass that adds the rows one at a time differs there
+    in the last ulp.
+    """
+    K = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 7))
+    counts = draw(st.lists(st.integers(1, 40), min_size=K, max_size=K))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    labels = rng.permutation(np.repeat(np.arange(K), counts))
+    feats = rng.standard_normal((labels.size, d)) + 2.0 * rng.standard_normal((K, d))[labels]
+    return FeatureBatch(feats, labels, K), rng.standard_normal((d, K))
+
+
+class TestOnePass:
+    @settings(max_examples=25, deadline=None)
+    @given(random_snapshots())
+    def test_equals_separate_helpers_exactly(self, snapshot):
+        batch, W = snapshot
+        assert nc_report(batch, W) == reference_report(batch, W)
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_snapshots(), st.integers(0, 2**16))
+    def test_sample_permutation_invariance(self, snapshot, seed):
+        batch, W = snapshot
+        perm = np.random.default_rng(seed).permutation(batch.size)
+        shuffled = FeatureBatch(batch.features[perm], batch.labels[perm], batch.num_classes)
+        r1, r2 = nc_report(batch, W), nc_report(shuffled, W)
+        for f in NC_FIELDS:
+            np.testing.assert_allclose(getattr(r1, f), getattr(r2, f), atol=1e-12, err_msg=f)
+
+    def test_one_means_pass_per_report(self, monkeypatch):
+        calls = []
+        means_pass = metrics.class_and_global_means
+        monkeypatch.setattr(
+            metrics, "class_and_global_means", lambda b: calls.append(b) or means_pass(b)
+        )
+        batch, frame = collapsed_batch()
+        nc_report(batch, frame.columns)
+        assert len(calls) == 1

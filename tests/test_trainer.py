@@ -267,6 +267,21 @@ class TestTrain:
             means[regime] = float(np.mean(accs))
         assert abs(means["learnable-ce"] - means["etf-dr"]) <= 0.02, means
 
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_test_set_forwarded_once_per_epoch(self, monkeypatch, regime):
+        train_set, test_set = tiny_problem()
+        rows = []
+        forward = MlpBackbone.forward
+        monkeypatch.setattr(
+            MlpBackbone, "forward", lambda self, x: rows.append(len(x)) or forward(self, x)
+        )
+        model = MlpBackbone.init([6, 10, 5], seed=1)
+        cfg = regime_config(regime, epochs=3, seed=0)
+        log = train(model, train_set, test_set, cfg)
+        assert sum(rows) == 3 * (2 * train_set.size + test_set.size)
+        # the epoch's balanced accuracy is evaluate's, from the reused features
+        assert log.final_bal_acc == evaluate(model, test_set, log.classifier, cfg)[1]
+
     def test_length_regularized_variant_runs(self):
         train_set, test_set = tiny_problem()
         model = MlpBackbone.init([6, 10, 5], seed=3)
