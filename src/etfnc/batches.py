@@ -43,10 +43,3 @@ class FeatureBatch:
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
-
-    @classmethod
-    def from_class_lists(cls, per_class) -> "FeatureBatch":
-        """Build a class-major batch from a list of (n_k, d) arrays."""
-        per_class = [np.atleast_2d(np.asarray(a, dtype=float)) for a in per_class]
-        labels = np.repeat(np.arange(len(per_class)), [a.shape[0] for a in per_class])
-        return cls(np.vstack(per_class), labels, len(per_class))

@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -196,9 +197,7 @@ def cmd_peeled(args):
     traj = lp.optimize(
         problem,
         args.loss,
-        lp.OptimizerConfig(
-            step_size=args.gamma, max_steps=args.steps, stop_tol=args.stop_tol, mode=args.opt_mode
-        ),
+        lp.OptimizerConfig(step_size=args.gamma, max_steps=args.steps, stop_tol=args.stop_tol),
     )
     header, rows = traj.csv_rows()
     write_csv(f"{out}/trajectory.csv", header, rows)
@@ -319,7 +318,7 @@ def cmd_regularity(args):
         if "ce" in losses and "dr" in losses and gammas:
             # the first DR step and the first CE block (one step per --gammas entry)
             dr_at, ce_at = steps.index(("dr", gamma_dr)), steps.index(("ce", gammas[0]))
-            dom = reg.pair_dominance(gamma_dr, gammas, deltas, args.trials, [
+            dom = reg.pair_dominance(gamma_dr, gammas, deltas, [
                 (run[dr_at], run[ce_at:ce_at + len(gammas)]) for run in runs
             ])
             summary["paired_dominance"] = dom
@@ -367,6 +366,32 @@ def _require(cfg, path):
     return node
 
 
+#: keys each block of a train config may set; seeds come from ``seeds``
+#: and regimes from ``regimes``
+_BLOCK_KEYS = {
+    "dataset": ({f.name for f in fields(SyntheticDatasetSpec)} - {"seed"})
+    | {"train_csv", "test_csv"},
+    "model": {"hidden_sizes", "feature_dim"},
+    "train": {f.name for f in fields(tr.TrainConfig)} - {"regime", "seed"},
+}
+
+
+def _check_blocks(cfg):
+    for block, allowed in _BLOCK_KEYS.items():
+        node = cfg.get(block, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"config field '{block}' must be an object")
+        unknown = sorted(set(node) - allowed)
+        if unknown:
+            raise ConfigError(
+                f"config has unknown key '{block}.{unknown[0]}'; "
+                f"'{block}' allows {', '.join(sorted(allowed))}"
+            )
+    epochs = cfg["train"]["epochs"]
+    if isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 1:
+        raise ConfigError(f"config field 'train.epochs' must be an integer >= 1, got {epochs!r}")
+
+
 def _load_dataset(path, num_classes):
     try:
         return tr.load_dataset_csv(path, num_classes)
@@ -392,6 +417,7 @@ def cmd_train(args):
     epochs = _require(cfg, "train.epochs")
     regimes = _require(cfg, "regimes")
     seeds = _require(cfg, "seeds")
+    _check_blocks(cfg)
     model_cfg = cfg.get("model", {})
     hidden = model_cfg.get("hidden_sizes", [64])
     feature_dim = model_cfg.get("feature_dim", 16)
@@ -586,7 +612,6 @@ def build_parser():
     sp.add_argument("--stop-tol", type=float, default=0.0)
     sp.add_argument("--e-h", type=float, default=1.0)
     sp.add_argument("--e-w", type=float, default=1.0)
-    sp.add_argument("--opt-mode", choices=["full-batch", "per-sample"], default="full-batch")
     sp.add_argument("--init-at-optimum", action="store_true")
     sp.add_argument("--minor-classes", default="", help="comma-separated minor class indices")
     common(sp)

@@ -118,28 +118,15 @@ def lpm_problem(d: int, K: int, class_counts, e_h: float, e_w: float, seed: int)
     return PeeledProblem(None, labels, class_counts, W, float(e_h), float(e_w))
 
 
-def init_features(problem: PeeledProblem, seed: int, nonneg_cos: bool = False) -> PeeledProblem:
-    """Sample every feature uniformly on the sphere |h|^2 = E_H.
-
-    With ``nonneg_cos`` each feature is resampled until
-    cos(h, w*_c) >= 0, the regime in which the one-step contraction
-    analysis holds; requires a fixed classifier.
-    """
-    if nonneg_cos and not problem.is_fixed_classifier:
-        raise ValueError("nonneg_cos initialization needs a fixed classifier")
+def init_features(problem: PeeledProblem, seed: int) -> PeeledProblem:
+    """Sample every feature uniformly on the sphere |h|^2 = E_H."""
     rng = np.random.default_rng(seed)
     d = problem.dim
     rows = []
-    for k, n_k in enumerate(problem.class_counts):
-        for _ in range(int(n_k)):
-            while True:
-                h = rng.standard_normal(d)
-                h *= np.sqrt(problem.e_h) / np.linalg.norm(h)
-                if not nonneg_cos:
-                    break
-                if h @ problem.classifier_matrix[:, k] >= 0.0:
-                    break
-            rows.append(h)
+    for _ in range(problem.total):
+        h = rng.standard_normal(d)
+        h *= np.sqrt(problem.e_h) / np.linalg.norm(h)
+        rows.append(h)
     return PeeledProblem(
         np.vstack(rows),
         problem.labels,
@@ -181,14 +168,10 @@ class OptimizerConfig:
     step_size: float
     max_steps: int
     stop_tol: float = 0.0
-    seed: int = 0
-    mode: str = "full-batch"  # or "per-sample" (cyclic; DLPM only)
 
     def __post_init__(self):
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-        if self.mode not in ("full-batch", "per-sample"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -229,8 +212,6 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     if problem.features is None:
         raise ValueError("problem has no features; call init_features first")
-    if config.mode == "per-sample" and not problem.is_fixed_classifier:
-        raise ValueError("per-sample cyclic mode is only defined for the decoupled model")
 
     X = problem.features.copy()
     labels = problem.labels
@@ -257,11 +238,6 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
             return ce_terms(rows, y, Wmat)
         return dr_terms(rows, y, Wmat, dr_targets)
 
-    def feature_grads(aux, y):
-        if loss_kind == "ce":
-            return aux @ Wmat.T - Wmat[:, y].T
-        return aux[:, None] * Wmat[:, y].T
-
     def snapshot(step, grad_norm, per_sample):
         loss = float(np.mean(per_sample))
         if has_oracle:
@@ -282,24 +258,18 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
     stop_reason = "max_steps"
 
     for t in range(1, config.max_steps + 1):
-        if config.mode == "full-batch":
-            G = feature_grads(aux, labels)
-            # overflow here surfaces as the divergence error below
-            with np.errstate(over="ignore", invalid="ignore"):
-                X_new = _project_rows(X - gamma * G, problem.e_h)
-            if not fixed:
-                dlogits = aux - onehot if loss_kind == "ce" else aux[:, None] * onehot
-                Gw = X.T @ dlogits / N
-                W_new = _project_rows((Wmat - gamma * Gw).T, problem.e_w).T
-            else:
-                W_new = Wmat
+        if loss_kind == "ce":
+            G = aux @ Wmat.T - Wmat[:, labels].T
         else:
-            # cyclic sweep in class-major, index-major order
-            X_new = X.copy()
-            for i in range(N):
-                y = labels[i : i + 1]
-                g = feature_grads(loss_terms(X_new[i : i + 1], y)[1], y)
-                X_new[i] = project_ball(X_new[i] - gamma * g[0], problem.e_h)
+            G = aux[:, None] * Wmat[:, labels].T
+        # overflow here surfaces as the divergence error below
+        with np.errstate(over="ignore", invalid="ignore"):
+            X_new = _project_rows(X - gamma * G, problem.e_h)
+        if not fixed:
+            dlogits = aux - onehot if loss_kind == "ce" else aux[:, None] * onehot
+            Gw = X.T @ dlogits / N
+            W_new = _project_rows((Wmat - gamma * Gw).T, problem.e_w).T
+        else:
             W_new = Wmat
 
         if not (np.all(np.isfinite(X_new)) and np.all(np.isfinite(W_new))):

@@ -196,14 +196,16 @@ def run_regularity_experiment(
 UNIFORMITY_GATE = 1e-3
 
 
-def pair_dominance(gamma_dr: float, gammas, deltas, trials: int, runs) -> dict:
+def pair_dominance(gamma_dr: float, gammas, deltas, runs) -> dict:
     """Pair the CE records of a gamma sweep with DR records at ``gamma_dr``.
 
     ``runs[i] = (dr, ce)`` holds one sweep's records at ``deltas[i]``, with
     ``ce[j]`` at ``gammas[j]``, so CE and DR list the same trials. Per
-    (delta, gamma) position the summary reports, over trials passing the
-    uniformity gate, the fraction with raw CE ratio >= raw DR ratio - 1e-9,
-    the means of both readings, and the post-projection comparison.
+    (delta, gamma) position the summary reports the trials that produced
+    records (trials excluded at the optimum produce none) and, over those
+    passing the uniformity gate, the fraction with raw CE ratio >= raw DR
+    ratio - 1e-9, the means of both readings, and the post-projection
+    comparison.
     """
     out = {"gamma_dr": gamma_dr, "uniformity_gate": UNIFORMITY_GATE, "configs": []}
     for delta, (dr, ce_runs) in zip(deltas, runs):
@@ -213,7 +215,7 @@ def pair_dominance(gamma_dr: float, gammas, deltas, trials: int, runs) -> dict:
             cfg = {
                 "delta": delta,
                 "gamma_ce": float(gamma),
-                "trials": trials,
+                "trials": len(dr),
                 "gated_trials": len(paired),
                 "dr_max_ratio_minus_bound": bound_gap,
             }
@@ -226,8 +228,11 @@ def pair_dominance(gamma_dr: float, gammas, deltas, trials: int, runs) -> dict:
                     mean_ce_ratio=float(np.mean([c.ratio for c, _ in paired])),
                     mean_dr_ratio=float(np.mean([d.ratio for _, d in paired])),
                 )
-            else:
+            elif dr:
                 cfg.update(raw_dominance_frac=None, note="no trials passed the gate")
+            else:
+                cfg.update(raw_dominance_frac=None,
+                           note="no trials: every start was excluded at the optimum")
             out["configs"].append(cfg)
     return out
 
@@ -244,7 +249,7 @@ def paired_dominance_summary(
     gamma_dr = float(np.sqrt(e_h / classifier.e_w))
     steps = [("dr", gamma_dr)] + [("ce", gamma) for gamma in gammas]
     runs = [run_regularity_sweep(classifier, steps, delta, trials, seed, e_h) for delta in deltas]
-    return pair_dominance(gamma_dr, gammas, deltas, trials, [(run[0], run[1:]) for run in runs])
+    return pair_dominance(gamma_dr, gammas, deltas, [(run[0], run[1:]) for run in runs])
 
 
 def records_csv(records) -> tuple:

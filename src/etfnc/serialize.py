@@ -7,10 +7,7 @@ round-trip repr, which is also exact.
 
 import csv
 import hashlib
-import io
 import json
-
-import numpy as np
 
 
 def fmt(x) -> str:
@@ -35,30 +32,11 @@ def write_csv(path, header, rows):
             w.writerow(fmt_row(row))
 
 
-def csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(fmt_row(row))
-    return buf.getvalue()
-
-
 def write_json(path, obj):
     """Write JSON with sorted keys and a trailing newline (stable bytes)."""
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def read_json(path):
-    with open(path) as f:
-        return json.load(f)
-
-
-def matrix_to_list(a: np.ndarray) -> list:
-    """Row-major nested list of Python floats."""
-    return np.asarray(a, dtype=float).tolist()
 
 
 def sha256_file(path) -> str:

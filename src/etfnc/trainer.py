@@ -98,30 +98,16 @@ def feature_normalize(h: np.ndarray, e_h: float) -> np.ndarray:
     return h * (np.sqrt(e_h) / n)
 
 
-def feature_normalize_vjp(h: np.ndarray, grad_out: np.ndarray, e_h: float) -> np.ndarray:
-    """Pull a gradient back through feature_normalize (exact Jacobian)."""
-    h = np.asarray(h, dtype=float)
-    g = np.asarray(grad_out, dtype=float)
-    n = np.linalg.norm(h)
-    if n <= 1e-12:
-        raise ValueError("cannot normalize a (near-)zero feature vector")
-    h_hat = h / n
-    return (np.sqrt(e_h) / n) * (g - (h_hat @ g) * h_hat)
+def _normalize_rows(F: np.ndarray, e_h: float):
+    """Row-wise sphere normalization, (normalized rows, row norms).
 
-
-def _normalize_rows(F: np.ndarray, e_h: float, strict: bool = True):
-    """Row-wise sphere normalization.
-
-    Non-strict mode maps (near-)zero rows to zero instead of raising;
-    samples whose every hidden unit is dead produce an exactly-zero
-    feature at init, and such rows simply contribute nothing until the
-    parameters move.
+    (Near-)zero rows map to zero instead of raising: samples whose every
+    hidden unit is dead produce an exactly-zero feature at init, and such
+    rows simply contribute nothing until the parameters move.
     """
     norms = np.linalg.norm(F, axis=1, keepdims=True)
     dead = norms <= 1e-12
     if np.any(dead):
-        if strict:
-            raise ValueError("cannot normalize a (near-)zero feature vector")
         # infinite norm zeroes both the normalized row and its pulled-back
         # gradient, so dead rows drop out of the step entirely
         norms = np.where(dead, np.inf, norms)
@@ -245,13 +231,18 @@ class TrainConfig:
     step_size: float = 0.1
     milestones: tuple = ()  # default: 80% and 90% of epochs
     momentum: float = 0.9
-    classifier_mode: str = "learnable"  # "learnable" | "fixed-etf"
-    loss_kind: str = "ce"  # "ce" | "weighted-ce" | "dr"
-    feature_norm: str = "none"  # "sphere" | "length-reg" | "none"
-    norm_lambda: float = 0.01  # length-reg strength; no canonical value
+    regime: str = "learnable-ce"  # one of REGIMES
     e_h: float = 1.0
-    classifier_lengths: str = "auto"  # "auto" | "uniform" | "class-weighted"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.regime not in REGIMES:
+            raise ValueError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
+
+    @property
+    def fixed_etf(self) -> bool:
+        """Frozen ETF classifier and sphere-normalized features (etf-ce, etf-dr)."""
+        return self.regime.startswith("etf-")
 
     def resolved_milestones(self):
         if self.milestones:
@@ -264,6 +255,10 @@ class TrainConfig:
         return tuple(sorted(m for m in ms if 0 < m < self.epochs))
 
 
+#: default step size per regime, see regime_config
+_STEP_SIZES = {"learnable-ce": 0.05, "learnable-wce": 0.02, "etf-ce": 1.0, "etf-dr": 1.0}
+
+
 def regime_config(regime: str, epochs: int, seed: int, **overrides) -> TrainConfig:
     """Canonical config for one of the four comparison regimes.
 
@@ -273,27 +268,8 @@ def regime_config(regime: str, epochs: int, seed: int, **overrides) -> TrainConf
     tolerate and need a large one (the normalization Jacobian divides
     gradients by the raw feature norm).
     """
-    base = dict(epochs=epochs, seed=seed)
-    table = {
-        "learnable-ce": dict(
-            classifier_mode="learnable", loss_kind="ce", feature_norm="none", step_size=0.05
-        ),
-        "learnable-wce": dict(
-            classifier_mode="learnable", loss_kind="weighted-ce", feature_norm="none",
-            step_size=0.02,
-        ),
-        "etf-ce": dict(
-            classifier_mode="fixed-etf", loss_kind="ce", feature_norm="sphere", step_size=1.0
-        ),
-        "etf-dr": dict(
-            classifier_mode="fixed-etf", loss_kind="dr", feature_norm="sphere", step_size=1.0
-        ),
-    }
-    if regime not in table:
-        raise ValueError(f"unknown regime {regime!r}; choose from {REGIMES}")
-    base.update(table[regime])
-    base.update(overrides)
-    return TrainConfig(**base)
+    base = dict(epochs=epochs, seed=seed, regime=regime, step_size=_STEP_SIZES.get(regime))
+    return TrainConfig(**{**base, **overrides})  # TrainConfig rejects an unknown regime
 
 
 @dataclass
@@ -330,36 +306,25 @@ class TrainLog:
 
 def _build_classifier(config: TrainConfig, feature_dim: int, counts: np.ndarray, rng):
     K = len(counts)
-    if config.classifier_mode == "learnable":
+    if not config.fixed_etf:
         return rng.standard_normal((feature_dim, K)) / np.sqrt(feature_dim), None
-    if config.classifier_mode != "fixed-etf":
-        raise ValueError(f"unknown classifier mode {config.classifier_mode!r}")
     frame = generate_etf(feature_dim, K, config.seed)
-    mode = config.classifier_lengths
-    if mode == "auto":
-        mode = "class-weighted" if config.loss_kind == "dr" else "uniform"
-    if mode == "uniform":
-        clf = uniform_classifier(frame, 1.0)
-    elif mode == "class-weighted":
+    if config.regime == "etf-dr":
         clf = scale_classifier(frame, class_weights(counts))
     else:
-        raise ValueError(f"unknown classifier_lengths {config.classifier_lengths!r}")
+        clf = uniform_classifier(frame, 1.0)
     return clf.scaled_columns, clf
 
 
 def _features_for_metrics(model, x, config):
     f, _ = model.forward(x)
-    if config.feature_norm == "sphere":
-        f, _ = _normalize_rows(f, config.e_h, strict=False)
+    if config.fixed_etf:
+        f, _ = _normalize_rows(f, config.e_h)
     return f
 
 
 def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: TrainConfig) -> TrainLog:
     """Minibatch SGD with momentum; fixed-ETF classifiers receive no updates."""
-    if config.loss_kind not in ("ce", "weighted-ce", "dr"):
-        raise ValueError(f"unknown loss kind {config.loss_kind!r}")
-    if config.loss_kind == "dr" and config.classifier_mode != "fixed-etf":
-        raise ValueError("the DR loss needs the fixed ETF classifier")
     counts = np.bincount(train_set.y, minlength=train_set.num_classes)
     if np.any(counts == 0):
         raise ValueError("every class needs at least one training sample")
@@ -369,11 +334,11 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
     W, fixed_clf = _build_classifier(
         config, model.feature_dim, counts, np.random.default_rng([config.seed, 13])
     )
-    learnable = config.classifier_mode == "learnable"
+    fixed, dr = config.fixed_etf, config.regime == "etf-dr"
     sample_weights = (
-        class_weights(counts)[train_set.y] if config.loss_kind == "weighted-ce" else None
+        class_weights(counts)[train_set.y] if config.regime == "learnable-wce" else None
     )
-    dr_targets = fixed_clf.lengths * np.sqrt(config.e_h) if fixed_clf is not None else None
+    dr_targets = fixed_clf.lengths * np.sqrt(config.e_h) if dr else None
 
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
@@ -390,12 +355,12 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
             xb, yb = train_set.x[idx], train_set.y[idx]
             B = len(idx)
             feats, cache = model.forward(xb)
-            if config.feature_norm == "sphere":
-                used, norms = _normalize_rows(feats, config.e_h, strict=False)
-            else:
-                used = feats
+            used, norms = _normalize_rows(feats, config.e_h) if fixed else (feats, None)
 
-            if config.loss_kind in ("ce", "weighted-ce"):
+            if dr:
+                per_sample, r = dr_terms(used, yb, W, dr_targets)
+                grad_used = (r / B)[:, None] * W[:, yb].T
+            else:
                 per_sample, coef = ce_terms(used, yb, W)
                 coef[np.arange(B), yb] -= 1.0
                 if sample_weights is not None:
@@ -403,21 +368,12 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
                     per_sample = per_sample * wts
                     coef = coef * wts[:, None]
                 grad_used = coef @ W.T / B
-                grad_clf = used.T @ coef / B if learnable else None
-            else:  # dr
-                per_sample, r = dr_terms(used, yb, W, dr_targets)
-                grad_used = (r / B)[:, None] * W[:, yb].T
-                grad_clf = None
+                grad_clf = None if fixed else used.T @ coef / B
             loss_sum += float(per_sample.sum())
-
-            if config.feature_norm == "sphere":
+            if fixed:
                 grad_feats = _normalize_rows_vjp(feats, norms, grad_used, config.e_h)
             else:
                 grad_feats = grad_used
-            if config.feature_norm == "length-reg":
-                nsq = np.sum(feats * feats, axis=1, keepdims=True)
-                loss_sum += float(config.norm_lambda * np.sum((nsq - config.e_h) ** 2))
-                grad_feats = grad_feats + 4.0 * config.norm_lambda * (nsq - config.e_h) * feats / B
 
             if not np.isfinite(loss_sum):
                 raise NumericDivergence(f"training diverged at epoch {epoch}")
@@ -428,7 +384,7 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
                 vel_b[l] = config.momentum * vel_b[l] + d_bs[l]
                 model.weights[l] -= lr * vel_w[l]
                 model.biases[l] -= lr * vel_b[l]
-            if learnable:
+            if not fixed:
                 vel_clf = config.momentum * vel_clf + grad_clf
                 W = W - lr * vel_clf
 
@@ -472,7 +428,7 @@ def _balanced_accuracy(feats, test_set: Dataset, W: np.ndarray, config: TrainCon
     counts = np.bincount(test_set.y, minlength=test_set.num_classes)
     if np.any(counts == 0):
         raise ValueError("test set is missing a class")
-    if config is not None and config.classifier_mode == "fixed-etf":
+    if config is not None and config.fixed_etf:
         W = W / np.linalg.norm(W, axis=0, keepdims=True)
     pred = np.argmax(feats @ W, axis=1)
     per_class = np.array(

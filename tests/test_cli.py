@@ -289,6 +289,27 @@ class TestTrainCommand:
         assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
         assert f"{data} line 3: 1 features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block,value,message",
+        [
+            ("train", {"epochs": 1, "lr": 0.1}, "unknown key 'train.lr'"),
+            ("train", {"epochs": 1, "regime": "etf-dr"}, "unknown key 'train.regime'"),
+            ("train", {"epochs": 1, "classifier_mode": "learnable"},
+             "unknown key 'train.classifier_mode'"),
+            ("dataset", {"num_classes": 3, "input_dim": 6, "n_max": 20,
+                         "imbalance_ratio": 0.25, "colour": 1}, "unknown key 'dataset.colour'"),
+            ("model", {"hidden_sizes": [8], "depth": 2}, "unknown key 'model.depth'"),
+            ("model", [8], "config field 'model' must be an object"),
+            ("train", {"epochs": "x"}, "'train.epochs' must be an integer >= 1, got 'x'"),
+            ("train", {"epochs": 0}, "'train.epochs' must be an integer >= 1, got 0"),
+            ("train", {"epochs": 1.5}, "'train.epochs' must be an integer >= 1, got 1.5"),
+        ],
+    )
+    def test_bad_train_config_named(self, tmp_path, capsys, block, value, message):
+        cfg = write_train_config(tmp_path / "cfg.json", **{block: value})
+        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["train_csv", "test_csv"])
     def test_missing_dataset_file_named(self, tmp_path, capsys, key):
         data = tmp_path / "data.csv"

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etfnc.etf import (
     frame_from_csv_text,
@@ -52,6 +54,13 @@ class TestGenerateEtf:
         np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-10)
         off = gram[~np.eye(4, dtype=bool)]
         np.testing.assert_allclose(off, -1.0 / 3.0, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_gram_structure_random_shapes(self, K, extra, seed):
+        frame = generate_etf(K - 1 + extra, K, seed)
+        target = K / (K - 1) * np.eye(K) - 1.0 / (K - 1)
+        np.testing.assert_allclose(frame.columns.T @ frame.columns, target, rtol=0, atol=1e-10)
 
     def test_k2_antipodal_scalars(self):
         frame = generate_etf(1, 2, seed=0)

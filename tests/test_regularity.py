@@ -254,6 +254,16 @@ class TestPairDominance:
         ]
         assert configs[0] == configs[1] == configs[4] == configs[5]
 
+    def test_excluded_trials_not_counted(self):
+        clf = make_classifier(d=8, K=4)
+        out = paired_dominance_summary(clf, [0.1, 0.5], [1e-13, 0.05], trials=20, seed=0)
+        excluded, run = out["configs"][:2], out["configs"][2:]
+        for cfg in excluded:
+            assert cfg["trials"] == 0 and cfg["gated_trials"] == 0
+            assert cfg["note"] == "no trials: every start was excluded at the optimum"
+        assert [cfg["trials"] for cfg in run] == [20, 20]
+        assert all("note" not in cfg for cfg in run)
+
     def test_no_records_is_valid_json(self):
         clf = make_classifier()
         out = paired_dominance_summary(clf, [0.1], [0.05], trials=0, seed=0)

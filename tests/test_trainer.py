@@ -10,17 +10,17 @@ from etfnc.trainer import (
     Dataset,
     MlpBackbone,
     SyntheticDatasetSpec,
+    TrainConfig,
     class_weights,
     evaluate,
     feature_normalize,
-    feature_normalize_vjp,
     load_dataset_csv,
     make_imbalanced_dataset,
     regime_config,
     save_dataset_csv,
     train,
 )
-from etfnc.trainer import _build_classifier
+from etfnc.trainer import _build_classifier, _normalize_rows, _normalize_rows_vjp
 
 
 class TestDatasetSpec:
@@ -173,7 +173,8 @@ class TestFeatureNormalize:
             return float(feature_normalize(x, 2.0) @ u)
 
         fd = central_diff(scalar, h)
-        assert rel_error(feature_normalize_vjp(h, u, 2.0), fd) < 1e-6
+        _, norms = _normalize_rows(h[None], 2.0)
+        assert rel_error(_normalize_rows_vjp(h[None], norms, u[None], 2.0)[0], fd) < 1e-6
 
     def test_near_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -239,12 +240,12 @@ class TestTrain:
             header, rows = log.csv_rows()
             assert len(header) == 3 + 16 and len(rows) == 2
 
-    def test_dr_needs_fixed_classifier(self):
-        train_set, test_set = tiny_problem()
-        model = MlpBackbone.init([6, 10, 5], seed=1)
-        with pytest.raises(ValueError):
-            train(model, train_set, test_set,
-                  regime_config("etf-dr", epochs=2, seed=0, classifier_mode="learnable"))
+    @pytest.mark.parametrize("regime", ["learnable-dr", "etf", ""])
+    def test_unknown_regime_rejected(self, regime):
+        with pytest.raises(ValueError, match=f"unknown regime '{regime}'"):
+            regime_config(regime, epochs=2, seed=0)
+        with pytest.raises(ValueError, match=f"unknown regime '{regime}'"):
+            TrainConfig(epochs=2, regime=regime)
 
     def test_balanced_regimes_comparable(self):
         """At tau = 1 the two headline regimes land within 2 points of each
@@ -282,13 +283,6 @@ class TestTrain:
         # the epoch's balanced accuracy is evaluate's, from the reused features
         assert log.final_bal_acc == evaluate(model, test_set, log.classifier, cfg)[1]
 
-    def test_length_regularized_variant_runs(self):
-        train_set, test_set = tiny_problem()
-        model = MlpBackbone.init([6, 10, 5], seed=3)
-        cfg = regime_config("etf-dr", epochs=2, seed=0, feature_norm="length-reg", norm_lambda=0.05)
-        log = train(model, train_set, test_set, cfg)
-        assert np.isfinite(log.records[-1].loss)
-
 
 class TestEndToEndGradients:
     """Full-chain gradient checks: backbone -> (normalize) -> loss."""
@@ -307,7 +301,6 @@ class TestEndToEndGradients:
 
     def test_normalize_dr_chain(self, rng):
         from etfnc.etf import generate_etf, uniform_classifier
-        from etfnc.trainer import _normalize_rows, _normalize_rows_vjp
 
         sizes = [3, 4, 2]
         clf = uniform_classifier(generate_etf(2, 2, 0), 1.0)
@@ -378,9 +371,9 @@ class TestEndToEndGradients:
         def objective(theta):
             f, _ = self._model_from_flat(theta[:n_model], sizes, seed=5).forward(x)
             W = theta[n_model:].reshape(W0.shape) if clf is None else W0
-            if config.feature_norm == "sphere":
+            if regime in ("etf-ce", "etf-dr"):
                 f = np.array([feature_normalize(row, config.e_h) for row in f])
-            if config.loss_kind == "dr":
+            if regime == "etf-dr":
                 per = [dr_loss(f[i], clf, y[i], config.e_h) for i in range(N)]
             else:
                 per = [ce_loss(f[i], y[i], W) for i in range(N)]
