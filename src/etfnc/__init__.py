@@ -52,13 +52,9 @@ from .peeled import (
     project_ball,
 )
 from .regularity import (
-    AtOptimumError,
     RegularityRecord,
     check_offclass_uniformity,
-    contraction_ratio,
     dr_eta_bound,
-    paired_dominance_summary,
-    run_regularity_experiment,
 )
 from .trainer import (
     Dataset,
@@ -66,8 +62,8 @@ from .trainer import (
     SyntheticDatasetSpec,
     TrainConfig,
     TrainLog,
+    balanced_accuracy,
     class_weights,
-    evaluate,
     feature_normalize,
     make_imbalanced_dataset,
     regime_config,

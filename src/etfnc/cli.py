@@ -17,9 +17,11 @@ divergence, 4 a verification/acceptance check failed.
 
 import argparse
 import json
+import math
+import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -48,8 +50,6 @@ class ConfigError(ValueError):
 
 
 def _out_dir(path):
-    import os
-
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -65,65 +65,30 @@ def _write_manifest(out, command, config, artifacts, label=""):
     write_json(f"{out}/manifest.json", manifest)
 
 
-# --- tiny SVG line charts (optional convenience output) ---------------------
+def _flags(args):
+    """The parsed flags, as the manifest records them."""
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
-def _svg_chart(path, series, title, width=640, height=400):
-    """series: list of (label, xs, ys); one polyline each, log-free axes."""
-    pad = 50
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if np.isfinite(y)]
-    if not xs_all or not ys_all:
-        return
-    x0, x1 = min(xs_all), max(xs_all) or 1
-    y0, y1 = min(ys_all), max(ys_all)
-    if x1 == x0:
-        x1 = x0 + 1
-    if y1 == y0:
-        y1 = y0 + 1
-    colors = ["#c0392b", "#2c3e50", "#27ae60", "#8e44ad", "#d35400"]
-
-    def sx(x):
-        return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
-
-    def sy(y):
-        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{width/2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-        f'<line x1="{pad}" y1="{height-pad}" x2="{width-pad}" y2="{height-pad}" stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height-pad}" stroke="black"/>',
-        f'<text x="{pad}" y="{height-pad+16}" font-size="10">{x0:g}</text>',
-        f'<text x="{width-pad}" y="{height-pad+16}" text-anchor="end" font-size="10">{x1:g}</text>',
-        f'<text x="{pad-4}" y="{height-pad}" text-anchor="end" font-size="10">{y0:.3g}</text>',
-        f'<text x="{pad-4}" y="{pad}" text-anchor="end" font-size="10">{y1:.3g}</text>',
-    ]
-    for i, (label, xs, ys) in enumerate(series):
-        pts = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys) if np.isfinite(y)
-        )
-        color = colors[i % len(colors)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}"/>')
-        parts.append(
-            f'<text x="{width-pad}" y="{pad + 14*i}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{label}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+def _check_flags(args, positive=(), nonnegative=()):
+    """Reject a flag value outside (0, inf) (``positive``) or [0, inf) before any work."""
+    for name in (*positive, *nonnegative):
+        value = getattr(args, name)
+        rule = "> 0" if name in positive else ">= 0"
+        if not (np.isfinite(value) and (value > 0 if name in positive else value >= 0)):
+            finite = "" if isinstance(value, int) else "finite and "
+            raise ConfigError(f"--{name.replace('_', '-')} must be {finite}{rule}, got {value}")
 
 
 # --- etf ---------------------------------------------------------------------
 
 
 def cmd_etf(args):
+    _check_flags(args, positive=("tol",))
     out = _out_dir(args.out)
     frame = generate_etf(args.d, args.K, args.seed)
     report = verify_etf(frame, args.tol)
-    with open(f"{out}/frame.json", "w") as f:
-        json.dump(frame_to_json_dict(frame), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(f"{out}/frame.json", frame_to_json_dict(frame))
     with open(f"{out}/frame.csv", "w") as f:
         f.write(frame_to_csv_text(frame))
     write_csv(
@@ -172,6 +137,7 @@ def _parse_minor_classes(args, counts):
 
 
 def cmd_peeled(args):
+    _check_flags(args, positive=("gamma", "e_h", "e_w"), nonnegative=("steps", "stop_tol"))
     out = _out_dir(args.out)
     counts = _parse_counts(args)
     minor = _parse_minor_classes(args, counts) if args.mode == "lpm" else None
@@ -191,9 +157,7 @@ def cmd_peeled(args):
     else:
         problem = lp.init_features(problem, derive_seed(args.seed, "features"))
 
-    config = vars(args).copy()
-    config.pop("func", None)
-    config["counts_resolved"] = [int(c) for c in counts]
+    config = dict(_flags(args), counts_resolved=[int(c) for c in counts])
     traj = lp.optimize(
         problem,
         args.loss,
@@ -245,15 +209,6 @@ def cmd_peeled(args):
             f"peeled dlpm: {traj.stop_reason} after {traj.records[-1].step} steps, "
             f"final gap {traj.records[-1].gap:.3e}"
         )
-    if args.svg:
-        key = "gap" if args.mode == "dlpm" else "grad_norm"
-        _svg_chart(
-            f"{out}/trajectory.svg",
-            [(key, [r.step for r in traj.records],
-              [getattr(r, key) for r in traj.records])],
-            f"{args.mode} {args.loss} trajectory",
-        )
-        artifacts.append("trajectory.svg")
     _write_manifest(out, "peeled", config, artifacts, args.label)
     return EXIT_OK
 
@@ -272,22 +227,19 @@ def cmd_regularity(args):
     gammas = _float_list("--gammas", args.gammas)
     deltas = _float_list("--deltas", args.deltas)
     losses = args.losses.split(",")
-    if args.trials < 0:
-        raise ConfigError(f"--trials must be >= 0, got {args.trials}")
+    _check_flags(args, positive=("e_h", "e_w"), nonnegative=("trials",))
     if not deltas or not all(np.isfinite(deltas)) or min(deltas) <= 0:
         raise ConfigError(f"--deltas entries must be finite and > 0, got {args.deltas!r}")
     if not all(np.isfinite(gammas)):
         raise ConfigError(f"--gammas entries must be finite, got {args.gammas!r}")
     if not set(losses) <= {"ce", "dr"}:
         raise ConfigError(f"--losses entries must be 'ce' or 'dr', got {args.losses!r}")
-    for flag, value in (("--e-h", args.e_h), ("--e-w", args.e_w)):
-        if not (np.isfinite(value) and value > 0):
-            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
     out = _out_dir(args.out)
     frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
     clf = uniform_classifier(frame, args.e_w)
 
-    gamma_dr = float(np.sqrt(args.e_h / clf.e_w))  # clf.e_w, as in paired_dominance_summary
+    # clf.e_w is sqrt(--e-w)**2, which can differ from --e-w in the last ulp
+    gamma_dr = float(np.sqrt(args.e_h / clf.e_w))
     steps = [(loss, g) for loss in losses for g in (gammas if loss == "ce" else [gamma_dr])]
     if args.instance_optimal and "ce" in losses:
         steps.append(("ce", "instance-optimal"))
@@ -315,12 +267,8 @@ def cmd_regularity(args):
                 "min_cos_after": min(r.cos_after for r in dr_records),
             }
             failed |= worst > 1e-9
-        if "ce" in losses and "dr" in losses and gammas:
-            # the first DR step and the first CE block (one step per --gammas entry)
-            dr_at, ce_at = steps.index(("dr", gamma_dr)), steps.index(("ce", gammas[0]))
-            dom = reg.pair_dominance(gamma_dr, gammas, deltas, [
-                (run[dr_at], run[ce_at:ce_at + len(gammas)]) for run in runs
-            ])
+        dom = reg.pair_dominance(steps, deltas, runs)
+        if dom is not None:
             summary["paired_dominance"] = dom
             for cfg in dom["configs"]:
                 frac = cfg.get("raw_dominance_frac")
@@ -329,20 +277,7 @@ def cmd_regularity(args):
                 ):
                     failed = True
     write_json(f"{out}/summary.json", summary)
-    artifacts = ["records.csv", "summary.json"]
-    if args.svg and records:
-        by_kind = {}
-        for r in records:
-            by_kind.setdefault(r.loss_kind, []).append(r)
-        series = [
-            (kind, [r.cos_before for r in rs], [r.ratio for r in rs])
-            for kind, rs in sorted(by_kind.items())
-        ]
-        _svg_chart(f"{out}/ratios.svg", series, "one-step ratio vs starting cosine")
-        artifacts.append("ratios.svg")
-    config = vars(args).copy()
-    config.pop("func", None)
-    _write_manifest(out, "regularity", config, artifacts, args.label)
+    _write_manifest(out, "regularity", _flags(args), ["records.csv", "summary.json"], args.label)
     if args.trials and not records:
         print(f"regularity: no records: all {args.trials * len(deltas)} trials started within "
               f"{reg.DIST_GUARD:g} of the optimum and were excluded", file=sys.stderr)
@@ -357,39 +292,73 @@ def cmd_regularity(args):
 # --- train ----------------------------------------------------------------------
 
 
-def _require(cfg, path):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"config is missing required field '{path}'")
-        node = node[part]
-    return node
+def _is_int(v, low=1):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= low
 
 
-#: keys each block of a train config may set; seeds come from ``seeds``
-#: and regimes from ``regimes``
-_BLOCK_KEYS = {
-    "dataset": ({f.name for f in fields(SyntheticDatasetSpec)} - {"seed"})
-    | {"train_csv", "test_csv"},
-    "model": {"hidden_sizes", "feature_dim"},
-    "train": {f.name for f in fields(tr.TrainConfig)} - {"regime", "seed"},
+def _int_list(low):
+    return lambda v: isinstance(v, list) and all(_is_int(n, low) for n in v)
+
+
+#: (test, what the value must be) per field type of the config dataclasses
+_KINDS = {
+    int: (_is_int, "an integer >= 1"),
+    float: (lambda v: _is_int(v, -math.inf) or isinstance(v, float) and math.isfinite(v),
+            "a finite number"),
+    tuple: (_int_list(-math.inf), "a list of integers"),
+    str: (lambda v: isinstance(v, str), "a string"),
 }
 
 
-def _check_blocks(cfg):
-    for block, allowed in _BLOCK_KEYS.items():
+def _schema(cls, *skip, **extra):
+    return {**{f.name: _KINDS[f.type] for f in fields(cls) if f.name not in skip}, **extra}
+
+
+#: the keys each block may set, with their checks; ``seeds`` and
+#: ``regimes`` are top-level lists
+_BLOCKS = {
+    "dataset": _schema(SyntheticDatasetSpec, "seed", train_csv=_KINDS[str], test_csv=_KINDS[str],
+                       test_per_class=(lambda v: _is_int(v, 0), "an integer >= 0 (0: n_max)")),
+    "model": {"hidden_sizes": (_int_list(1), "a list of integers >= 1"),
+              "feature_dim": _KINDS[int]},
+    "train": _schema(tr.TrainConfig, "regime", "seed"),
+}
+_TOP = {
+    "regimes": ((lambda v: isinstance(v, list) and all(r in tr.REGIMES for r in v)),
+                f"a list of regimes from {', '.join(tr.REGIMES)}"),
+    "seeds": (_int_list(0), "a list of integers >= 0"),
+}
+
+
+def _check_config(cfg):
+    """Check a train config before any run; a bad value raises ConfigError naming it.
+
+    Required are the dataclass fields without a default; an external
+    dataset (``train_csv``) needs only ``num_classes``.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    checks = []  # (path, node, key, (test, what))
+    for block, allowed in _BLOCKS.items():
         node = cfg.get(block, {})
         if not isinstance(node, dict):
             raise ConfigError(f"config field '{block}' must be an object")
-        unknown = sorted(set(node) - allowed)
+        unknown = sorted(set(node) - set(allowed))
         if unknown:
-            raise ConfigError(
-                f"config has unknown key '{block}.{unknown[0]}'; "
-                f"'{block}' allows {', '.join(sorted(allowed))}"
-            )
-    epochs = cfg["train"]["epochs"]
-    if isinstance(epochs, bool) or not isinstance(epochs, int) or epochs < 1:
-        raise ConfigError(f"config field 'train.epochs' must be an integer >= 1, got {epochs!r}")
+            raise ConfigError(f"config has unknown key '{block}.{unknown[0]}'; "
+                              f"'{block}' allows {', '.join(sorted(allowed))}")
+        cls = {"dataset": SyntheticDatasetSpec, "train": tr.TrainConfig}.get(block)
+        required = [f.name for f in fields(cls) if f.default is MISSING] if cls else []
+        keys = (["num_classes"] if "train_csv" in node else required) + list(node)
+        checks += [(f"{block}.{key}", node, key, allowed[key]) for key in keys]
+    if "test_csv" in cfg.get("dataset", {}) and "train_csv" not in cfg["dataset"]:
+        raise ConfigError("config field 'dataset.test_csv' needs 'dataset.train_csv'")
+    checks += [(key, cfg, key, check) for key, check in _TOP.items()]
+    for path, node, key, (test, what) in checks:
+        if key not in node:
+            raise ConfigError(f"config is missing required field '{path}'")
+        if not test(node[key]):
+            raise ConfigError(f"config field '{path}' must be {what}, got {node[key]!r}")
 
 
 def _load_dataset(path, num_classes):
@@ -399,8 +368,15 @@ def _load_dataset(path, num_classes):
         raise ConfigError(f"cannot read dataset file {path}: {e.strerror}") from None
 
 
+def _bal_acc_by_regime(runs):
+    """[(regime, [final_bal_acc per run])] in regime order."""
+    by_regime = {}
+    for run in runs:
+        by_regime.setdefault(run["regime"], []).append(run["final_bal_acc"])
+    return sorted(by_regime.items())
+
+
 def cmd_train(args):
-    out = _out_dir(args.out)
     try:
         with open(args.config) as f:
             cfg = json.load(f)
@@ -409,21 +385,13 @@ def cmd_train(args):
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {args.config} is not valid JSON: {e}")
 
-    ds_cfg = _require(cfg, "dataset")
-    _require(cfg, "dataset.num_classes")
-    if "train_csv" not in ds_cfg:  # synthetic generator needs its knobs
-        for fieldname in ("input_dim", "n_max", "imbalance_ratio"):
-            _require(cfg, f"dataset.{fieldname}")
-    epochs = _require(cfg, "train.epochs")
-    regimes = _require(cfg, "regimes")
-    seeds = _require(cfg, "seeds")
-    _check_blocks(cfg)
+    _check_config(cfg)
+    out = _out_dir(args.out)
+    ds_cfg, regimes, seeds = cfg["dataset"], cfg["regimes"], cfg["seeds"]
     model_cfg = cfg.get("model", {})
     hidden = model_cfg.get("hidden_sizes", [64])
     feature_dim = model_cfg.get("feature_dim", 16)
-    train_over = {k: v for k, v in cfg.get("train", {}).items() if k != "epochs"}
-    if "milestones" in train_over:
-        train_over["milestones"] = tuple(train_over["milestones"])
+    train_cfg = dict(cfg["train"], milestones=tuple(cfg["train"].get("milestones", ())))
 
     summary = {"runs": [], "config_file": args.config}
     artifacts = []
@@ -439,7 +407,7 @@ def cmd_train(args):
             train_set, test_set = tr.make_imbalanced_dataset(spec)
             input_dim = spec.input_dim
         for regime in regimes:
-            config = tr.regime_config(regime, epochs=epochs, seed=seed, **train_over)
+            config = tr.regime_config(regime, seed=seed, **train_cfg)
             model = tr.MlpBackbone.init(
                 [input_dim, *hidden, feature_dim], derive_seed(seed, f"model:{regime}")
             )
@@ -449,62 +417,31 @@ def cmd_train(args):
             write_csv(f"{out}/{name}", header, rows)
             artifacts.append(name)
             snap = f"model_{regime}_seed{seed}.json"
-            write_json(
-                f"{out}/{snap}",
-                {
-                    "regime": regime,
-                    "seed": seed,
-                    "weights": [w.tolist() for w in model.weights],
-                    "biases": [b.tolist() for b in model.biases],
-                    "classifier": np.asarray(log.classifier).tolist(),
-                },
-            )
+            write_json(f"{out}/{snap}", {
+                "regime": regime, "seed": seed,
+                "weights": [w.tolist() for w in model.weights],
+                "biases": [b.tolist() for b in model.biases],
+                "classifier": np.asarray(log.classifier).tolist(),
+            })
             artifacts.append(snap)
-            quarter = max(1, len(log.records) // 4)
-            tail = log.records[-quarter:]
-            summary["runs"].append(
-                {
-                    "regime": regime,
-                    "seed": seed,
-                    "final_bal_acc": log.final_bal_acc,
-                    "final_loss": log.records[-1].loss,
-                    "final_quarter_cos_ff_std": float(
-                        np.mean([r.nc_train.cos_ff_std for r in tail])
-                    ),
-                    "final_quarter_cos_fc_std": float(
-                        np.mean([r.nc_train.cos_fc_std for r in tail])
-                    ),
-                    "trainlog": name,
-                }
-            )
+            tail = log.records[-max(1, len(log.records) // 4):]  # the final quarter
+            summary["runs"].append({
+                "regime": regime, "seed": seed, "trainlog": name,
+                "final_bal_acc": log.final_bal_acc, "final_loss": log.records[-1].loss,
+                **{f"final_quarter_{k}": float(np.mean([getattr(r.nc_train, k) for r in tail]))
+                   for k in ("cos_ff_std", "cos_fc_std")},
+            })
             print(f"train: {regime} seed {seed}: bal_acc {log.final_bal_acc:.4f}")
-    by_regime = {}
-    for run in summary["runs"]:
-        by_regime.setdefault(run["regime"], []).append(run["final_bal_acc"])
     summary["by_regime"] = {
         regime: {
             "mean_bal_acc": float(np.mean(accs)),
             "std_bal_acc": float(np.std(accs)),
             "runs": len(accs),
         }
-        for regime, accs in sorted(by_regime.items())
+        for regime, accs in _bal_acc_by_regime(summary["runs"])
     }
     write_json(f"{out}/summary.json", summary)
     artifacts.append("summary.json")
-    if args.svg:
-        # bal-acc curves for the first seed
-        import csv as _csv
-
-        series = []
-        for regime in regimes:
-            name = f"trainlog_{regime}_seed{seeds[0]}.csv"
-            with open(f"{out}/{name}") as f:
-                r = list(_csv.DictReader(f))
-            series.append(
-                (regime, [int(v["epoch"]) for v in r], [float(v["bal_acc"]) for v in r])
-            )
-        _svg_chart(f"{out}/bal_acc.svg", series, "balanced accuracy per epoch")
-        artifacts.append("bal_acc.svg")
     _write_manifest(out, "train", cfg, artifacts, args.label)
     return EXIT_OK
 
@@ -551,16 +488,12 @@ def cmd_report(args):
             if not all(isinstance(run[k], (int, float)) for k in REPORT_METRICS):
                 raise ConfigError(f"{run_dir}/summary.json: run {i} has a non-numeric metric")
             rows.append((run_dir, run))
-    by_regime = {}
-    for run_dir, run in rows:
-        by_regime.setdefault(run["regime"], []).append(run["final_bal_acc"])
+    by_regime = _bal_acc_by_regime(run for _, run in rows)
     write_csv(
         f"{out}/report_summary.csv",
         ["regime", "runs", "bal_acc_mean", "bal_acc_std"],
-        [
-            [regime, len(accs), float(np.mean(accs)), float(np.std(accs))]
-            for regime, accs in sorted(by_regime.items())
-        ],
+        [[regime, len(accs), float(np.mean(accs)), float(np.std(accs))]
+         for regime, accs in by_regime],
     )
     long_rows = []
     for run_dir, run in rows:
@@ -586,11 +519,11 @@ def build_parser():
     p = argparse.ArgumentParser(prog="etfnc", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seeded=True):
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
+        if seeded:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--label", default="", help="free-form run label for the manifest")
-        sp.add_argument("--svg", action="store_true", help="also write SVG charts")
 
     sp = sub.add_parser("etf", help="generate and verify a simplex ETF")
     sp.add_argument("--d", type=int, required=True)
@@ -633,12 +566,12 @@ def build_parser():
 
     sp = sub.add_parser("train", help="backbone training regimes from a JSON config")
     sp.add_argument("--config", required=True)
-    common(sp)
+    common(sp, seeded=False)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("report", help="aggregate train run directories")
     sp.add_argument("--runs", nargs="*", default=[])
-    common(sp)
+    common(sp, seeded=False)
     sp.set_defaults(func=cmd_report)
     return p
 

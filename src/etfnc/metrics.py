@@ -17,7 +17,7 @@ scale-free and lies in [0, 4]; nc4 compares against the batch's own
 class means, and ties resolve to the lowest class index on both sides.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,18 +34,6 @@ def class_and_global_means(batch: FeatureBatch):
     for k in range(batch.num_classes):
         means[k] = batch.features[batch.labels == k].mean(axis=0)
     return means, batch.features.mean(axis=0)
-
-
-NC_FIELDS = (
-    "sigma_w_trace",
-    "cos_ff_avg",
-    "cos_ff_std",
-    "cos_fc_avg",
-    "cos_fc_std",
-    "self_duality",
-    "duality_gap",
-    "nc4",
-)
 
 
 @dataclass(frozen=True)
@@ -66,6 +54,10 @@ class NcReport:
 
     def as_dict(self) -> dict:
         return {f: getattr(self, f) for f in NC_FIELDS}
+
+
+#: the statistics in report and CSV column order
+NC_FIELDS = tuple(f.name for f in fields(NcReport))
 
 
 def nc_report(batch: FeatureBatch, W: np.ndarray) -> NcReport:

@@ -25,7 +25,8 @@ every (loss, gamma) step from it; the dominance summary pairs the
 records of that same pass.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,19 +36,6 @@ from .peeled import project_ball
 
 #: trials closer to the optimum than this are flagged at-optimum, not ratios
 DIST_GUARD = 1e-12
-
-
-class AtOptimumError(ValueError):
-    """The start point coincides with h*; a contraction ratio is undefined."""
-
-
-def contraction_ratio(h_t: np.ndarray, h_next: np.ndarray, h_star: np.ndarray) -> float:
-    """|h_next - h*|^2 / |h_t - h*|^2, guarding the at-optimum case."""
-    d0 = float(np.linalg.norm(np.asarray(h_t, float) - np.asarray(h_star, float)))
-    if d0 < DIST_GUARD:
-        raise AtOptimumError("start point is at the optimum")
-    d1 = float(np.linalg.norm(np.asarray(h_next, float) - np.asarray(h_star, float)))
-    return d1**2 / d0**2
 
 
 def dr_eta_bound(cos_angle: float) -> float:
@@ -146,7 +134,8 @@ def run_regularity_sweep(
         if dist0 < DIST_GUARD:
             continue
         w = classifier.scaled_columns[:, c]
-        cos0 = float(h0 @ w / (np.linalg.norm(h0) * np.linalg.norm(w)))
+        # within ~1e-8 of h* the cosine can round to 1 + ulp
+        cos0 = min(float(h0 @ w / (np.linalg.norm(h0) * np.linalg.norm(w))), 1.0)
         bound = dr_eta_bound(cos0)
         uniformity_dev = check_offclass_uniformity(h0, classifier, c)
         grads = {}
@@ -179,38 +168,32 @@ def run_regularity_sweep(
     return per_step
 
 
-def run_regularity_experiment(
-    classifier: FixedClassifier,
-    loss_kind: str,
-    gamma,
-    delta: float,
-    trials: int,
-    seed: int,
-    e_h: float = 1.0,
-) -> list:
-    """The records of a one-step sweep: ``loss_kind`` at rate ``gamma``."""
-    return run_regularity_sweep(classifier, [(loss_kind, gamma)], delta, trials, seed, e_h)[0]
-
-
 #: gate on check_offclass_uniformity for the CE-vs-DR dominance assertion
 UNIFORMITY_GATE = 1e-3
 
 
-def pair_dominance(gamma_dr: float, gammas, deltas, runs) -> dict:
-    """Pair the CE records of a gamma sweep with DR records at ``gamma_dr``.
+def pair_dominance(steps, deltas, runs):
+    """Pair the fixed-rate CE steps of a sweep with its first DR step.
 
-    ``runs[i] = (dr, ce)`` holds one sweep's records at ``deltas[i]``, with
-    ``ce[j]`` at ``gammas[j]``, so CE and DR list the same trials. Per
-    (delta, gamma) position the summary reports the trials that produced
-    records (trials excluded at the optimum produce none) and, over those
-    passing the uniformity gate, the fraction with raw CE ratio >= raw DR
-    ratio - 1e-9, the means of both readings, and the post-projection
-    comparison.
+    ``runs[i]`` is ``run_regularity_sweep(classifier, steps, deltas[i], ...)``
+    as returned, so every step lists the same trials. Returns None when
+    ``steps`` has no DR step or no CE step at a fixed rate. Otherwise, per
+    (delta, CE step) in order, the summary reports the trials that
+    produced records (trials excluded at the optimum produce none) and,
+    over those passing the uniformity gate, the fraction with raw CE ratio
+    >= raw DR ratio - 1e-9, the means of both readings, and the
+    post-projection comparison.
     """
-    out = {"gamma_dr": gamma_dr, "uniformity_gate": UNIFORMITY_GATE, "configs": []}
-    for delta, (dr, ce_runs) in zip(deltas, runs):
+    dr_at = next((i for i, (loss, _) in enumerate(steps) if loss == "dr"), None)
+    ce_at = [i for i, (loss, g) in enumerate(steps) if loss == "ce" and g != "instance-optimal"]
+    if dr_at is None or not ce_at:
+        return None
+    out = {"gamma_dr": float(steps[dr_at][1]), "uniformity_gate": UNIFORMITY_GATE, "configs": []}
+    for delta, run in zip(deltas, runs):
+        dr = run[dr_at]
         bound_gap = max((r.ratio - r.bound) for r in dr) if dr else None
-        for gamma, ce in zip(gammas, ce_runs):
+        for j in ce_at:
+            gamma, ce = steps[j][1], run[j]
             paired = [(c, d) for c, d in zip(ce, dr) if c.uniformity_dev < UNIFORMITY_GATE]
             cfg = {
                 "delta": delta,
@@ -237,29 +220,8 @@ def pair_dominance(gamma_dr: float, gammas, deltas, runs) -> dict:
     return out
 
 
-def paired_dominance_summary(
-    classifier: FixedClassifier,
-    gammas,
-    deltas,
-    trials: int,
-    seed: int,
-    e_h: float = 1.0,
-) -> dict:
-    """Run CE over a gamma sweep against DR at gamma = sqrt(E_H/E_W); see pair_dominance."""
-    gamma_dr = float(np.sqrt(e_h / classifier.e_w))
-    steps = [("dr", gamma_dr)] + [("ce", gamma) for gamma in gammas]
-    runs = [run_regularity_sweep(classifier, steps, delta, trials, seed, e_h) for delta in deltas]
-    return pair_dominance(gamma_dr, gammas, deltas, [(run[0], run[1:]) for run in runs])
-
-
 def records_csv(records) -> tuple:
-    header = [
-        "trial", "loss_kind", "gamma", "delta", "class_index", "cos_before",
-        "ratio", "raw_ratio", "bound", "uniformity_dev", "sphere_dev", "cos_after",
-    ]
-    rows = [
-        [r.trial, r.loss_kind, r.gamma, r.delta, r.class_index, r.cos_before,
-         r.ratio, r.raw_ratio, r.bound, r.uniformity_dev, r.sphere_dev, r.cos_after]
-        for r in records
-    ]
-    return header, rows
+    """(header, rows) for records.csv: one column per RegularityRecord field."""
+    header = [f.name for f in fields(RegularityRecord)]
+    row = attrgetter(*header)
+    return header, [row(r) for r in records]

@@ -392,7 +392,7 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
         test_feats = _features_for_metrics(model, test_set.x, config)
         if not all(np.all(np.isfinite(a)) for a in (W, train_feats, test_feats)):
             raise NumericDivergence(f"parameters diverged at epoch {epoch}")
-        per_class_acc, bal_acc = _balanced_accuracy(test_feats, test_set, W, config)
+        per_class_acc, bal_acc = balanced_accuracy(test_feats, test_set, W, config)
         log.records.append(
             EpochRecord(
                 epoch=epoch,
@@ -408,23 +408,15 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
     return log
 
 
-def evaluate(model: MlpBackbone, test_set: Dataset, W: np.ndarray, config: TrainConfig = None):
-    """(per-class accuracy vector, balanced accuracy) by argmax logit.
+def balanced_accuracy(feats, test_set: Dataset, W: np.ndarray, config: TrainConfig = None):
+    """(per-class accuracy vector, balanced accuracy) of test features by argmax logit.
 
-    With a fixed ETF classifier the per-class lengths are a training-loss
+    ``feats`` are the features train scores, sphere-normalized in the
+    fixed-ETF regimes. There the per-class lengths are a training-loss
     weighting, not a decision rule, so prediction scores against the
     unit frame directions; learnable classifiers predict with W as
     learned.
     """
-    if config is not None:
-        feats = _features_for_metrics(model, test_set.x, config)
-    else:
-        feats, _ = model.forward(test_set.x)
-    return _balanced_accuracy(feats, test_set, W, config)
-
-
-def _balanced_accuracy(feats, test_set: Dataset, W: np.ndarray, config: TrainConfig):
-    """evaluate's scoring of the test features ``feats``."""
     counts = np.bincount(test_set.y, minlength=test_set.num_classes)
     if np.any(counts == 0):
         raise ValueError("test set is missing a class")

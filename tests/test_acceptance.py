@@ -16,7 +16,7 @@ from etfnc.batches import FeatureBatch
 from etfnc.cli import main as cli_main
 from etfnc.losses import ce_loss, dr_loss
 from etfnc.peeled import OptimizerConfig, dlpm_problem, init_features, lpm_problem, optimize
-from etfnc.regularity import run_regularity_experiment
+from etfnc.regularity import pair_dominance, run_regularity_sweep
 from etfnc.serialize import derive_seed
 from etfnc.trainer import MlpBackbone, SyntheticDatasetSpec, make_imbalanced_dataset, regime_config, train
 
@@ -140,7 +140,7 @@ def test_criterion_4_contraction_bound_and_dominance():
         for d in (K - 1, 2 * K):
             clf = e.uniform_classifier(e.generate_etf(d, K, K + d), 1.0)
             for delta in deltas:
-                records = run_regularity_experiment(clf, "dr", 1.0, delta, 500, 41)
+                records = run_regularity_sweep(clf, [("dr", 1.0)], delta, 500, 41)[0]
                 assert records
                 worst_bound = max(worst_bound, max(r.ratio - r.bound for r in records))
                 worst_sphere = max(worst_sphere, max(r.sphere_dev for r in records))
@@ -148,11 +148,14 @@ def test_criterion_4_contraction_bound_and_dominance():
     bound_ok = worst_bound <= 1e-9 and worst_sphere <= 1e-9 and worst_cos >= 0.0
 
     gammas = [0.05, 0.1, 0.5, 1.0]  # sqrt(E_H/E_W) = 1.0 coincides with the sweep
+    steps = [("dr", 1.0)] + [("ce", g) for g in gammas]
     dom_ok, gated_configs, total_configs = True, 0, 0
     details = []
     for K in (4, 10):
         clf = e.uniform_classifier(e.generate_etf(2 * K, K, 3 * K), 1.0)
-        out = e.paired_dominance_summary(clf, gammas, deltas, trials=500, seed=42)
+        out = pair_dominance(
+            steps, deltas, [run_regularity_sweep(clf, steps, delta, 500, 42) for delta in deltas]
+        )
         for cfg in out["configs"]:
             total_configs += 1
             frac = cfg.get("raw_dominance_frac")

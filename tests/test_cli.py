@@ -8,7 +8,7 @@ import pytest
 
 from etfnc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from etfnc.etf import generate_etf, uniform_classifier
-from etfnc.regularity import paired_dominance_summary
+from etfnc.regularity import pair_dominance, run_regularity_sweep
 from etfnc.serialize import derive_seed
 
 
@@ -40,6 +40,12 @@ class TestEtfCommand:
 
     def test_invalid_dims_nonzero_exit(self, tmp_path):
         assert run("etf", "--d", 2, "--K", 4, "--out", tmp_path / "x") == EXIT_CONFIG
+
+    def test_bad_tol_rejected_before_run(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("etf", "--d", 3, "--K", 4, "--tol", "nan", "--out", out) == EXIT_CONFIG
+        assert "--tol must be finite and > 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -120,6 +126,24 @@ class TestPeeledCommand:
             "--steps", 10, "--out", tmp_path / "x",
         )
         assert code == EXIT_DIVERGED
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--gamma", "nan"), "--gamma must be finite and > 0, got nan"),
+        (("--e-h", "0"), "--e-h must be finite and > 0, got 0.0"),
+        (("--e-h", "-1"), "--e-h must be finite and > 0, got -1.0"),
+        (("--mode", "lpm", "--e-w", "0"), "--e-w must be finite and > 0, got 0.0"),
+        (("--steps", "-2"), "--steps must be >= 0, got -2"),
+        (("--stop-tol", "nan"), "--stop-tol must be finite and >= 0, got nan"),
+        (("--stop-tol", "inf"), "--stop-tol must be finite and >= 0, got inf"),
+    ])
+    def test_bad_numeric_flags_rejected_before_run(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        # a repeated flag takes its last value, so ``argv`` overrides the base run
+        code = run("peeled", "--mode", "dlpm", "--loss", "ce", "--K", 4, "--d", 6,
+                   "--counts", "4,3,2,2", *argv, "--out", out)
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         dirs = []
@@ -203,10 +227,20 @@ class TestRegularityCommand:
         clf = uniform_classifier(generate_etf(7, 5, derive_seed(2, "etf")), e_w)
         gammas = [float(g) for g in args["--gammas"].split(",")]
         deltas = [float(d) for d in args["--deltas"].split(",")]
-        expected = paired_dominance_summary(clf, gammas, deltas, 30, 2)
+        steps = [("dr", float(np.sqrt(1.0 / clf.e_w)))] + [("ce", g) for g in gammas]
+        expected = pair_dominance(
+            steps, deltas, [run_regularity_sweep(clf, steps, d, 30, 2) for d in deltas]
+        )
         summary = json.loads((out / "summary.json").read_text())
         assert summary["paired_dominance"] == json.loads(json.dumps(expected))
         assert len(expected["configs"]) == len(gammas) * len(deltas)
+
+    def test_dr_reference_rate(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("regularity", "--gammas", "0.1", "--deltas", "0.01", "--trials", 10,
+                   "--K", 10, "--d", 16, "--e-w", 4, "--out", out) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        np.testing.assert_allclose(summary["paired_dominance"]["gamma_dr"], 0.5)  # sqrt(1/4)
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--trials", "-3", "--trials must be >= 0"),
@@ -303,12 +337,38 @@ class TestTrainCommand:
             ("train", {"epochs": "x"}, "'train.epochs' must be an integer >= 1, got 'x'"),
             ("train", {"epochs": 0}, "'train.epochs' must be an integer >= 1, got 0"),
             ("train", {"epochs": 1.5}, "'train.epochs' must be an integer >= 1, got 1.5"),
+            ("train", {"epochs": 1, "batch_size": "x"},
+             "'train.batch_size' must be an integer >= 1, got 'x'"),
+            ("train", {"epochs": 1, "milestones": 5},
+             "'train.milestones' must be a list of integers, got 5"),
+            ("train", {"epochs": 1, "momentum": None},
+             "'train.momentum' must be a finite number, got None"),
+            ("dataset", {"num_classes": 3, "input_dim": 6, "n_max": "10", "imbalance_ratio": 0.25},
+             "'dataset.n_max' must be an integer >= 1, got '10'"),
+            ("dataset", {"num_classes": 3, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25,
+                         "test_csv": "t.csv"}, "'dataset.test_csv' needs 'dataset.train_csv'"),
+            ("model", {"hidden_sizes": 3}, "'model.hidden_sizes' must be a list of integers >= 1"),
+            ("seeds", [0.5], "'seeds' must be a list of integers >= 0, got [0.5]"),
+            ("seeds", [-1], "'seeds' must be a list of integers >= 0, got [-1]"),
+            ("regimes", "etf-dr", "'regimes' must be a list of regimes from learnable-ce"),
         ],
     )
     def test_bad_train_config_named(self, tmp_path, capsys, block, value, message):
+        """``block`` is a config block or a top-level key; nothing runs or is written."""
         cfg = write_train_config(tmp_path / "cfg.json", **{block: value})
         assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_seed_flag_not_accepted(self, tmp_path, capsys, command):
+        """train seeds come from the config's ``seeds``; report has none."""
+        cfg = write_train_config(tmp_path / "cfg.json")
+        argv = ["--config", cfg] if command == "train" else ["--runs", tmp_path]
+        with pytest.raises(SystemExit) as exc:
+            run(command, *argv, "--seed", 3, "--out", tmp_path / "x")
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["train_csv", "test_csv"])
     def test_missing_dataset_file_named(self, tmp_path, capsys, key):
@@ -379,13 +439,3 @@ class TestReportCommand:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run("report", "--runs", empty, "--out", tmp_path / "x") == EXIT_CONFIG
-
-
-class TestSvg:
-    def test_optional_charts(self, tmp_path):
-        out = tmp_path / "run"
-        run(
-            "peeled", "--mode", "dlpm", "--loss", "ce", "--K", 4, "--d", 6,
-            "--counts", "4,3,2,1", "--gamma", 0.5, "--steps", 50, "--svg", "--out", out,
-        )
-        assert (out / "trajectory.svg").read_text().startswith("<svg")

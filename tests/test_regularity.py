@@ -12,15 +12,12 @@ from etfnc.losses import ce_grad_feature, dr_grad
 from etfnc.peeled import project_ball
 from etfnc.regularity import (
     DIST_GUARD,
-    AtOptimumError,
     RegularityRecord,
     _sample_start,
     ce_instance_rate,
     check_offclass_uniformity,
-    contraction_ratio,
     dr_eta_bound,
-    paired_dominance_summary,
-    run_regularity_experiment,
+    pair_dominance,
     run_regularity_sweep,
 )
 
@@ -29,24 +26,39 @@ def make_classifier(d=16, K=10, e_w=1.0, seed=0):
     return uniform_classifier(generate_etf(d, K, seed), e_w)
 
 
+def dominance(clf, gammas, deltas, trials, seed, e_h=1.0):
+    """CE at each of ``gammas`` paired with DR at sqrt(E_H/E_W), as the CLI pairs them."""
+    steps = [("dr", float(np.sqrt(e_h / clf.e_w)))] + [("ce", g) for g in gammas]
+    runs = [run_regularity_sweep(clf, steps, delta, trials, seed, e_h) for delta in deltas]
+    return pair_dominance(steps, deltas, runs)
+
+
 class TestContractionRatio:
+    """The sweep's ``ratio`` field: |h1 - h*|^2 / |h0 - h*|^2."""
+
     def test_one_step_exact_convergence(self):
-        h_star = np.array([1.0, 0.0])
-        assert contraction_ratio(np.array([0.0, 1.0]), h_star, h_star) == 0.0
+        # a step that swamps h0 points along w*_c, and projection lands it on h*
+        records = run_regularity_sweep(make_classifier(), [("dr", 1e100)], 0.05, 20, 0)[0]
+        assert len(records) == 20
+        assert all(r.ratio < 1e-20 for r in records)
 
     def test_no_progress(self):
-        h = np.array([0.0, 1.0])
-        np.testing.assert_allclose(contraction_ratio(h, h, np.array([1.0, 0.0])), 1.0)
+        for records in run_regularity_sweep(make_classifier(), [("ce", 0.0), ("dr", 0.0)],
+                                            0.05, 20, 0):
+            np.testing.assert_allclose([r.ratio for r in records], 1.0)
 
-    def test_midpoint_quarter(self):
-        h_star = np.zeros(3)
-        h = np.array([2.0, 0.0, 0.0])
-        np.testing.assert_allclose(contraction_ratio(h, h / 2, h_star), 0.25, atol=1e-14)
+    def test_ratio_of_squared_distances(self):
+        # DR iterates stay on the sphere |h|^2 = E_H, where |h - h*|^2 = 2 E_H (1 - cos)
+        for delta in (0.05, 0.1):
+            for r in run_regularity_sweep(make_classifier(), [("dr", 0.5)], delta, 50, 6)[0]:
+                expected = (1.0 - r.cos_after) / (1.0 - r.cos_before)
+                np.testing.assert_allclose(r.ratio, expected, rtol=1e-9)
 
     def test_at_optimum_signaled(self):
-        h_star = np.array([1.0, 2.0])
-        with pytest.raises(AtOptimumError):
-            contraction_ratio(h_star, h_star, h_star)
+        """A start within DIST_GUARD of h* is excluded: it yields no record."""
+        clf = make_classifier()
+        assert run_regularity_sweep(clf, [("dr", 1.0)], DIST_GUARD / 10, 20, 0) == [[]]
+        assert len(run_regularity_sweep(clf, [("dr", 1.0)], DIST_GUARD * 1e3, 20, 0)[0]) == 20
 
 
 class TestDrEtaBound:
@@ -68,7 +80,7 @@ class TestOffclassUniformity:
 
     def test_small_near_optimum(self):
         clf = make_classifier()
-        records = run_regularity_experiment(clf, "dr", 1.0, 0.01, 100, 3)
+        records = run_regularity_sweep(clf, [("dr", 1.0)], 0.01, 100, 3)[0]
         assert all(r.uniformity_dev < 0.01 for r in records)
 
     def test_large_for_wrong_alignment(self):
@@ -83,7 +95,7 @@ class TestDrBound:
         clf = make_classifier(d, K)
         gamma = 1.0  # sqrt(E_H / E_W)
         for delta in (0.01, 0.05, 0.1):
-            records = run_regularity_experiment(clf, "dr", gamma, delta, 200, 11)
+            records = run_regularity_sweep(clf, [("dr", gamma)], delta, 200, 11)[0]
             assert records, (K, d, delta)
             worst = max(r.ratio - r.bound for r in records)
             assert worst <= 1e-9, (K, d, delta, worst)
@@ -91,21 +103,21 @@ class TestDrBound:
     def test_raw_ratio_equals_bound_on_sphere(self):
         """Pre-projection DR distance at gamma* matches (1+cos)/2 exactly."""
         clf = make_classifier()
-        records = run_regularity_experiment(clf, "dr", 1.0, 0.05, 200, 5)
+        records = run_regularity_sweep(clf, [("dr", 1.0)], 0.05, 200, 5)[0]
         worst = max(abs(r.raw_ratio - r.bound) for r in records)
         assert worst < 1e-12
 
     def test_sphere_preserved_and_cos_nonnegative(self):
         clf = make_classifier()
         for delta in (0.01, 0.1):
-            for r in run_regularity_experiment(clf, "dr", 1.0, delta, 200, 7):
+            for r in run_regularity_sweep(clf, [("dr", 1.0)], delta, 200, 7)[0]:
                 assert r.sphere_dev <= 1e-9
                 assert r.cos_after >= 0.0
 
     def test_deterministic_per_seed(self):
         clf = make_classifier()
-        a = run_regularity_experiment(clf, "dr", 1.0, 0.05, 50, 9)
-        b = run_regularity_experiment(clf, "dr", 1.0, 0.05, 50, 9)
+        a = run_regularity_sweep(clf, [("dr", 1.0)], 0.05, 50, 9)[0]
+        b = run_regularity_sweep(clf, [("dr", 1.0)], 0.05, 50, 9)[0]
         assert [(r.ratio, r.bound) for r in a] == [(r.ratio, r.bound) for r in b]
 
 
@@ -113,36 +125,30 @@ class TestStartSampling:
     def test_starts_near_h_star(self):
         clf = make_classifier()
         delta = 0.05
-        for r in run_regularity_experiment(clf, "dr", 1.0, delta, 100, 1):
+        for r in run_regularity_sweep(clf, [("dr", 1.0)], delta, 100, 1)[0]:
             # distance after re-projection stays within ~delta
             assert 1.0 - r.cos_before <= delta**2  # dist^2 = 2 E_H (1 - cos)
 
     def test_zero_delta_all_excluded(self):
         clf = make_classifier()
-        records = run_regularity_experiment(clf, "dr", 1.0, 0.0, 20, 0)
-        assert records == []
+        assert run_regularity_sweep(clf, [("dr", 1.0)], 0.0, 20, 0) == [[]]
 
 
 class TestPairedDominance:
     def test_raw_dominance_holds(self):
         clf = make_classifier()
-        out = paired_dominance_summary(clf, gammas=[0.05, 0.5, 1.0], deltas=[0.01], trials=150, seed=2)
+        out = dominance(clf, gammas=[0.05, 0.5, 1.0], deltas=[0.01], trials=150, seed=2)
         gated = [c for c in out["configs"] if c.get("raw_dominance_frac") is not None]
         assert gated, "no configuration had gated trials"
         for cfg in gated:
             assert cfg["raw_dominance_frac"] >= 0.99
             assert cfg["mean_ce_raw"] >= cfg["mean_dr_raw"]
 
-    def test_dr_reference_rate(self):
-        clf = make_classifier(e_w=4.0)
-        out = paired_dominance_summary(clf, gammas=[0.1], deltas=[0.01], trials=10, seed=0, e_h=1.0)
-        np.testing.assert_allclose(out["gamma_dr"], 0.5)  # sqrt(1/4)
-
     def test_matched_starts(self):
         """CE and DR trials with the same (seed, trial) share the start point."""
         clf = make_classifier()
-        ce = run_regularity_experiment(clf, "ce", 0.5, 0.05, 40, 13)
-        dr = run_regularity_experiment(clf, "dr", 1.0, 0.05, 40, 13)
+        ce = run_regularity_sweep(clf, [("ce", 0.5)], 0.05, 40, 13)[0]
+        dr = run_regularity_sweep(clf, [("dr", 1.0)], 0.05, 40, 13)[0]
         for a, b in zip(ce, dr):
             assert a.trial == b.trial
             np.testing.assert_allclose(a.cos_before, b.cos_before, atol=1e-15)
@@ -157,7 +163,7 @@ class TestInstanceOptimalRate:
         uniformity deviation, on either side.
         """
         clf = make_classifier()
-        records = run_regularity_experiment(clf, "ce", "instance-optimal", 0.01, 100, 4)
+        records = run_regularity_sweep(clf, [("ce", "instance-optimal")], 0.01, 100, 4)[0]
         assert records
         for r in records:
             assert abs(r.raw_ratio - r.bound) < 10 * max(r.uniformity_dev, 1e-6)
@@ -165,7 +171,7 @@ class TestInstanceOptimalRate:
     def test_instance_optimal_needs_ce(self):
         clf = make_classifier()
         with pytest.raises(ValueError):
-            run_regularity_experiment(clf, "dr", "instance-optimal", 0.01, 10, 0)
+            run_regularity_sweep(clf, [("dr", "instance-optimal")], 0.01, 10, 0)
 
 
 def reference_records(clf, loss_kind, gamma, delta, trials, seed, e_h=1.0):
@@ -216,7 +222,7 @@ class TestSweep:
         sweep = run_regularity_sweep(clf, steps, 0.05, 40, 13, e_h)
         assert len(sweep) == len(steps)
         for (loss, gamma), records in zip(steps, sweep):
-            assert records == run_regularity_experiment(clf, loss, gamma, 0.05, 40, 13, e_h)
+            assert records == run_regularity_sweep(clf, [(loss, gamma)], 0.05, 40, 13, e_h)[0]
             assert records == reference_records(clf, loss, gamma, 0.05, 40, 13, e_h)
 
     @settings(max_examples=15, deadline=None)
@@ -247,7 +253,7 @@ class TestSweep:
 class TestPairDominance:
     def test_repeated_gammas_and_deltas_paired_by_position(self):
         clf = make_classifier()
-        out = paired_dominance_summary(clf, [0.1, 0.1], [0.05, 0.01, 0.05], trials=30, seed=4)
+        out = dominance(clf, [0.1, 0.1], [0.05, 0.01, 0.05], trials=30, seed=4)
         configs = out["configs"]
         assert [(c["delta"], c["gamma_ce"]) for c in configs] == [
             (0.05, 0.1), (0.05, 0.1), (0.01, 0.1), (0.01, 0.1), (0.05, 0.1), (0.05, 0.1),
@@ -256,7 +262,7 @@ class TestPairDominance:
 
     def test_excluded_trials_not_counted(self):
         clf = make_classifier(d=8, K=4)
-        out = paired_dominance_summary(clf, [0.1, 0.5], [1e-13, 0.05], trials=20, seed=0)
+        out = dominance(clf, [0.1, 0.5], [1e-13, 0.05], trials=20, seed=0)
         excluded, run = out["configs"][:2], out["configs"][2:]
         for cfg in excluded:
             assert cfg["trials"] == 0 and cfg["gated_trials"] == 0
@@ -266,6 +272,20 @@ class TestPairDominance:
 
     def test_no_records_is_valid_json(self):
         clf = make_classifier()
-        out = paired_dominance_summary(clf, [0.1], [0.05], trials=0, seed=0)
+        out = dominance(clf, [0.1], [0.05], trials=0, seed=0)
         assert out["configs"][0]["dr_max_ratio_minus_bound"] is None
         json.dumps(out, allow_nan=False)
+
+    def test_steps_found_in_any_order(self):
+        """The first DR step is the reference; instance-optimal CE steps are not paired."""
+        clf = make_classifier()
+        steps = [("ce", "instance-optimal"), ("ce", 0.5), ("dr", 1.0), ("ce", 0.1), ("dr", 0.5)]
+        runs = [run_regularity_sweep(clf, steps, delta, 30, 8) for delta in (0.05, 0.01)]
+        assert pair_dominance(steps, [0.05, 0.01], runs) == dominance(clf, [0.5, 0.1],
+                                                                      [0.05, 0.01], 30, 8)
+
+    @pytest.mark.parametrize("steps", [[("dr", 1.0)], [("dr", 1.0), ("ce", "instance-optimal")],
+                                       [("ce", 0.5)]])
+    def test_nothing_to_pair(self, steps):
+        clf = make_classifier()
+        assert pair_dominance(steps, [0.05], [run_regularity_sweep(clf, steps, 0.05, 5, 0)]) is None

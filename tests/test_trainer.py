@@ -11,8 +11,8 @@ from etfnc.trainer import (
     MlpBackbone,
     SyntheticDatasetSpec,
     TrainConfig,
+    balanced_accuracy,
     class_weights,
-    evaluate,
     feature_normalize,
     load_dataset_csv,
     make_imbalanced_dataset,
@@ -20,7 +20,12 @@ from etfnc.trainer import (
     save_dataset_csv,
     train,
 )
-from etfnc.trainer import _build_classifier, _normalize_rows, _normalize_rows_vjp
+from etfnc.trainer import (
+    _build_classifier,
+    _features_for_metrics,
+    _normalize_rows,
+    _normalize_rows_vjp,
+)
 
 
 class TestDatasetSpec:
@@ -280,8 +285,9 @@ class TestTrain:
         cfg = regime_config(regime, epochs=3, seed=0)
         log = train(model, train_set, test_set, cfg)
         assert sum(rows) == 3 * (2 * train_set.size + test_set.size)
-        # the epoch's balanced accuracy is evaluate's, from the reused features
-        assert log.final_bal_acc == evaluate(model, test_set, log.classifier, cfg)[1]
+        # the epoch's balanced accuracy scores the features the metrics use
+        feats = _features_for_metrics(model, test_set.x, cfg)
+        assert log.final_bal_acc == balanced_accuracy(feats, test_set, log.classifier, cfg)[1]
 
 
 class TestEndToEndGradients:
@@ -393,12 +399,14 @@ class TestEndToEndGradients:
 
 
 class TestEvaluate:
+    """balanced_accuracy scores test features by argmax logit."""
+
     def test_perfect_classifier(self):
         # features == one-hot of the label, identity classifier
         model = MlpBackbone([np.eye(3)], [np.zeros(3)])
         x = np.vstack([np.eye(3)] * 4)
         test = Dataset(x, np.tile(np.arange(3), 4), 3)
-        per_class, bal = evaluate(model, test, np.eye(3))
+        per_class, bal = balanced_accuracy(model.forward(x)[0], test, np.eye(3))
         np.testing.assert_allclose(per_class, 1.0)
         assert bal == 1.0
 
@@ -406,7 +414,7 @@ class TestEvaluate:
         model = MlpBackbone([np.zeros((2, 3))], [np.array([1.0, 0.0])])
         x = rng.standard_normal((30, 3))
         test = Dataset(x, np.tile(np.arange(3), 10), 3)
-        _, bal = evaluate(model, test, np.eye(2, 3))
+        _, bal = balanced_accuracy(model.forward(x)[0], test, np.eye(2, 3))
         np.testing.assert_allclose(bal, 1.0 / 3.0)
 
     def test_balanced_equals_plain_on_equal_counts(self, rng):
@@ -415,8 +423,8 @@ class TestEvaluate:
         y = np.tile(np.arange(3), 10)
         test = Dataset(x, y, 3)
         W = rng.standard_normal((3, 3))
-        per_class, bal = evaluate(model, test, W)
         feats, _ = model.forward(x)
+        per_class, bal = balanced_accuracy(feats, test, W)
         plain = float(np.mean(np.argmax(feats @ W, axis=1) == y))
         np.testing.assert_allclose(bal, plain, atol=1e-12)
 
@@ -424,4 +432,4 @@ class TestEvaluate:
         model = MlpBackbone.init([4, 6, 3], seed=0)
         test = Dataset(rng.standard_normal((4, 4)), np.array([0, 0, 1, 1]), 3)
         with pytest.raises(ValueError):
-            evaluate(model, test, rng.standard_normal((3, 3)))
+            balanced_accuracy(model.forward(test.x)[0], test, rng.standard_normal((3, 3)))
