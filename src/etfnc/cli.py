@@ -323,6 +323,12 @@ _BLOCKS = {
               "feature_dim": _KINDS[int]},
     "train": _schema(tr.TrainConfig, "regime", "seed"),
 }
+#: range checks that follow the type check
+_RANGES = {"dataset.num_classes": (lambda v: v >= 2, ">= 2"),
+           "train.momentum": (lambda v: 0 <= v < 1, "in [0, 1)"),
+           **dict.fromkeys(["train.e_h", "train.step_size"], (lambda v: v > 0, "> 0"))}
+#: what ``model`` holds when the config leaves a key out
+_MODEL_DEFAULTS = {"hidden_sizes": [64], "feature_dim": 16}
 _TOP = {
     "regimes": ((lambda v: isinstance(v, list) and all(r in tr.REGIMES for r in v)),
                 f"a list of regimes from {', '.join(tr.REGIMES)}"),
@@ -354,11 +360,16 @@ def _check_config(cfg):
     if "test_csv" in cfg.get("dataset", {}) and "train_csv" not in cfg["dataset"]:
         raise ConfigError("config field 'dataset.test_csv' needs 'dataset.train_csv'")
     checks += [(key, cfg, key, check) for key, check in _TOP.items()]
-    for path, node, key, (test, what) in checks:
+    for path, node, key, kind in checks:
         if key not in node:
             raise ConfigError(f"config is missing required field '{path}'")
-        if not test(node[key]):
-            raise ConfigError(f"config field '{path}' must be {what}, got {node[key]!r}")
+        for test, what in [kind, _RANGES[path]] if path in _RANGES else [kind]:
+            if not test(node[key]):
+                raise ConfigError(f"config field '{path}' must be {what}, got {node[key]!r}")
+    K, d = cfg["dataset"]["num_classes"], {**_MODEL_DEFAULTS, **cfg.get("model", {})}["feature_dim"]
+    if d < K - 1:  # an ETF frame of K classes spans K-1 dimensions
+        raise ConfigError(f"config field 'model.feature_dim' must be >= "
+                          f"dataset.num_classes - 1 = {K - 1}, got {d}")
 
 
 def _load_dataset(path, num_classes):
@@ -388,9 +399,8 @@ def cmd_train(args):
     _check_config(cfg)
     out = _out_dir(args.out)
     ds_cfg, regimes, seeds = cfg["dataset"], cfg["regimes"], cfg["seeds"]
-    model_cfg = cfg.get("model", {})
-    hidden = model_cfg.get("hidden_sizes", [64])
-    feature_dim = model_cfg.get("feature_dim", 16)
+    model_cfg = {**_MODEL_DEFAULTS, **cfg.get("model", {})}
+    hidden, feature_dim = model_cfg["hidden_sizes"], model_cfg["feature_dim"]
     train_cfg = dict(cfg["train"], milestones=tuple(cfg["train"].get("milestones", ())))
 
     summary = {"runs": [], "config_file": args.config}

@@ -5,10 +5,12 @@ R^{d x K} whose k-th column scores class k. The negative CE gradient
 splits into a "pull" term toward the own-class column and a "push" term
 away from the other columns; the DR loss keeps only an (exact) pull.
 
-Batches go through two kernels, ``ce_terms`` and ``dr_terms``. Each
-returns the per-sample loss and dL/dlogits: CE returns the probabilities
-P, with dL/dlogits = P - onehot; DR returns the residual r = dL/d(w_y . h).
-Callers apply the chain rule to h or W and any 1/N averaging themselves.
+Batches go through two kernels, ``ce_terms(h, labels, W)`` and
+``dr_terms(features, cols, targets)``, which takes cols = W[:, labels]
+and per-sample targets. Each returns the per-sample loss and dL/dlogits:
+CE returns the probabilities P, with dL/dlogits = P - onehot; DR returns
+the residual r = dL/d(w_y . h). Callers apply the chain rule to h or W
+and any 1/N averaging themselves.
 The per-sample functions are the paper-form reference (eqs. (3)-(7));
 their gradients carry no 1/N.
 """
@@ -64,14 +66,14 @@ def ce_terms(h: np.ndarray, labels, W: np.ndarray):
     return np.log(s[:, 0]) + m[:, 0] - logits[np.arange(len(logits)), labels], P
 
 
-def dr_terms(features: np.ndarray, labels, W: np.ndarray, targets: np.ndarray):
-    """(per-sample DR loss, residual r) for a (B, d) batch; targets[k] = sqrt(E_{w_k} E_H).
+def dr_terms(features: np.ndarray, cols: np.ndarray, targets: np.ndarray):
+    """(per-sample DR loss, residual r) for a (B, d) batch, its columns cols = W[:, labels].
 
-    r_i = (w_{y_i} . h_i - t_{y_i}) / t_{y_i}, so dL_i/dh_i = r_i w_{y_i}.
+    t_i = targets[i] = sqrt(E_{w_{y_i}} E_H), r_i = (w_{y_i} . h_i - t_i) / t_i,
+    so dL_i/dh_i = r_i w_{y_i}.
     """
-    dots = np.einsum("ij,ji->i", features, W[:, labels])
-    t = targets[labels]
-    return (dots - t) ** 2 / (2.0 * t), (dots - t) / t
+    dots = np.einsum("ij,ji->i", features, cols)
+    return (dots - targets) ** 2 / (2.0 * targets), (dots - targets) / targets
 
 
 def softmax_probs(h: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ Update scheme: every feature takes a projected step against its own
 per-sample loss (the objective is separable in the features); in LPM
 mode the classifier additionally takes a projected step against the
 1/N-averaged objective gradient. Both blocks share one step size.
+The loop runs in fixed buffers: no (N, d) temporaries per DLPM step.
 """
 
 from dataclasses import dataclass, field
@@ -44,15 +45,12 @@ def project_ball(v: np.ndarray, E: float) -> np.ndarray:
     return w
 
 
-def _project_rows(X: np.ndarray, E: float) -> np.ndarray:
-    """Row-wise ball projection (vectorized; rows end within ulps of the sphere)."""
+def _project_rows(X: np.ndarray, E: float) -> bool:
+    """Project the rows of X onto the ball |x|^2 <= E in place; True if any row moved."""
     nsq = np.einsum("ij,ij->i", X, X)
     over = nsq > E
-    if not np.any(over):
-        return X
-    X = X.copy()
-    X[over] *= np.sqrt(E / nsq[over])[:, None]
-    return X
+    X *= np.sqrt(np.divide(E, nsq, out=np.ones_like(nsq), where=over))[:, None]  # x * 1.0 == x
+    return bool(over.any())
 
 
 @dataclass
@@ -61,7 +59,8 @@ class PeeledProblem:
 
     ``classifier`` is a FixedClassifier for the decoupled model (DLPM) or
     a learnable (d, K) matrix for the full LPM. Features are stored
-    class-major as an (N, d) array with per-sample labels.
+    class-major as an (N, d) array with per-sample labels, so the labels
+    must be ``np.repeat(np.arange(K), class_counts)``.
     """
 
     features: np.ndarray | None
@@ -70,6 +69,11 @@ class PeeledProblem:
     classifier: object
     e_h: float
     e_w: float
+
+    def __post_init__(self):
+        class_major = np.repeat(np.arange(self.num_classes), self.class_counts)
+        if not np.array_equal(self.labels, class_major):
+            raise ValueError("labels must be class-major: np.repeat(np.arange(K), class_counts)")
 
     @property
     def is_fixed_classifier(self) -> bool:
@@ -213,89 +217,92 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
     if problem.features is None:
         raise ValueError("problem has no features; call init_features first")
 
-    X = problem.features.copy()
+    X = problem.features.astype(float, order="C")
     labels = problem.labels
     N = X.shape[0]
     fixed = problem.is_fixed_classifier
     Wmat = problem.classifier_matrix.copy()
     gamma = config.step_size
 
-    if fixed:
-        lengths = problem.classifier.lengths
-    else:
-        lengths = np.full(problem.num_classes, np.sqrt(problem.e_w))
-    dr_targets = lengths * np.sqrt(problem.e_h)
+    lengths = (problem.classifier.lengths if fixed
+               else np.full(problem.num_classes, np.sqrt(problem.e_w)))
+    dr_targets = (lengths * np.sqrt(problem.e_h))[labels]
+    cols = Wmat[:, labels]  # gathered once for a fixed classifier, per step in LPM
 
     has_oracle = fixed and problem.classifier.is_uniform()
     if has_oracle:
-        h_star = analytic_optimum(problem.classifier, problem.e_h)
-        gap_targets = _gap_targets(problem.classifier, problem.e_h)
+        h_rows = analytic_optimum(problem.classifier, problem.e_h)[:, labels].T
+        gap_rows = _gap_targets(problem.classifier, problem.e_h)[labels]
+        dots = np.empty((N, problem.num_classes))
+        ends = np.cumsum(problem.class_counts).tolist()
+        spans = list(zip([0] + ends[:-1], ends))  # class k owns rows a:b (class-major)
 
     onehot = np.eye(problem.num_classes)[labels] if not fixed else None
+    X_new, D, rows = np.empty_like(X), np.empty_like(X), np.empty(N)
 
-    def loss_terms(rows, y):
-        if loss_kind == "ce":
-            return ce_terms(rows, y, Wmat)
-        return dr_terms(rows, y, Wmat, dr_targets)
+    def loss_terms():
+        return ce_terms(X, labels, Wmat) if loss_kind == "ce" else dr_terms(X, cols, dr_targets)
+
+    def row_norms(A):  # np.linalg.norm(A, axis=1) in numpy's arithmetic, squaring A in place
+        return np.sqrt(np.add.reduce(np.multiply(A, A, out=A), axis=1, out=rows), out=rows)
 
     def snapshot(step, grad_norm, per_sample):
-        loss = float(np.mean(per_sample))
+        loss = float(np.add.reduce(per_sample) / N)  # np.mean's arithmetic
         if has_oracle:
-            gap = float(np.abs(X @ Wmat - gap_targets[labels]).max())
-            dists = np.linalg.norm(X - h_star[:, labels].T, axis=1)
-            mean_d = np.array(
-                [dists[labels == k].mean() for k in range(problem.num_classes)]
-            )
+            np.subtract(np.matmul(X, Wmat, out=dots), gap_rows, out=dots)
+            gap = float(np.abs(dots, out=dots).max())
+            dists = row_norms(np.subtract(X, h_rows, out=D))
+            mean_d = np.array([np.add.reduce(dists[a:b]) / (b - a) for a, b in spans])
         else:
-            gap = float("nan")
-            mean_d = np.full(problem.num_classes, np.nan)
+            gap, mean_d = float("nan"), np.full(problem.num_classes, np.nan)
         return StepRecord(step, loss, gap, grad_norm, mean_d)
 
     # the terms of X_t give the record of step t and the gradient of step t+1
-    per_sample, aux = loss_terms(X, labels)
-    traj = Trajectory()
+    per_sample, aux = loss_terms()
+    traj = Trajectory(stop_reason="max_steps")
     traj.records.append(snapshot(0, float("nan"), per_sample))
-    stop_reason = "max_steps"
+    stop_by = "gap" if has_oracle else "grad_norm"
 
     for t in range(1, config.max_steps + 1):
         if loss_kind == "ce":
-            G = aux @ Wmat.T - Wmat[:, labels].T
+            np.subtract(np.matmul(aux, Wmat.T, out=D), cols.T, out=D)
         else:
-            G = aux[:, None] * Wmat[:, labels].T
+            np.multiply(aux[:, None], cols.T, out=D)
         # overflow here surfaces as the divergence error below
         with np.errstate(over="ignore", invalid="ignore"):
-            X_new = _project_rows(X - gamma * G, problem.e_h)
+            np.subtract(X, np.multiply(gamma, D, out=D), out=X_new)
+            _project_rows(X_new, problem.e_h)
         if not fixed:
             dlogits = aux - onehot if loss_kind == "ce" else aux[:, None] * onehot
             Gw = X.T @ dlogits / N
-            W_new = _project_rows((Wmat - gamma * Gw).T, problem.e_w).T
+            W_new = Wmat - gamma * Gw
+            if _project_rows(W_new.T, problem.e_w):
+                # keep a projected W column-major, the layout the LPM payloads
+                # were recorded with: matmul and axis-0 sums round by layout
+                W_new = np.asfortranarray(W_new)
+            cols = W_new[:, labels]
         else:
             W_new = Wmat
 
         if not (np.all(np.isfinite(X_new)) and np.all(np.isfinite(W_new))):
             raise NumericDivergence(f"non-finite values encountered at step {t}")
 
-        disp = np.linalg.norm(X_new - X, axis=1).max()
+        disp = row_norms(np.subtract(X_new, X, out=D)).max()
         if not fixed:
             disp = max(disp, np.linalg.norm(W_new - Wmat, axis=0).max())
         grad_norm = float(disp / gamma)
-        X, Wmat = X_new, W_new
+        X, X_new, Wmat = X_new, X, W_new
 
-        per_sample, aux = loss_terms(X, labels)
+        per_sample, aux = loss_terms()
         traj.records.append(snapshot(t, grad_norm, per_sample))
-        if config.stop_tol > 0:
-            if has_oracle and traj.records[-1].gap < config.stop_tol:
-                stop_reason = "gap"
-                break
-            if not has_oracle and grad_norm < config.stop_tol:
-                stop_reason = "grad_norm"
-                break
+        if config.stop_tol > 0 and getattr(traj.records[-1], stop_by) < config.stop_tol:
+            traj.stop_reason = stop_by
+            break
 
     final_classifier = problem.classifier if fixed else Wmat
     traj.final = PeeledProblem(
         X, labels, problem.class_counts, final_classifier, problem.e_h, problem.e_w
     )
-    traj.stop_reason = stop_reason
     return traj
 
 

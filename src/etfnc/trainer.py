@@ -358,7 +358,7 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
             used, norms = _normalize_rows(feats, config.e_h) if fixed else (feats, None)
 
             if dr:
-                per_sample, r = dr_terms(used, yb, W, dr_targets)
+                per_sample, r = dr_terms(used, W[:, yb], dr_targets[yb])
                 grad_used = (r / B)[:, None] * W[:, yb].T
             else:
                 per_sample, coef = ce_terms(used, yb, W)

@@ -351,6 +351,17 @@ class TestTrainCommand:
             ("seeds", [0.5], "'seeds' must be a list of integers >= 0, got [0.5]"),
             ("seeds", [-1], "'seeds' must be a list of integers >= 0, got [-1]"),
             ("regimes", "etf-dr", "'regimes' must be a list of regimes from learnable-ce"),
+            ("train", {"epochs": 1, "e_h": -1}, "'train.e_h' must be > 0, got -1"),
+            ("train", {"epochs": 1, "e_h": 0}, "'train.e_h' must be > 0, got 0"),
+            ("train", {"epochs": 1, "step_size": -0.1}, "'train.step_size' must be > 0, got -0.1"),
+            ("train", {"epochs": 1, "step_size": 0.0}, "'train.step_size' must be > 0, got 0.0"),
+            ("train", {"epochs": 1, "momentum": 1}, "'train.momentum' must be in [0, 1), got 1"),
+            ("train", {"epochs": 1, "momentum": -0.5},
+             "'train.momentum' must be in [0, 1), got -0.5"),
+            ("dataset", {"num_classes": 1, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25},
+             "'dataset.num_classes' must be >= 2, got 1"),
+            ("model", {"hidden_sizes": [8], "feature_dim": 1},
+             "'model.feature_dim' must be >= dataset.num_classes - 1 = 2, got 1"),
         ],
     )
     def test_bad_train_config_named(self, tmp_path, capsys, block, value, message):
@@ -359,6 +370,15 @@ class TestTrainCommand:
         assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_default_feature_dim_checked(self, tmp_path, capsys):
+        """Without model.feature_dim the default 16 must still span the ETF frame."""
+        dataset = {"num_classes": 20, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25}
+        cfg = write_train_config(tmp_path / "cfg.json", dataset=dataset, model={})
+        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
+        assert "'model.feature_dim' must be >= dataset.num_classes - 1 = 19, got 16" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("command", ["train", "report"])
     def test_seed_flag_not_accepted(self, tmp_path, capsys, command):

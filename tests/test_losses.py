@@ -354,11 +354,11 @@ class TestKernels:
         B, d, K = 6, 5, 4
         H, W = rng.standard_normal((B, d)), rng.standard_normal((d, K))
         y = rng.integers(K, size=B)
-        targets = rng.uniform(0.5, 2.0, size=K)
-        _, r = dr_terms(H, y, W, targets)
-        fd_h = central_diff(lambda X: dr_terms(X, y, W, targets)[0].sum(), H)
+        targets = rng.uniform(0.5, 2.0, size=K)[y]
+        _, r = dr_terms(H, W[:, y], targets)
+        fd_h = central_diff(lambda X: dr_terms(X, W[:, y], targets)[0].sum(), H)
         assert rel_error(r[:, None] * W[:, y].T, fd_h) < 1e-6
-        fd_w = central_diff(lambda M: dr_terms(H, y, M, targets)[0].sum(), W)
+        fd_w = central_diff(lambda M: dr_terms(H, M[:, y], targets)[0].sum(), W)
         assert rel_error(H.T @ (r[:, None] * np.eye(K)[y]), fd_w) < 1e-6
 
     def test_nonfinite_logits_diverge(self):
@@ -408,7 +408,7 @@ class TestKernelsMatchReference:
     def test_dr_rows(self, case):
         H, y, clf, e_h = case
         W = clf.scaled_columns
-        loss, r = dr_terms(H, y, W, clf.lengths * np.sqrt(e_h))
+        loss, r = dr_terms(H, W[:, y], (clf.lengths * np.sqrt(e_h))[y])
         for i in range(len(y)):
             np.testing.assert_allclose(
                 loss[i], dr_loss(H[i], clf, y[i], e_h), rtol=1e-12, atol=1e-12

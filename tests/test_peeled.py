@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from etfnc.etf import generate_etf, scale_classifier, uniform_classifier
-from etfnc.losses import NumericDivergence
+from etfnc.losses import NumericDivergence, ce_terms
 from etfnc.peeled import (
     OptimizerConfig,
     PeeledProblem,
+    StepRecord,
+    Trajectory,
+    _gap_targets,
     analytic_optimum,
     dlpm_problem,
     init_features,
@@ -62,6 +65,16 @@ class TestProjectBall:
             v = rng.standard_normal(4) * 100
             w = project_ball(v, 1.0)
             assert w @ w <= 1.0
+
+
+class TestPeeledProblem:
+    @pytest.mark.parametrize("order", [[0, 3, 1, 2, 4, 5, 6], [0, 1, 2, 3, 4, 5]])
+    def test_labels_not_class_major_refused(self, order):
+        """Shuffled or missing labels: optimize reads class k from one contiguous slice."""
+        prob = make_dlpm(counts=(3, 2, 2))
+        with pytest.raises(ValueError, match="class-major"):
+            PeeledProblem(prob.features, prob.labels[order], prob.class_counts, prob.classifier,
+                          1.0, 1.0)
 
 
 class TestInitFeatures:
@@ -195,10 +208,26 @@ class TestOptimizeDlpm:
         assert len(traj.records) <= 26
 
     def test_input_problem_not_mutated(self):
+        lpm = init_features(lpm_problem(6, 3, [4, 3, 2], 1.0, 1.0, 0), 1)
+        for prob in (make_dlpm(), lpm):
+            before = prob.features.copy()
+            W_before = prob.classifier_matrix.copy()
+            for loss in ("ce", "dr"):
+                optimize(prob, loss, OptimizerConfig(step_size=0.5, max_steps=20))
+            assert np.array_equal(prob.features, before)
+            assert np.array_equal(prob.classifier_matrix, W_before)
+
+    def test_final_features_own_their_memory(self):
+        """The loop's work buffers never leak into the input or a second run's result."""
         prob = make_dlpm()
-        before = prob.features.copy()
-        optimize(prob, "ce", OptimizerConfig(step_size=0.5, max_steps=20))
-        assert np.array_equal(prob.features, before)
+        config = OptimizerConfig(step_size=0.5, max_steps=7)
+        a = optimize(prob, "dr", config).final.features
+        b = optimize(prob, "dr", config).final.features
+        assert np.array_equal(a, b)
+        for x, y in ((a, b), (a, prob.features), (b, prob.features)):
+            assert not np.shares_memory(x, y)
+        b[:] = 0.0
+        assert np.array_equal(a, optimize(prob, "dr", config).final.features)
 
 
 class TestOptimizeLpm:
@@ -223,6 +252,173 @@ class TestOptimizeLpm:
         traj = optimize(prob, "ce", OptimizerConfig(step_size=0.5, max_steps=5))
         assert np.isnan(traj.records[-1].gap)
         assert traj.records[-1].grad_norm > 0
+
+
+def _reference_project_rows(X, E):
+    nsq = np.einsum("ij,ij->i", X, X)
+    over = nsq > E
+    if not np.any(over):
+        return X
+    X = X.copy()
+    X[over] *= np.sqrt(E / nsq[over])[:, None]
+    return X
+
+
+def _reference_optimize(problem, loss_kind, config):
+    """The allocating loop that the buffered ``optimize`` must reproduce bit for bit."""
+    X = problem.features.copy()
+    labels = problem.labels
+    N = X.shape[0]
+    fixed = problem.is_fixed_classifier
+    Wmat = problem.classifier_matrix.copy()
+    gamma = config.step_size
+
+    if fixed:
+        lengths = problem.classifier.lengths
+    else:
+        lengths = np.full(problem.num_classes, np.sqrt(problem.e_w))
+    dr_targets = lengths * np.sqrt(problem.e_h)
+
+    has_oracle = fixed and problem.classifier.is_uniform()
+    if has_oracle:
+        h_star = analytic_optimum(problem.classifier, problem.e_h)
+        gap_targets = _gap_targets(problem.classifier, problem.e_h)
+
+    onehot = np.eye(problem.num_classes)[labels] if not fixed else None
+
+    def loss_terms(rows, y):
+        if loss_kind == "ce":
+            return ce_terms(rows, y, Wmat)
+        dots = np.einsum("ij,ji->i", rows, Wmat[:, y])
+        t = dr_targets[y]
+        return (dots - t) ** 2 / (2.0 * t), (dots - t) / t
+
+    def snapshot(step, grad_norm, per_sample):
+        loss = float(np.mean(per_sample))
+        if has_oracle:
+            gap = float(np.abs(X @ Wmat - gap_targets[labels]).max())
+            dists = np.linalg.norm(X - h_star[:, labels].T, axis=1)
+            mean_d = np.array(
+                [dists[labels == k].mean() for k in range(problem.num_classes)]
+            )
+        else:
+            gap = float("nan")
+            mean_d = np.full(problem.num_classes, np.nan)
+        return StepRecord(step, loss, gap, grad_norm, mean_d)
+
+    per_sample, aux = loss_terms(X, labels)
+    traj = Trajectory()
+    traj.records.append(snapshot(0, float("nan"), per_sample))
+    stop_reason = "max_steps"
+
+    for t in range(1, config.max_steps + 1):
+        if loss_kind == "ce":
+            G = aux @ Wmat.T - Wmat[:, labels].T
+        else:
+            G = aux[:, None] * Wmat[:, labels].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            X_new = _reference_project_rows(X - gamma * G, problem.e_h)
+        if not fixed:
+            dlogits = aux - onehot if loss_kind == "ce" else aux[:, None] * onehot
+            Gw = X.T @ dlogits / N
+            W_new = _reference_project_rows((Wmat - gamma * Gw).T, problem.e_w).T
+        else:
+            W_new = Wmat
+
+        if not (np.all(np.isfinite(X_new)) and np.all(np.isfinite(W_new))):
+            raise NumericDivergence(f"non-finite values encountered at step {t}")
+
+        disp = np.linalg.norm(X_new - X, axis=1).max()
+        if not fixed:
+            disp = max(disp, np.linalg.norm(W_new - Wmat, axis=0).max())
+        grad_norm = float(disp / gamma)
+        X, Wmat = X_new, W_new
+
+        per_sample, aux = loss_terms(X, labels)
+        traj.records.append(snapshot(t, grad_norm, per_sample))
+        if config.stop_tol > 0:
+            if has_oracle and traj.records[-1].gap < config.stop_tol:
+                stop_reason = "gap"
+                break
+            if not has_oracle and grad_norm < config.stop_tol:
+                stop_reason = "grad_norm"
+                break
+
+    final_classifier = problem.classifier if fixed else Wmat
+    traj.final = PeeledProblem(
+        X, labels, problem.class_counts, final_classifier, problem.e_h, problem.e_w
+    )
+    traj.stop_reason = stop_reason
+    return traj
+
+
+@st.composite
+def peeled_runs(draw):
+    """A DLPM or LPM instance, a loss and an optimizer config."""
+    K = draw(st.integers(2, 5))
+    d = draw(st.integers(K - 1, K + 3))
+    counts = draw(st.lists(st.integers(1, 30), min_size=K, max_size=K))
+    e_h, e_w = draw(st.sampled_from([1.0, 2.5])), draw(st.sampled_from([1.0, 4.0]))
+    if draw(st.sampled_from(["dlpm", "lpm"])) == "dlpm":
+        clf = uniform_classifier(generate_etf(d, K, draw(st.integers(0, 99))), e_w)
+        prob = dlpm_problem(clf, counts, e_h)
+    else:
+        prob = lpm_problem(d, K, counts, e_h, e_w, draw(st.integers(0, 99)))
+    prob = init_features(prob, draw(st.integers(0, 99)))
+    loss = draw(st.sampled_from(["ce", "dr"]))
+    gamma = draw(st.floats(1e-3, 600.0 if loss == "dr" else 4.0))
+    config = OptimizerConfig(gamma, draw(st.integers(0, 60)), draw(st.sampled_from([0.0, 1e-3])))
+    return prob, loss, config
+
+
+def assert_same_run(a, b):
+    assert a.stop_reason == b.stop_reason
+    assert len(a.records) == len(b.records)
+    for ra, rb in zip(a.records, b.records):
+        scalars = [ra.step, ra.loss, ra.gap, ra.grad_norm]
+        assert np.array_equal(scalars, [rb.step, rb.loss, rb.gap, rb.grad_norm], equal_nan=True)
+        assert np.array_equal(ra.class_mean_dist, rb.class_mean_dist, equal_nan=True)
+    assert np.array_equal(a.final.features, b.final.features)
+    assert np.array_equal(a.final.classifier_matrix, b.final.classifier_matrix)
+
+
+class TestMatchesReference:
+    """``optimize`` in fixed buffers gives the allocating loop's bits, record by record."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(peeled_runs())
+    def test_byte_identical(self, run):
+        prob, loss, config = run
+        assert_same_run(optimize(prob, loss, config), _reference_optimize(prob, loss, config))
+
+    def test_byte_identical_at_workload_scale(self):
+        """Many rows per class and d >= 8, where axis-1 sums go pairwise."""
+        clf = uniform_classifier(generate_etf(16, 10, 0), 1.0)
+        counts = [300, 100, 33, 11, 4, 1, 1, 1, 1, 1]
+        for mode, loss, gamma in (("dlpm", "dr", 512.0), ("dlpm", "ce", 0.5), ("lpm", "ce", 0.5)):
+            if mode == "dlpm":
+                prob = init_features(dlpm_problem(clf, counts, 1.0), 1)
+            else:
+                prob = init_features(lpm_problem(16, 10, counts, 1.0, 1.0, 2), 3)
+            config = OptimizerConfig(gamma, 40)
+            assert_same_run(optimize(prob, loss, config), _reference_optimize(prob, loss, config))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["dlpm", "lpm"])
+    @pytest.mark.parametrize("loss", ["ce", "dr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_divergence_raises_at_same_step(self, mode, loss, bad):
+        if mode == "dlpm":
+            prob = make_dlpm()
+        else:
+            prob = init_features(lpm_problem(6, 3, [4, 3, 2], 1.0, 1.0, 0), 1)
+        prob.features = prob.features.copy()
+        prob.features[2, 1] = bad
+        config = OptimizerConfig(step_size=0.5, max_steps=10)
+        with pytest.raises(NumericDivergence) as expected:
+            _reference_optimize(prob, loss, config)
+        with pytest.raises(NumericDivergence, match=f"^{expected.value}$"):
+            optimize(prob, loss, config)
 
 
 class TestMinorityProbe:
