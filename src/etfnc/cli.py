@@ -12,7 +12,9 @@ sha256 hashes of the artifacts; rerunning a command with identical
 inputs reproduces every CSV/JSON payload byte for byte (wall-clock time
 appears only in the manifest). Seeds fan out per component via
 serialize.derive_seed. Exit codes: 0 ok, 2 bad config/flags, 3 numeric
-divergence, 4 a verification/acceptance check failed.
+divergence, 4 a verification/acceptance check failed, 1 a bug (traceback).
+Inputs are built before the output directory; a ValueError raised while
+building them becomes a ConfigError naming the flag, config block or file.
 """
 
 import argparse
@@ -21,6 +23,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -45,8 +48,17 @@ EXIT_DIVERGED = 3
 EXIT_CHECK_FAILED = 4
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(Exception):
+    """Bad input (a flag, config key or file), refused before any output: exit 2."""
+
+
+@contextmanager
+def _blame(what):
+    """Re-raise a ValueError from building a run's inputs as a ConfigError naming ``what``."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"{what}: {e}") from None
 
 
 def _out_dir(path):
@@ -80,13 +92,23 @@ def _check_flags(args, positive=(), nonnegative=()):
             raise ConfigError(f"--{name.replace('_', '-')} must be {finite}{rule}, got {value}")
 
 
+def _read_json(path, what):
+    """A JSON input file; a missing or malformed one is a ConfigError naming it."""
+    try:
+        with open(path) as f, _blame(f"{what} {path} is not valid JSON"):
+            return json.load(f)
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e.strerror}") from None
+
+
 # --- etf ---------------------------------------------------------------------
 
 
 def cmd_etf(args):
     _check_flags(args, positive=("tol",))
+    with _blame("--d/--K"):
+        frame = generate_etf(args.d, args.K, args.seed)
     out = _out_dir(args.out)
-    frame = generate_etf(args.d, args.K, args.seed)
     report = verify_etf(frame, args.tol)
     write_json(f"{out}/frame.json", frame_to_json_dict(frame))
     with open(f"{out}/frame.csv", "w") as f:
@@ -111,16 +133,15 @@ def cmd_etf(args):
 
 def _parse_counts(args):
     if args.counts:
-        counts = np.array([int(v) for v in args.counts.split(",")])
+        with _blame("--counts"):
+            counts = np.array([int(v) for v in args.counts.split(",")])
         if len(counts) != args.K:
             raise ConfigError(f"--counts has {len(counts)} entries, expected K={args.K}")
         if np.any(counts < 1):
             raise ConfigError("--counts entries must be >= 1")
         return counts
-    spec = SyntheticDatasetSpec(
-        num_classes=args.K, input_dim=1, n_max=args.n_max, imbalance_ratio=args.tau
-    )
-    return spec.counts()
+    with _blame("--n-max/--tau"):
+        return SyntheticDatasetSpec(args.K, 1, args.n_max, args.tau).counts()  # input_dim unused
 
 
 def _parse_minor_classes(args, counts):
@@ -132,30 +153,29 @@ def _parse_minor_classes(args, counts):
     if any(not 0 <= k < args.K for k in minor):
         raise ConfigError(f"--minor-classes entries must lie in [0, {args.K}), got {minor}")
     if len(minor) < 2 or len(set(minor)) != len(minor):
-        raise ConfigError(f"the minority probe needs at least two distinct classes, got {minor}")
+        raise ConfigError(f"--minor-classes needs at least two distinct classes, got {minor}")
     return minor
 
 
 def cmd_peeled(args):
-    _check_flags(args, positive=("gamma", "e_h", "e_w"), nonnegative=("steps", "stop_tol"))
-    out = _out_dir(args.out)
+    _check_flags(args, positive=("d", "gamma", "e_h", "e_w"), nonnegative=("steps", "stop_tol"))
+    if args.init_at_optimum and args.mode != "dlpm":
+        raise ConfigError("--init-at-optimum needs dlpm mode")
     counts = _parse_counts(args)
     minor = _parse_minor_classes(args, counts) if args.mode == "lpm" else None
     if args.mode == "dlpm":
-        frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
-        clf = uniform_classifier(frame, args.e_w)
-        problem = lp.dlpm_problem(clf, counts, args.e_h)
+        with _blame("--d/--K"):
+            frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
+        problem = lp.dlpm_problem(uniform_classifier(frame, args.e_w), counts, args.e_h)
     else:
         problem = lp.lpm_problem(
             args.d, args.K, counts, args.e_h, args.e_w, derive_seed(args.seed, "classifier")
         )
     if args.init_at_optimum:
-        if args.mode != "dlpm":
-            raise ConfigError("--init-at-optimum needs dlpm mode")
-        h_star = lp.analytic_optimum(problem.classifier, args.e_h)
-        problem.features = h_star[:, problem.labels].T.copy()
+        problem.features = lp.analytic_optimum(problem.classifier, args.e_h)[:, problem.labels].T
     else:
         problem = lp.init_features(problem, derive_seed(args.seed, "features"))
+    out = _out_dir(args.out)
 
     config = dict(_flags(args), counts_resolved=[int(c) for c in counts])
     traj = lp.optimize(
@@ -234,8 +254,8 @@ def cmd_regularity(args):
         raise ConfigError(f"--gammas entries must be finite, got {args.gammas!r}")
     if not set(losses) <= {"ce", "dr"}:
         raise ConfigError(f"--losses entries must be 'ce' or 'dr', got {args.losses!r}")
-    out = _out_dir(args.out)
-    frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
+    with _blame("--d/--K"):
+        frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
     clf = uniform_classifier(frame, args.e_w)
 
     # clf.e_w is sqrt(--e-w)**2, which can differ from --e-w in the last ulp
@@ -245,6 +265,7 @@ def cmd_regularity(args):
         steps.append(("ce", "instance-optimal"))
     if not steps:
         raise ConfigError("no step to measure: --losses ce needs --gammas or --instance-optimal")
+    out = _out_dir(args.out)
     runs = [reg.run_regularity_sweep(clf, steps, delta, args.trials, args.seed, args.e_h)
             for delta in deltas]
     records = [r for run in runs for step_records in run for r in step_records]
@@ -366,17 +387,28 @@ def _check_config(cfg):
         for test, what in [kind, _RANGES[path]] if path in _RANGES else [kind]:
             if not test(node[key]):
                 raise ConfigError(f"config field '{path}' must be {what}, got {node[key]!r}")
-    K, d = cfg["dataset"]["num_classes"], {**_MODEL_DEFAULTS, **cfg.get("model", {})}["feature_dim"]
-    if d < K - 1:  # an ETF frame of K classes spans K-1 dimensions
-        raise ConfigError(f"config field 'model.feature_dim' must be >= "
-                          f"dataset.num_classes - 1 = {K - 1}, got {d}")
+    ds, model = cfg["dataset"], {**_MODEL_DEFAULTS, **cfg.get("model", {})}
+    K = ds["num_classes"]
+    for path, d in (("model.feature_dim", model["feature_dim"]),
+                    ("dataset.input_dim", K if "train_csv" in ds else ds["input_dim"])):
+        if d < K - 1:  # an ETF frame of K classes spans K-1 dimensions
+            raise ConfigError(f"config field '{path}' must be >= "
+                              f"dataset.num_classes - 1 = {K - 1}, got {d}")
 
 
-def _load_dataset(path, num_classes):
+def _load_dataset(path, num_classes, dim=None):
+    """One dataset CSV; it must hold a row of every class, and ``dim`` features if given."""
     try:
-        return tr.load_dataset_csv(path, num_classes)
+        with _blame("dataset file"):
+            data = tr.load_dataset_csv(path, num_classes)
     except OSError as e:
         raise ConfigError(f"cannot read dataset file {path}: {e.strerror}") from None
+    missing = np.flatnonzero(np.bincount(data.y, minlength=num_classes) == 0)
+    if missing.size:
+        raise ConfigError(f"dataset file {path} has no row of class {missing[0]}")
+    if dim not in (None, data.x.shape[1]):
+        raise ConfigError(f"dataset file {path} has {data.x.shape[1]} features, not {dim}")
+    return data
 
 
 def _bal_acc_by_regime(runs):
@@ -388,38 +420,34 @@ def _bal_acc_by_regime(runs):
 
 
 def cmd_train(args):
-    try:
-        with open(args.config) as f:
-            cfg = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {args.config} is not valid JSON: {e}")
-
+    cfg = _read_json(args.config, "config file")
     _check_config(cfg)
-    out = _out_dir(args.out)
-    ds_cfg, regimes, seeds = cfg["dataset"], cfg["regimes"], cfg["seeds"]
+    ds, regimes, seeds = cfg["dataset"], cfg["regimes"], cfg["seeds"]
     model_cfg = {**_MODEL_DEFAULTS, **cfg.get("model", {})}
     hidden, feature_dim = model_cfg["hidden_sizes"], model_cfg["feature_dim"]
     train_cfg = dict(cfg["train"], milestones=tuple(cfg["train"].get("milestones", ())))
+    with _blame("config block 'train'"):
+        configs = {(seed, regime): tr.regime_config(regime, seed=seed, **train_cfg)
+                   for seed in seeds for regime in regimes}
+    if "train_csv" in ds:  # an external dataset replaces the generator; read each file once
+        train_set = _load_dataset(ds["train_csv"], ds["num_classes"])
+        test_set = (_load_dataset(ds["test_csv"], ds["num_classes"], train_set.x.shape[1])
+                    if "test_csv" in ds else train_set)
+        datasets = dict.fromkeys(seeds, (train_set, test_set))
+    else:
+        with _blame("config block 'dataset'"):
+            datasets = {seed: tr.make_imbalanced_dataset(SyntheticDatasetSpec(
+                **dict(ds, seed=derive_seed(seed, "dataset")))) for seed in seeds}
+    out = _out_dir(args.out)
 
     summary = {"runs": [], "config_file": args.config}
     artifacts = []
     for seed in seeds:
-        if "train_csv" in ds_cfg:  # external dataset replaces the generator
-            train_set = _load_dataset(ds_cfg["train_csv"], ds_cfg["num_classes"])
-            test_set = _load_dataset(
-                ds_cfg.get("test_csv", ds_cfg["train_csv"]), ds_cfg["num_classes"]
-            )
-            input_dim = train_set.x.shape[1]
-        else:
-            spec = SyntheticDatasetSpec(**dict(ds_cfg, seed=derive_seed(seed, "dataset")))
-            train_set, test_set = tr.make_imbalanced_dataset(spec)
-            input_dim = spec.input_dim
+        train_set, test_set = datasets[seed]
         for regime in regimes:
-            config = tr.regime_config(regime, seed=seed, **train_cfg)
+            config = configs[seed, regime]
             model = tr.MlpBackbone.init(
-                [input_dim, *hidden, feature_dim], derive_seed(seed, f"model:{regime}")
+                [train_set.x.shape[1], *hidden, feature_dim], derive_seed(seed, f"model:{regime}")
             )
             log = tr.train(model, train_set, test_set, config)
             name = f"trainlog_{regime}_seed{seed}.csv"
@@ -464,25 +492,13 @@ REPORT_METRICS = ("final_bal_acc", "final_loss",
                   "final_quarter_cos_ff_std", "final_quarter_cos_fc_std")
 
 
-def _read_run_json(run_dir, name):
-    path = f"{run_dir}/{name}"
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"run directory {run_dir} is missing {path}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path} is not valid JSON: {e}") from None
-
-
 def cmd_report(args):
-    out = _out_dir(args.out)
     if not args.runs:
         raise ConfigError("no run directories given")
     rows = []
     for run_dir in args.runs:
-        manifest = _read_run_json(run_dir, "manifest.json")
-        run_summary = _read_run_json(run_dir, "summary.json")
+        manifest = _read_json(f"{run_dir}/manifest.json", "run file")
+        run_summary = _read_json(f"{run_dir}/summary.json", "run file")
         if manifest.get("command") != "train":
             raise ConfigError(f"{run_dir} is not a train run (command={manifest.get('command')!r})")
         runs = run_summary.get("runs") if isinstance(run_summary, dict) else None
@@ -498,6 +514,7 @@ def cmd_report(args):
             if not all(isinstance(run[k], (int, float)) for k in REPORT_METRICS):
                 raise ConfigError(f"{run_dir}/summary.json: run {i} has a non-numeric metric")
             rows.append((run_dir, run))
+    out = _out_dir(args.out)
     by_regime = _bal_acc_by_regime(run for _, run in rows)
     write_csv(
         f"{out}/report_summary.csv",
@@ -597,9 +614,6 @@ def main(argv=None) -> int:
     except NumericDivergence as e:
         print(f"numeric divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

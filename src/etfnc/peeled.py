@@ -18,7 +18,7 @@ mode the classifier additionally takes a projected step against the
 The loop runs in fixed buffers: no (N, d) temporaries per DLPM step.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +39,10 @@ def project_ball(v: np.ndarray, E: float) -> np.ndarray:
     nsq = float(v @ v)
     if nsq <= E:
         return v
-    w = v * np.sqrt(E / nsq)
+    scale = np.sqrt(E / nsq)
+    if not scale > 0:  # |v|^2 overflowed or is NaN, or E / |v|^2 underflowed
+        raise NumericDivergence(f"squared norm {nsq} has no finite projection onto |x|^2 <= {E}")
+    w = v * scale
     while float(w @ w) > E:
         w = w * (1.0 - 4.0 * np.finfo(float).eps)
     return w
@@ -49,7 +52,10 @@ def _project_rows(X: np.ndarray, E: float) -> bool:
     """Project the rows of X onto the ball |x|^2 <= E in place; True if any row moved."""
     nsq = np.einsum("ij,ij->i", X, X)
     over = nsq > E
-    X *= np.sqrt(np.divide(E, nsq, out=np.ones_like(nsq), where=over))[:, None]  # x * 1.0 == x
+    scale = np.sqrt(np.divide(E, nsq, out=np.ones_like(nsq), where=over))  # x * 1.0 == x
+    if not scale.all() and np.isfinite(X).all():  # a row with an inf entry turns NaN instead
+        raise NumericDivergence("a squared row norm is out of range: no finite projection")
+    X *= scale[:, None]
     return bool(over.any())
 
 
@@ -59,21 +65,19 @@ class PeeledProblem:
 
     ``classifier`` is a FixedClassifier for the decoupled model (DLPM) or
     a learnable (d, K) matrix for the full LPM. Features are stored
-    class-major as an (N, d) array with per-sample labels, so the labels
-    must be ``np.repeat(np.arange(K), class_counts)``.
+    class-major as an (N, d) array: class k owns the rows of ``labels``
+    equal to k, one contiguous slice.
     """
 
     features: np.ndarray | None
-    labels: np.ndarray
     class_counts: np.ndarray
     classifier: object
     e_h: float
     e_w: float
 
-    def __post_init__(self):
-        class_major = np.repeat(np.arange(self.num_classes), self.class_counts)
-        if not np.array_equal(self.labels, class_major):
-            raise ValueError("labels must be class-major: np.repeat(np.arange(K), class_counts)")
+    @property
+    def labels(self) -> np.ndarray:
+        return np.repeat(np.arange(self.num_classes), self.class_counts)
 
     @property
     def is_fixed_classifier(self) -> bool:
@@ -104,8 +108,7 @@ def dlpm_problem(classifier: FixedClassifier, class_counts, e_h: float) -> Peele
     if np.any(class_counts < 1):
         raise ValueError("every class needs at least one sample")
     e_w = float(classifier.lengths[0] ** 2) if classifier.is_uniform() else float("nan")
-    labels = np.repeat(np.arange(len(class_counts)), class_counts)
-    return PeeledProblem(None, labels, class_counts, classifier, float(e_h), e_w)
+    return PeeledProblem(None, class_counts, classifier, float(e_h), e_w)
 
 
 def lpm_problem(d: int, K: int, class_counts, e_h: float, e_w: float, seed: int) -> PeeledProblem:
@@ -118,8 +121,7 @@ def lpm_problem(d: int, K: int, class_counts, e_h: float, e_w: float, seed: int)
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((d, K))
     W *= np.sqrt(e_w) / np.linalg.norm(W, axis=0, keepdims=True)
-    labels = np.repeat(np.arange(K), class_counts)
-    return PeeledProblem(None, labels, class_counts, W, float(e_h), float(e_w))
+    return PeeledProblem(None, class_counts, W, float(e_h), float(e_w))
 
 
 def init_features(problem: PeeledProblem, seed: int) -> PeeledProblem:
@@ -131,14 +133,7 @@ def init_features(problem: PeeledProblem, seed: int) -> PeeledProblem:
         h = rng.standard_normal(d)
         h *= np.sqrt(problem.e_h) / np.linalg.norm(h)
         rows.append(h)
-    return PeeledProblem(
-        np.vstack(rows),
-        problem.labels,
-        problem.class_counts,
-        problem.classifier,
-        problem.e_h,
-        problem.e_w,
-    )
+    return replace(problem, features=np.vstack(rows))
 
 
 def analytic_optimum(classifier: FixedClassifier, e_h: float) -> np.ndarray:
@@ -153,9 +148,7 @@ def analytic_optimum(classifier: FixedClassifier, e_h: float) -> np.ndarray:
 
 
 def _gap_targets(classifier: FixedClassifier, e_h: float) -> np.ndarray:
-    K = classifier.num_classes
-    scale = np.sqrt(e_h * classifier.e_w)
-    return scale * (K / (K - 1) * np.eye(K) - 1.0 / (K - 1))
+    return np.sqrt(e_h * classifier.e_w) * classifier.frame.gram_target()
 
 
 def optimality_gap(problem: PeeledProblem) -> float:
@@ -299,10 +292,7 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
             traj.stop_reason = stop_by
             break
 
-    final_classifier = problem.classifier if fixed else Wmat
-    traj.final = PeeledProblem(
-        X, labels, problem.class_counts, final_classifier, problem.e_h, problem.e_w
-    )
+    traj.final = replace(problem, features=X, classifier=problem.classifier if fixed else Wmat)
     return traj
 
 
@@ -327,8 +317,10 @@ def minority_collapse_probe(W: np.ndarray, minor_classes) -> MinorityProbe:
         raise ValueError("need at least two minor classes to compare")
     W = np.asarray(W, dtype=float)
     norms = np.linalg.norm(W[:, minor], axis=0)
-    if np.any(norms < 1e-300):
+    if not np.all(W[:, minor].any(axis=0)):
         raise ValueError("degenerate zero-norm classifier column among minor classes")
+    if np.any(norms < 1e-300):
+        raise NumericDivergence("the squared entries of a minor-class column underflow to zero")
     cols = W[:, minor] / norms
     pairs = []
     for a in range(len(minor)):

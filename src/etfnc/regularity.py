@@ -130,6 +130,8 @@ def run_regularity_sweep(
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         c, h_star, h0 = _sample_start(classifier, delta, e_h, rng)
+        if not 0 < np.linalg.norm(h0) < np.inf:  # rescaling |h* + delta u| over- or underflowed
+            raise NumericDivergence(f"start of trial {t} at delta={delta:g} left the sphere")
         dist0 = np.linalg.norm(h0 - h_star)
         if dist0 < DIST_GUARD:
             continue

@@ -119,14 +119,12 @@ def _normalize_rows_vjp(F: np.ndarray, norms: np.ndarray, G: np.ndarray, e_h: fl
     return (np.sqrt(e_h) / norms) * (G - np.sum(h_hat * G, axis=1, keepdims=True) * h_hat)
 
 
-def class_weights(counts, total: int = None, num_classes: int = None) -> np.ndarray:
-    """Per-class lengths/weights N / (K n_k); N and K default to the counts'."""
+def class_weights(counts) -> np.ndarray:
+    """Per-class lengths/weights N / (K n_k) of K classes with N samples in all."""
     counts = np.asarray(counts, dtype=float)
     if np.any(counts <= 0):
         raise ValueError("class counts must be positive")
-    N = counts.sum() if total is None else float(total)
-    K = len(counts) if num_classes is None else int(num_classes)
-    return N / (K * counts)
+    return counts.sum() / (len(counts) * counts)
 
 
 # --- synthetic data ---------------------------------------------------------
@@ -153,7 +151,8 @@ class SyntheticDatasetSpec:
         exponents = np.arange(K) / (K - 1) if K > 1 else np.zeros(1)
         n = np.rint(self.n_max * self.imbalance_ratio**exponents).astype(int)
         if np.any(n < 1):
-            raise ValueError("imbalance profile rounds a class count to zero")
+            raise ValueError(f"n_max={self.n_max} and imbalance_ratio={self.imbalance_ratio} "
+                             "round a class count to zero")
         return n
 
 
@@ -238,6 +237,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
+        ms = self.milestones
+        if any(b <= a for a, b in zip(ms, ms[1:])) or ms and ms[-1] >= self.epochs:
+            raise ValueError(f"milestones must be strictly increasing and < epochs, got {list(ms)}")
 
     @property
     def fixed_etf(self) -> bool:
@@ -246,10 +248,7 @@ class TrainConfig:
 
     def resolved_milestones(self):
         if self.milestones:
-            ms = tuple(int(m) for m in self.milestones)
-            if any(b <= a for a, b in zip(ms, ms[1:])) or ms[-1] >= self.epochs:
-                raise ValueError("milestones must be strictly increasing and < epochs")
-            return ms
+            return tuple(int(m) for m in self.milestones)
         # default decay points at 80% and 90%, deduped for tiny epoch counts
         ms = {int(0.8 * self.epochs), int(0.9 * self.epochs)}
         return tuple(sorted(m for m in ms if 0 < m < self.epochs))
@@ -392,6 +391,9 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
         test_feats = _features_for_metrics(model, test_set.x, config)
         if not all(np.all(np.isfinite(a)) for a in (W, train_feats, test_feats)):
             raise NumericDivergence(f"parameters diverged at epoch {epoch}")
+        # one point up to rounding, or a spread too small to square (1e-154**2 is subnormal)
+        if np.ptp(train_feats, axis=0).max() <= max(1e-12 * np.abs(train_feats).max(), 1e-154):
+            raise NumericDivergence(f"train features collapsed to one point after epoch {epoch}")
         per_class_acc, bal_acc = balanced_accuracy(test_feats, test_set, W, config)
         log.records.append(
             EpochRecord(

@@ -399,6 +399,14 @@ class TestTrainCommand:
         assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
         assert f"cannot read dataset file {tmp_path / 'nope.csv'}" in capsys.readouterr().err
 
+    def test_csv_dataset_ignores_input_dim(self, tmp_path):
+        """The frame dimension check applies to the generator, not to a CSV's columns."""
+        data = tmp_path / "data.csv"
+        data.write_text("label,x0\n0,1.0\n1,2.0\n2,3.0\n")
+        dataset = {"num_classes": 3, "train_csv": str(data), "input_dim": 1}
+        cfg = write_train_config(tmp_path / "cfg.json", dataset=dataset, train={"epochs": 1})
+        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_OK
+
     def test_missing_config_file(self, tmp_path):
         assert run("train", "--config", tmp_path / "nope.json", "--out", tmp_path / "x") == EXIT_CONFIG
 
@@ -459,3 +467,112 @@ class TestReportCommand:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run("report", "--runs", empty, "--out", tmp_path / "x") == EXIT_CONFIG
+
+
+PEELED = ("peeled", "--mode", "dlpm", "--loss", "ce", "--K", 4, "--d", 6, "--steps", 5)
+
+
+class TestInputRefusedBeforeOutput:
+    """Bad input exits 2, names its flag, config key or file, and leaves no --out directory.
+
+    A repeated flag takes its last value, so the extra flags override the base run.
+    """
+
+    @pytest.mark.parametrize("argv,named", [
+        (("etf", "--d", 2, "--K", 4), "--d"),
+        (("etf", "--d", 3, "--K", 1), "--K"),
+        ((*PEELED, "--K", 1), "--K"),
+        ((*PEELED, "--d", 2), "--d"),
+        ((*PEELED, "--counts", "a,b,c,d"), "--counts"),
+        ((*PEELED, "--tau", 0), "--tau"),
+        ((*PEELED, "--tau", 2), "--tau"),
+        ((*PEELED, "--n-max", 0), "--n-max"),
+        ((*PEELED, "--n-max", 1, "--tau", 0.1), "--n-max"),
+        ((*PEELED, "--mode", "lpm", "--d", 0), "--d must be > 0"),
+        (("regularity", "--K", 1, "--d", 4, "--trials", 3), "--K"),
+        (("regularity", "--K", 4, "--d", 2, "--trials", 3), "--d"),
+    ])
+    def test_flags(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "x"
+        assert run(*argv, "--out", out) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block,value,named", [
+        ("train", {"epochs": 3, "milestones": [5]}, ("'train'", "milestones")),
+        ("train", {"epochs": 3, "milestones": [2, 1]}, ("'train'", "milestones")),
+        ("dataset", {"imbalance_ratio": 0}, ("'dataset'", "imbalance_ratio")),
+        ("dataset", {"imbalance_ratio": 2}, ("'dataset'", "imbalance_ratio")),
+        ("dataset", {"input_dim": 1}, ("'dataset.input_dim'",)),
+        ("dataset", {"n_max": 1, "imbalance_ratio": 0.1}, ("'dataset'", "n_max")),
+    ])
+    def test_train_config(self, tmp_path, capsys, block, value, named):
+        base = {"num_classes": 3, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25}
+        cfg = write_train_config(tmp_path / "cfg.json",
+                                 **{block: {**base, **value} if block == "dataset" else value})
+        out = tmp_path / "x"
+        assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,text,message", [
+        ("train_csv", "label,x0,x1\n0,1,2\n1,2,3\n0,3,4\n", "has no row of class 2"),
+        ("test_csv", "label,x0,x1\n0,1,2\n1,2,3\n0,3,4\n", "has no row of class 2"),
+        ("test_csv", "label,x0\n0,1\n1,2\n2,3\n", "has 1 features, not 2"),
+    ])
+    def test_dataset_files(self, tmp_path, capsys, key, text, message):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("label,x0,x1\n0,1,2\n1,2,3\n2,3,4\n0,1.5,2\n")
+        bad.write_text(text)
+        dataset = {"num_classes": 3, "train_csv": str(good), key: str(bad)}
+        cfg = write_train_config(tmp_path / "cfg.json", dataset=dataset,
+                                 model={"hidden_sizes": [4], "feature_dim": 3})
+        out = tmp_path / "x"
+        assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
+        assert f"dataset file {bad} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNumericBreakdownDiverges:
+    """A number out of floating-point range mid-run exits 3 where it happens."""
+
+    @pytest.mark.parametrize("argv,message", [
+        # |h|^2 overflows, so sqrt(E/|h|^2) is 0: the projection would zero the features
+        (("--mode", "dlpm", "--loss", "dr", "--gamma", "1e300"), "no finite projection"),
+        (("--mode", "lpm", "--loss", "ce", "--gamma", "1e300"), "no finite projection"),
+        # E_W/|w|^2 underflows to 0: the projection would zero every column
+        (("--mode", "lpm", "--loss", "ce", "--gamma", "1e-8", "--e-h", "1e150", "--e-w", "1e-300"),
+         "no finite projection"),
+        # a subnormal E_W: the norms of the probed columns underflow
+        (("--mode", "lpm", "--loss", "ce", "--e-w", "5e-324"), "column underflow"),
+    ])
+    def test_peeled(self, tmp_path, capsys, argv, message):
+        code = run("peeled", "--K", 4, "--d", 6, "--counts", "5,3,2,1", "--steps", 20, *argv,
+                   "--out", tmp_path / "x")
+        assert code == EXIT_DIVERGED
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--deltas", "1e300"), "start of trial 0 at delta=1e+300 left the sphere"),
+        (("--e-h", "5e-324"), "left the sphere"),
+    ])
+    def test_regularity_start(self, tmp_path, capsys, argv, message):
+        code = run("regularity", "--K", 4, "--d", 6, "--trials", 5, *argv, "--out", tmp_path / "x")
+        assert code == EXIT_DIVERGED
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("regime,e_h",
+                             [("etf-dr", 1e300), ("etf-dr", 5e-324), ("etf-ce", 5e-324)])
+    def test_train_features_collapse(self, tmp_path, capsys, regime, e_h):
+        """Dead units after a blown-up first epoch, or features too small to square."""
+        cfg = write_train_config(
+            tmp_path / "cfg.json",
+            dataset={"num_classes": 3, "input_dim": 4, "n_max": 12, "imbalance_ratio": 0.5},
+            model={"hidden_sizes": [4], "feature_dim": 3},
+            train={"epochs": 2, "batch_size": 8, "e_h": e_h},
+            regimes=[regime],
+        )
+        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_DIVERGED
+        assert "train features collapsed to one point after epoch 0" in capsys.readouterr().err

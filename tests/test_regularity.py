@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etfnc.etf import generate_etf, uniform_classifier
-from etfnc.losses import ce_grad_feature, dr_grad
+from etfnc.losses import NumericDivergence, ce_grad_feature, dr_grad
 from etfnc.peeled import project_ball
 from etfnc.regularity import (
     DIST_GUARD,
@@ -241,6 +241,12 @@ class TestSweep:
     def test_excluded_trials_drop_from_every_step(self):
         clf = make_classifier()
         assert run_regularity_sweep(clf, STEPS, 0.0, 5, 0) == [[] for _ in STEPS]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_start_diverges(self):
+        """|h* + delta u| overflows, so the start would rescale to 0 and its cosine to NaN."""
+        with pytest.raises(NumericDivergence, match="start of trial 0 at delta=1e\\+300"):
+            run_regularity_sweep(make_classifier(), STEPS, 1e300, 5, 0)
 
     def test_bad_step_rejected_before_trials(self):
         clf = make_classifier()

@@ -195,10 +195,10 @@ class TestClassWeights:
 
     def test_inverse_scaling(self):
         # with N and K held fixed, doubling n_k halves weight k
-        w1 = class_weights([10, 30], total=40, num_classes=2)
-        w2 = class_weights([20, 30], total=40, num_classes=2)
+        w1 = class_weights([10, 30, 20])
+        w2 = class_weights([20, 20, 20])
         np.testing.assert_allclose(w1[0] / w2[0], 2.0)
-        np.testing.assert_allclose(w1[1], w2[1])
+        np.testing.assert_allclose(w1[2], w2[2])
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
@@ -251,6 +251,11 @@ class TestTrain:
             regime_config(regime, epochs=2, seed=0)
         with pytest.raises(ValueError, match=f"unknown regime '{regime}'"):
             TrainConfig(epochs=2, regime=regime)
+
+    @pytest.mark.parametrize("milestones", [(5,), (3,), (2, 1), (1, 1)])
+    def test_bad_milestones_rejected_at_construction(self, milestones):
+        with pytest.raises(ValueError, match="milestones must be strictly increasing and < epochs"):
+            TrainConfig(epochs=3, milestones=milestones)
 
     def test_balanced_regimes_comparable(self):
         """At tau = 1 the two headline regimes land within 2 points of each
