@@ -13,8 +13,11 @@ inputs reproduces every CSV/JSON payload byte for byte (wall-clock time
 appears only in the manifest). Seeds fan out per component via
 serialize.derive_seed. Exit codes: 0 ok, 2 bad config/flags, 3 numeric
 divergence, 4 a verification/acceptance check failed, 1 a bug (traceback).
+This module parses argv and JSON and checks types; range rules and verdicts
+live in the library (TrainConfig, the peeled problem builders, check_sweep).
 Inputs are built before the output directory; a ValueError raised while
 building them becomes a ConfigError naming the flag, config block or file.
+A negative number in exponent form needs --flag=value (--gamma=-1e+300).
 """
 
 import argparse
@@ -134,22 +137,18 @@ def cmd_etf(args):
 def _parse_counts(args):
     if args.counts:
         with _blame("--counts"):
-            counts = np.array([int(v) for v in args.counts.split(",")])
-        if len(counts) != args.K:
-            raise ConfigError(f"--counts has {len(counts)} entries, expected K={args.K}")
-        if np.any(counts < 1):
-            raise ConfigError("--counts entries must be >= 1")
-        return counts
+            return np.array([int(v) for v in args.counts.split(",")])
     with _blame("--n-max/--tau"):
         return SyntheticDatasetSpec(args.K, 1, args.n_max, args.tau).counts()  # input_dim unused
 
 
 def _parse_minor_classes(args, counts):
-    """The probed classes: --minor-classes, or else the K//2 smallest classes."""
+    """The probed classes: --minor-classes, or else the max(2, K//2) smallest classes."""
     if args.minor_classes:
-        minor = [int(v) for v in args.minor_classes.split(",")]
+        with _blame("--minor-classes"):
+            minor = [int(v) for v in args.minor_classes.split(",")]
     else:
-        minor = sorted(np.argsort(counts, kind="stable")[: args.K // 2].tolist())
+        minor = sorted(np.argsort(counts, kind="stable")[: max(2, args.K // 2)].tolist())
     if any(not 0 <= k < args.K for k in minor):
         raise ConfigError(f"--minor-classes entries must lie in [0, {args.K}), got {minor}")
     if len(minor) < 2 or len(set(minor)) != len(minor):
@@ -162,31 +161,32 @@ def cmd_peeled(args):
     if args.init_at_optimum and args.mode != "dlpm":
         raise ConfigError("--init-at-optimum needs dlpm mode")
     counts = _parse_counts(args)
-    minor = _parse_minor_classes(args, counts) if args.mode == "lpm" else None
     if args.mode == "dlpm":
         with _blame("--d/--K"):
             frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
-        problem = lp.dlpm_problem(uniform_classifier(frame, args.e_w), counts, args.e_h)
-    else:
-        problem = lp.lpm_problem(
-            args.d, args.K, counts, args.e_h, args.e_w, derive_seed(args.seed, "classifier")
-        )
+    with _blame("--K/--counts"):
+        if args.mode == "dlpm":
+            problem = lp.dlpm_problem(uniform_classifier(frame, args.e_w), counts, args.e_h)
+        else:
+            problem = lp.lpm_problem(
+                args.d, args.K, counts, args.e_h, args.e_w, derive_seed(args.seed, "classifier")
+            )
+    minor = _parse_minor_classes(args, counts) if args.mode == "lpm" else None
     if args.init_at_optimum:
         problem.features = lp.analytic_optimum(problem.classifier, args.e_h)[:, problem.labels].T
     else:
         problem = lp.init_features(problem, derive_seed(args.seed, "features"))
-    out = _out_dir(args.out)
 
-    config = dict(_flags(args), counts_resolved=[int(c) for c in counts])
     traj = lp.optimize(
         problem,
         args.loss,
         lp.OptimizerConfig(step_size=args.gamma, max_steps=args.steps, stop_tol=args.stop_tol),
     )
+    final = traj.final
+    probe = lp.minority_collapse_probe(final.classifier, minor) if args.mode == "lpm" else None
+    out = _out_dir(args.out)  # only a run that got through leaves --out behind
     header, rows = traj.csv_rows()
     write_csv(f"{out}/trajectory.csv", header, rows)
-
-    final = traj.final
     state = {
         "mode": args.mode,
         "loss": args.loss,
@@ -207,8 +207,7 @@ def cmd_peeled(args):
     write_json(f"{out}/final_state.json", state)
 
     artifacts = ["trajectory.csv", "final_state.json"]
-    if args.mode == "lpm":
-        probe = lp.minority_collapse_probe(final.classifier, minor)
+    if probe is not None:
         write_csv(
             f"{out}/probe.csv",
             ["class_i", "class_j", "cosine"],
@@ -229,6 +228,7 @@ def cmd_peeled(args):
             f"peeled dlpm: {traj.stop_reason} after {traj.records[-1].step} steps, "
             f"final gap {traj.records[-1].gap:.3e}"
         )
+    config = dict(_flags(args), counts_resolved=[int(c) for c in counts])
     _write_manifest(out, "peeled", config, artifacts, args.label)
     return EXIT_OK
 
@@ -265,46 +265,23 @@ def cmd_regularity(args):
         steps.append(("ce", "instance-optimal"))
     if not steps:
         raise ConfigError("no step to measure: --losses ce needs --gammas or --instance-optimal")
-    out = _out_dir(args.out)
     runs = [reg.run_regularity_sweep(clf, steps, delta, args.trials, args.seed, args.e_h)
             for delta in deltas]
+    verdict, passed = (reg.check_sweep(steps, deltas, runs) if args.trials
+                       else ({"status": "no-data"}, True))
+    out = _out_dir(args.out)  # only a run that got through leaves --out behind
     records = [r for run in runs for step_records in run for r in step_records]
     header, rows = reg.records_csv(records)
     write_csv(f"{out}/records.csv", header, rows)
-
     summary = {"trials": args.trials, "K": args.K, "d": args.d,
-               "e_h": args.e_h, "e_w": args.e_w}
-    failed = False
-    if args.trials == 0:
-        summary["status"] = "no-data"
-    else:
-        dr_records = [r for r in records if r.loss_kind == "dr"]
-        if dr_records:
-            worst = max(r.ratio - r.bound for r in dr_records)
-            summary["dr_bound"] = {
-                "max_ratio_minus_bound": worst,
-                "passed": worst <= 1e-9,
-                "max_sphere_dev": max(r.sphere_dev for r in dr_records),
-                "min_cos_after": min(r.cos_after for r in dr_records),
-            }
-            failed |= worst > 1e-9
-        dom = reg.pair_dominance(steps, deltas, runs)
-        if dom is not None:
-            summary["paired_dominance"] = dom
-            for cfg in dom["configs"]:
-                frac = cfg.get("raw_dominance_frac")
-                if frac is not None and (
-                    frac < 0.99 or cfg["mean_ce_raw"] < cfg["mean_dr_raw"]
-                ):
-                    failed = True
+               "e_h": args.e_h, "e_w": args.e_w, **verdict}
     write_json(f"{out}/summary.json", summary)
     _write_manifest(out, "regularity", _flags(args), ["records.csv", "summary.json"], args.label)
-    if args.trials and not records:
-        print(f"regularity: no records: all {args.trials * len(deltas)} trials started within "
-              f"{reg.DIST_GUARD:g} of the optimum and were excluded", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    if failed:
-        print("regularity: bound or dominance check FAILED", file=sys.stderr)
+    if not passed:
+        why = (f"no records: all {args.trials * len(deltas)} trials started within "
+               f"{reg.DIST_GUARD:g} of the optimum and were excluded" if not records
+               else "bound or dominance check FAILED")
+        print(f"regularity: {why}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     print(f"regularity: ok ({len(records)} records)")
     return EXIT_OK
@@ -344,10 +321,6 @@ _BLOCKS = {
               "feature_dim": _KINDS[int]},
     "train": _schema(tr.TrainConfig, "regime", "seed"),
 }
-#: range checks that follow the type check
-_RANGES = {"dataset.num_classes": (lambda v: v >= 2, ">= 2"),
-           "train.momentum": (lambda v: 0 <= v < 1, "in [0, 1)"),
-           **dict.fromkeys(["train.e_h", "train.step_size"], (lambda v: v > 0, "> 0"))}
 #: what ``model`` holds when the config leaves a key out
 _MODEL_DEFAULTS = {"hidden_sizes": [64], "feature_dim": 16}
 _TOP = {
@@ -381,14 +354,15 @@ def _check_config(cfg):
     if "test_csv" in cfg.get("dataset", {}) and "train_csv" not in cfg["dataset"]:
         raise ConfigError("config field 'dataset.test_csv' needs 'dataset.train_csv'")
     checks += [(key, cfg, key, check) for key, check in _TOP.items()]
-    for path, node, key, kind in checks:
+    for path, node, key, (test, what) in checks:
         if key not in node:
             raise ConfigError(f"config is missing required field '{path}'")
-        for test, what in [kind, _RANGES[path]] if path in _RANGES else [kind]:
-            if not test(node[key]):
-                raise ConfigError(f"config field '{path}' must be {what}, got {node[key]!r}")
+        if not test(node[key]):
+            raise ConfigError(f"config field '{path}' must be {what}, got {node[key]!r}")
     ds, model = cfg["dataset"], {**_MODEL_DEFAULTS, **cfg.get("model", {})}
     K = ds["num_classes"]
+    if K < 2:
+        raise ConfigError(f"config field 'dataset.num_classes' must be >= 2, got {K}")
     for path, d in (("model.feature_dim", model["feature_dim"]),
                     ("dataset.input_dim", K if "train_csv" in ds else ds["input_dim"])):
         if d < K - 1:  # an ETF frame of K classes spans K-1 dimensions

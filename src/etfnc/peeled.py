@@ -102,22 +102,25 @@ class PeeledProblem:
         return int(self.class_counts.sum())
 
 
+def _class_counts(class_counts, K: int) -> np.ndarray:
+    class_counts = np.asarray(class_counts, dtype=int)
+    if len(class_counts) != K or np.any(class_counts < 1):
+        raise ValueError(f"class_counts must be K={K} integers >= 1, got {class_counts.tolist()}")
+    return class_counts
+
+
 def dlpm_problem(classifier: FixedClassifier, class_counts, e_h: float) -> PeeledProblem:
     """Decoupled LPM: fixed classifier, features to be initialized."""
-    class_counts = np.asarray(class_counts, dtype=int)
-    if np.any(class_counts < 1):
-        raise ValueError("every class needs at least one sample")
+    class_counts = _class_counts(class_counts, classifier.num_classes)
     e_w = float(classifier.lengths[0] ** 2) if classifier.is_uniform() else float("nan")
     return PeeledProblem(None, class_counts, classifier, float(e_h), e_w)
 
 
 def lpm_problem(d: int, K: int, class_counts, e_h: float, e_w: float, seed: int) -> PeeledProblem:
     """Full LPM: learnable classifier initialized uniformly on the sphere |w|^2 = E_W."""
-    class_counts = np.asarray(class_counts, dtype=int)
-    if len(class_counts) != K:
-        raise ValueError("class_counts must have K entries")
-    if np.any(class_counts < 1):
-        raise ValueError("every class needs at least one sample")
+    if K < 2:
+        raise ValueError(f"need at least K=2 classes, got K={K}")
+    class_counts = _class_counts(class_counts, K)
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((d, K))
     W *= np.sqrt(e_w) / np.linalg.norm(W, axis=0, keepdims=True)

@@ -22,7 +22,7 @@ holds for both.
 
 One pass over the trials per delta draws each start once and takes
 every (loss, gamma) step from it; the dominance summary pairs the
-records of that same pass.
+records of that same pass, and ``check_sweep`` judges both claims on it.
 """
 
 from dataclasses import dataclass, fields
@@ -172,6 +172,10 @@ def run_regularity_sweep(
 
 #: gate on check_offclass_uniformity for the CE-vs-DR dominance assertion
 UNIFORMITY_GATE = 1e-3
+#: slack on DR's projected ratio - (1 + cos) / 2
+BOUND_TOL = 1e-9
+#: least fraction of gated trials on which CE's raw ratio must reach DR's
+DOMINANCE_FRAC = 0.99
 
 
 def pair_dominance(steps, deltas, runs):
@@ -220,6 +224,30 @@ def pair_dominance(steps, deltas, runs):
                            note="no trials: every start was excluded at the optimum")
             out["configs"].append(cfg)
     return out
+
+
+def check_sweep(steps, deltas, runs):
+    """``(summary fields, passed)`` of a sweep; ``runs`` as for ``pair_dominance``.
+
+    It passes if it has records, every DR ratio - bound <= BOUND_TOL, and on every
+    gated config raw CE >= raw DR on >= DOMINANCE_FRAC of trials and in the mean.
+    """
+    records = [r for run in runs for step_records in run for r in step_records]
+    summary, passed = {}, bool(records)
+    dr = [r for r in records if r.loss_kind == "dr"]
+    if dr:
+        worst = max(r.ratio - r.bound for r in dr)
+        summary["dr_bound"] = {"max_ratio_minus_bound": worst, "passed": worst <= BOUND_TOL,
+                              "max_sphere_dev": max(r.sphere_dev for r in dr),
+                              "min_cos_after": min(r.cos_after for r in dr)}
+        passed &= worst <= BOUND_TOL
+    dom = pair_dominance(steps, deltas, runs)
+    if dom is not None:
+        summary["paired_dominance"] = dom
+        passed &= all(cfg["raw_dominance_frac"] >= DOMINANCE_FRAC
+                      and cfg["mean_ce_raw"] >= cfg["mean_dr_raw"]
+                      for cfg in dom["configs"] if cfg["raw_dominance_frac"] is not None)
+    return summary, passed
 
 
 def records_csv(records) -> tuple:

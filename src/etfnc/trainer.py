@@ -237,6 +237,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
+        for name, ok, rule in (("e_h", self.e_h > 0, "> 0"),
+                               ("step_size", self.step_size > 0, "> 0"),
+                               ("momentum", 0 <= self.momentum < 1, "in [0, 1)")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
         ms = self.milestones
         if any(b <= a for a, b in zip(ms, ms[1:])) or ms and ms[-1] >= self.epochs:
             raise ValueError(f"milestones must be strictly increasing and < epochs, got {list(ms)}")

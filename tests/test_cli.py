@@ -8,7 +8,7 @@ import pytest
 
 from etfnc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from etfnc.etf import generate_etf, uniform_classifier
-from etfnc.regularity import pair_dominance, run_regularity_sweep
+from etfnc.regularity import check_sweep, pair_dominance, run_regularity_sweep
 from etfnc.serialize import derive_seed
 
 
@@ -101,6 +101,7 @@ class TestPeeledCommand:
             ("2,7", "entries must lie in [0, 4)"),
             ("-1,2", "entries must lie in [0, 4)"),
             ("2,2", "at least two distinct classes"),
+            ("2,x", "--minor-classes: invalid literal for int()"),
         ],
     )
     def test_bad_minor_classes_rejected_before_run(self, tmp_path, capsys, minor, message):
@@ -112,6 +113,13 @@ class TestPeeledCommand:
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_lpm_default_probe_has_two_classes(self, tmp_path, K):
+        out = tmp_path / "run"
+        assert run("peeled", "--mode", "lpm", "--loss", "ce", "--K", K, "--d", 4, "--steps", 5,
+                   "--out", out) == EXIT_OK
+        assert len((out / "probe.csv").read_text().splitlines()) == 2  # header, one pair
 
     def test_counts_mismatch_exit_config(self, tmp_path):
         assert run(
@@ -135,6 +143,8 @@ class TestPeeledCommand:
         (("--steps", "-2"), "--steps must be >= 0, got -2"),
         (("--stop-tol", "nan"), "--stop-tol must be finite and >= 0, got nan"),
         (("--stop-tol", "inf"), "--stop-tol must be finite and >= 0, got inf"),
+        # argparse takes "-1e+300" for a flag; "--flag=value" passes it as a value
+        (("--gamma=-1e+300",), "--gamma must be finite and > 0, got -1e+300"),
     ])
     def test_bad_numeric_flags_rejected_before_run(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x"
@@ -228,11 +238,12 @@ class TestRegularityCommand:
         gammas = [float(g) for g in args["--gammas"].split(",")]
         deltas = [float(d) for d in args["--deltas"].split(",")]
         steps = [("dr", float(np.sqrt(1.0 / clf.e_w)))] + [("ce", g) for g in gammas]
-        expected = pair_dominance(
-            steps, deltas, [run_regularity_sweep(clf, steps, d, 30, 2) for d in deltas]
-        )
+        runs = [run_regularity_sweep(clf, steps, d, 30, 2) for d in deltas]
+        expected = pair_dominance(steps, deltas, runs)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["paired_dominance"] == json.loads(json.dumps(expected))
+        verdict = json.loads(json.dumps(check_sweep(steps, deltas, runs)[0]))
+        assert summary["dr_bound"] == verdict["dr_bound"]
         assert len(expected["configs"]) == len(gammas) * len(deltas)
 
     def test_dr_reference_rate(self, tmp_path):
@@ -351,13 +362,16 @@ class TestTrainCommand:
             ("seeds", [0.5], "'seeds' must be a list of integers >= 0, got [0.5]"),
             ("seeds", [-1], "'seeds' must be a list of integers >= 0, got [-1]"),
             ("regimes", "etf-dr", "'regimes' must be a list of regimes from learnable-ce"),
-            ("train", {"epochs": 1, "e_h": -1}, "'train.e_h' must be > 0, got -1"),
-            ("train", {"epochs": 1, "e_h": 0}, "'train.e_h' must be > 0, got 0"),
-            ("train", {"epochs": 1, "step_size": -0.1}, "'train.step_size' must be > 0, got -0.1"),
-            ("train", {"epochs": 1, "step_size": 0.0}, "'train.step_size' must be > 0, got 0.0"),
-            ("train", {"epochs": 1, "momentum": 1}, "'train.momentum' must be in [0, 1), got 1"),
+            ("train", {"epochs": 1, "e_h": -1}, "config block 'train': e_h must be > 0, got -1"),
+            ("train", {"epochs": 1, "e_h": 0}, "config block 'train': e_h must be > 0, got 0"),
+            ("train", {"epochs": 1, "step_size": -0.1},
+             "config block 'train': step_size must be > 0, got -0.1"),
+            ("train", {"epochs": 1, "step_size": 0.0},
+             "config block 'train': step_size must be > 0, got 0.0"),
+            ("train", {"epochs": 1, "momentum": 1},
+             "config block 'train': momentum must be in [0, 1), got 1"),
             ("train", {"epochs": 1, "momentum": -0.5},
-             "'train.momentum' must be in [0, 1), got -0.5"),
+             "config block 'train': momentum must be in [0, 1), got -0.5"),
             ("dataset", {"num_classes": 1, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25},
              "'dataset.num_classes' must be >= 2, got 1"),
             ("model", {"hidden_sizes": [8], "feature_dim": 1},
@@ -491,6 +505,7 @@ class TestInputRefusedBeforeOutput:
         ((*PEELED, "--mode", "lpm", "--d", 0), "--d must be > 0"),
         (("regularity", "--K", 1, "--d", 4, "--trials", 3), "--K"),
         (("regularity", "--K", 4, "--d", 2, "--trials", 3), "--d"),
+        ((*PEELED, "--mode", "lpm", "--K", 1), "--K"),
     ])
     def test_flags(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
@@ -553,6 +568,7 @@ class TestNumericBreakdownDiverges:
                    "--out", tmp_path / "x")
         assert code == EXIT_DIVERGED
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv,message", [
         (("--deltas", "1e300"), "start of trial 0 at delta=1e+300 left the sphere"),
@@ -562,6 +578,7 @@ class TestNumericBreakdownDiverges:
         code = run("regularity", "--K", 4, "--d", 6, "--trials", 5, *argv, "--out", tmp_path / "x")
         assert code == EXIT_DIVERGED
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("regime,e_h",
                              [("etf-dr", 1e300), ("etf-dr", 5e-324), ("etf-ce", 5e-324)])

@@ -89,6 +89,24 @@ class TestInitFeatures:
         assert np.array_equal(a.features, b.features)
 
 
+class TestProblemCounts:
+    @pytest.mark.parametrize("counts", [[2, 2], [2, 2, 2, 2, 2], [3, 0, 2, 1], [3, -1, 2, 1]])
+    def test_dlpm_needs_one_count_per_class(self, counts):
+        clf = uniform_classifier(generate_etf(6, 4, 0), 1.0)
+        with pytest.raises(ValueError, match=r"class_counts must be K=4 integers >= 1"):
+            dlpm_problem(clf, counts, 1.0)
+
+    @pytest.mark.parametrize("counts", [[2, 2], [2, 0, 2]])
+    def test_lpm_needs_one_count_per_class(self, counts):
+        with pytest.raises(ValueError, match=r"class_counts must be K=3 integers >= 1"):
+            lpm_problem(5, 3, counts, 1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("K", [1, 0])
+    def test_lpm_needs_two_classes(self, K):
+        with pytest.raises(ValueError, match=f"need at least K=2 classes, got K={K}"):
+            lpm_problem(5, K, [4] * max(K, 1), 1.0, 1.0, 0)
+
+
 class TestAnalyticOptimum:
     def test_dot_products_k4(self):
         clf = uniform_classifier(generate_etf(3, 4, 1), 1.0)

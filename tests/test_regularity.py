@@ -1,6 +1,7 @@
 """One-step contraction ratios, the DR bound, and the CE/DR ordering."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from etfnc.etf import generate_etf, uniform_classifier
 from etfnc.losses import NumericDivergence, ce_grad_feature, dr_grad
 from etfnc.peeled import project_ball
 from etfnc.regularity import (
+    BOUND_TOL,
     DIST_GUARD,
+    DOMINANCE_FRAC,
     RegularityRecord,
     _sample_start,
     ce_instance_rate,
     check_offclass_uniformity,
+    check_sweep,
     dr_eta_bound,
     pair_dominance,
     run_regularity_sweep,
@@ -295,3 +299,65 @@ class TestPairDominance:
     def test_nothing_to_pair(self, steps):
         clf = make_classifier()
         assert pair_dominance(steps, [0.05], [run_regularity_sweep(clf, steps, 0.05, 5, 0)]) is None
+
+
+class TestCheckSweep:
+    """At delta 0.01 every one of the 100 trials passes the uniformity gate."""
+
+    STEPS = [("dr", 1.0), ("ce", 0.1)]
+
+    def sweep(self):
+        return run_regularity_sweep(make_classifier(), self.STEPS, 0.01, 100, 3)
+
+    def doctored(self, at, trials, **values):
+        """The sweep with ``values`` set on the records of step ``at`` for ``trials``."""
+        run = self.sweep()
+        run[at] = [replace(r, **values) if r.trial in trials else r for r in run[at]]
+        return check_sweep(self.STEPS, [0.01], [run])
+
+    def test_real_sweep_passes(self):
+        clf = make_classifier()
+        runs = [run_regularity_sweep(clf, self.STEPS, d, 100, 3) for d in (0.01, 0.05)]
+        fields, passed = check_sweep(self.STEPS, [0.01, 0.05], runs)
+        assert passed
+        assert fields["dr_bound"]["passed"]
+        assert fields["dr_bound"]["max_ratio_minus_bound"] <= BOUND_TOL
+        assert fields["paired_dominance"] == pair_dominance(self.STEPS, [0.01, 0.05], runs)
+        assert fields["paired_dominance"]["configs"][0]["gated_trials"] == 100
+
+    def test_sweep_without_records_fails(self):
+        fields, passed = check_sweep(self.STEPS, [0.01], [[[], []]])
+        assert not passed
+        assert "dr_bound" not in fields
+
+    def test_bound_at_tolerance_passes(self):
+        fields, passed = self.doctored(0, {7}, bound=0.0, ratio=BOUND_TOL)
+        assert passed
+        assert fields["dr_bound"]["max_ratio_minus_bound"] == BOUND_TOL
+
+    def test_bound_violation_fails(self):
+        fields, passed = self.doctored(0, {7}, bound=0.0, ratio=float(np.nextafter(BOUND_TOL, 1.0)))
+        assert not passed
+        assert fields["dr_bound"]["passed"] is False
+
+    def test_dominance_at_fraction_passes(self):
+        fields, passed = self.doctored(1, {4}, raw_ratio=0.0)
+        assert passed
+        assert fields["paired_dominance"]["configs"][0]["raw_dominance_frac"] == DOMINANCE_FRAC
+
+    def test_dominance_below_fraction_fails(self):
+        fields, passed = self.doctored(1, {4, 5}, raw_ratio=0.0)
+        assert not passed
+        assert fields["dr_bound"]["passed"]
+        cfg = fields["paired_dominance"]["configs"][0]
+        assert cfg["raw_dominance_frac"] < DOMINANCE_FRAC
+        assert cfg["mean_ce_raw"] >= cfg["mean_dr_raw"]
+
+    def test_mean_dominance_fails(self):
+        """One DR outlier keeps the fraction at DOMINANCE_FRAC but lifts DR's mean over CE's."""
+        fields, passed = self.doctored(0, {4}, raw_ratio=1e6)
+        assert not passed
+        assert fields["dr_bound"]["passed"]
+        cfg = fields["paired_dominance"]["configs"][0]
+        assert cfg["raw_dominance_frac"] == DOMINANCE_FRAC
+        assert cfg["mean_ce_raw"] < cfg["mean_dr_raw"]

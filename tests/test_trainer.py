@@ -257,6 +257,19 @@ class TestTrain:
         with pytest.raises(ValueError, match="milestones must be strictly increasing and < epochs"):
             TrainConfig(epochs=3, milestones=milestones)
 
+    @pytest.mark.parametrize("field,value,rule", [
+        ("e_h", -1.0, "> 0"), ("e_h", 0.0, "> 0"),
+        ("step_size", -0.1, "> 0"), ("step_size", 0.0, "> 0"),
+        ("momentum", -0.5, r"in \[0, 1\)"), ("momentum", 1, r"in \[0, 1\)"),
+        ("momentum", 1.5, r"in \[0, 1\)"),
+    ])
+    def test_bad_ranges_rejected_at_construction(self, field, value, rule):
+        message = f"{field} must be {rule}, got {value}"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(epochs=3, **{field: value})
+        with pytest.raises(ValueError, match=message):
+            regime_config("etf-dr", epochs=3, seed=0, **{field: value})
+
     def test_balanced_regimes_comparable(self):
         """At tau = 1 the two headline regimes land within 2 points of each
         other on mean balanced accuracy over 3 seeds (the table protocol)."""
