@@ -30,9 +30,10 @@ def class_and_global_means(batch: FeatureBatch):
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ValueError(f"class {int(empty[0])} has no samples")
-    means = np.zeros((batch.num_classes, batch.dim))
-    for k in range(batch.num_classes):
-        means[k] = batch.features[batch.labels == k].mean(axis=0)
+    # A stable sort keeps each class's rows in sample order, so each slice is a
+    # C-contiguous copy of features[labels == k], row for row: its mean rounds alike.
+    rows = batch.features[np.argsort(batch.labels, kind="stable")]
+    means = np.array([rows[e - n:e].mean(axis=0) for n, e in zip(counts, np.cumsum(counts))])
     return means, batch.features.mean(axis=0)
 
 

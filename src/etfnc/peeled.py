@@ -103,10 +103,10 @@ class PeeledProblem:
 
 
 def _class_counts(class_counts, K: int) -> np.ndarray:
-    class_counts = np.asarray(class_counts, dtype=int)
-    if len(class_counts) != K or np.any(class_counts < 1):
-        raise ValueError(f"class_counts must be K={K} integers >= 1, got {class_counts.tolist()}")
-    return class_counts
+    counts = np.asarray(class_counts)  # an object array if an int is past int64
+    if len(counts) != K or not np.all((counts >= 1) & (counts < 2**63)):
+        raise ValueError(f"class_counts must be K={K} integers >= 1 and < 2**63, got {counts.tolist()}")
+    return counts.astype(int)
 
 
 def dlpm_problem(classifier: FixedClassifier, class_counts, e_h: float) -> PeeledProblem:

@@ -53,29 +53,27 @@ class MlpBackbone:
         return self.weights[-1].shape[0]
 
     def forward(self, x: np.ndarray):
-        """Features for a (B, d_in) batch, plus the cache backward needs."""
+        """Features for a (B, d_in) batch, and the cache backward needs.
+
+        The cache lists the layer inputs: ``x``, then each hidden ReLU output.
+        Each layer is rectified in place in its fresh product array, never in ``x``.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.weights[0].shape[1]:
             raise ValueError(
                 f"input dim {x.shape[1]} != layer dim {self.weights[0].shape[1]}"
             )
-        inputs, masks = [], []
-        a = x
-        last = len(self.weights) - 1
+        inputs, a = [], x
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if l:  # rectify the hidden layer below; the last layer stays linear
+                np.multiply(a, a > 0, out=a)
             inputs.append(a)
-            z = a @ w.T + b
-            if l < last:
-                mask = z > 0
-                masks.append(mask)
-                a = z * mask
-            else:
-                a = z
-        return a, (inputs, masks)
+            a = a @ w.T
+            a += b
+        return a, inputs
 
-    def backward(self, cache, grad_feature: np.ndarray):
-        """Exact parameter gradients for the cached forward pass."""
-        inputs, masks = cache
+    def backward(self, inputs, grad_feature: np.ndarray):
+        """Exact parameter gradients for the forward pass that cached the layer ``inputs``."""
         if len(inputs) != len(self.weights):
             raise ValueError("cache does not match this model")
         g = np.atleast_2d(np.asarray(grad_feature, dtype=float))
@@ -85,7 +83,7 @@ class MlpBackbone:
             d_ws[l] = g.T @ inputs[l]
             d_bs[l] = g.sum(axis=0)
             if l > 0:
-                g = (g @ self.weights[l]) * masks[l - 1]
+                g = (g @ self.weights[l]) * (inputs[l] > 0)  # relu(z) > 0 exactly where z > 0
         return d_ws, d_bs
 
 
@@ -149,6 +147,8 @@ class SyntheticDatasetSpec:
             raise ValueError("imbalance_ratio must lie in (0, 1]")
         K = self.num_classes
         exponents = np.arange(K) / (K - 1) if K > 1 else np.zeros(1)
+        if self.n_max >= 2**53:  # n_k is rounded in float64, which holds integers exactly below 2**53
+            raise ValueError(f"n_max={self.n_max} is too large: it must be < 2**53")
         n = np.rint(self.n_max * self.imbalance_ratio**exponents).astype(int)
         if np.any(n < 1):
             raise ValueError(f"n_max={self.n_max} and imbalance_ratio={self.imbalance_ratio} "
@@ -430,7 +430,5 @@ def balanced_accuracy(feats, test_set: Dataset, W: np.ndarray, config: TrainConf
     if config is not None and config.fixed_etf:
         W = W / np.linalg.norm(W, axis=0, keepdims=True)
     pred = np.argmax(feats @ W, axis=1)
-    per_class = np.array(
-        [float(np.mean(pred[test_set.y == k] == k)) for k in range(test_set.num_classes)]
-    )
+    per_class = np.bincount(test_set.y[pred == test_set.y], minlength=test_set.num_classes) / counts
     return per_class, float(per_class.mean())

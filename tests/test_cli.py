@@ -506,6 +506,7 @@ class TestInputRefusedBeforeOutput:
         (("regularity", "--K", 1, "--d", 4, "--trials", 3), "--K"),
         (("regularity", "--K", 4, "--d", 2, "--trials", 3), "--d"),
         ((*PEELED, "--mode", "lpm", "--K", 1), "--K"),
+        ((*PEELED, "--counts", "99999999999999999999,1,1,1"), "--counts"),
     ])
     def test_flags(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
@@ -530,6 +531,18 @@ class TestInputRefusedBeforeOutput:
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # numpy warns when a cast to int64 wraps
+    def test_n_max_past_int64(self, tmp_path, capsys):
+        n_max = 99999999999999999999
+        cfg = write_train_config(tmp_path / "cfg.json", dataset={
+            "num_classes": 3, "input_dim": 6, "n_max": n_max, "imbalance_ratio": 0.25})
+        for argv, named in (((*PEELED, "--n-max", n_max), "--n-max/--tau"),
+                            (("train", "--config", cfg), "config block 'dataset'")):
+            out = tmp_path / "x"
+            assert run(*argv, "--out", out) == EXIT_CONFIG
+            assert f"{named}: n_max={n_max} is too large" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("key,text,message", [
         ("train_csv", "label,x0,x1\n0,1,2\n1,2,3\n0,3,4\n", "has no row of class 2"),

@@ -231,22 +231,53 @@ class TestReportInvariances:
         assert len(report.as_row()) == 8
 
 
+def reference_means(batch):
+    """class_and_global_means as one boolean-mask copy per class."""
+    means = np.zeros((batch.num_classes, batch.dim))
+    for k in range(batch.num_classes):
+        means[k] = batch.features[batch.labels == k].mean(axis=0)
+    return means, batch.features.mean(axis=0)
+
+
+@st.composite
+def labeled_features(draw):
+    """A batch of 1-6 classes, d in {1, 2, 3, 32}, 1-300 samples per class.
+
+    Labels come sorted or shuffled. Classes of one sample occur often,
+    and counts pass 128, where numpy's pairwise sum of a d == 1 column
+    splits its blocks.
+    """
+    K = draw(st.integers(1, 6))
+    d = draw(st.sampled_from([1, 2, 3, 32]))
+    counts = draw(st.lists(st.one_of(st.just(1), st.integers(1, 300)), min_size=K, max_size=K))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    labels = np.repeat(np.arange(K), counts)
+    if draw(st.booleans()):
+        labels = rng.permutation(labels)
+    feats = rng.standard_normal((labels.size, d)) * 10.0 ** rng.integers(-3, 4, (labels.size, 1))
+    return FeatureBatch(feats, labels, K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_features())
+def test_means_equal_mask_oracle_exactly(batch):
+    means, h_g = class_and_global_means(batch)
+    ref_means, ref_h_g = reference_means(batch)
+    assert means.shape == ref_means.shape
+    assert np.array_equal(means, ref_means)
+    assert np.array_equal(h_g, ref_h_g)
+
+
 def reference_report(batch, W):
     """nc_report as five separate helpers, each redoing the means pass."""
     K, W = batch.num_classes, np.asarray(W, dtype=float)
 
-    def means_pass():
-        means = np.zeros((K, batch.dim))
-        for k in range(K):
-            means[k] = batch.features[batch.labels == k].mean(axis=0)
-        return means, batch.features.mean(axis=0)
-
     def centered_means():
-        means, h_g = means_pass()
+        means, h_g = reference_means(batch)
         return means - h_g
 
     def within_class_trace():
-        means, _ = means_pass()
+        means, _ = reference_means(batch)
         dev = batch.features - means[batch.labels]
         return float(np.trace(dev.T @ dev / batch.size))
 
@@ -271,7 +302,7 @@ def reference_report(batch, W):
         return float(np.sum(diff * diff))
 
     def nc4_agreement():
-        means, _ = means_pass()
+        means, _ = reference_means(batch)
         pred_logit = np.argmax(batch.features @ W, axis=1)
         d2 = (
             np.sum(batch.features**2, axis=1, keepdims=True)

@@ -90,7 +90,8 @@ class TestInitFeatures:
 
 
 class TestProblemCounts:
-    @pytest.mark.parametrize("counts", [[2, 2], [2, 2, 2, 2, 2], [3, 0, 2, 1], [3, -1, 2, 1]])
+    @pytest.mark.parametrize("counts", [[2, 2], [2, 2, 2, 2, 2], [3, 0, 2, 1], [3, -1, 2, 1],
+                                        [10**20, 1, 1, 1], [1, -10**20, 1, 1]])
     def test_dlpm_needs_one_count_per_class(self, counts):
         clf = uniform_classifier(generate_etf(6, 4, 0), 1.0)
         with pytest.raises(ValueError, match=r"class_counts must be K=4 integers >= 1"):

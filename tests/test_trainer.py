@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_diff, rel_error
 from etfnc.losses import ce_loss, ce_terms, dr_loss, dr_terms
@@ -50,6 +52,17 @@ class TestDatasetSpec:
         with pytest.raises(ValueError):
             spec.counts()
 
+    @pytest.mark.filterwarnings("error")  # numpy warns when a cast to int64 wraps
+    @pytest.mark.parametrize("n_max", [2**53, 2**63, 10**20])
+    def test_n_max_too_large(self, n_max):
+        spec = SyntheticDatasetSpec(num_classes=3, input_dim=5, n_max=n_max, imbalance_ratio=1.0)
+        with pytest.raises(ValueError, match=f"n_max={n_max} is too large"):
+            spec.counts()
+
+    def test_n_max_below_2_53_exact(self):
+        spec = SyntheticDatasetSpec(num_classes=3, input_dim=5, n_max=2**53 - 1, imbalance_ratio=1.0)
+        assert spec.counts().tolist() == [2**53 - 1] * 3
+
     def test_dataset_deterministic_and_balanced_test(self):
         spec = SyntheticDatasetSpec(
             num_classes=3, input_dim=6, n_max=20, imbalance_ratio=0.5, seed=4, test_per_class=7
@@ -91,6 +104,36 @@ class TestDatasetSpec:
             load_dataset_csv(path)
 
 
+def reference_forward(model, x):
+    """MlpBackbone.forward with a fresh array per step: (features, layer inputs)."""
+    a, inputs = np.atleast_2d(np.asarray(x, dtype=float)), []
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        inputs.append(a)
+        z = a @ w.T + b
+        a = z * (z > 0) if l < last else z
+    return a, inputs
+
+
+def fd_and_analytic(model, x, target):
+    """Central differences and backward's gradient of 0.5 |forward(x) - target|^2."""
+    params = model.weights + model.biases
+
+    def loss_with(params_flat):
+        m = MlpBackbone([w.copy() for w in model.weights], [b.copy() for b in model.biases])
+        offset = 0
+        for a in m.weights + m.biases:
+            a[...] = params_flat[offset : offset + a.size].reshape(a.shape)
+            offset += a.size
+        f, _ = m.forward(x)
+        return 0.5 * float(np.sum((f - target) ** 2))
+
+    fd = central_diff(loss_with, np.concatenate([a.ravel() for a in params]), step=1e-5)
+    f, cache = model.forward(x)
+    d_ws, d_bs = model.backward(cache, f - target)
+    return np.concatenate([a.ravel() for a in d_ws + d_bs]), fd
+
+
 class TestForward:
     def test_zero_model_zero_feature(self):
         model = MlpBackbone([np.zeros((4, 3)), np.zeros((2, 4))], [np.zeros(4), np.zeros(2)])
@@ -120,6 +163,30 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(np.ones((2, 5)))
 
+    @pytest.mark.parametrize("sizes", [[4, 3], [4, 8, 3], [5, 16, 7, 3]])
+    def test_bits_equal_fresh_array_forward(self, rng, sizes):
+        model = MlpBackbone.init(sizes, seed=4)
+        for b in model.biases:
+            b[...] = rng.standard_normal(b.shape)
+        x = rng.standard_normal((50, sizes[0]))
+        f, inputs = model.forward(x)
+        ref_f, ref_inputs = reference_forward(model, x)
+        assert np.array_equal(f.view(np.int64), ref_f.view(np.int64))
+        assert len(inputs) == len(ref_inputs)
+        for a, ref in zip(inputs, ref_inputs):
+            assert np.array_equal(a.view(np.int64), ref.view(np.int64))
+        for hidden in inputs[1:]:
+            assert np.any((hidden == 0) & np.signbit(hidden))  # z < 0 rectifies to -0.0
+
+    @pytest.mark.parametrize("sizes", [[4, 3], [4, 4, 3], [4, 8, 3]])
+    def test_input_never_written(self, rng, sizes):
+        model = MlpBackbone.init(sizes, seed=5)
+        x = rng.standard_normal((6, 4))
+        for batch in (x, x[0], x[:, ::-1], np.asfortranarray(x)):
+            before = batch.copy()
+            model.forward(batch)
+            assert np.array_equal(batch.view(np.int64), before.view(np.int64))
+
 
 class TestBackward:
     def test_zero_grad_zero_params(self, rng):
@@ -130,25 +197,23 @@ class TestBackward:
 
     def test_finite_difference_full_model(self, rng):
         model = MlpBackbone.init([3, 4, 2], seed=2)
-        x = rng.standard_normal((5, 3))
-        target = rng.standard_normal((5, 2))
+        analytic, fd = fd_and_analytic(
+            model, rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+        )
+        assert rel_error(analytic, fd) < 1e-5
 
-        def loss_with(params_flat):
-            m = MlpBackbone.init([3, 4, 2], seed=2)
-            offset = 0
-            for arrs in (m.weights, m.biases):
-                for a in arrs:
-                    a[...] = params_flat[offset : offset + a.size].reshape(a.shape)
-                    offset += a.size
-            f, _ = m.forward(x)
-            return 0.5 * float(np.sum((f - target) ** 2))
-
-        flat = np.concatenate([a.ravel() for a in model.weights + model.biases])
-        fd = central_diff(loss_with, flat, step=1e-5)
+    def test_dead_unit_gets_exactly_zero_gradient(self, rng):
+        model = MlpBackbone.init([3, 4, 2], seed=2)
+        model.weights[0][1] = 0.0
+        model.biases[0][1] = -1.0  # unit 1's pre-activation is -1 on every row
+        x, target = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+        analytic, fd = fd_and_analytic(model, x, target)
+        assert rel_error(analytic, fd) < 1e-5
         f, cache = model.forward(x)
         d_ws, d_bs = model.backward(cache, f - target)
-        analytic = np.concatenate([a.ravel() for a in d_ws + d_bs])
-        assert rel_error(analytic, fd) < 1e-5
+        assert np.all(d_ws[0][1] == 0) and d_bs[0][1] == 0
+        assert np.all(d_ws[1][:, 1] == 0)
+        assert np.any(d_ws[0] != 0)
 
     def test_linearity_in_upstream_grad(self, rng):
         model = MlpBackbone.init([3, 6, 2], seed=3)
@@ -414,6 +479,33 @@ class TestEndToEndGradients:
         np.testing.assert_allclose(log.records[0].loss, objective(before), rtol=1e-12)
         fd = central_diff(objective, before, step=1e-6)
         assert rel_error((before - after) / config.step_size, fd) < 1e-6
+
+
+def reference_balanced_accuracy(feats, test_set, W, config=None):
+    """balanced_accuracy as the mean of each class's boolean hit array."""
+    if config is not None and config.fixed_etf:
+        W = W / np.linalg.norm(W, axis=0, keepdims=True)
+    pred = np.argmax(feats @ W, axis=1)
+    per_class = np.array(
+        [float(np.mean(pred[test_set.y == k] == k)) for k in range(test_set.num_classes)]
+    )
+    return per_class, float(per_class.mean())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 8), st.lists(st.integers(1, 40), min_size=6, max_size=6),
+       st.sampled_from(REGIMES), st.integers(0, 2**16))
+def test_balanced_accuracy_equals_per_class_oracle(K, d, counts, regime, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.repeat(np.arange(K), counts[:K]))
+    W = rng.standard_normal((d, K))
+    feats = rng.uniform(0, 3) * W[:, y].T + rng.standard_normal((y.size, d))
+    test = Dataset(feats, y, K)
+    config = regime_config(regime, epochs=1, seed=0)
+    per_class, bal = balanced_accuracy(feats, test, W, config)
+    ref_per_class, ref_bal = reference_balanced_accuracy(feats, test, W, config)
+    assert np.array_equal(per_class, ref_per_class)
+    assert bal == ref_bal
 
 
 class TestEvaluate:
