@@ -25,14 +25,11 @@ from .etf import (
 from .losses import (
     NumericDivergence,
     PullPush,
-    ce_grad_classifier,
     ce_grad_feature,
-    ce_loss,
     ce_terms,
     decompose_pull_push_classifier,
     decompose_pull_push_feature,
     dr_grad,
-    dr_loss,
     dr_terms,
     softmax_probs,
 )
@@ -64,7 +61,6 @@ from .trainer import (
     TrainLog,
     balanced_accuracy,
     class_weights,
-    feature_normalize,
     make_imbalanced_dataset,
     regime_config,
     train,

@@ -15,8 +15,9 @@ serialize.derive_seed. Exit codes: 0 ok, 2 bad config/flags, 3 numeric
 divergence, 4 a verification/acceptance check failed, 1 a bug (traceback).
 This module parses argv and JSON and checks types; range rules and verdicts
 live in the library (TrainConfig, the peeled problem builders, check_sweep).
-Inputs are built before the output directory; a ValueError raised while
-building them becomes a ConfigError naming the flag, config block or file.
+Inputs are built before the output directory; a ValueError or MemoryError
+raised while building them becomes a ConfigError naming the flag, config
+block or file.
 A negative number in exponent form needs --flag=value (--gamma=-1e+300).
 """
 
@@ -57,10 +58,14 @@ class ConfigError(Exception):
 
 @contextmanager
 def _blame(what):
-    """Re-raise a ValueError from building a run's inputs as a ConfigError naming ``what``."""
+    """Re-raise a ValueError or MemoryError from building a run's inputs as a ConfigError.
+
+    The message names ``what``. Inputs too large to allocate are refused at
+    once, before any output.
+    """
     try:
         yield
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         raise ConfigError(f"{what}: {e}") from None
 
 
@@ -172,10 +177,11 @@ def cmd_peeled(args):
                 args.d, args.K, counts, args.e_h, args.e_w, derive_seed(args.seed, "classifier")
             )
     minor = _parse_minor_classes(args, counts) if args.mode == "lpm" else None
-    if args.init_at_optimum:
-        problem.features = lp.analytic_optimum(problem.classifier, args.e_h)[:, problem.labels].T
-    else:
-        problem = lp.init_features(problem, derive_seed(args.seed, "features"))
+    with _blame("--K/--counts"):
+        if args.init_at_optimum:
+            problem.features = lp.analytic_optimum(problem.classifier, args.e_h)[:, problem.labels].T
+        else:
+            problem = lp.init_features(problem, derive_seed(args.seed, "features"))
 
     traj = lp.optimize(
         problem,

@@ -216,18 +216,3 @@ def frame_to_csv_text(frame: EtfFrame) -> str:
     for k in range(frame.num_classes):
         lines.append(",".join(fmt(x) for x in frame.columns[:, k]))
     return "\n".join(lines) + "\n"
-
-
-def frame_from_csv_text(text: str, rotation_seed: int = 0) -> EtfFrame:
-    cols = [
-        [float(x) for x in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    columns = np.asarray(cols, dtype=float).T
-    return EtfFrame(
-        dim=columns.shape[0],
-        num_classes=columns.shape[1],
-        columns=columns,
-        rotation_seed=rotation_seed,
-    )

@@ -81,18 +81,17 @@ def softmax_probs(h: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _softmax(h, W)[3]
 
 
-def ce_loss(h: np.ndarray, label: int, W: np.ndarray) -> float:
-    """-log p_label(h), evaluated through log-sum-exp."""
-    return float(ce_terms(h, label, W)[0])
+def _pull_push(p: np.ndarray, label: int, W: np.ndarray):
+    """(pull, push) of -dL_CE/dh from the softmax probabilities p = softmax_probs(h, W)."""
+    pull = (1.0 - p[label]) * W[:, label]
+    others = np.arange(W.shape[1]) != label
+    return pull, -(W[:, others] @ p[others])
 
 
 def decompose_pull_push_feature(h: np.ndarray, label: int, W: np.ndarray) -> PullPush:
     """Split -dL_CE/dh into pull = (1-p_c) w_c and push = -sum_{k!=c} p_k w_k."""
     W = np.asarray(W, dtype=float)
-    p = softmax_probs(h, W)
-    pull = (1.0 - p[label]) * W[:, label]
-    others = np.arange(W.shape[1]) != label
-    push = -(W[:, others] @ p[others])
+    pull, push = _pull_push(softmax_probs(h, W), label, W)
     return PullPush(pull=pull, push=push)
 
 
@@ -114,25 +113,14 @@ def decompose_pull_push_classifier(batch: FeatureBatch, W: np.ndarray, k: int) -
     return PullPush(pull=pull, push=push)
 
 
-def ce_grad_classifier(batch: FeatureBatch, W: np.ndarray, k: int) -> np.ndarray:
-    """dL_CE/dw_k over a batch (sum over samples, no 1/N)."""
-    return -decompose_pull_push_classifier(batch, W, k).neg_gradient()
-
-
 def _dr_target(classifier: FixedClassifier, c: int, e_h: float) -> float:
     # per-class length in both target and normalizer (class-weighted variant)
     return float(classifier.lengths[c] * np.sqrt(e_h))
 
 
-def dr_loss(h: np.ndarray, classifier: FixedClassifier, c: int, e_h: float) -> float:
-    """(w_c . h - sqrt(E_{w_c} E_H))^2 / (2 sqrt(E_{w_c} E_H))."""
-    t = _dr_target(classifier, c, e_h)
-    dot = float(np.asarray(h, dtype=float) @ classifier.scaled_columns[:, c])
-    return (dot - t) ** 2 / (2.0 * t)
-
-
 def dr_grad(h: np.ndarray, classifier: FixedClassifier, c: int, e_h: float) -> np.ndarray:
-    """Exact gradient of dr_loss: ((w_c . h)/t - 1) w_c with t = sqrt(E_{w_c} E_H).
+    """Exact gradient of the DR loss (w_c . h - t)^2 / (2t): ((w_c . h)/t - 1) w_c,
+    with t = sqrt(E_{w_c} E_H).
 
     On the sphere |h|^2 = E_H with uniform lengths this equals the cosine
     form -(1 - cos(h, w_c)) w_c; off the sphere the quadratic form is the

@@ -18,12 +18,16 @@ mode the classifier additionally takes a projected step against the
 The loop runs in fixed buffers: no (N, d) temporaries per DLPM step.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .etf import FixedClassifier
 from .losses import NumericDivergence, ce_terms, dr_terms
+
+#: shrink factor of project_ball's ulp nudge
+_NUDGE = 1.0 - 4.0 * np.finfo(float).eps
 
 
 def project_ball(v: np.ndarray, E: float) -> np.ndarray:
@@ -36,15 +40,15 @@ def project_ball(v: np.ndarray, E: float) -> np.ndarray:
     if E <= 0:
         raise ValueError("ball radius squared E must be positive")
     v = np.asarray(v, dtype=float)
-    nsq = float(v @ v)
+    nsq = float(v.dot(v))
     if nsq <= E:
         return v
-    scale = np.sqrt(E / nsq)
+    scale = math.sqrt(E / nsq)
     if not scale > 0:  # |v|^2 overflowed or is NaN, or E / |v|^2 underflowed
         raise NumericDivergence(f"squared norm {nsq} has no finite projection onto |x|^2 <= {E}")
     w = v * scale
-    while float(w @ w) > E:
-        w = w * (1.0 - 4.0 * np.finfo(float).eps)
+    while float(w.dot(w)) > E:
+        w = w * _NUDGE
     return w
 
 
@@ -106,6 +110,8 @@ def _class_counts(class_counts, K: int) -> np.ndarray:
     counts = np.asarray(class_counts)  # an object array if an int is past int64
     if len(counts) != K or not np.all((counts >= 1) & (counts < 2**63)):
         raise ValueError(f"class_counts must be K={K} integers >= 1 and < 2**63, got {counts.tolist()}")
+    if sum(counts.tolist()) >= 2**63:  # in Python ints: an int64 sum would wrap
+        raise ValueError(f"class_counts must total < 2**63, got {counts.tolist()}")
     return counts.astype(int)
 
 
@@ -130,13 +136,11 @@ def lpm_problem(d: int, K: int, class_counts, e_h: float, e_w: float, seed: int)
 def init_features(problem: PeeledProblem, seed: int) -> PeeledProblem:
     """Sample every feature uniformly on the sphere |h|^2 = E_H."""
     rng = np.random.default_rng(seed)
-    d = problem.dim
-    rows = []
-    for _ in range(problem.total):
-        h = rng.standard_normal(d)
+    features = np.empty((problem.total, problem.dim))
+    for h in features:  # one draw per row, in row order
+        rng.standard_normal(out=h)
         h *= np.sqrt(problem.e_h) / np.linalg.norm(h)
-        rows.append(h)
-    return replace(problem, features=np.vstack(rows))
+    return replace(problem, features=features)
 
 
 def analytic_optimum(classifier: FixedClassifier, e_h: float) -> np.ndarray:

@@ -25,13 +25,14 @@ every (loss, gamma) step from it; the dominance summary pairs the
 records of that same pass, and ``check_sweep`` judges both claims on it.
 """
 
+import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
 
 from .etf import FixedClassifier
-from .losses import NumericDivergence, ce_grad_feature, dr_grad, softmax_probs
+from .losses import NumericDivergence, _pull_push, dr_grad, softmax_probs
 from .peeled import project_ball
 
 #: trials closer to the optimum than this are flagged at-optimum, not ratios
@@ -51,8 +52,12 @@ def check_offclass_uniformity(h: np.ndarray, classifier: FixedClassifier, c: int
     Zero exactly when h is aligned with w*_c (ETF symmetry); the
     contraction comparison for CE assumes this holds approximately.
     """
-    p = softmax_probs(h, classifier.scaled_columns)
-    K = classifier.num_classes
+    return _offclass_dev(softmax_probs(h, classifier.scaled_columns), c)
+
+
+def _offclass_dev(p: np.ndarray, c: int) -> float:
+    """check_offclass_uniformity from the class probabilities p of h."""
+    K = len(p)
     resid = (1.0 - p[c]) / (K - 1)
     others = np.arange(K) != c
     return float(np.abs(p[others] - resid).max())
@@ -74,31 +79,41 @@ class RegularityRecord:
     cos_after: float
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a contiguous 1-D float vector, in its arithmetic (dot, sqrt).
+
+    It skips the checks that cost np.linalg.norm ~1.5 us a call. A strided
+    view may sum in another order in the dot, so never pass one.
+    """
+    return math.sqrt(v.dot(v))
+
+
+def _squared(x: float) -> np.float64:
+    """x ** 2 as numpy computes it: past ~1.3e154 it is inf, where float ** 2 raises OverflowError."""
+    return np.float64(x) ** 2
+
+
 def _sample_start(classifier: FixedClassifier, delta: float, e_h: float, rng):
     """Start point h* + delta * u (u tangent, unit), rescaled to the sphere."""
     K = classifier.num_classes
     c = int(rng.integers(K))
-    h_star = np.sqrt(e_h) * classifier.frame.columns[:, c]
+    root_e_h = np.sqrt(e_h)
+    h_star = root_e_h * classifier.frame.columns[:, c]
     u = rng.standard_normal(classifier.dim)
     u -= (u @ h_star) / e_h * h_star
-    u /= np.linalg.norm(u)
+    u /= _norm(u)
     h0 = h_star + delta * u
-    h0 *= np.sqrt(e_h) / np.linalg.norm(h0)
+    h0 *= root_e_h / _norm(h0)
     return c, h_star, h0
 
 
-def ce_instance_rate(classifier: FixedClassifier, h: np.ndarray, c: int, e_h: float) -> float:
+def ce_instance_rate(K: int, e_h: float, e_w: float, cos: float, p_c: float) -> float:
     """The per-instance CE rate that would match DR's bound.
 
-    gamma* = (K-1)/K * sqrt(E_H/E_W) * (1 - cos(h, w*_c)) / (1 - p_c); it
+    gamma* = (K-1)/K * sqrt(E_H/E_W) * (1 - cos(h, w*_c)) / (1 - p_c(h)); it
     depends on h, so it is not an admissible fixed learning rate.
     """
-    K = classifier.num_classes
-    e_w = classifier.e_w
-    w = classifier.scaled_columns[:, c]
-    cos = float(h @ w / (np.linalg.norm(h) * np.linalg.norm(w)))
-    p = softmax_probs(h, classifier.scaled_columns)
-    return (K - 1) / K * np.sqrt(e_h / e_w) * (1.0 - cos) / (1.0 - p[c])
+    return (K - 1) / K * math.sqrt(e_h / e_w) * (1.0 - cos) / (1.0 - p_c)
 
 
 def run_regularity_sweep(
@@ -126,45 +141,56 @@ def run_regularity_sweep(
     if not classifier.is_uniform():
         raise ValueError("regularity experiment needs a uniform-length classifier")
 
+    K, W, e_w = classifier.num_classes, classifier.scaled_columns, classifier.e_w
+    w_norms = [np.linalg.norm(W[:, k]) for k in range(K)]  # |w_c|: the columns are strided
+    kinds = [loss + ("-opt" if gamma == "instance-optimal" else "") for loss, gamma in steps]
     per_step = [[] for _ in steps]
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         c, h_star, h0 = _sample_start(classifier, delta, e_h, rng)
-        if not 0 < np.linalg.norm(h0) < np.inf:  # rescaling |h* + delta u| over- or underflowed
+        n0 = _norm(h0)
+        if not 0 < n0 < np.inf:  # rescaling |h* + delta u| over- or underflowed
             raise NumericDivergence(f"start of trial {t} at delta={delta:g} left the sphere")
-        dist0 = np.linalg.norm(h0 - h_star)
+        dist0 = _norm(h0 - h_star)
         if dist0 < DIST_GUARD:
             continue
-        w = classifier.scaled_columns[:, c]
+        dist0_sq = _squared(dist0)
+        w, w_norm = W[:, c], w_norms[c]
+        cos_raw = float(h0.dot(w) / (n0 * w_norm))
         # within ~1e-8 of h* the cosine can round to 1 + ulp
-        cos0 = min(float(h0 @ w / (np.linalg.norm(h0) * np.linalg.norm(w))), 1.0)
+        cos0 = min(cos_raw, 1.0)
         bound = dr_eta_bound(cos0)
-        uniformity_dev = check_offclass_uniformity(h0, classifier, c)
+        p = softmax_probs(h0, W)  # one softmax per trial: uniformity, CE gradient and rate
+        uniformity_dev = _offclass_dev(p, c)
         grads = {}
-        for records, (loss_kind, gamma) in zip(per_step, steps):
+        for records, kind, (loss_kind, gamma) in zip(per_step, kinds, steps):
             if loss_kind not in grads:
-                grads[loss_kind] = (ce_grad_feature(h0, c, classifier.scaled_columns)
-                                    if loss_kind == "ce" else dr_grad(h0, classifier, c, e_h))
-            instance_opt = gamma == "instance-optimal"
-            g = ce_instance_rate(classifier, h0, c, e_h) if instance_opt else float(gamma)
+                if loss_kind == "ce":
+                    pull, push = _pull_push(p, c, W)
+                    grads[loss_kind] = -(pull + push)
+                else:
+                    grads[loss_kind] = dr_grad(h0, classifier, c, e_h)
+            g = (ce_instance_rate(K, e_h, e_w, cos_raw, p[c]) if gamma == "instance-optimal"
+                 else float(gamma))
             pre = h0 - g * grads[loss_kind]
-            if not np.all(np.isfinite(pre)):
+            if not np.isfinite(pre).all():
                 raise NumericDivergence(f"non-finite step in trial {t}")
             h1 = project_ball(pre, e_h)
+            h1_sq = h1.dot(h1)
             records.append(
                 RegularityRecord(
                     trial=t,
-                    loss_kind=loss_kind + ("-opt" if instance_opt else ""),
+                    loss_kind=kind,
                     gamma=g,
                     delta=delta,
                     class_index=c,
                     cos_before=cos0,
-                    ratio=float(np.linalg.norm(h1 - h_star) ** 2 / dist0**2),
-                    raw_ratio=float(np.linalg.norm(pre - h_star) ** 2 / dist0**2),
+                    ratio=float(_squared(_norm(h1 - h_star)) / dist0_sq),
+                    raw_ratio=float(_squared(_norm(pre - h_star)) / dist0_sq),
                     bound=bound,
                     uniformity_dev=uniformity_dev,
-                    sphere_dev=float(abs(h1 @ h1 - e_h)),
-                    cos_after=float(h1 @ w / (np.linalg.norm(h1) * np.linalg.norm(w))),
+                    sphere_dev=float(abs(h1_sq - e_h)),
+                    cos_after=float(h1.dot(w) / (math.sqrt(h1_sq) * w_norm)),
                 )
             )
     return per_step

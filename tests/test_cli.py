@@ -507,6 +507,10 @@ class TestInputRefusedBeforeOutput:
         (("regularity", "--K", 4, "--d", 2, "--trials", 3), "--d"),
         ((*PEELED, "--mode", "lpm", "--K", 1), "--K"),
         ((*PEELED, "--counts", "99999999999999999999,1,1,1"), "--counts"),
+        ((*PEELED, "--counts", "9223372036854775807,1,1,1"),
+         "--K/--counts: class_counts must total < 2**63"),
+        # 10**13 rows of 6 floats: 437 TiB, past any address space, so numpy refuses at once
+        ((*PEELED, "--counts", "10000000000000,1,1,1"), "--K/--counts: Unable to allocate"),
     ])
     def test_flags(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
@@ -530,6 +534,21 @@ class TestInputRefusedBeforeOutput:
         assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("test_per_class,message", [
+        (10**20, "config block 'dataset': test_per_class=100000000000000000000 is too large"),
+        # 10**12 rows of 24 floats: 175 TiB, past any address space, so numpy refuses at once
+        (10**12, "config block 'dataset': Unable to allocate"),
+    ])
+    def test_test_per_class_too_large(self, tmp_path, capsys, test_per_class, message):
+        cfg = write_train_config(tmp_path / "cfg.json", dataset={
+            "num_classes": 3, "input_dim": 24, "n_max": 20, "imbalance_ratio": 0.25,
+            "test_per_class": test_per_class})
+        out = tmp_path / "x"
+        assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")  # numpy warns when a cast to int64 wraps

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etfnc.etf import (
-    frame_from_csv_text,
     frame_from_json_dict,
     frame_to_csv_text,
     frame_to_json_dict,
@@ -19,6 +18,7 @@ from etfnc.etf import (
     uniform_classifier,
     verify_etf,
 )
+from oracles import frame_from_csv_text
 
 
 class TestRandomSemiOrthogonal:

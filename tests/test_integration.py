@@ -6,7 +6,6 @@ from etfnc import (
     OptimizerConfig,
     analytic_optimum,
     dlpm_problem,
-    dr_loss,
     generate_etf,
     init_features,
     nc_report,
@@ -14,6 +13,7 @@ from etfnc import (
     uniform_classifier,
 )
 from etfnc.batches import FeatureBatch
+from oracles import dr_loss
 
 
 def run_dlpm(counts, seed=1, stop=1e-3):

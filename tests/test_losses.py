@@ -12,17 +12,15 @@ from etfnc.batches import FeatureBatch
 from etfnc.etf import generate_etf, scale_classifier, uniform_classifier
 from etfnc.losses import (
     NumericDivergence,
-    ce_grad_classifier,
     ce_grad_feature,
-    ce_loss,
     ce_terms,
     decompose_pull_push_classifier,
     decompose_pull_push_feature,
     dr_grad,
-    dr_loss,
     dr_terms,
     softmax_probs,
 )
+from oracles import ce_grad_classifier, ce_loss, dr_loss
 
 
 def etf_matrix(d, K, seed=1, e_w=1.0):

@@ -88,6 +88,21 @@ class TestInitFeatures:
         b = make_dlpm(seed=9)
         assert np.array_equal(a.features, b.features)
 
+    @pytest.mark.parametrize("d,counts,e_h", [(1, [1, 1], 1.0), (6, [5, 3, 1, 1], 2.5),
+                                              (32, [40, 7], 0.3)])
+    def test_bits_equal_row_by_row_draws(self, d, counts, e_h):
+        """One (N, d) array holds the same bits as stacking one fresh draw per row."""
+        prob = lpm_problem(d, len(counts), counts, e_h, 1.0, 0)
+        rng = np.random.default_rng(7)
+        rows = []
+        for _ in range(sum(counts)):
+            h = rng.standard_normal(d)
+            h *= np.sqrt(e_h) / np.linalg.norm(h)
+            rows.append(h)
+        features = init_features(prob, 7).features
+        assert features.flags.c_contiguous
+        assert np.array_equal(features.view(np.int64), np.vstack(rows).view(np.int64))
+
 
 class TestProblemCounts:
     @pytest.mark.parametrize("counts", [[2, 2], [2, 2, 2, 2, 2], [3, 0, 2, 1], [3, -1, 2, 1],
@@ -96,6 +111,15 @@ class TestProblemCounts:
         clf = uniform_classifier(generate_etf(6, 4, 0), 1.0)
         with pytest.raises(ValueError, match=r"class_counts must be K=4 integers >= 1"):
             dlpm_problem(clf, counts, 1.0)
+
+    @pytest.mark.parametrize("counts", [[2**63 - 1, 1, 1, 1], [2**62, 2**62, 1, 1]])
+    def test_counts_total_below_2_63(self, counts):
+        """Each count fits in int64 but their sum would wrap."""
+        clf = uniform_classifier(generate_etf(6, 4, 0), 1.0)
+        with pytest.raises(ValueError, match=r"class_counts must total < 2\*\*63"):
+            dlpm_problem(clf, counts, 1.0)
+        with pytest.raises(ValueError, match=r"class_counts must total < 2\*\*63"):
+            lpm_problem(6, 4, counts, 1.0, 1.0, 0)
 
     @pytest.mark.parametrize("counts", [[2, 2], [2, 0, 2]])
     def test_lpm_needs_one_count_per_class(self, counts):

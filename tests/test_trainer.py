@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff, rel_error
-from etfnc.losses import ce_loss, ce_terms, dr_loss, dr_terms
+from etfnc.losses import ce_terms, dr_terms
 from etfnc.trainer import (
     REGIMES,
     Dataset,
@@ -15,11 +15,9 @@ from etfnc.trainer import (
     TrainConfig,
     balanced_accuracy,
     class_weights,
-    feature_normalize,
     load_dataset_csv,
     make_imbalanced_dataset,
     regime_config,
-    save_dataset_csv,
     train,
 )
 from etfnc.trainer import (
@@ -28,6 +26,7 @@ from etfnc.trainer import (
     _normalize_rows,
     _normalize_rows_vjp,
 )
+from oracles import ce_loss, dr_loss, feature_normalize, save_dataset_csv
 
 
 class TestDatasetSpec:
@@ -58,6 +57,12 @@ class TestDatasetSpec:
         spec = SyntheticDatasetSpec(num_classes=3, input_dim=5, n_max=n_max, imbalance_ratio=1.0)
         with pytest.raises(ValueError, match=f"n_max={n_max} is too large"):
             spec.counts()
+
+    @pytest.mark.parametrize("test_per_class", [2**63, 10**20])
+    def test_test_per_class_too_large(self, test_per_class):
+        with pytest.raises(ValueError, match=f"test_per_class={test_per_class} is too large"):
+            SyntheticDatasetSpec(num_classes=3, input_dim=5, n_max=10, imbalance_ratio=1.0,
+                                 test_per_class=test_per_class)
 
     def test_n_max_below_2_53_exact(self):
         spec = SyntheticDatasetSpec(num_classes=3, input_dim=5, n_max=2**53 - 1, imbalance_ratio=1.0)
