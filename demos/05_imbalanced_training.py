@@ -31,7 +31,7 @@ for seed in range(n_seeds):
     )
     train_set, test_set = make_imbalanced_dataset(spec)
     if seed == 0:
-        print("train class counts:", np.bincount(train_set.y).tolist())
+        print("train class counts:", train_set.counts().tolist())
         print("balanced test set:", test_set.size, "samples\n")
     for regime in REGIMES:
         model = MlpBackbone.init([32, 64, 32], seed=derive_seed(seed, f"model:{regime}"))

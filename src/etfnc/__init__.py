@@ -54,7 +54,6 @@ from .regularity import (
     dr_eta_bound,
 )
 from .trainer import (
-    Dataset,
     MlpBackbone,
     SyntheticDatasetSpec,
     TrainConfig,

@@ -1,4 +1,7 @@
-"""Labeled feature batches, the common input of losses and NC metrics."""
+"""Labeled rows, one type for datasets, the NC metrics and the classifier pull/push split.
+
+``FeatureBatch.counts`` is the one home of the rule that every class has a row.
+"""
 
 from dataclasses import dataclass
 
@@ -42,4 +45,8 @@ class FeatureBatch:
         return self.features.shape[1]
 
     def counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
+        """Rows per class, (K,); a class with no row raises ValueError naming it."""
+        counts = np.bincount(self.labels, minlength=self.num_classes)
+        if not counts.all():
+            raise ValueError(f"class {int(np.argmin(counts))} has no samples")
+        return counts

@@ -330,9 +330,9 @@ _BLOCKS = {
 #: what ``model`` holds when the config leaves a key out
 _MODEL_DEFAULTS = {"hidden_sizes": [64], "feature_dim": 16}
 _TOP = {
-    "regimes": ((lambda v: isinstance(v, list) and all(r in tr.REGIMES for r in v)),
-                f"a list of regimes from {', '.join(tr.REGIMES)}"),
-    "seeds": (_int_list(0), "a list of integers >= 0"),
+    "regimes": ((lambda v: isinstance(v, list) and len(v) > 0 and all(r in tr.REGIMES for r in v)),
+                f"a list of one or more regimes from {', '.join(tr.REGIMES)}"),
+    "seeds": ((lambda v: _int_list(0)(v) and len(v) > 0), "a list of one or more integers >= 0"),
 }
 
 
@@ -383,11 +383,10 @@ def _load_dataset(path, num_classes, dim=None):
             data = tr.load_dataset_csv(path, num_classes)
     except OSError as e:
         raise ConfigError(f"cannot read dataset file {path}: {e.strerror}") from None
-    missing = np.flatnonzero(np.bincount(data.y, minlength=num_classes) == 0)
-    if missing.size:
-        raise ConfigError(f"dataset file {path} has no row of class {missing[0]}")
-    if dim not in (None, data.x.shape[1]):
-        raise ConfigError(f"dataset file {path} has {data.x.shape[1]} features, not {dim}")
+    with _blame(f"dataset file {path}"):
+        data.counts()
+    if dim not in (None, data.dim):
+        raise ConfigError(f"dataset file {path} has {data.dim} features, not {dim}")
     return data
 
 
@@ -411,7 +410,7 @@ def cmd_train(args):
                    for seed in seeds for regime in regimes}
     if "train_csv" in ds:  # an external dataset replaces the generator; read each file once
         train_set = _load_dataset(ds["train_csv"], ds["num_classes"])
-        test_set = (_load_dataset(ds["test_csv"], ds["num_classes"], train_set.x.shape[1])
+        test_set = (_load_dataset(ds["test_csv"], ds["num_classes"], train_set.dim)
                     if "test_csv" in ds else train_set)
         datasets = dict.fromkeys(seeds, (train_set, test_set))
     else:
@@ -427,7 +426,7 @@ def cmd_train(args):
         for regime in regimes:
             config = configs[seed, regime]
             model = tr.MlpBackbone.init(
-                [train_set.x.shape[1], *hidden, feature_dim], derive_seed(seed, f"model:{regime}")
+                [train_set.dim, *hidden, feature_dim], derive_seed(seed, f"model:{regime}")
             )
             log = tr.train(model, train_set, test_set, config)
             name = f"trainlog_{regime}_seed{seed}.csv"

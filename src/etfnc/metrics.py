@@ -27,9 +27,6 @@ from .batches import FeatureBatch
 def class_and_global_means(batch: FeatureBatch):
     """Per-class means (K, d) and the sample-weighted global mean (d,)."""
     counts = batch.counts()
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        raise ValueError(f"class {int(empty[0])} has no samples")
     # A stable sort keeps each class's rows in sample order, so each slice is a
     # C-contiguous copy of features[labels == k], row for row: its mean rounds alike.
     rows = batch.features[np.argsort(batch.labels, kind="stable")]

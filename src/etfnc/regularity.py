@@ -170,6 +170,9 @@ def run_regularity_sweep(
                     grads[loss_kind] = -(pull + push)
                 else:
                     grads[loss_kind] = dr_grad(h0, classifier, c, e_h)
+            if gamma == "instance-optimal" and p[c] == 1.0:  # the rate divides by 1 - p_c
+                raise NumericDivergence(
+                    f"instance-optimal rate undefined in trial {t}: p_c rounds to 1")
             g = (ce_instance_rate(K, e_h, e_w, cos_raw, p[c]) if gamma == "instance-optimal"
                  else float(gamma))
             pre = h0 - g * grads[loss_kind]

@@ -4,7 +4,9 @@ The backbone is a plain affine+ReLU stack with hand-written forward and
 backward passes (exact chain rule, finite-difference checked in the
 tests). Datasets are Gaussian blobs around class centers placed on a
 scaled ETF in input space, with per-class counts decaying exponentially
-to an imbalance ratio tau = n_min/n_max; test sets are balanced.
+to an imbalance ratio tau = n_min/n_max; test sets are balanced. A dataset
+is a ``FeatureBatch`` of inputs, the type that also carries the features
+the NC metrics read.
 
 Training regimes:
     learnable-ce    learnable classifier, plain CE
@@ -152,17 +154,6 @@ class SyntheticDatasetSpec:
         return n
 
 
-@dataclass(frozen=True)
-class Dataset:
-    x: np.ndarray  # (N, d_in)
-    y: np.ndarray  # (N,)
-    num_classes: int
-
-    @property
-    def size(self) -> int:
-        return self.x.shape[0]
-
-
 def make_imbalanced_dataset(spec: SyntheticDatasetSpec):
     """(imbalanced train set, balanced test set), deterministic per seed."""
     counts = spec.counts()
@@ -177,13 +168,13 @@ def make_imbalanced_dataset(spec: SyntheticDatasetSpec):
         for k in range(K):
             xs.append(centers[k] + spec.noise_scale * rng.standard_normal((per_class[k], spec.input_dim)))
             ys.append(np.full(per_class[k], k, dtype=int))
-        return Dataset(np.vstack(xs), np.concatenate(ys), K)
+        return FeatureBatch(np.vstack(xs), np.concatenate(ys), K)
 
     return draw(rng_train, counts), draw(rng_test, np.full(K, per_test))
 
 
-def load_dataset_csv(path, num_classes: int = 0) -> Dataset:
-    """Read a ``label,x0,...`` CSV; a bad row raises ValueError naming file and line."""
+def load_dataset_csv(path, num_classes: int = 0) -> FeatureBatch:
+    """Read a ``label,x0,...`` CSV; a bad row or value raises ValueError naming the file."""
     import csv as _csv
 
     with open(path, newline="") as f:
@@ -204,8 +195,10 @@ def load_dataset_csv(path, num_classes: int = 0) -> Dataset:
             xs.append(x)
     if not ys:
         raise ValueError(f"{path}: no data rows")
-    y = np.asarray(ys, dtype=int)
-    return Dataset(np.asarray(xs, dtype=float), y, num_classes or int(y.max()) + 1)
+    try:
+        return FeatureBatch(xs, ys, num_classes or max(ys) + 1)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 # --- training ---------------------------------------------------------------
@@ -315,11 +308,10 @@ def _features_for_metrics(model, x, config):
     return f
 
 
-def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: TrainConfig) -> TrainLog:
+def train(model: MlpBackbone, train_set: FeatureBatch, test_set: FeatureBatch,
+          config: TrainConfig) -> TrainLog:
     """Minibatch SGD with momentum; fixed-ETF classifiers receive no updates."""
-    counts = np.bincount(train_set.y, minlength=train_set.num_classes)
-    if np.any(counts == 0):
-        raise ValueError("every class needs at least one training sample")
+    counts = train_set.counts()
     milestones = config.resolved_milestones()
     K = train_set.num_classes
     rng = np.random.default_rng([config.seed, 12])
@@ -328,7 +320,7 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
     )
     fixed, dr = config.fixed_etf, config.regime == "etf-dr"
     sample_weights = (
-        class_weights(counts)[train_set.y] if config.regime == "learnable-wce" else None
+        class_weights(counts)[train_set.labels] if config.regime == "learnable-wce" else None
     )
     dr_targets = fixed_clf.lengths * np.sqrt(config.e_h) if dr else None
 
@@ -344,7 +336,7 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
         loss_sum = 0.0
         for start in range(0, N, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            xb, yb = train_set.x[idx], train_set.y[idx]
+            xb, yb = train_set.features[idx], train_set.labels[idx]
             B = len(idx)
             feats, cache = model.forward(xb)
             used, norms = _normalize_rows(feats, config.e_h) if fixed else (feats, None)
@@ -380,8 +372,8 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
                 vel_clf = config.momentum * vel_clf + grad_clf
                 W = W - lr * vel_clf
 
-        train_feats = _features_for_metrics(model, train_set.x, config)
-        test_feats = _features_for_metrics(model, test_set.x, config)
+        train_feats = _features_for_metrics(model, train_set.features, config)
+        test_feats = _features_for_metrics(model, test_set.features, config)
         if not all(np.all(np.isfinite(a)) for a in (W, train_feats, test_feats)):
             raise NumericDivergence(f"parameters diverged at epoch {epoch}")
         # one point up to rounding, or a spread too small to square (1e-154**2 is subnormal)
@@ -393,8 +385,8 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
                 epoch=epoch,
                 loss=loss_sum / N,
                 bal_acc=bal_acc,
-                nc_train=nc_report(FeatureBatch(train_feats, train_set.y, K), W),
-                nc_test=nc_report(FeatureBatch(test_feats, test_set.y, K), W),
+                nc_train=nc_report(FeatureBatch(train_feats, train_set.labels, K), W),
+                nc_test=nc_report(FeatureBatch(test_feats, test_set.labels, K), W),
             )
         )
         log.per_class_acc = per_class_acc
@@ -403,20 +395,19 @@ def train(model: MlpBackbone, train_set: Dataset, test_set: Dataset, config: Tra
     return log
 
 
-def balanced_accuracy(feats, test_set: Dataset, W: np.ndarray, config: TrainConfig = None):
+def balanced_accuracy(feats, test_set: FeatureBatch, W: np.ndarray, config: TrainConfig = None):
     """(per-class accuracy vector, balanced accuracy) of test features by argmax logit.
 
-    ``feats`` are the features train scores, sphere-normalized in the
-    fixed-ETF regimes. There the per-class lengths are a training-loss
-    weighting, not a decision rule, so prediction scores against the
-    unit frame directions; learnable classifiers predict with W as
-    learned.
+    ``feats`` are the features train scores for the rows of ``test_set``,
+    sphere-normalized in the fixed-ETF regimes. There the per-class
+    lengths are a training-loss weighting, not a decision rule, so
+    prediction scores against the unit frame directions; learnable
+    classifiers predict with W as learned.
     """
-    counts = np.bincount(test_set.y, minlength=test_set.num_classes)
-    if np.any(counts == 0):
-        raise ValueError("test set is missing a class")
+    counts = test_set.counts()
     if config is not None and config.fixed_etf:
         W = W / np.linalg.norm(W, axis=0, keepdims=True)
     pred = np.argmax(feats @ W, axis=1)
-    per_class = np.bincount(test_set.y[pred == test_set.y], minlength=test_set.num_classes) / counts
+    labels = test_set.labels
+    per_class = np.bincount(labels[pred == labels], minlength=test_set.num_classes) / counts
     return per_class, float(per_class.mean())

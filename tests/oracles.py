@@ -8,10 +8,10 @@ with the CSV writers and readers the tests use to round-trip data.
 
 import numpy as np
 
+from etfnc.batches import FeatureBatch
 from etfnc.etf import EtfFrame
 from etfnc.losses import ce_terms, decompose_pull_push_classifier
 from etfnc.serialize import write_csv
-from etfnc.trainer import Dataset
 
 
 def ce_loss(h, label, W) -> float:
@@ -40,10 +40,10 @@ def feature_normalize(h, e_h) -> np.ndarray:
     return h * (np.sqrt(e_h) / n)
 
 
-def save_dataset_csv(path, dataset: Dataset):
+def save_dataset_csv(path, dataset: FeatureBatch):
     """Write a dataset as the ``label,x0,...`` CSV that ``load_dataset_csv`` reads."""
-    header = ["label"] + [f"x{i}" for i in range(dataset.x.shape[1])]
-    rows = [[int(y), *x] for y, x in zip(dataset.y, dataset.x)]
+    header = ["label"] + [f"x{i}" for i in range(dataset.dim)]
+    rows = [[int(y), *x] for y, x in zip(dataset.labels, dataset.features)]
     write_csv(path, header, rows)
 
 

@@ -359,9 +359,10 @@ class TestTrainCommand:
             ("dataset", {"num_classes": 3, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25,
                          "test_csv": "t.csv"}, "'dataset.test_csv' needs 'dataset.train_csv'"),
             ("model", {"hidden_sizes": 3}, "'model.hidden_sizes' must be a list of integers >= 1"),
-            ("seeds", [0.5], "'seeds' must be a list of integers >= 0, got [0.5]"),
-            ("seeds", [-1], "'seeds' must be a list of integers >= 0, got [-1]"),
-            ("regimes", "etf-dr", "'regimes' must be a list of regimes from learnable-ce"),
+            ("seeds", [0.5], "'seeds' must be a list of one or more integers >= 0, got [0.5]"),
+            ("seeds", [-1], "'seeds' must be a list of one or more integers >= 0, got [-1]"),
+            ("regimes", "etf-dr",
+             "'regimes' must be a list of one or more regimes from learnable-ce"),
             ("train", {"epochs": 1, "e_h": -1}, "config block 'train': e_h must be > 0, got -1"),
             ("train", {"epochs": 1, "e_h": 0}, "config block 'train': e_h must be > 0, got 0"),
             ("train", {"epochs": 1, "step_size": -0.1},
@@ -376,6 +377,9 @@ class TestTrainCommand:
              "'dataset.num_classes' must be >= 2, got 1"),
             ("model", {"hidden_sizes": [8], "feature_dim": 1},
              "'model.feature_dim' must be >= dataset.num_classes - 1 = 2, got 1"),
+            ("seeds", [], "'seeds' must be a list of one or more integers >= 0, got []"),
+            ("regimes", [], "'regimes' must be a list of one or more regimes from learnable-ce, "
+                            "learnable-wce, etf-ce, etf-dr, got []"),
         ],
     )
     def test_bad_train_config_named(self, tmp_path, capsys, block, value, message):
@@ -486,6 +490,10 @@ class TestReportCommand:
 PEELED = ("peeled", "--mode", "dlpm", "--loss", "ce", "--K", 4, "--d", 6, "--steps", 5)
 
 
+#: a dataset CSV of three classes with no row of class 2
+NO_CLASS_2 = "label,x0,x1\n0,1,2\n1,2,3\n0,3,4\n"
+
+
 class TestInputRefusedBeforeOutput:
     """Bad input exits 2, names its flag, config key or file, and leaves no --out directory.
 
@@ -525,6 +533,9 @@ class TestInputRefusedBeforeOutput:
         ("dataset", {"imbalance_ratio": 2}, ("'dataset'", "imbalance_ratio")),
         ("dataset", {"input_dim": 1}, ("'dataset.input_dim'",)),
         ("dataset", {"n_max": 1, "imbalance_ratio": 0.1}, ("'dataset'", "n_max")),
+        # the generator overflows: the drawn features hold inf
+        ("dataset", {"noise_scale": 1e308},
+         ("config block 'dataset': features contain non-finite entries",)),
     ])
     def test_train_config(self, tmp_path, capsys, block, value, named):
         base = {"num_classes": 3, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25}
@@ -564,9 +575,13 @@ class TestInputRefusedBeforeOutput:
             assert not out.exists()
 
     @pytest.mark.parametrize("key,text,message", [
-        ("train_csv", "label,x0,x1\n0,1,2\n1,2,3\n0,3,4\n", "has no row of class 2"),
-        ("test_csv", "label,x0,x1\n0,1,2\n1,2,3\n0,3,4\n", "has no row of class 2"),
+        ("train_csv", NO_CLASS_2, "class 2 has no samples"),
+        ("test_csv", NO_CLASS_2, "class 2 has no samples"),
         ("test_csv", "label,x0\n0,1\n1,2\n2,3\n", "has 1 features, not 2"),
+        ("train_csv", "label,x0,x1\n0,1,2\n1,nan,3\n2,3,4\n",
+         "features contain non-finite entries"),
+        ("test_csv", "label,x0,x1\n0,1,2\n1,2,-inf\n2,3,4\n",
+         "features contain non-finite entries"),
     ])
     def test_dataset_files(self, tmp_path, capsys, key, text, message):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
@@ -577,7 +592,8 @@ class TestInputRefusedBeforeOutput:
                                  model={"hidden_sizes": [4], "feature_dim": 3})
         out = tmp_path / "x"
         assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
-        assert f"dataset file {bad} {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dataset file" in err and str(bad) in err and message in err, err
         assert not out.exists()
 
 
@@ -611,6 +627,17 @@ class TestNumericBreakdownDiverges:
         assert code == EXIT_DIVERGED
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_regularity_instance_rate_undefined(self, tmp_path, capsys):
+        """At e_h = 1e4 the logits saturate: p_c rounds to 1, and the rate would divide by 0."""
+        argv = ("regularity", "--K", 10, "--d", 20, "--trials", 20, "--e-h", "1e4")
+        assert run(*argv, "--instance-optimal", "--out", tmp_path / "x") == EXIT_DIVERGED
+        assert ("instance-optimal rate undefined in trial 0: p_c rounds to 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+        assert run(*argv, "--out", tmp_path / "y") == EXIT_OK
+        assert "regularity: ok (300 records)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("regime,e_h",
                              [("etf-dr", 1e300), ("etf-dr", 5e-324), ("etf-ce", 5e-324)])

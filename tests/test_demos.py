@@ -1,6 +1,6 @@
 """The quick demos run to completion against the current API.
 
-Demos 03 and 05 take several seconds each and are run by hand.
+Demo 03 takes several seconds and is run by hand.
 """
 
 import os
@@ -14,7 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "name", ["01_etf_frames", "02_pull_push_geometry", "04_contraction_experiment"]
+    "name", ["01_etf_frames", "02_pull_push_geometry", "04_contraction_experiment",
+             "05_imbalanced_training"]
 )
 def test_demo_exits_zero(name, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

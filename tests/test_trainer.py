@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff, rel_error
+from etfnc.batches import FeatureBatch
 from etfnc.losses import ce_terms, dr_terms
 from etfnc.trainer import (
     REGIMES,
-    Dataset,
     MlpBackbone,
     SyntheticDatasetSpec,
     TrainConfig,
@@ -74,8 +74,9 @@ class TestDatasetSpec:
         )
         tr1, te1 = make_imbalanced_dataset(spec)
         tr2, te2 = make_imbalanced_dataset(spec)
-        assert np.array_equal(tr1.x, tr2.x) and np.array_equal(te1.x, te2.x)
-        np.testing.assert_array_equal(np.bincount(te1.y), [7, 7, 7])
+        assert np.array_equal(tr1.features, tr2.features)
+        assert np.array_equal(te1.features, te2.features)
+        np.testing.assert_array_equal(np.bincount(te1.labels), [7, 7, 7])
 
     def test_csv_roundtrip(self, tmp_path):
         spec = SyntheticDatasetSpec(num_classes=3, input_dim=4, n_max=8, imbalance_ratio=0.5, seed=0)
@@ -83,8 +84,8 @@ class TestDatasetSpec:
         path = tmp_path / "data.csv"
         save_dataset_csv(path, train_set)
         back = load_dataset_csv(path, num_classes=3)
-        assert np.array_equal(back.y, train_set.y)
-        assert np.abs(back.x - train_set.x).max() < 1e-15
+        assert np.array_equal(back.labels, train_set.labels)
+        assert np.abs(back.features - train_set.features).max() < 1e-15
 
     @pytest.mark.parametrize(
         "bad_row,message",
@@ -283,6 +284,14 @@ def tiny_problem(seed=0):
 
 
 class TestTrain:
+    def test_missing_train_class_named(self):
+        train_set, test_set = tiny_problem()
+        keep = train_set.labels != 1
+        short = FeatureBatch(train_set.features[keep], train_set.labels[keep], 3)
+        model = MlpBackbone.init([6, 10, 5], seed=1)
+        with pytest.raises(ValueError, match="class 1 has no samples"):
+            train(model, short, test_set, regime_config("etf-dr", epochs=1, seed=0))
+
     def test_fixed_classifier_never_mutated(self):
         train_set, test_set = tiny_problem()
         model = MlpBackbone.init([6, 10, 5], seed=1)
@@ -291,7 +300,7 @@ class TestTrain:
         from etfnc.etf import generate_etf, scale_classifier
         from etfnc.trainer import class_weights as cw
 
-        counts = np.bincount(train_set.y)
+        counts = np.bincount(train_set.labels)
         expected = scale_classifier(generate_etf(5, 3, cfg.seed), cw(counts)).scaled_columns
         assert np.array_equal(log.classifier, expected)
 
@@ -374,7 +383,7 @@ class TestTrain:
         log = train(model, train_set, test_set, cfg)
         assert sum(rows) == 3 * (2 * train_set.size + test_set.size)
         # the epoch's balanced accuracy scores the features the metrics use
-        feats = _features_for_metrics(model, test_set.x, cfg)
+        feats = _features_for_metrics(model, test_set.features, cfg)
         assert log.final_bal_acc == balanced_accuracy(feats, test_set, log.classifier, cfg)[1]
 
 
@@ -452,7 +461,7 @@ class TestEndToEndGradients:
             num_classes=3, input_dim=4, n_max=8, imbalance_ratio=0.25, seed=1, test_per_class=2
         )
         train_set, test_set = make_imbalanced_dataset(spec)
-        x, y, N = train_set.x, train_set.y, train_set.size
+        x, y, N = train_set.features, train_set.labels, train_set.size
         sizes = [4, 6, 3]
         config = regime_config(
             regime, epochs=1, seed=2, batch_size=N, momentum=0.0, step_size=0.5
@@ -492,7 +501,7 @@ def reference_balanced_accuracy(feats, test_set, W, config=None):
         W = W / np.linalg.norm(W, axis=0, keepdims=True)
     pred = np.argmax(feats @ W, axis=1)
     per_class = np.array(
-        [float(np.mean(pred[test_set.y == k] == k)) for k in range(test_set.num_classes)]
+        [float(np.mean(pred[test_set.labels == k] == k)) for k in range(test_set.num_classes)]
     )
     return per_class, float(per_class.mean())
 
@@ -505,7 +514,7 @@ def test_balanced_accuracy_equals_per_class_oracle(K, d, counts, regime, seed):
     y = rng.permutation(np.repeat(np.arange(K), counts[:K]))
     W = rng.standard_normal((d, K))
     feats = rng.uniform(0, 3) * W[:, y].T + rng.standard_normal((y.size, d))
-    test = Dataset(feats, y, K)
+    test = FeatureBatch(feats, y, K)
     config = regime_config(regime, epochs=1, seed=0)
     per_class, bal = balanced_accuracy(feats, test, W, config)
     ref_per_class, ref_bal = reference_balanced_accuracy(feats, test, W, config)
@@ -520,7 +529,7 @@ class TestEvaluate:
         # features == one-hot of the label, identity classifier
         model = MlpBackbone([np.eye(3)], [np.zeros(3)])
         x = np.vstack([np.eye(3)] * 4)
-        test = Dataset(x, np.tile(np.arange(3), 4), 3)
+        test = FeatureBatch(x, np.tile(np.arange(3), 4), 3)
         per_class, bal = balanced_accuracy(model.forward(x)[0], test, np.eye(3))
         np.testing.assert_allclose(per_class, 1.0)
         assert bal == 1.0
@@ -528,7 +537,7 @@ class TestEvaluate:
     def test_constant_predictor(self, rng):
         model = MlpBackbone([np.zeros((2, 3))], [np.array([1.0, 0.0])])
         x = rng.standard_normal((30, 3))
-        test = Dataset(x, np.tile(np.arange(3), 10), 3)
+        test = FeatureBatch(x, np.tile(np.arange(3), 10), 3)
         _, bal = balanced_accuracy(model.forward(x)[0], test, np.eye(2, 3))
         np.testing.assert_allclose(bal, 1.0 / 3.0)
 
@@ -536,7 +545,7 @@ class TestEvaluate:
         model = MlpBackbone.init([4, 6, 3], seed=0)
         x = rng.standard_normal((30, 4))
         y = np.tile(np.arange(3), 10)
-        test = Dataset(x, y, 3)
+        test = FeatureBatch(x, y, 3)
         W = rng.standard_normal((3, 3))
         feats, _ = model.forward(x)
         per_class, bal = balanced_accuracy(feats, test, W)
@@ -545,6 +554,6 @@ class TestEvaluate:
 
     def test_missing_test_class_rejected(self, rng):
         model = MlpBackbone.init([4, 6, 3], seed=0)
-        test = Dataset(rng.standard_normal((4, 4)), np.array([0, 0, 1, 1]), 3)
-        with pytest.raises(ValueError):
-            balanced_accuracy(model.forward(test.x)[0], test, rng.standard_normal((3, 3)))
+        test = FeatureBatch(rng.standard_normal((4, 4)), np.array([0, 0, 1, 1]), 3)
+        with pytest.raises(ValueError, match="class 2 has no samples"):
+            balanced_accuracy(model.forward(test.features)[0], test, rng.standard_normal((3, 3)))
