@@ -383,10 +383,10 @@ def _load_dataset(path, num_classes, dim=None):
             data = tr.load_dataset_csv(path, num_classes)
     except OSError as e:
         raise ConfigError(f"cannot read dataset file {path}: {e.strerror}") from None
-    with _blame(f"dataset file {path}"):
+    with _blame(f"dataset file: {path}"):
         data.counts()
     if dim not in (None, data.dim):
-        raise ConfigError(f"dataset file {path} has {data.dim} features, not {dim}")
+        raise ConfigError(f"dataset file: {path}: has {data.dim} features, not {dim}")
     return data
 
 

@@ -592,8 +592,7 @@ class TestInputRefusedBeforeOutput:
                                  model={"hidden_sizes": [4], "feature_dim": 3})
         out = tmp_path / "x"
         assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "dataset file" in err and str(bad) in err and message in err, err
+        assert f"dataset file: {bad}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
