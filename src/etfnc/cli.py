@@ -15,9 +15,12 @@ serialize.derive_seed. Exit codes: 0 ok, 2 bad config/flags, 3 numeric
 divergence, 4 a verification/acceptance check failed, 1 a bug (traceback).
 This module parses argv and JSON and checks types; range rules and verdicts
 live in the library (TrainConfig, the peeled problem builders, check_sweep).
-Inputs are built before the output directory; a ValueError or MemoryError
-raised while building them becomes a ConfigError naming the flag, config
-block or file.
+A ValueError or MemoryError raised while building a run's inputs becomes a
+ConfigError naming the flag, config block or file.
+Each cmd_* function writes nothing: it returns its exit code, the config
+the manifest records and its payloads by file name. Only main writes them,
+with the manifest, after the command returned, so exit 2 or 3 never
+leaves --out behind; exit 4 writes the payloads of the failed check.
 A negative number in exponent form needs --flag=value (--gamma=-1e+300).
 """
 
@@ -69,20 +72,29 @@ def _blame(what):
         raise ConfigError(f"{what}: {e}") from None
 
 
-def _out_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+def _write_run(out, command, label, config, files):
+    """Write a run: every payload of ``files``, then manifest.json hashing them.
 
-
-def _write_manifest(out, command, config, artifacts, label=""):
-    manifest = {
+    ``files`` maps a file name to its payload: text (str), a CSV
+    (header, rows) or a JSON value.
+    """
+    os.makedirs(out, exist_ok=True)
+    for name, payload in files.items():
+        path = f"{out}/{name}"
+        if isinstance(payload, str):
+            with open(path, "w") as f:
+                f.write(payload)
+        elif isinstance(payload, tuple):
+            write_csv(path, *payload)
+        else:
+            write_json(path, payload)
+    write_json(f"{out}/manifest.json", {
         "command": command,
         "label": label,
         "config": config,
-        "artifacts": {name: sha256_file(f"{out}/{name}") for name in artifacts},
+        "artifacts": {name: sha256_file(f"{out}/{name}") for name in files},
         "created_at_unix": time.time(),
-    }
-    write_json(f"{out}/manifest.json", manifest)
+    })
 
 
 def _flags(args):
@@ -91,13 +103,19 @@ def _flags(args):
 
 
 def _check_flags(args, positive=(), nonnegative=()):
-    """Reject a flag value outside (0, inf) (``positive``) or [0, inf) before any work."""
+    """Reject a flag value outside (0, inf) (``positive``) or [0, inf) before any work.
+
+    An integer flag is a count or size, so it must also be < 2**63.
+    """
     for name in (*positive, *nonnegative):
-        value = getattr(args, name)
-        rule = "> 0" if name in positive else ">= 0"
-        if not (np.isfinite(value) and (value > 0 if name in positive else value >= 0)):
-            finite = "" if isinstance(value, int) else "finite and "
-            raise ConfigError(f"--{name.replace('_', '-')} must be {finite}{rule}, got {value}")
+        value, flag = getattr(args, name), f"--{name.replace('_', '-')}"
+        is_int = isinstance(value, int)
+        if is_int and value >= 2**63:
+            raise ConfigError(f"{flag} must be < 2**63, got {value}")
+        rule = ("" if is_int else "finite and ") + ("> 0" if name in positive else ">= 0")
+        in_range = value > 0 if name in positive else value >= 0
+        if not (in_range and (is_int or math.isfinite(value))):
+            raise ConfigError(f"{flag} must be {rule}, got {value}")
 
 
 def _read_json(path, what):
@@ -116,24 +134,22 @@ def cmd_etf(args):
     _check_flags(args, positive=("tol",))
     with _blame("--d/--K"):
         frame = generate_etf(args.d, args.K, args.seed)
-    out = _out_dir(args.out)
     report = verify_etf(frame, args.tol)
-    write_json(f"{out}/frame.json", frame_to_json_dict(frame))
-    with open(f"{out}/frame.csv", "w") as f:
-        f.write(frame_to_csv_text(frame))
-    write_csv(
-        f"{out}/gram_report.csv",
-        ["max_deviation", "worst_row", "worst_col", "passed", "tol"],
-        [[report.max_deviation, report.worst_row, report.worst_col,
-          int(report.passed), report.tol]],
-    )
+    files = {
+        "frame.json": frame_to_json_dict(frame),
+        "frame.csv": frame_to_csv_text(frame),
+        "gram_report.csv": (
+            ["max_deviation", "worst_row", "worst_col", "passed", "tol"],
+            [[report.max_deviation, report.worst_row, report.worst_col,
+              int(report.passed), report.tol]],
+        ),
+    }
     config = {"d": args.d, "K": args.K, "seed": args.seed, "tol": args.tol}
-    _write_manifest(out, "etf", config, ["frame.json", "frame.csv", "gram_report.csv"], args.label)
     if not report.passed:
         print(f"etf: FAIL max deviation {report.max_deviation:.3e} > {args.tol:g}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_CHECK_FAILED, config, files
     print(f"etf: ok, max Gram deviation {report.max_deviation:.3e}")
-    return EXIT_OK
+    return EXIT_OK, config, files
 
 
 # --- peeled -------------------------------------------------------------------
@@ -190,9 +206,6 @@ def cmd_peeled(args):
     )
     final = traj.final
     probe = lp.minority_collapse_probe(final.classifier, minor) if args.mode == "lpm" else None
-    out = _out_dir(args.out)  # only a run that got through leaves --out behind
-    header, rows = traj.csv_rows()
-    write_csv(f"{out}/trajectory.csv", header, rows)
     state = {
         "mode": args.mode,
         "loss": args.loss,
@@ -210,21 +223,14 @@ def cmd_peeled(args):
         )
     else:
         state["classifier_matrix"] = np.asarray(final.classifier).tolist()
-    write_json(f"{out}/final_state.json", state)
-
-    artifacts = ["trajectory.csv", "final_state.json"]
+    files = {"trajectory.csv": traj.csv_rows(), "final_state.json": state}
     if probe is not None:
-        write_csv(
-            f"{out}/probe.csv",
-            ["class_i", "class_j", "cosine"],
-            [[i, j, c] for i, j, c in probe.pairs],
-        )
-        write_csv(
-            f"{out}/probe_summary.csv",
+        files["probe.csv"] = (["class_i", "class_j", "cosine"],
+                              [[i, j, c] for i, j, c in probe.pairs])
+        files["probe_summary.csv"] = (
             ["min_cosine", "mean_cosine", "balanced_reference"],
             [[probe.min_cosine, probe.mean_cosine, -1.0 / (args.K - 1)]],
         )
-        artifacts += ["probe.csv", "probe_summary.csv"]
         print(
             f"peeled lpm: {traj.stop_reason} after {traj.records[-1].step} steps, "
             f"minor mean cosine {probe.mean_cosine:.4f} (balanced {-1.0/(args.K-1):.4f})"
@@ -234,9 +240,7 @@ def cmd_peeled(args):
             f"peeled dlpm: {traj.stop_reason} after {traj.records[-1].step} steps, "
             f"final gap {traj.records[-1].gap:.3e}"
         )
-    config = dict(_flags(args), counts_resolved=[int(c) for c in counts])
-    _write_manifest(out, "peeled", config, artifacts, args.label)
-    return EXIT_OK
+    return EXIT_OK, dict(_flags(args), counts_resolved=[int(c) for c in counts]), files
 
 
 # --- regularity ----------------------------------------------------------------
@@ -275,22 +279,20 @@ def cmd_regularity(args):
             for delta in deltas]
     verdict, passed = (reg.check_sweep(steps, deltas, runs) if args.trials
                        else ({"status": "no-data"}, True))
-    out = _out_dir(args.out)  # only a run that got through leaves --out behind
     records = [r for run in runs for step_records in run for r in step_records]
-    header, rows = reg.records_csv(records)
-    write_csv(f"{out}/records.csv", header, rows)
-    summary = {"trials": args.trials, "K": args.K, "d": args.d,
-               "e_h": args.e_h, "e_w": args.e_w, **verdict}
-    write_json(f"{out}/summary.json", summary)
-    _write_manifest(out, "regularity", _flags(args), ["records.csv", "summary.json"], args.label)
+    files = {
+        "records.csv": reg.records_csv(records),
+        "summary.json": {"trials": args.trials, "K": args.K, "d": args.d,
+                         "e_h": args.e_h, "e_w": args.e_w, **verdict},
+    }
     if not passed:
         why = (f"no records: all {args.trials * len(deltas)} trials started within "
                f"{reg.DIST_GUARD:g} of the optimum and were excluded" if not records
                else "bound or dominance check FAILED")
         print(f"regularity: {why}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_CHECK_FAILED, _flags(args), files
     print(f"regularity: ok ({len(records)} records)")
-    return EXIT_OK
+    return EXIT_OK, _flags(args), files
 
 
 # --- train ----------------------------------------------------------------------
@@ -417,10 +419,9 @@ def cmd_train(args):
         with _blame("config block 'dataset'"):
             datasets = {seed: tr.make_imbalanced_dataset(SyntheticDatasetSpec(
                 **dict(ds, seed=derive_seed(seed, "dataset")))) for seed in seeds}
-    out = _out_dir(args.out)
 
     summary = {"runs": [], "config_file": args.config}
-    artifacts = []
+    files = {}
     for seed in seeds:
         train_set, test_set = datasets[seed]
         for regime in regimes:
@@ -430,17 +431,13 @@ def cmd_train(args):
             )
             log = tr.train(model, train_set, test_set, config)
             name = f"trainlog_{regime}_seed{seed}.csv"
-            header, rows = log.csv_rows()
-            write_csv(f"{out}/{name}", header, rows)
-            artifacts.append(name)
-            snap = f"model_{regime}_seed{seed}.json"
-            write_json(f"{out}/{snap}", {
+            files[name] = log.csv_rows()
+            files[f"model_{regime}_seed{seed}.json"] = {
                 "regime": regime, "seed": seed,
                 "weights": [w.tolist() for w in model.weights],
                 "biases": [b.tolist() for b in model.biases],
                 "classifier": np.asarray(log.classifier).tolist(),
-            })
-            artifacts.append(snap)
+            }
             tail = log.records[-max(1, len(log.records) // 4):]  # the final quarter
             summary["runs"].append({
                 "regime": regime, "seed": seed, "trainlog": name,
@@ -457,10 +454,8 @@ def cmd_train(args):
         }
         for regime, accs in _bal_acc_by_regime(summary["runs"])
     }
-    write_json(f"{out}/summary.json", summary)
-    artifacts.append("summary.json")
-    _write_manifest(out, "train", cfg, artifacts, args.label)
-    return EXIT_OK
+    files["summary.json"] = summary
+    return EXIT_OK, cfg, files
 
 
 # --- report ----------------------------------------------------------------------
@@ -478,6 +473,8 @@ def cmd_report(args):
     for run_dir in args.runs:
         manifest = _read_json(f"{run_dir}/manifest.json", "run file")
         run_summary = _read_json(f"{run_dir}/summary.json", "run file")
+        if not isinstance(manifest, dict):
+            raise ConfigError(f"{run_dir}/manifest.json is not a JSON object")
         if manifest.get("command") != "train":
             raise ConfigError(f"{run_dir} is not a train run (command={manifest.get('command')!r})")
         runs = run_summary.get("runs") if isinstance(run_summary, dict) else None
@@ -492,30 +489,26 @@ def cmd_report(args):
                 )
             if not all(isinstance(run[k], (int, float)) for k in REPORT_METRICS):
                 raise ConfigError(f"{run_dir}/summary.json: run {i} has a non-numeric metric")
+            if not (isinstance(run["regime"], str) and _is_int(run["seed"], 0)):
+                raise ConfigError(f"{run_dir}/summary.json: run {i} needs a string regime and "
+                                  f"an integer seed >= 0, got regime {run['regime']!r}, "
+                                  f"seed {run['seed']!r}")
             rows.append((run_dir, run))
-    out = _out_dir(args.out)
     by_regime = _bal_acc_by_regime(run for _, run in rows)
-    write_csv(
-        f"{out}/report_summary.csv",
-        ["regime", "runs", "bal_acc_mean", "bal_acc_std"],
-        [[regime, len(accs), float(np.mean(accs)), float(np.std(accs))]
-         for regime, accs in by_regime],
-    )
-    long_rows = []
-    for run_dir, run in rows:
-        for metric in REPORT_METRICS:
-            long_rows.append([run_dir, run["regime"], run["seed"], metric, run[metric]])
-    write_csv(
-        f"{out}/report_long.csv",
-        ["run_dir", "regime", "seed", "metric", "value"],
-        long_rows,
-    )
-    _write_manifest(
-        out, "report", {"runs": list(args.runs)}, ["report_summary.csv", "report_long.csv"],
-        args.label,
-    )
+    files = {
+        "report_summary.csv": (
+            ["regime", "runs", "bal_acc_mean", "bal_acc_std"],
+            [[regime, len(accs), float(np.mean(accs)), float(np.std(accs))]
+             for regime, accs in by_regime],
+        ),
+        "report_long.csv": (
+            ["run_dir", "regime", "seed", "metric", "value"],
+            [[run_dir, run["regime"], run["seed"], metric, run[metric]]
+             for run_dir, run in rows for metric in REPORT_METRICS],
+        ),
+    }
     print(f"report: {len(rows)} runs, {len(by_regime)} regimes")
-    return EXIT_OK
+    return EXIT_OK, {"runs": list(args.runs)}, files
 
 
 # --- parser -----------------------------------------------------------------------
@@ -586,13 +579,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if getattr(args, "seed", 0) < 0:  # the seeded commands
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        code, config, files = args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericDivergence as e:
         print(f"numeric divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    _write_run(args.out, args.command, args.label, config, files)
+    return code
 
 
 if __name__ == "__main__":

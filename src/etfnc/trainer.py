@@ -170,7 +170,8 @@ def make_imbalanced_dataset(spec: SyntheticDatasetSpec):
             ys.append(np.full(per_class[k], k, dtype=int))
         return FeatureBatch(np.vstack(xs), np.concatenate(ys), K)
 
-    return draw(rng_train, counts), draw(rng_test, np.full(K, per_test))
+    with np.errstate(over="ignore"):  # an overflow draws inf, which FeatureBatch refuses
+        return draw(rng_train, counts), draw(rng_test, np.full(K, per_test))
 
 
 def load_dataset_csv(path, num_classes: int = 0) -> FeatureBatch:

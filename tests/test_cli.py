@@ -324,6 +324,16 @@ class TestTrainCommand:
         cfg = write_train_config(tmp_path / "cfg.json", train={"epochs": 3, "step_size": 1e200})
         assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_DIVERGED
         assert "numeric divergence" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_diverged_later_regime_leaves_no_out(self, tmp_path, capsys):
+        """learnable-ce finishes at e_h = 5e-324; etf-ce then diverges, and nothing is written."""
+        cfg = write_train_config(tmp_path / "cfg.json", regimes=["learnable-ce", "etf-ce"],
+                                 train={"epochs": 3, "e_h": 5e-324})
+        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_DIVERGED
+        out = capsys.readouterr()
+        assert "train: learnable-ce seed 0" in out.out and "numeric divergence" in out.err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_dataset_row_named(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -438,6 +448,11 @@ class TestTrainCommand:
         assert payloads[0] == payloads[1]
 
 
+#: one well-formed run of a train summary.json
+REPORT_RUN = {"regime": "etf-dr", "seed": 0, "final_bal_acc": 0.5, "final_loss": 1.0,
+              "final_quarter_cos_ff_std": 0.0, "final_quarter_cos_fc_std": 0.0}
+
+
 class TestReportCommand:
     def test_aggregates_three_seed_runs(self, tmp_path):
         runs = []
@@ -462,11 +477,16 @@ class TestReportCommand:
         ({}, "has no 'runs' list"),
         ({"runs": [{"seed": 0, "final_bal_acc": 0.5}]}, "run 0 is missing regime, final_loss"),
         ({"runs": "x"}, "has no 'runs' list"),
-        ({"runs": [{"regime": "etf-dr", "seed": 0, "final_bal_acc": "x", "final_loss": 1.0,
-                    "final_quarter_cos_ff_std": 0.0, "final_quarter_cos_fc_std": 0.0}]},
-         "run 0 has a non-numeric metric"),
+        ({"runs": [dict(REPORT_RUN, final_bal_acc="x")]}, "run 0 has a non-numeric metric"),
         (("summary.json", "{"), "is not valid JSON"),
         (("manifest.json", '{"command": "train",'), "is not valid JSON"),
+        (("manifest.json", "[1]"), "is not a JSON object"),
+        ({"runs": [dict(REPORT_RUN, regime=["etf-dr"])]},
+         "run 0 needs a string regime and an integer seed >= 0, got regime ['etf-dr'], seed 0"),
+        ({"runs": [dict(REPORT_RUN, regime="a"), dict(REPORT_RUN, regime=1)]},
+         "run 1 needs a string regime and an integer seed >= 0, got regime 1, seed 0"),
+        ({"runs": [dict(REPORT_RUN, seed=[0])]},
+         "run 0 needs a string regime and an integer seed >= 0, got regime 'etf-dr', seed [0]"),
     ])
     def test_malformed_summary_named(self, tmp_path, capsys, summary, message):
         """``summary`` is written as summary.json, or is a (file, raw text) pair."""
@@ -519,6 +539,15 @@ class TestInputRefusedBeforeOutput:
          "--K/--counts: class_counts must total < 2**63"),
         # 10**13 rows of 6 floats: 437 TiB, past any address space, so numpy refuses at once
         ((*PEELED, "--counts", "10000000000000,1,1,1"), "--K/--counts: Unable to allocate"),
+        ((*PEELED, "--steps", 10**23), f"--steps must be < 2**63, got {10**23}"),
+        ((*PEELED, "--steps", -10**23), f"--steps must be >= 0, got {-10**23}"),
+        ((*PEELED, "--d", 2**63), f"--d must be < 2**63, got {2**63}"),
+        (("regularity", "--K", 4, "--d", 6, "--trials", 10**23),
+         f"--trials must be < 2**63, got {10**23}"),
+        (("etf", "--d", 3, "--K", 4, "--seed", -1), "--seed must be >= 0, got -1"),
+        ((*PEELED, "--seed", -1), "--seed must be >= 0, got -1"),
+        (("regularity", "--K", 4, "--d", 6, "--trials", 3, "--seed", -1),
+         "--seed must be >= 0, got -1"),
     ])
     def test_flags(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
@@ -533,9 +562,10 @@ class TestInputRefusedBeforeOutput:
         ("dataset", {"imbalance_ratio": 2}, ("'dataset'", "imbalance_ratio")),
         ("dataset", {"input_dim": 1}, ("'dataset.input_dim'",)),
         ("dataset", {"n_max": 1, "imbalance_ratio": 0.1}, ("'dataset'", "n_max")),
-        # the generator overflows: the drawn features hold inf
-        ("dataset", {"noise_scale": 1e308},
-         ("config block 'dataset': features contain non-finite entries",)),
+        # the generator overflows: the drawn features hold inf, and numpy stays silent
+        pytest.param("dataset", {"noise_scale": 1e308},
+                     ("config block 'dataset': features contain non-finite entries",),
+                     marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     ])
     def test_train_config(self, tmp_path, capsys, block, value, named):
         base = {"num_classes": 3, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25}
