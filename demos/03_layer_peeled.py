@@ -12,7 +12,6 @@ but heavy imbalance merges the minor-class columns.
 import numpy as np
 
 from etfnc import (
-    OptimizerConfig,
     dlpm_problem,
     generate_etf,
     init_features,
@@ -32,7 +31,7 @@ print("=== DLPM: frozen ETF classifier, heavy imbalance ===")
 print(f"counts = {counts}")
 for loss, gamma in (("ce", 0.5), ("dr", 512.0)):
     prob = init_features(dlpm_problem(clf, counts, 1.0), seed=1)
-    traj = optimize(prob, loss, OptimizerConfig(step_size=gamma, max_steps=5000, stop_tol=1e-3))
+    traj = optimize(prob, loss, step_size=gamma, max_steps=5000, stop_tol=1e-3)
     picks = [r for r in traj.records if r.step in (0, 1, 10, 100, traj.records[-1].step)]
     series = ", ".join(f"step {r.step}: {r.gap:.1e}" for r in picks)
     print(f"{loss} (gamma={gamma:g}): optimality gap {series}")
@@ -44,14 +43,14 @@ print("DR's pull gradient vanishes like (1 - cos), so small fixed rates crawl")
 print("near the optimum; projection makes any fixed rate stable, so large ones work:")
 for gamma in (1.0, 32.0, 512.0):
     prob = init_features(dlpm_problem(clf, [20] * K, 1.0), seed=2)
-    traj = optimize(prob, "dr", OptimizerConfig(step_size=gamma, max_steps=3000, stop_tol=1e-3))
+    traj = optimize(prob, "dr", step_size=gamma, max_steps=3000, stop_tol=1e-3)
     r = traj.records[-1]
     print(f"  gamma {gamma:6.1f}: gap {r.gap:.2e} after {r.step} steps ({traj.stop_reason})")
 print()
 
 print("=== Full LPM, balanced data: the learnable classifier finds an ETF ===")
 prob = init_features(lpm_problem(12, 6, [20] * 6, 1.0, 1.0, seed=3), seed=4)
-traj = optimize(prob, "ce", OptimizerConfig(step_size=0.5, max_steps=4000, stop_tol=1e-6))
+traj = optimize(prob, "ce", step_size=0.5, max_steps=4000, stop_tol=1e-6)
 Wn = traj.final.classifier / np.linalg.norm(traj.final.classifier, axis=0, keepdims=True)
 target = 6 / 5 * np.eye(6) - 1 / 5
 print(f"max |Gram - ETF target| of the learned classifier: {np.abs(Wn.T @ Wn - target).max():.1e}\n")
@@ -59,7 +58,7 @@ print(f"max |Gram - ETF target| of the learned classifier: {np.abs(Wn.T @ Wn - t
 print("=== Full LPM, 5 major + 5 minor classes: minority collapse ===")
 counts = [1000] * 5 + [2] * 5
 prob = init_features(lpm_problem(16, 10, counts, 1.0, 1.0, seed=5), seed=6)
-traj = optimize(prob, "ce", OptimizerConfig(step_size=0.5, max_steps=20000, stop_tol=1e-5))
+traj = optimize(prob, "ce", step_size=0.5, max_steps=20000, stop_tol=1e-5)
 probe_minor = minority_collapse_probe(traj.final.classifier, [5, 6, 7, 8, 9])
 probe_major = minority_collapse_probe(traj.final.classifier, [0, 1, 2, 3, 4])
 print(f"stopped by {traj.stop_reason} after {traj.records[-1].step} steps")

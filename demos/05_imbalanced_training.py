@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from etfnc import MlpBackbone, SyntheticDatasetSpec, make_imbalanced_dataset, regime_config, train
+from etfnc import MlpBackbone, SyntheticDatasetSpec, TrainConfig, make_imbalanced_dataset, train
 from etfnc.serialize import derive_seed
 
 REGIMES = ("learnable-ce", "learnable-wce", "etf-ce", "etf-dr")
@@ -35,7 +35,7 @@ for seed in range(n_seeds):
         print("balanced test set:", test_set.size, "samples\n")
     for regime in REGIMES:
         model = MlpBackbone.init([32, 64, 32], seed=derive_seed(seed, f"model:{regime}"))
-        log = train(model, train_set, test_set, regime_config(regime, epochs=48, seed=seed))
+        log = train(model, train_set, test_set, TrainConfig(epochs=48, regime=regime, seed=seed))
         quarter = max(1, len(log.records) // 4)
         tail = log.records[-quarter:]
         results[regime].append(

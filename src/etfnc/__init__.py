@@ -25,7 +25,6 @@ from .etf import (
 from .losses import (
     NumericDivergence,
     PullPush,
-    ce_grad_feature,
     ce_terms,
     decompose_pull_push_classifier,
     decompose_pull_push_feature,
@@ -36,7 +35,6 @@ from .losses import (
 from .metrics import NcReport, class_and_global_means, nc_report
 from .peeled import (
     MinorityProbe,
-    OptimizerConfig,
     PeeledProblem,
     Trajectory,
     analytic_optimum,
@@ -50,8 +48,8 @@ from .peeled import (
 )
 from .regularity import (
     RegularityRecord,
-    check_offclass_uniformity,
     dr_eta_bound,
+    offclass_deviation,
 )
 from .trainer import (
     MlpBackbone,
@@ -61,7 +59,6 @@ from .trainer import (
     balanced_accuracy,
     class_weights,
     make_imbalanced_dataset,
-    regime_config,
     train,
 )
 

@@ -38,13 +38,7 @@ import numpy as np
 from . import peeled as lp
 from . import regularity as reg
 from . import trainer as tr
-from .etf import (
-    frame_to_csv_text,
-    frame_to_json_dict,
-    generate_etf,
-    uniform_classifier,
-    verify_etf,
-)
+from .etf import frame_to_json_dict, generate_etf, uniform_classifier, verify_etf
 from .losses import NumericDivergence
 from .serialize import derive_seed, sha256_file, write_csv, write_json
 from .trainer import SyntheticDatasetSpec
@@ -75,16 +69,13 @@ def _blame(what):
 def _write_run(out, command, label, config, files):
     """Write a run: every payload of ``files``, then manifest.json hashing them.
 
-    ``files`` maps a file name to its payload: text (str), a CSV
-    (header, rows) or a JSON value.
+    ``files`` maps a file name to its payload: a CSV (header, rows), whose
+    header None writes no header row, or a JSON value.
     """
     os.makedirs(out, exist_ok=True)
     for name, payload in files.items():
         path = f"{out}/{name}"
-        if isinstance(payload, str):
-            with open(path, "w") as f:
-                f.write(payload)
-        elif isinstance(payload, tuple):
+        if isinstance(payload, tuple):
             write_csv(path, *payload)
         else:
             write_json(path, payload)
@@ -137,7 +128,7 @@ def cmd_etf(args):
     report = verify_etf(frame, args.tol)
     files = {
         "frame.json": frame_to_json_dict(frame),
-        "frame.csv": frame_to_csv_text(frame),
+        "frame.csv": (None, frame.columns.T),  # one frame column per line
         "gram_report.csv": (
             ["max_deviation", "worst_row", "worst_col", "passed", "tol"],
             [[report.max_deviation, report.worst_row, report.worst_col,
@@ -181,6 +172,8 @@ def cmd_peeled(args):
     _check_flags(args, positive=("d", "gamma", "e_h", "e_w"), nonnegative=("steps", "stop_tol"))
     if args.init_at_optimum and args.mode != "dlpm":
         raise ConfigError("--init-at-optimum needs dlpm mode")
+    if args.minor_classes and args.mode != "lpm":
+        raise ConfigError("--minor-classes needs lpm mode")
     counts = _parse_counts(args)
     if args.mode == "dlpm":
         with _blame("--d/--K"):
@@ -199,11 +192,7 @@ def cmd_peeled(args):
         else:
             problem = lp.init_features(problem, derive_seed(args.seed, "features"))
 
-    traj = lp.optimize(
-        problem,
-        args.loss,
-        lp.OptimizerConfig(step_size=args.gamma, max_steps=args.steps, stop_tol=args.stop_tol),
-    )
+    traj = lp.optimize(problem, args.loss, args.gamma, args.steps, args.stop_tol)
     final = traj.final
     probe = lp.minority_collapse_probe(final.classifier, minor) if args.mode == "lpm" else None
     state = {
@@ -367,6 +356,10 @@ def _check_config(cfg):
             raise ConfigError(f"config is missing required field '{path}'")
         if not test(node[key]):
             raise ConfigError(f"config field '{path}' must be {what}, got {node[key]!r}")
+    for key in _TOP:  # a repeat would train twice and write one payload name twice
+        repeated = [v for i, v in enumerate(cfg[key]) if v in cfg[key][:i]]
+        if repeated:
+            raise ConfigError(f"config field '{key}' repeats {repeated[0]!r}")
     ds, model = cfg["dataset"], {**_MODEL_DEFAULTS, **cfg.get("model", {})}
     K = ds["num_classes"]
     if K < 2:
@@ -408,7 +401,7 @@ def cmd_train(args):
     hidden, feature_dim = model_cfg["hidden_sizes"], model_cfg["feature_dim"]
     train_cfg = dict(cfg["train"], milestones=tuple(cfg["train"].get("milestones", ())))
     with _blame("config block 'train'"):
-        configs = {(seed, regime): tr.regime_config(regime, seed=seed, **train_cfg)
+        configs = {(seed, regime): tr.TrainConfig(regime=regime, seed=seed, **train_cfg)
                    for seed in seeds for regime in regimes}
     if "train_csv" in ds:  # an external dataset replaces the generator; read each file once
         train_set = _load_dataset(ds["train_csv"], ds["num_classes"])
@@ -581,6 +574,11 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # the seeded commands
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        path = os.path.abspath(args.out)  # --out may not be, or lie under, a non-directory
+        while not os.path.lexists(path):
+            path = os.path.dirname(path)
+        if not os.path.isdir(path):
+            raise ConfigError(f"--out {args.out}: {path} exists and is not a directory")
         code, config, files = args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

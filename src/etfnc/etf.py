@@ -8,17 +8,17 @@ matrix is
 i.e. every pair of distinct vectors meets at the maximal equiangular
 separation cos = -1/(K-1). Frames are generated from a seeded random
 rotation, optionally rescaled per class, verified against the Gram
-target, and serialized to JSON/CSV.
+target, and serialized to JSON.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .serialize import fmt
-
 #: default tolerance for structural (Gram/norm) checks
 STRUCT_TOL = 1e-9
+#: relative spread within which FixedClassifier.is_uniform takes column lengths as equal
+UNIFORM_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,9 @@ class FixedClassifier:
     def num_classes(self) -> int:
         return self.frame.num_classes
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
         ref = self.lengths[0]
-        return bool(np.all(np.abs(self.lengths - ref) <= rtol * abs(ref)))
+        return bool(np.all(np.abs(self.lengths - ref) <= UNIFORM_RTOL * abs(ref)))
 
     @property
     def e_w(self) -> float:
@@ -208,11 +208,3 @@ def frame_from_json_dict(obj: dict) -> EtfFrame:
         columns=columns,
         rotation_seed=int(obj["rotation_seed"]),
     )
-
-
-def frame_to_csv_text(frame: EtfFrame) -> str:
-    """One frame column per line, entries at 17 significant digits."""
-    lines = []
-    for k in range(frame.num_classes):
-        lines.append(",".join(fmt(x) for x in frame.columns[:, k]))
-    return "\n".join(lines) + "\n"

@@ -95,11 +95,6 @@ def decompose_pull_push_feature(h: np.ndarray, label: int, W: np.ndarray) -> Pul
     return PullPush(pull=pull, push=push)
 
 
-def ce_grad_feature(h: np.ndarray, label: int, W: np.ndarray) -> np.ndarray:
-    """dL_CE/dh = -(1-p_c) w_c + sum_{k!=c} p_k w_k."""
-    return -decompose_pull_push_feature(h, label, W).neg_gradient()
-
-
 def decompose_pull_push_classifier(batch: FeatureBatch, W: np.ndarray, k: int) -> PullPush:
     """Pull from own-class features, push from all other-class features."""
     if batch.size == 0:

@@ -50,9 +50,6 @@ class NcReport:
     def as_row(self) -> list:
         return [getattr(self, f) for f in NC_FIELDS]
 
-    def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in NC_FIELDS}
-
 
 #: the statistics in report and CSV column order
 NC_FIELDS = tuple(f.name for f in fields(NcReport))

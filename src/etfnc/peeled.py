@@ -168,17 +168,6 @@ def optimality_gap(problem: PeeledProblem) -> float:
 
 
 @dataclass
-class OptimizerConfig:
-    step_size: float
-    max_steps: int
-    stop_tol: float = 0.0
-
-    def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-
-
-@dataclass
 class StepRecord:
     step: int
     loss: float
@@ -203,17 +192,20 @@ class Trajectory:
         return header, rows
 
 
-def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) -> Trajectory:
+def optimize(problem: PeeledProblem, loss_kind: str, step_size: float, max_steps: int,
+             stop_tol: float = 0.0) -> Trajectory:
     """Projected gradient descent on a peeled problem.
 
-    Every step maps each feature h <- Proj(h - gamma dL/dh, E_H); in LPM
-    mode the classifier columns take the analogous projected step against
-    the averaged objective. Stops at max_steps, or when the optimality
-    gap (DLPM with oracle) or the displacement norm (otherwise) falls
-    below stop_tol.
+    Every step maps each feature h <- Proj(h - step_size dL/dh, E_H); in
+    LPM mode the classifier columns take the analogous projected step
+    against the averaged objective. Stops at max_steps, or when the
+    optimality gap (DLPM with oracle) or the displacement norm
+    (otherwise) falls below stop_tol.
     """
     if loss_kind not in ("ce", "dr"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
+    if step_size <= 0:
+        raise ValueError("step_size must be positive")
     if problem.features is None:
         raise ValueError("problem has no features; call init_features first")
 
@@ -222,7 +214,6 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
     N = X.shape[0]
     fixed = problem.is_fixed_classifier
     Wmat = problem.classifier_matrix.copy()
-    gamma = config.step_size
 
     lengths = (problem.classifier.lengths if fixed
                else np.full(problem.num_classes, np.sqrt(problem.e_w)))
@@ -263,19 +254,19 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
     traj.records.append(snapshot(0, float("nan"), per_sample))
     stop_by = "gap" if has_oracle else "grad_norm"
 
-    for t in range(1, config.max_steps + 1):
+    for t in range(1, max_steps + 1):
         if loss_kind == "ce":
             np.subtract(np.matmul(aux, Wmat.T, out=D), cols.T, out=D)
         else:
             np.multiply(aux[:, None], cols.T, out=D)
         # overflow here surfaces as the divergence error below
         with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(X, np.multiply(gamma, D, out=D), out=X_new)
+            np.subtract(X, np.multiply(step_size, D, out=D), out=X_new)
             _project_rows(X_new, problem.e_h)
         if not fixed:
             dlogits = aux - onehot if loss_kind == "ce" else aux[:, None] * onehot
             Gw = X.T @ dlogits / N
-            W_new = Wmat - gamma * Gw
+            W_new = Wmat - step_size * Gw
             if _project_rows(W_new.T, problem.e_w):
                 # keep a projected W column-major, the layout the LPM payloads
                 # were recorded with: matmul and axis-0 sums round by layout
@@ -290,12 +281,12 @@ def optimize(problem: PeeledProblem, loss_kind: str, config: OptimizerConfig) ->
         disp = row_norms(np.subtract(X_new, X, out=D)).max()
         if not fixed:
             disp = max(disp, np.linalg.norm(W_new - Wmat, axis=0).max())
-        grad_norm = float(disp / gamma)
+        grad_norm = float(disp / step_size)
         X, X_new, Wmat = X_new, X, W_new
 
         per_sample, aux = loss_terms()
         traj.records.append(snapshot(t, grad_norm, per_sample))
-        if config.stop_tol > 0 and getattr(traj.records[-1], stop_by) < config.stop_tol:
+        if stop_tol > 0 and getattr(traj.records[-1], stop_by) < stop_tol:
             traj.stop_reason = stop_by
             break
 

@@ -46,17 +46,12 @@ def dr_eta_bound(cos_angle: float) -> float:
     return (1.0 + cos_angle) / 2.0
 
 
-def check_offclass_uniformity(h: np.ndarray, classifier: FixedClassifier, c: int) -> float:
-    """max over k != c of |p_k(h) - (1 - p_c(h)) / (K - 1)|.
+def offclass_deviation(p: np.ndarray, c: int) -> float:
+    """max over k != c of |p_k - (1 - p_c) / (K - 1)| for the class probabilities p of h.
 
     Zero exactly when h is aligned with w*_c (ETF symmetry); the
     contraction comparison for CE assumes this holds approximately.
     """
-    return _offclass_dev(softmax_probs(h, classifier.scaled_columns), c)
-
-
-def _offclass_dev(p: np.ndarray, c: int) -> float:
-    """check_offclass_uniformity from the class probabilities p of h."""
     K = len(p)
     resid = (1.0 - p[c]) / (K - 1)
     others = np.arange(K) != c
@@ -161,7 +156,7 @@ def run_regularity_sweep(
         cos0 = min(cos_raw, 1.0)
         bound = dr_eta_bound(cos0)
         p = softmax_probs(h0, W)  # one softmax per trial: uniformity, CE gradient and rate
-        uniformity_dev = _offclass_dev(p, c)
+        uniformity_dev = offclass_deviation(p, c)
         grads = {}
         for records, kind, (loss_kind, gamma) in zip(per_step, kinds, steps):
             if loss_kind not in grads:
@@ -199,7 +194,7 @@ def run_regularity_sweep(
     return per_step
 
 
-#: gate on check_offclass_uniformity for the CE-vs-DR dominance assertion
+#: gate on offclass_deviation for the CE-vs-DR dominance assertion
 UNIFORMITY_GATE = 1e-3
 #: slack on DR's projected ratio - (1 + cos) / 2
 BOUND_TOL = 1e-9

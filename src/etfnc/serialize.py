@@ -20,14 +20,15 @@ def fmt_row(values) -> list:
 
 
 def write_csv(path, header, rows):
-    """Write a CSV with a header row; floats at 17 significant digits.
+    """Write a CSV, with a header row unless ``header`` is None; floats at 17 significant digits.
 
     Row cells may be floats, ints, or pre-formatted strings. Line endings
     are fixed to '\\n' so payloads are byte-identical across platforms.
     """
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
+        if header is not None:
+            w.writerow(header)
         for row in rows:
             w.writerow(fmt_row(row))
 

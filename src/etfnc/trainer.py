@@ -174,8 +174,8 @@ def make_imbalanced_dataset(spec: SyntheticDatasetSpec):
         return draw(rng_train, counts), draw(rng_test, np.full(K, per_test))
 
 
-def load_dataset_csv(path, num_classes: int = 0) -> FeatureBatch:
-    """Read a ``label,x0,...`` CSV; a bad row or value raises ValueError naming the file."""
+def load_dataset_csv(path, num_classes: int) -> FeatureBatch:
+    """Read a ``label,x0,...`` CSV of K classes; a bad row or value raises ValueError naming it."""
     import csv as _csv
 
     with open(path, newline="") as f:
@@ -188,8 +188,8 @@ def load_dataset_csv(path, num_classes: int = 0) -> FeatureBatch:
                 label, x = int(row[0]), [float(v) for v in row[1:]]
             except (IndexError, ValueError):
                 raise ValueError(f"{where}: expected an integer label followed by numbers") from None
-            if not 0 <= label < (num_classes or float("inf")):
-                raise ValueError(f"{where}: label {label} outside [0, {num_classes or 'inf'})")
+            if not 0 <= label < num_classes:
+                raise ValueError(f"{where}: label {label} outside [0, {num_classes})")
             if xs and len(x) != len(xs[0]):
                 raise ValueError(f"{where}: {len(x)} features, the first row has {len(xs[0])}")
             ys.append(label)
@@ -197,7 +197,7 @@ def load_dataset_csv(path, num_classes: int = 0) -> FeatureBatch:
     if not ys:
         raise ValueError(f"{path}: no data rows")
     try:
-        return FeatureBatch(xs, ys, num_classes or max(ys) + 1)
+        return FeatureBatch(xs, ys, num_classes)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
@@ -205,11 +205,19 @@ def load_dataset_csv(path, num_classes: int = 0) -> FeatureBatch:
 # --- training ---------------------------------------------------------------
 
 
+#: default step size per regime, from a stability/quality grid at desk
+#: scale: the weighted-CE baseline needs a small rate (per-sample weights
+#: reach N/(K n_min)), while the sphere-normalized ETF regimes tolerate and
+#: need a large one (the normalization Jacobian divides gradients by the raw
+#: feature norm)
+_STEP_SIZES = {"learnable-ce": 0.05, "learnable-wce": 0.02, "etf-ce": 1.0, "etf-dr": 1.0}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
     batch_size: int = 64
-    step_size: float = 0.1
+    step_size: float = None  # default: _STEP_SIZES[regime]
     milestones: tuple = ()  # default: 80% and 90% of epochs
     momentum: float = 0.9
     regime: str = "learnable-ce"  # one of REGIMES
@@ -219,14 +227,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
+        if self.step_size is None:
+            object.__setattr__(self, "step_size", _STEP_SIZES[self.regime])
         for name, ok, rule in (("e_h", self.e_h > 0, "> 0"),
                                ("step_size", self.step_size > 0, "> 0"),
                                ("momentum", 0 <= self.momentum < 1, "in [0, 1)")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
         ms = self.milestones
-        if any(b <= a for a, b in zip(ms, ms[1:])) or ms and ms[-1] >= self.epochs:
-            raise ValueError(f"milestones must be strictly increasing and < epochs, got {list(ms)}")
+        in_range = not ms or (1 <= ms[0] and ms[-1] < self.epochs)
+        if not in_range or any(b <= a for a, b in zip(ms, ms[1:])):
+            raise ValueError("milestones must be strictly increasing and in [1, epochs), "
+                             f"got {list(ms)}")
 
     @property
     def fixed_etf(self) -> bool:
@@ -239,23 +251,6 @@ class TrainConfig:
         # default decay points at 80% and 90%, deduped for tiny epoch counts
         ms = {int(0.8 * self.epochs), int(0.9 * self.epochs)}
         return tuple(sorted(m for m in ms if 0 < m < self.epochs))
-
-
-#: default step size per regime, see regime_config
-_STEP_SIZES = {"learnable-ce": 0.05, "learnable-wce": 0.02, "etf-ce": 1.0, "etf-dr": 1.0}
-
-
-def regime_config(regime: str, epochs: int, seed: int, **overrides) -> TrainConfig:
-    """Canonical config for one of the four comparison regimes.
-
-    Default step sizes come from a per-regime stability/quality grid at
-    desk scale: the weighted-CE baseline needs a small rate (per-sample
-    weights reach N/(K n_min)), while the sphere-normalized ETF regimes
-    tolerate and need a large one (the normalization Jacobian divides
-    gradients by the raw feature norm).
-    """
-    base = dict(epochs=epochs, seed=seed, regime=regime, step_size=_STEP_SIZES.get(regime))
-    return TrainConfig(**{**base, **overrides})  # TrainConfig rejects an unknown regime
 
 
 @dataclass
@@ -324,6 +319,8 @@ def train(model: MlpBackbone, train_set: FeatureBatch, test_set: FeatureBatch,
         class_weights(counts)[train_set.labels] if config.regime == "learnable-wce" else None
     )
     dr_targets = fixed_clf.lengths * np.sqrt(config.e_h) if dr else None
+    # fixed lengths weight the loss, not the decision rule (see balanced_accuracy)
+    W_unit = W / np.linalg.norm(W, axis=0, keepdims=True) if fixed else None
 
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
@@ -332,55 +329,57 @@ def train(model: MlpBackbone, train_set: FeatureBatch, test_set: FeatureBatch,
     log = TrainLog()
 
     for epoch in range(config.epochs):
-        lr = config.step_size * 0.1 ** sum(epoch >= m for m in milestones)
-        perm = rng.permutation(N)
-        loss_sum = 0.0
-        for start in range(0, N, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            xb, yb = train_set.features[idx], train_set.labels[idx]
-            B = len(idx)
-            feats, cache = model.forward(xb)
-            used, norms = _normalize_rows(feats, config.e_h) if fixed else (feats, None)
+        # overflow here surfaces as the divergence errors below
+        with np.errstate(over="ignore", invalid="ignore"):
+            lr = config.step_size * 0.1 ** sum(epoch >= m for m in milestones)
+            perm = rng.permutation(N)
+            loss_sum = 0.0
+            for start in range(0, N, config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                xb, yb = train_set.features[idx], train_set.labels[idx]
+                B = len(idx)
+                feats, cache = model.forward(xb)
+                used, norms = _normalize_rows(feats, config.e_h) if fixed else (feats, None)
 
-            if dr:
-                per_sample, r = dr_terms(used, W[:, yb], dr_targets[yb])
-                grad_used = (r / B)[:, None] * W[:, yb].T
-            else:
-                per_sample, coef = ce_terms(used, yb, W)
-                coef[np.arange(B), yb] -= 1.0
-                if sample_weights is not None:
-                    wts = sample_weights[idx]
-                    per_sample = per_sample * wts
-                    coef = coef * wts[:, None]
-                grad_used = coef @ W.T / B
-                grad_clf = None if fixed else used.T @ coef / B
-            loss_sum += float(per_sample.sum())
-            if fixed:
-                grad_feats = _normalize_rows_vjp(feats, norms, grad_used, config.e_h)
-            else:
-                grad_feats = grad_used
+                if dr:
+                    per_sample, r = dr_terms(used, W[:, yb], dr_targets[yb])
+                    grad_used = (r / B)[:, None] * W[:, yb].T
+                else:
+                    per_sample, coef = ce_terms(used, yb, W)
+                    coef[np.arange(B), yb] -= 1.0
+                    if sample_weights is not None:
+                        wts = sample_weights[idx]
+                        per_sample = per_sample * wts
+                        coef = coef * wts[:, None]
+                    grad_used = coef @ W.T / B
+                    grad_clf = None if fixed else used.T @ coef / B
+                loss_sum += float(per_sample.sum())
+                if fixed:
+                    grad_feats = _normalize_rows_vjp(feats, norms, grad_used, config.e_h)
+                else:
+                    grad_feats = grad_used
 
-            if not np.isfinite(loss_sum):
-                raise NumericDivergence(f"training diverged at epoch {epoch}")
+                if not np.isfinite(loss_sum):
+                    raise NumericDivergence(f"training diverged at epoch {epoch}")
 
-            d_ws, d_bs = model.backward(cache, grad_feats)
-            for l in range(len(model.weights)):
-                vel_w[l] = config.momentum * vel_w[l] + d_ws[l]
-                vel_b[l] = config.momentum * vel_b[l] + d_bs[l]
-                model.weights[l] -= lr * vel_w[l]
-                model.biases[l] -= lr * vel_b[l]
-            if not fixed:
-                vel_clf = config.momentum * vel_clf + grad_clf
-                W = W - lr * vel_clf
+                d_ws, d_bs = model.backward(cache, grad_feats)
+                for l in range(len(model.weights)):
+                    vel_w[l] = config.momentum * vel_w[l] + d_ws[l]
+                    vel_b[l] = config.momentum * vel_b[l] + d_bs[l]
+                    model.weights[l] -= lr * vel_w[l]
+                    model.biases[l] -= lr * vel_b[l]
+                if not fixed:
+                    vel_clf = config.momentum * vel_clf + grad_clf
+                    W = W - lr * vel_clf
 
-        train_feats = _features_for_metrics(model, train_set.features, config)
-        test_feats = _features_for_metrics(model, test_set.features, config)
+            train_feats = _features_for_metrics(model, train_set.features, config)
+            test_feats = _features_for_metrics(model, test_set.features, config)
         if not all(np.all(np.isfinite(a)) for a in (W, train_feats, test_feats)):
             raise NumericDivergence(f"parameters diverged at epoch {epoch}")
         # one point up to rounding, or a spread too small to square (1e-154**2 is subnormal)
         if np.ptp(train_feats, axis=0).max() <= max(1e-12 * np.abs(train_feats).max(), 1e-154):
             raise NumericDivergence(f"train features collapsed to one point after epoch {epoch}")
-        per_class_acc, bal_acc = balanced_accuracy(test_feats, test_set, W, config)
+        per_class_acc, bal_acc = balanced_accuracy(test_feats, test_set, W_unit if fixed else W)
         log.records.append(
             EpochRecord(
                 epoch=epoch,
@@ -396,18 +395,15 @@ def train(model: MlpBackbone, train_set: FeatureBatch, test_set: FeatureBatch,
     return log
 
 
-def balanced_accuracy(feats, test_set: FeatureBatch, W: np.ndarray, config: TrainConfig = None):
+def balanced_accuracy(feats, test_set: FeatureBatch, W: np.ndarray):
     """(per-class accuracy vector, balanced accuracy) of test features by argmax logit.
 
-    ``feats`` are the features train scores for the rows of ``test_set``,
-    sphere-normalized in the fixed-ETF regimes. There the per-class
-    lengths are a training-loss weighting, not a decision rule, so
-    prediction scores against the unit frame directions; learnable
-    classifiers predict with W as learned.
+    ``feats`` are the features train scores for the rows of ``test_set``, and
+    ``W`` the classifier it scores them with: in the fixed-ETF regimes the
+    unit frame directions, since the per-class lengths are a training-loss
+    weighting, not a decision rule.
     """
     counts = test_set.counts()
-    if config is not None and config.fixed_etf:
-        W = W / np.linalg.norm(W, axis=0, keepdims=True)
     pred = np.argmax(feats @ W, axis=1)
     labels = test_set.labels
     per_class = np.bincount(labels[pred == labels], minlength=test_set.num_classes) / counts

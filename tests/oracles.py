@@ -10,7 +10,7 @@ import numpy as np
 
 from etfnc.batches import FeatureBatch
 from etfnc.etf import EtfFrame
-from etfnc.losses import ce_terms, decompose_pull_push_classifier
+from etfnc.losses import ce_terms, decompose_pull_push_classifier, decompose_pull_push_feature
 from etfnc.serialize import write_csv
 
 
@@ -24,6 +24,11 @@ def dr_loss(h, classifier, c, e_h) -> float:
     t = float(classifier.lengths[c] * np.sqrt(e_h))
     dot = float(np.asarray(h, dtype=float) @ classifier.scaled_columns[:, c])
     return (dot - t) ** 2 / (2.0 * t)
+
+
+def ce_feature_grad(h, label, W) -> np.ndarray:
+    """dL_CE/dh = -(1-p_c) w_c + sum_{k!=c} p_k w_k, minus the pull/push split."""
+    return -decompose_pull_push_feature(h, label, W).neg_gradient()
 
 
 def ce_grad_classifier(batch, W, k) -> np.ndarray:
@@ -48,7 +53,7 @@ def save_dataset_csv(path, dataset: FeatureBatch):
 
 
 def frame_from_csv_text(text: str, rotation_seed: int = 0) -> EtfFrame:
-    """Read back the text ``frame_to_csv_text`` writes: one frame column per line."""
+    """Read back the ``frame.csv`` text that ``etfnc etf`` writes: one frame column per line."""
     cols = [
         [float(x) for x in line.split(",")]
         for line in text.strip().splitlines()

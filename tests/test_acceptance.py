@@ -14,11 +14,11 @@ import etfnc as e
 from conftest import central_diff, rel_error
 from etfnc.batches import FeatureBatch
 from etfnc.cli import main as cli_main
-from etfnc.peeled import OptimizerConfig, dlpm_problem, init_features, lpm_problem, optimize
+from etfnc.peeled import dlpm_problem, init_features, lpm_problem, optimize
 from etfnc.regularity import pair_dominance, run_regularity_sweep
 from etfnc.serialize import derive_seed
-from etfnc.trainer import MlpBackbone, SyntheticDatasetSpec, make_imbalanced_dataset, regime_config, train
-from oracles import ce_grad_classifier, ce_loss, dr_loss
+from etfnc.trainer import MlpBackbone, SyntheticDatasetSpec, TrainConfig, make_imbalanced_dataset, train
+from oracles import ce_feature_grad, ce_grad_classifier, ce_loss, dr_loss
 
 
 def _check(num, desc, ok, detail=""):
@@ -57,7 +57,7 @@ def test_criterion_2_gradient_oracles():
         h = rng.standard_normal(d)
         c = int(rng.integers(K))
         fd = central_diff(lambda x: ce_loss(x, c, W), h)
-        worst_fd = max(worst_fd, rel_error(e.ce_grad_feature(h, c, W), fd))
+        worst_fd = max(worst_fd, rel_error(ce_feature_grad(h, c, W), fd))
 
         clf = e.uniform_classifier(e.generate_etf(d, K, i), e_w=2.0)
         fd = central_diff(lambda x: dr_loss(x, clf, c, 1.5), h)
@@ -86,7 +86,8 @@ def test_criterion_2_gradient_oracles():
         h = rng.standard_normal(d)
         c = int(rng.integers(K))
         pp = e.decompose_pull_push_feature(h, c, W)
-        worst_split = max(worst_split, rel_error(pp.pull + pp.push, -e.ce_grad_feature(h, c, W)))
+        grad = W @ (e.ce_terms(h, c, W)[1] - np.eye(K)[c])  # W dL/dlogits, the batch kernel's form
+        worst_split = max(worst_split, rel_error(pp.pull + pp.push, -grad))
         batch = FeatureBatch(rng.standard_normal((N, d)), rng.integers(K, size=N), K)
         ppc = e.decompose_pull_push_classifier(batch, W, c)
         worst_split = max(
@@ -118,9 +119,7 @@ def test_criterion_3_dlpm_oracle_equivalence():
         worst_gap, worst_steps = 0.0, 0
         for seed in range(5):
             prob = init_features(dlpm_problem(clf, COUNTS_C3, 1.0), seed)
-            traj = optimize(
-                prob, loss_kind, OptimizerConfig(step_size=gamma, max_steps=5000, stop_tol=1e-3)
-            )
+            traj = optimize(prob, loss_kind, step_size=gamma, max_steps=5000, stop_tol=1e-3)
             worst_gap = max(worst_gap, traj.records[-1].gap)
             worst_steps = max(worst_steps, traj.records[-1].step)
         results[loss_kind] = (worst_gap, worst_steps)
@@ -178,7 +177,7 @@ def test_criterion_5_minority_collapse_probe():
     """LPM merges minor-class columns; DLPM on the same data does not."""
     counts = [1000] * 5 + [2] * 5
     prob = init_features(lpm_problem(16, 10, counts, 1.0, 1.0, seed=50), seed=51)
-    traj = optimize(prob, "ce", OptimizerConfig(step_size=0.5, max_steps=20000, stop_tol=1e-5))
+    traj = optimize(prob, "ce", step_size=0.5, max_steps=20000, stop_tol=1e-5)
     assert traj.stop_reason == "grad_norm", "LPM did not reach gradient norm < 1e-5"
     probe = e.minority_collapse_probe(traj.final.classifier, [5, 6, 7, 8, 9])
     balanced = -1.0 / 9.0
@@ -186,7 +185,7 @@ def test_criterion_5_minority_collapse_probe():
 
     clf = e.uniform_classifier(e.generate_etf(16, 10, 50), 1.0)
     dprob = init_features(dlpm_problem(clf, counts, 1.0), seed=51)
-    dtraj = optimize(dprob, "ce", OptimizerConfig(step_size=0.5, max_steps=5000, stop_tol=1e-4))
+    dtraj = optimize(dprob, "ce", step_size=0.5, max_steps=5000, stop_tol=1e-4)
     means = np.stack(
         [dtraj.final.features[dtraj.final.labels == k].mean(axis=0) for k in range(10)]
     )
@@ -239,7 +238,7 @@ def test_criterion_7_desk_scale_regime_comparison():
         train_set, test_set = make_imbalanced_dataset(spec)
         for regime in regimes:
             model = MlpBackbone.init([32, 64, 32], seed=derive_seed(seed, f"model:{regime}"))
-            log = train(model, train_set, test_set, regime_config(regime, epochs=48, seed=seed))
+            log = train(model, train_set, test_set, TrainConfig(epochs=48, regime=regime, seed=seed))
             quarter = max(1, len(log.records) // 4)
             tail = log.records[-quarter:]
             results[regime].append(

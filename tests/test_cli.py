@@ -390,6 +390,8 @@ class TestTrainCommand:
             ("seeds", [], "'seeds' must be a list of one or more integers >= 0, got []"),
             ("regimes", [], "'regimes' must be a list of one or more regimes from learnable-ce, "
                             "learnable-wce, etf-ce, etf-dr, got []"),
+            ("regimes", ["etf-dr", "etf-ce", "etf-dr"], "config field 'regimes' repeats 'etf-dr'"),
+            ("seeds", [0, 0], "config field 'seeds' repeats 0"),
         ],
     )
     def test_bad_train_config_named(self, tmp_path, capsys, block, value, message):
@@ -548,12 +550,25 @@ class TestInputRefusedBeforeOutput:
         ((*PEELED, "--seed", -1), "--seed must be >= 0, got -1"),
         (("regularity", "--K", 4, "--d", 6, "--trials", 3, "--seed", -1),
          "--seed must be >= 0, got -1"),
+        ((*PEELED, "--minor-classes", "0,9"), "--minor-classes needs lpm mode"),
     ])
     def test_flags(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
         assert run(*argv, "--out", out) == EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_not_a_directory(self, tmp_path, capsys, under):
+        """An --out that is a file, or lies under one, is refused before the command runs."""
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / under if under else blocker
+        assert run("etf", "--d", 3, "--K", 4, "--out", out) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--out {out}: {blocker} exists and is not a directory" in captured.err
+        assert blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize("block,value,named", [
         ("train", {"epochs": 3, "milestones": [5]}, ("'train'", "milestones")),
@@ -566,6 +581,8 @@ class TestInputRefusedBeforeOutput:
         pytest.param("dataset", {"noise_scale": 1e308},
                      ("config block 'dataset': features contain non-finite entries",),
                      marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+        ("train", {"epochs": 3, "milestones": [0]}, ("'train'", "milestones")),
+        ("train", {"epochs": 3, "milestones": [-5]}, ("'train'", "milestones")),
     ])
     def test_train_config(self, tmp_path, capsys, block, value, named):
         base = {"num_classes": 3, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25}

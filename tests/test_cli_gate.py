@@ -67,7 +67,7 @@ class TestExitCodeGate:
     @GATE
     @given(
         st.sampled_from(["dlpm", "lpm"]), st.sampled_from(["ce", "dr"]), st.booleans(),
-        mutated({"K": 4, "d": 6, "counts": "5,3,2,1", "steps": 5, "minor_classes": "2,3"},
+        mutated({"K": 4, "d": 6, "counts": "5,3,2,1", "steps": 5},
                 {"K": K_VALUES, "d": D_VALUES, "tau": floats, "n_max": st.integers(-1, 8),
                  "counts": csv_list(st.integers(-1, 6)) | st.just("a,b"), "gamma": floats,
                  "steps": st.integers(-1, 6), "stop_tol": floats, "e_h": floats, "e_w": floats,

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etfnc.cli import EXIT_OK, main
 from etfnc.etf import (
     frame_from_json_dict,
-    frame_to_csv_text,
     frame_to_json_dict,
     generate_etf,
     random_semi_orthogonal,
@@ -175,14 +175,20 @@ class TestSerialization:
         assert back.dim == frame.dim and back.num_classes == frame.num_classes
         assert np.array_equal(back.columns, frame.columns)
 
-    def test_csv_roundtrip(self):
+    @staticmethod
+    def frame_csv(tmp_path, d, K, seed):
+        """The frame.csv text that ``etfnc etf`` writes."""
+        argv = ["etf", f"--d={d}", f"--K={K}", f"--seed={seed}", f"--out={tmp_path}"]
+        assert main(argv) == EXIT_OK
+        return (tmp_path / "frame.csv").read_text()
+
+    def test_csv_roundtrip(self, tmp_path):
         frame = generate_etf(6, 4, 11)
-        back = frame_from_csv_text(frame_to_csv_text(frame), rotation_seed=11)
+        back = frame_from_csv_text(self.frame_csv(tmp_path, 6, 4, 11), rotation_seed=11)
         assert back.columns.shape == frame.columns.shape
         assert np.abs(back.columns - frame.columns).max() < 1e-15
 
-    def test_csv_one_column_per_line(self):
-        frame = generate_etf(3, 4, 1)
-        lines = frame_to_csv_text(frame).strip().splitlines()
+    def test_csv_one_column_per_line(self, tmp_path):
+        lines = self.frame_csv(tmp_path, 3, 4, 1).strip().splitlines()
         assert len(lines) == 4
         assert all(len(line.split(",")) == 3 for line in lines)

@@ -3,7 +3,6 @@
 import numpy as np
 
 from etfnc import (
-    OptimizerConfig,
     analytic_optimum,
     dlpm_problem,
     generate_etf,
@@ -19,7 +18,7 @@ from oracles import dr_loss
 def run_dlpm(counts, seed=1, stop=1e-3):
     clf = uniform_classifier(generate_etf(16, 10, 0), 1.0)
     prob = init_features(dlpm_problem(clf, counts, 1.0), seed)
-    traj = optimize(prob, "ce", OptimizerConfig(step_size=0.5, max_steps=4000, stop_tol=stop))
+    traj = optimize(prob, "ce", step_size=0.5, max_steps=4000, stop_tol=stop)
     assert traj.records[-1].gap < stop
     return traj.final, clf
 

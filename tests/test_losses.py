@@ -12,7 +12,6 @@ from etfnc.batches import FeatureBatch
 from etfnc.etf import generate_etf, scale_classifier, uniform_classifier
 from etfnc.losses import (
     NumericDivergence,
-    ce_grad_feature,
     ce_terms,
     decompose_pull_push_classifier,
     decompose_pull_push_feature,
@@ -20,7 +19,7 @@ from etfnc.losses import (
     dr_terms,
     softmax_probs,
 )
-from oracles import ce_grad_classifier, ce_loss, dr_loss
+from oracles import ce_feature_grad, ce_grad_classifier, ce_loss, dr_loss
 
 
 def etf_matrix(d, K, seed=1, e_w=1.0):
@@ -90,7 +89,7 @@ class TestCeLoss:
 class TestCeGradFeature:
     def test_equal_logits_closed_form(self):
         W = etf_matrix(6, 5)
-        g = ce_grad_feature(np.zeros(6), 1, W)
+        g = ce_feature_grad(np.zeros(6), 1, W)
         K = 5
         expected = -(1 - 1 / K) * W[:, 1] + (1 / K) * W[:, [0, 2, 3, 4]].sum(axis=1)
         np.testing.assert_allclose(g, expected, atol=1e-12)
@@ -101,12 +100,12 @@ class TestCeGradFeature:
             h = rng.standard_normal(8)
             c = int(rng.integers(5))
             fd = central_diff(lambda x: ce_loss(x, c, W), h)
-            assert rel_error(ce_grad_feature(h, c, W), fd) < 1e-6
+            assert rel_error(ce_feature_grad(h, c, W), fd) < 1e-6
 
     def test_parallel_to_own_column_at_optimum_direction(self):
         W = etf_matrix(6, 4, e_w=1.0)
         h = np.sqrt(1.0 / 1.0) * W[:, 2]
-        g = ce_grad_feature(h, 2, W)
+        g = ce_feature_grad(h, 2, W)
         cos = g @ W[:, 2] / (np.linalg.norm(g) * np.linalg.norm(W[:, 2]))
         np.testing.assert_allclose(abs(cos), 1.0, atol=1e-10)
 
@@ -166,7 +165,7 @@ class TestPullPushFeature:
             h = rng.standard_normal(6)
             c = int(rng.integers(4))
             pp = decompose_pull_push_feature(h, c, W)
-            g = ce_grad_feature(h, c, W)
+            g = W @ (ce_terms(h, c, W)[1] - np.eye(4)[c])  # W dL/dlogits, the batch kernel's form
             assert rel_error(pp.pull + pp.push, -g) < 1e-12
 
     def test_saturated_softmax_vanishes(self):
@@ -307,14 +306,14 @@ class TestGradientProperties:
             h = rng.standard_normal(d)
             c = int(rng.integers(K))
             fd = central_diff(lambda x: ce_loss(x, c, W), h)
-            assert rel_error(ce_grad_feature(h, c, W), fd) < 1e-6
+            assert rel_error(ce_feature_grad(h, c, W), fd) < 1e-6
 
     def test_ce_decreases_along_negative_gradient(self, rng):
         W = rng.standard_normal((6, 4))
         for _ in range(10):
             h = rng.standard_normal(6)
             c = int(rng.integers(4))
-            g = ce_grad_feature(h, c, W)
+            g = ce_feature_grad(h, c, W)
             if np.linalg.norm(g) < 1e-12:
                 continue
             assert ce_loss(h - 1e-4 * g, c, W) < ce_loss(h, c, W)
@@ -395,7 +394,7 @@ class TestKernelsMatchReference:
             np.testing.assert_allclose(loss[i], ce_loss(H[i], y[i], W), rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(P[i], softmax_probs(H[i], W), rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(
-                grads[i], ce_grad_feature(H[i], y[i], W), rtol=1e-12, atol=1e-12
+                grads[i], ce_feature_grad(H[i], y[i], W), rtol=1e-12, atol=1e-12
             )
             row_loss, row_P = ce_terms(H[i], y[i], W)
             np.testing.assert_allclose(row_loss, loss[i], rtol=1e-12, atol=1e-12)

@@ -227,7 +227,7 @@ class TestReportInvariances:
     def test_field_order_fixed(self):
         batch, frame = collapsed_batch()
         report = nc_report(batch, frame.columns)
-        assert list(report.as_dict()) == list(NC_FIELDS)
+        assert report.as_row() == [getattr(report, f) for f in NC_FIELDS]
         assert len(report.as_row()) == 8
 
 

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from etfnc.etf import generate_etf, scale_classifier, uniform_classifier
 from etfnc.losses import NumericDivergence, ce_terms
 from etfnc.peeled import (
-    OptimizerConfig,
     PeeledProblem,
     StepRecord,
     Trajectory,
@@ -199,7 +198,7 @@ class TestOptimalityGap:
 class TestOptimizeDlpm:
     def test_ce_converges_to_oracle(self):
         prob = make_dlpm(K=5, d=8, counts=(50, 20, 8, 3, 1))
-        traj = optimize(prob, "ce", OptimizerConfig(step_size=0.5, max_steps=2000, stop_tol=1e-4))
+        traj = optimize(prob, "ce", step_size=0.5, max_steps=2000, stop_tol=1e-4)
         assert traj.stop_reason == "gap"
         assert traj.records[-1].gap < 1e-4
 
@@ -209,14 +208,14 @@ class TestOptimizeDlpm:
         h_star = analytic_optimum(clf, 1.0)
         prob.features = h_star[:, prob.labels].T.copy()
         for loss in ("ce", "dr"):
-            traj = optimize(prob, loss, OptimizerConfig(step_size=0.5, max_steps=100))
+            traj = optimize(prob, loss, step_size=0.5, max_steps=100)
             gaps = [r.gap for r in traj.records]
             assert max(gaps) < 1e-10, loss
 
     def test_loss_nonincreasing_small_step(self):
         prob = make_dlpm()
         for loss in ("ce", "dr"):
-            traj = optimize(prob, loss, OptimizerConfig(step_size=0.01, max_steps=60))
+            traj = optimize(prob, loss, step_size=0.01, max_steps=60)
             losses = [r.loss for r in traj.records]
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:])), loss
 
@@ -226,14 +225,14 @@ class TestOptimizeDlpm:
         clf = uniform_classifier(generate_etf(12, 6, 2), 1.0)
         for loss, gamma in (("ce", 0.5), ("dr", 256.0)):
             prob = init_features(dlpm_problem(clf, [50, 20, 8, 3, 2, 1], 1.0), 3)
-            traj = optimize(prob, loss, OptimizerConfig(step_size=gamma, max_steps=600))
+            traj = optimize(prob, loss, step_size=gamma, max_steps=600)
             gaps = [r.gap for r in traj.records]
             tail = gaps[len(gaps) // 2 :]
             assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:])), loss
 
     def test_feasibility_after_every_step(self):
         prob = make_dlpm(e_h=2.0)
-        traj = optimize(prob, "ce", OptimizerConfig(step_size=1.0, max_steps=50))
+        traj = optimize(prob, "ce", step_size=1.0, max_steps=50)
         nsq = np.einsum("ij,ij->i", traj.final.features, traj.final.features)
         assert np.all(nsq <= 2.0 + 1e-9)
 
@@ -242,11 +241,16 @@ class TestOptimizeDlpm:
         prob.features = prob.features.copy()
         prob.features[0, 0] = np.nan
         with pytest.raises(NumericDivergence):
-            optimize(prob, "dr", OptimizerConfig(step_size=0.5, max_steps=10))
+            optimize(prob, "dr", step_size=0.5, max_steps=10)
+
+    @pytest.mark.parametrize("step_size", [0.0, -0.5])
+    def test_nonpositive_step_size_rejected(self, step_size):
+        with pytest.raises(ValueError, match="step_size must be positive"):
+            optimize(make_dlpm(), "dr", step_size, 10)
 
     def test_record_count_bounded(self):
         prob = make_dlpm()
-        traj = optimize(prob, "ce", OptimizerConfig(step_size=0.5, max_steps=25))
+        traj = optimize(prob, "ce", step_size=0.5, max_steps=25)
         assert len(traj.records) <= 26
 
     def test_input_problem_not_mutated(self):
@@ -255,28 +259,28 @@ class TestOptimizeDlpm:
             before = prob.features.copy()
             W_before = prob.classifier_matrix.copy()
             for loss in ("ce", "dr"):
-                optimize(prob, loss, OptimizerConfig(step_size=0.5, max_steps=20))
+                optimize(prob, loss, step_size=0.5, max_steps=20)
             assert np.array_equal(prob.features, before)
             assert np.array_equal(prob.classifier_matrix, W_before)
 
     def test_final_features_own_their_memory(self):
         """The loop's work buffers never leak into the input or a second run's result."""
         prob = make_dlpm()
-        config = OptimizerConfig(step_size=0.5, max_steps=7)
-        a = optimize(prob, "dr", config).final.features
-        b = optimize(prob, "dr", config).final.features
+        config = dict(step_size=0.5, max_steps=7)
+        a = optimize(prob, "dr", **config).final.features
+        b = optimize(prob, "dr", **config).final.features
         assert np.array_equal(a, b)
         for x, y in ((a, b), (a, prob.features), (b, prob.features)):
             assert not np.shares_memory(x, y)
         b[:] = 0.0
-        assert np.array_equal(a, optimize(prob, "dr", config).final.features)
+        assert np.array_equal(a, optimize(prob, "dr", **config).final.features)
 
 
 class TestOptimizeLpm:
     def test_balanced_lpm_learns_etf(self):
         """Learned classifier Gram matches the ETF target up to 1e-2."""
         prob = init_features(lpm_problem(12, 6, [20] * 6, 1.0, 1.0, 3), 4)
-        traj = optimize(prob, "ce", OptimizerConfig(step_size=0.5, max_steps=4000, stop_tol=1e-6))
+        traj = optimize(prob, "ce", step_size=0.5, max_steps=4000, stop_tol=1e-6)
         W = traj.final.classifier
         Wn = W / np.linalg.norm(W, axis=0, keepdims=True)
         target = 6 / 5 * np.eye(6) - 1 / 5
@@ -285,13 +289,13 @@ class TestOptimizeLpm:
     def test_minority_collapse_small(self):
         """3 major + 3 minor classes: minor columns merge (cos >> -1/(K-1))."""
         prob = init_features(lpm_problem(12, 6, [300, 300, 300, 2, 2, 2], 1.0, 1.0, 1), 2)
-        traj = optimize(prob, "ce", OptimizerConfig(step_size=0.5, max_steps=4000, stop_tol=1e-5))
+        traj = optimize(prob, "ce", step_size=0.5, max_steps=4000, stop_tol=1e-5)
         probe = minority_collapse_probe(traj.final.classifier, [3, 4, 5])
         assert probe.mean_cosine > 0.9  # calibrated: merges to ~1.0
 
     def test_gap_is_nan_without_oracle(self):
         prob = init_features(lpm_problem(6, 3, [4, 4, 4], 1.0, 1.0, 0), 0)
-        traj = optimize(prob, "ce", OptimizerConfig(step_size=0.5, max_steps=5))
+        traj = optimize(prob, "ce", step_size=0.5, max_steps=5)
         assert np.isnan(traj.records[-1].gap)
         assert traj.records[-1].grad_norm > 0
 
@@ -306,14 +310,14 @@ def _reference_project_rows(X, E):
     return X
 
 
-def _reference_optimize(problem, loss_kind, config):
+def _reference_optimize(problem, loss_kind, step_size, max_steps, stop_tol=0.0):
     """The allocating loop that the buffered ``optimize`` must reproduce bit for bit."""
     X = problem.features.copy()
     labels = problem.labels
     N = X.shape[0]
     fixed = problem.is_fixed_classifier
     Wmat = problem.classifier_matrix.copy()
-    gamma = config.step_size
+    gamma = step_size
 
     if fixed:
         lengths = problem.classifier.lengths
@@ -353,7 +357,7 @@ def _reference_optimize(problem, loss_kind, config):
     traj.records.append(snapshot(0, float("nan"), per_sample))
     stop_reason = "max_steps"
 
-    for t in range(1, config.max_steps + 1):
+    for t in range(1, max_steps + 1):
         if loss_kind == "ce":
             G = aux @ Wmat.T - Wmat[:, labels].T
         else:
@@ -378,11 +382,11 @@ def _reference_optimize(problem, loss_kind, config):
 
         per_sample, aux = loss_terms(X, labels)
         traj.records.append(snapshot(t, grad_norm, per_sample))
-        if config.stop_tol > 0:
-            if has_oracle and traj.records[-1].gap < config.stop_tol:
+        if stop_tol > 0:
+            if has_oracle and traj.records[-1].gap < stop_tol:
                 stop_reason = "gap"
                 break
-            if not has_oracle and grad_norm < config.stop_tol:
+            if not has_oracle and grad_norm < stop_tol:
                 stop_reason = "grad_norm"
                 break
 
@@ -396,7 +400,7 @@ def _reference_optimize(problem, loss_kind, config):
 
 @st.composite
 def peeled_runs(draw):
-    """A DLPM or LPM instance, a loss and an optimizer config."""
+    """A DLPM or LPM instance, a loss and the optimizer arguments."""
     K = draw(st.integers(2, 5))
     d = draw(st.integers(K - 1, K + 3))
     counts = draw(st.lists(st.integers(1, 30), min_size=K, max_size=K))
@@ -409,7 +413,8 @@ def peeled_runs(draw):
     prob = init_features(prob, draw(st.integers(0, 99)))
     loss = draw(st.sampled_from(["ce", "dr"]))
     gamma = draw(st.floats(1e-3, 600.0 if loss == "dr" else 4.0))
-    config = OptimizerConfig(gamma, draw(st.integers(0, 60)), draw(st.sampled_from([0.0, 1e-3])))
+    config = dict(step_size=gamma, max_steps=draw(st.integers(0, 60)),
+                  stop_tol=draw(st.sampled_from([0.0, 1e-3])))
     return prob, loss, config
 
 
@@ -431,7 +436,7 @@ class TestMatchesReference:
     @given(peeled_runs())
     def test_byte_identical(self, run):
         prob, loss, config = run
-        assert_same_run(optimize(prob, loss, config), _reference_optimize(prob, loss, config))
+        assert_same_run(optimize(prob, loss, **config), _reference_optimize(prob, loss, **config))
 
     def test_byte_identical_at_workload_scale(self):
         """Many rows per class and d >= 8, where axis-1 sums go pairwise."""
@@ -442,8 +447,8 @@ class TestMatchesReference:
                 prob = init_features(dlpm_problem(clf, counts, 1.0), 1)
             else:
                 prob = init_features(lpm_problem(16, 10, counts, 1.0, 1.0, 2), 3)
-            config = OptimizerConfig(gamma, 40)
-            assert_same_run(optimize(prob, loss, config), _reference_optimize(prob, loss, config))
+            config = dict(step_size=gamma, max_steps=40)
+            assert_same_run(optimize(prob, loss, **config), _reference_optimize(prob, loss, **config))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["dlpm", "lpm"])
@@ -456,11 +461,11 @@ class TestMatchesReference:
             prob = init_features(lpm_problem(6, 3, [4, 3, 2], 1.0, 1.0, 0), 1)
         prob.features = prob.features.copy()
         prob.features[2, 1] = bad
-        config = OptimizerConfig(step_size=0.5, max_steps=10)
+        config = dict(step_size=0.5, max_steps=10)
         with pytest.raises(NumericDivergence) as expected:
-            _reference_optimize(prob, loss, config)
+            _reference_optimize(prob, loss, **config)
         with pytest.raises(NumericDivergence, match=f"^{expected.value}$"):
-            optimize(prob, loss, config)
+            optimize(prob, loss, **config)
 
 
 class TestMinorityProbe:

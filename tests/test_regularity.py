@@ -16,9 +16,9 @@ from etfnc.regularity import (
     DOMINANCE_FRAC,
     RegularityRecord,
     _norm,
-    check_offclass_uniformity,
     check_sweep,
     dr_eta_bound,
+    offclass_deviation,
     pair_dominance,
     run_regularity_sweep,
 )
@@ -119,7 +119,7 @@ class TestOffclassUniformity:
     def test_zero_at_aligned_feature(self):
         clf = make_classifier()
         h = np.sqrt(1.0) * clf.frame.columns[:, 3]
-        assert check_offclass_uniformity(h, clf, 3) < 1e-12
+        assert offclass_deviation(softmax_probs(h, clf.scaled_columns), 3) < 1e-12
 
     def test_small_near_optimum(self):
         clf = make_classifier()
@@ -129,7 +129,7 @@ class TestOffclassUniformity:
     def test_large_for_wrong_alignment(self):
         clf = make_classifier()
         h = clf.frame.columns[:, 1]  # aligned with class 1, evaluated for class 0
-        assert check_offclass_uniformity(h, clf, 0) > 0.01
+        assert offclass_deviation(softmax_probs(h, clf.scaled_columns), 0) > 0.01
 
 
 class TestDrBound:

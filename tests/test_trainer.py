@@ -17,10 +17,10 @@ from etfnc.trainer import (
     class_weights,
     load_dataset_csv,
     make_imbalanced_dataset,
-    regime_config,
     train,
 )
 from etfnc.trainer import (
+    _STEP_SIZES,
     _build_classifier,
     _features_for_metrics,
     _normalize_rows,
@@ -107,7 +107,7 @@ class TestDatasetSpec:
         path = tmp_path / "data.csv"
         path.write_text("label,x0\n")
         with pytest.raises(ValueError, match="no data rows"):
-            load_dataset_csv(path)
+            load_dataset_csv(path, num_classes=3)
 
 
 def reference_forward(model, x):
@@ -290,12 +290,12 @@ class TestTrain:
         short = FeatureBatch(train_set.features[keep], train_set.labels[keep], 3)
         model = MlpBackbone.init([6, 10, 5], seed=1)
         with pytest.raises(ValueError, match="class 1 has no samples"):
-            train(model, short, test_set, regime_config("etf-dr", epochs=1, seed=0))
+            train(model, short, test_set, TrainConfig(epochs=1, regime="etf-dr", seed=0))
 
     def test_fixed_classifier_never_mutated(self):
         train_set, test_set = tiny_problem()
         model = MlpBackbone.init([6, 10, 5], seed=1)
-        cfg = regime_config("etf-dr", epochs=3, seed=0)
+        cfg = TrainConfig(epochs=3, regime="etf-dr", seed=0)
         log = train(model, train_set, test_set, cfg)
         from etfnc.etf import generate_etf, scale_classifier
         from etfnc.trainer import class_weights as cw
@@ -309,7 +309,7 @@ class TestTrain:
         logs = []
         for _ in range(2):
             model = MlpBackbone.init([6, 10, 5], seed=1)
-            logs.append(train(model, train_set, test_set, regime_config("learnable-ce", epochs=3, seed=5)))
+            logs.append(train(model, train_set, test_set, TrainConfig(epochs=3, regime="learnable-ce", seed=5)))
         a, b = logs
         assert [r.loss for r in a.records] == [r.loss for r in b.records]
         assert [r.bal_acc for r in a.records] == [r.bal_acc for r in b.records]
@@ -319,7 +319,7 @@ class TestTrain:
         train_set, test_set = tiny_problem()
         for regime in ("learnable-ce", "learnable-wce", "etf-ce", "etf-dr"):
             model = MlpBackbone.init([6, 10, 5], seed=2)
-            log = train(model, train_set, test_set, regime_config(regime, epochs=2, seed=0))
+            log = train(model, train_set, test_set, TrainConfig(epochs=2, regime=regime, seed=0))
             assert len(log.records) == 2
             header, rows = log.csv_rows()
             assert len(header) == 3 + 16 and len(rows) == 2
@@ -327,13 +327,11 @@ class TestTrain:
     @pytest.mark.parametrize("regime", ["learnable-dr", "etf", ""])
     def test_unknown_regime_rejected(self, regime):
         with pytest.raises(ValueError, match=f"unknown regime '{regime}'"):
-            regime_config(regime, epochs=2, seed=0)
-        with pytest.raises(ValueError, match=f"unknown regime '{regime}'"):
             TrainConfig(epochs=2, regime=regime)
 
-    @pytest.mark.parametrize("milestones", [(5,), (3,), (2, 1), (1, 1)])
+    @pytest.mark.parametrize("milestones", [(5,), (3,), (2, 1), (1, 1), (0,), (-5,), (0, 2)])
     def test_bad_milestones_rejected_at_construction(self, milestones):
-        with pytest.raises(ValueError, match="milestones must be strictly increasing and < epochs"):
+        with pytest.raises(ValueError, match=r"milestones must be strictly increasing and in \[1, epochs\)"):
             TrainConfig(epochs=3, milestones=milestones)
 
     @pytest.mark.parametrize("field,value,rule", [
@@ -347,7 +345,12 @@ class TestTrain:
         with pytest.raises(ValueError, match=message):
             TrainConfig(epochs=3, **{field: value})
         with pytest.raises(ValueError, match=message):
-            regime_config("etf-dr", epochs=3, seed=0, **{field: value})
+            TrainConfig(epochs=3, regime="etf-dr", **{field: value})
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_step_size_defaults_per_regime(self, regime):
+        assert TrainConfig(epochs=3, regime=regime).step_size == _STEP_SIZES[regime]
+        assert TrainConfig(epochs=3, regime=regime, step_size=0.3).step_size == 0.3
 
     def test_balanced_regimes_comparable(self):
         """At tau = 1 the two headline regimes land within 2 points of each
@@ -365,7 +368,7 @@ class TestTrain:
                 )
                 train_set, test_set = make_imbalanced_dataset(spec)
                 model = MlpBackbone.init([32, 64, 32], seed=derive_seed(seed, f"model:{regime}"))
-                log = train(model, train_set, test_set, regime_config(regime, epochs=48, seed=seed))
+                log = train(model, train_set, test_set, TrainConfig(epochs=48, regime=regime, seed=seed))
                 accs.append(log.final_bal_acc)
             means[regime] = float(np.mean(accs))
         assert abs(means["learnable-ce"] - means["etf-dr"]) <= 0.02, means
@@ -379,12 +382,15 @@ class TestTrain:
             MlpBackbone, "forward", lambda self, x: rows.append(len(x)) or forward(self, x)
         )
         model = MlpBackbone.init([6, 10, 5], seed=1)
-        cfg = regime_config(regime, epochs=3, seed=0)
+        cfg = TrainConfig(epochs=3, regime=regime, seed=0)
         log = train(model, train_set, test_set, cfg)
         assert sum(rows) == 3 * (2 * train_set.size + test_set.size)
         # the epoch's balanced accuracy scores the features the metrics use
         feats = _features_for_metrics(model, test_set.features, cfg)
-        assert log.final_bal_acc == balanced_accuracy(feats, test_set, log.classifier, cfg)[1]
+        W = log.classifier  # fixed ETF regimes score against the unit frame directions
+        if cfg.fixed_etf:
+            W = W / np.linalg.norm(W, axis=0, keepdims=True)
+        assert log.final_bal_acc == balanced_accuracy(feats, test_set, W)[1]
 
 
 class TestEndToEndGradients:
@@ -463,8 +469,8 @@ class TestEndToEndGradients:
         train_set, test_set = make_imbalanced_dataset(spec)
         x, y, N = train_set.features, train_set.labels, train_set.size
         sizes = [4, 6, 3]
-        config = regime_config(
-            regime, epochs=1, seed=2, batch_size=N, momentum=0.0, step_size=0.5
+        config = TrainConfig(
+            epochs=1, regime=regime, seed=2, batch_size=N, momentum=0.0, step_size=0.5
         )
         counts = np.bincount(y, minlength=3)
         W0, clf = _build_classifier(config, 3, counts, np.random.default_rng([2, 13]))
@@ -495,10 +501,8 @@ class TestEndToEndGradients:
         assert rel_error((before - after) / config.step_size, fd) < 1e-6
 
 
-def reference_balanced_accuracy(feats, test_set, W, config=None):
+def reference_balanced_accuracy(feats, test_set, W):
     """balanced_accuracy as the mean of each class's boolean hit array."""
-    if config is not None and config.fixed_etf:
-        W = W / np.linalg.norm(W, axis=0, keepdims=True)
     pred = np.argmax(feats @ W, axis=1)
     per_class = np.array(
         [float(np.mean(pred[test_set.labels == k] == k)) for k in range(test_set.num_classes)]
@@ -508,16 +512,15 @@ def reference_balanced_accuracy(feats, test_set, W, config=None):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.integers(1, 8), st.lists(st.integers(1, 40), min_size=6, max_size=6),
-       st.sampled_from(REGIMES), st.integers(0, 2**16))
-def test_balanced_accuracy_equals_per_class_oracle(K, d, counts, regime, seed):
+       st.integers(0, 2**16))
+def test_balanced_accuracy_equals_per_class_oracle(K, d, counts, seed):
     rng = np.random.default_rng(seed)
     y = rng.permutation(np.repeat(np.arange(K), counts[:K]))
     W = rng.standard_normal((d, K))
     feats = rng.uniform(0, 3) * W[:, y].T + rng.standard_normal((y.size, d))
     test = FeatureBatch(feats, y, K)
-    config = regime_config(regime, epochs=1, seed=0)
-    per_class, bal = balanced_accuracy(feats, test, W, config)
-    ref_per_class, ref_bal = reference_balanced_accuracy(feats, test, W, config)
+    per_class, bal = balanced_accuracy(feats, test, W)
+    ref_per_class, ref_bal = reference_balanced_accuracy(feats, test, W)
     assert np.array_equal(per_class, ref_per_class)
     assert bal == ref_bal
 
