@@ -51,7 +51,7 @@ print("is a statement about the un-projected step.")
 print()
 
 print("=== CE at the per-trial ideal rate tracks the bound ===")
-[records] = run_regularity_sweep(clf, [("ce", "instance-optimal")], 0.01, trials=300, seed=3)
+[records] = run_regularity_sweep(clf, [("ce-opt", None)], 0.01, trials=300, seed=3)
 gaps = [r.raw_ratio - r.bound for r in records]
 print(
     f"rate gamma*(h) = (K-1)/K sqrt(E_H/E_W) (1-cos)/(1-p_c): pre-projection "

@@ -3,7 +3,7 @@
 Subcommands
     etf         generate + verify a frame, write JSON/CSV
     peeled      run a DLPM/LPM optimization, write trajectory + final state
-    regularity  one-step contraction experiment, records + bound/dominance summary
+    regularity  one-step CE, DR (always) and CE-opt steps; records + bound/dominance verdict
     train       backbone training regimes from a JSON config
     report      aggregate run directories into summary tables
 
@@ -66,7 +66,7 @@ def _blame(what):
         raise ConfigError(f"{what}: {e}") from None
 
 
-def _write_run(out, command, label, config, files):
+def _write_run(out, command, config, files):
     """Write a run: every payload of ``files``, then manifest.json hashing them.
 
     ``files`` maps a file name to its payload: a CSV (header, rows), whose
@@ -81,7 +81,6 @@ def _write_run(out, command, label, config, files):
             write_json(path, payload)
     write_json(f"{out}/manifest.json", {
         "command": command,
-        "label": label,
         "config": config,
         "artifacts": {name: sha256_file(f"{out}/{name}") for name in files},
         "created_at_unix": time.time(),
@@ -245,29 +244,22 @@ def _float_list(flag, text):
 def cmd_regularity(args):
     gammas = _float_list("--gammas", args.gammas)
     deltas = _float_list("--deltas", args.deltas)
-    losses = args.losses.split(",")
-    _check_flags(args, positive=("e_h", "e_w"), nonnegative=("trials",))
+    _check_flags(args, positive=("e_h", "e_w", "trials"))
     if not deltas or not all(np.isfinite(deltas)) or min(deltas) <= 0:
         raise ConfigError(f"--deltas entries must be finite and > 0, got {args.deltas!r}")
     if not all(np.isfinite(gammas)):
         raise ConfigError(f"--gammas entries must be finite, got {args.gammas!r}")
-    if not set(losses) <= {"ce", "dr"}:
-        raise ConfigError(f"--losses entries must be 'ce' or 'dr', got {args.losses!r}")
     with _blame("--d/--K"):
         frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
     clf = uniform_classifier(frame, args.e_w)
 
     # clf.e_w is sqrt(--e-w)**2, which can differ from --e-w in the last ulp
     gamma_dr = float(np.sqrt(args.e_h / clf.e_w))
-    steps = [(loss, g) for loss in losses for g in (gammas if loss == "ce" else [gamma_dr])]
-    if args.instance_optimal and "ce" in losses:
-        steps.append(("ce", "instance-optimal"))
-    if not steps:
-        raise ConfigError("no step to measure: --losses ce needs --gammas or --instance-optimal")
+    steps = ([("ce", g) for g in gammas] + [("dr", gamma_dr)]
+             + [("ce-opt", None)] * args.instance_optimal)
     runs = [reg.run_regularity_sweep(clf, steps, delta, args.trials, args.seed, args.e_h)
             for delta in deltas]
-    verdict, passed = (reg.check_sweep(steps, deltas, runs) if args.trials
-                       else ({"status": "no-data"}, True))
+    verdict, passed = reg.check_sweep(steps, deltas, runs)
     records = [r for run in runs for step_records in run for r in step_records]
     files = {
         "records.csv": reg.records_csv(records),
@@ -462,6 +454,10 @@ REPORT_METRICS = ("final_bal_acc", "final_loss",
 def cmd_report(args):
     if not args.runs:
         raise ConfigError("no run directories given")
+    real = [os.path.realpath(run_dir) for run_dir in args.runs]
+    repeated = [run_dir for i, run_dir in enumerate(args.runs) if real[i] in real[:i]]
+    if repeated:  # a repeat would count one run twice
+        raise ConfigError(f"--runs repeats {repeated[0]}")
     rows = []
     for run_dir in args.runs:
         manifest = _read_json(f"{run_dir}/manifest.json", "run file")
@@ -515,7 +511,6 @@ def build_parser():
         sp.add_argument("--out", required=True, help="output directory")
         if seeded:
             sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--label", default="", help="free-form run label for the manifest")
 
     sp = sub.add_parser("etf", help="generate and verify a simplex ETF")
     sp.add_argument("--d", type=int, required=True)
@@ -543,7 +538,6 @@ def build_parser():
     sp.set_defaults(func=cmd_peeled)
 
     sp = sub.add_parser("regularity", help="one-step contraction experiment")
-    sp.add_argument("--losses", default="ce,dr")
     sp.add_argument("--gammas", default="0.05,0.1,0.5,1.0", help="CE step-size sweep")
     sp.add_argument("--deltas", default="0.01,0.05,0.1")
     sp.add_argument("--trials", type=int, default=500)
@@ -586,7 +580,7 @@ def main(argv=None) -> int:
     except NumericDivergence as e:
         print(f"numeric divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    _write_run(args.out, args.command, args.label, config, files)
+    _write_run(args.out, args.command, config, files)
     return code
 
 

@@ -204,8 +204,12 @@ def optimize(problem: PeeledProblem, loss_kind: str, step_size: float, max_steps
     """
     if loss_kind not in ("ce", "dr"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
+    if not 0 < step_size < math.inf:
+        raise ValueError(f"step_size must be positive and finite, got {step_size}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if not 0 <= stop_tol < math.inf:
+        raise ValueError(f"stop_tol must be finite and >= 0, got {stop_tol}")
     if problem.features is None:
         raise ValueError("problem has no features; call init_features first")
 

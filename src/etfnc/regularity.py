@@ -21,7 +21,7 @@ dominance is a statement about ``raw_ratio``; the DR <= bound check
 holds for both.
 
 One pass over the trials per delta draws each start once and takes
-every (loss, gamma) step from it; the dominance summary pairs the
+every (kind, gamma) step from it; the dominance summary pairs the
 records of that same pass, and ``check_sweep`` judges both claims on it.
 """
 
@@ -119,26 +119,23 @@ def run_regularity_sweep(
     seed: int,
     e_h: float = 1.0,
 ) -> list:
-    """One projected step per trial for each ``(loss_kind, gamma)`` in ``steps``.
+    """One projected step per trial for each ``(kind, gamma)`` in ``steps``.
 
-    Returns one list of RegularityRecords per step. Trial t draws its
-    start once, with rng seed (seed, t), and every step starts from it,
-    so the lists are paired by trial. Trials starting within DIST_GUARD
-    of h* are excluded. ``gamma`` may be a float or "instance-optimal"
-    (CE only), which applies the per-trial bound-matching rate and is
-    reported for illustration.
+    ``kind`` is the record's ``loss_kind``: ``ce`` or ``dr`` at the fixed
+    rate ``gamma``, or ``ce-opt`` (``gamma`` None), CE at the per-trial
+    bound-matching rate, reported for illustration. Returns one list of
+    RegularityRecords per step. Trial t draws its start once, with rng
+    seed (seed, t), and every step starts from it, so the lists are
+    paired by trial. Trials starting within DIST_GUARD of h* are excluded.
     """
-    for loss_kind, gamma in steps:
-        if loss_kind not in ("ce", "dr"):
-            raise ValueError(f"unknown loss kind {loss_kind!r}")
-        if gamma == "instance-optimal" and loss_kind != "ce":
-            raise ValueError("instance-optimal rate is defined for the CE loss")
+    for kind, _ in steps:
+        if kind not in ("ce", "dr", "ce-opt"):
+            raise ValueError(f"unknown step kind {kind!r}")
     if not classifier.is_uniform():
         raise ValueError("regularity experiment needs a uniform-length classifier")
 
     K, W, e_w = classifier.num_classes, classifier.scaled_columns, classifier.e_w
     w_norms = [np.linalg.norm(W[:, k]) for k in range(K)]  # |w_c|: the columns are strided
-    kinds = [loss + ("-opt" if gamma == "instance-optimal" else "") for loss, gamma in steps]
     per_step = [[] for _ in steps]
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
@@ -157,20 +154,17 @@ def run_regularity_sweep(
         bound = dr_eta_bound(cos0)
         p = softmax_probs(h0, W)  # one softmax per trial: uniformity, CE gradient and rate
         uniformity_dev = offclass_deviation(p, c)
-        grads = {}
-        for records, kind, (loss_kind, gamma) in zip(per_step, kinds, steps):
-            if loss_kind not in grads:
-                if loss_kind == "ce":
-                    pull, push = _pull_push(p, c, W)
-                    grads[loss_kind] = -(pull + push)
-                else:
-                    grads[loss_kind] = dr_grad(h0, classifier, c, e_h)
-            if gamma == "instance-optimal" and p[c] == 1.0:  # the rate divides by 1 - p_c
+        grads = {}  # by loss: ce and ce-opt share CE's gradient
+        for records, (kind, gamma) in zip(per_step, steps):
+            loss = "dr" if kind == "dr" else "ce"
+            if loss not in grads:  # CE's gradient is -(pull + push)
+                grads[loss] = (dr_grad(h0, classifier, c, e_h) if loss == "dr"
+                               else -np.add(*_pull_push(p, c, W)))
+            if kind == "ce-opt" and p[c] == 1.0:  # the rate divides by 1 - p_c
                 raise NumericDivergence(
                     f"instance-optimal rate undefined in trial {t}: p_c rounds to 1")
-            g = (ce_instance_rate(K, e_h, e_w, cos_raw, p[c]) if gamma == "instance-optimal"
-                 else float(gamma))
-            pre = h0 - g * grads[loss_kind]
+            g = ce_instance_rate(K, e_h, e_w, cos_raw, p[c]) if kind == "ce-opt" else float(gamma)
+            pre = h0 - g * grads[loss]
             if not np.isfinite(pre).all():
                 raise NumericDivergence(f"non-finite step in trial {t}")
             h1 = project_ball(pre, e_h)
@@ -207,15 +201,15 @@ def pair_dominance(steps, deltas, runs):
 
     ``runs[i]`` is ``run_regularity_sweep(classifier, steps, deltas[i], ...)``
     as returned, so every step lists the same trials. Returns None when
-    ``steps`` has no DR step or no CE step at a fixed rate. Otherwise, per
+    ``steps`` has no ``dr`` step or no ``ce`` step. Otherwise, per
     (delta, CE step) in order, the summary reports the trials that
     produced records (trials excluded at the optimum produce none) and,
     over those passing the uniformity gate, the fraction with raw CE ratio
     >= raw DR ratio - 1e-9, the means of both readings, and the
     post-projection comparison.
     """
-    dr_at = next((i for i, (loss, _) in enumerate(steps) if loss == "dr"), None)
-    ce_at = [i for i, (loss, g) in enumerate(steps) if loss == "ce" and g != "instance-optimal"]
+    dr_at = next((i for i, (kind, _) in enumerate(steps) if kind == "dr"), None)
+    ce_at = [i for i, (kind, _) in enumerate(steps) if kind == "ce"]
     if dr_at is None or not ce_at:
         return None
     out = {"gamma_dr": float(steps[dr_at][1]), "uniformity_gate": UNIFORMITY_GATE, "configs": []}
@@ -253,12 +247,12 @@ def pair_dominance(steps, deltas, runs):
 def check_sweep(steps, deltas, runs):
     """``(summary fields, passed)`` of a sweep; ``runs`` as for ``pair_dominance``.
 
-    It passes if it has records, every DR ratio - bound <= BOUND_TOL, and on every
-    gated config raw CE >= raw DR on >= DOMINANCE_FRAC of trials and in the mean.
+    It passes if it has DR records (else it checks nothing), every DR ratio - bound
+    <= BOUND_TOL, and on every gated config raw CE >= raw DR on >= DOMINANCE_FRAC
+    of trials and in the mean.
     """
-    records = [r for run in runs for step_records in run for r in step_records]
-    summary, passed = {}, bool(records)
-    dr = [r for r in records if r.loss_kind == "dr"]
+    dr = [r for run in runs for step_records in run for r in step_records if r.loss_kind == "dr"]
+    summary, passed = {}, bool(dr)
     if dr:
         worst = max(r.ratio - r.bound for r in dr)
         summary["dr_bound"] = {"max_ratio_minus_bound": worst, "passed": worst <= BOUND_TOL,

@@ -180,7 +180,13 @@ def load_dataset_csv(path, num_classes: int) -> FeatureBatch:
 
     with open(path, newline="") as f:
         reader = _csv.reader(f)
-        next(reader, None)
+        header = next(reader, None)
+        try:
+            int(header[0])
+        except (TypeError, IndexError, ValueError):  # no line, a blank line or a header
+            pass
+        else:  # the header would be skipped, and a sample with it
+            raise ValueError(f"{path}: line 1 is a data row, not the header (label,x0,...)")
         ys, xs = [], []
         for row in reader:
             where = f"{path} line {reader.line_num}"

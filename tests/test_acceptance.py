@@ -285,9 +285,8 @@ def test_criterion_8_cli_determinism(tmp_path):
         "peeled": ["peeled", "--mode", "dlpm", "--loss", "dr", "--K", "4", "--d", "6",
                    "--tau", "0.5", "--n-max", "8", "--gamma", "1.0", "--steps", "40",
                    "--seed", "2"],
-        "regularity": ["regularity", "--losses", "ce,dr", "--gammas", "0.5",
-                       "--deltas", "0.05", "--trials", "40", "--K", "4", "--d", "8",
-                       "--seed", "3"],
+        "regularity": ["regularity", "--gammas", "0.5", "--deltas", "0.05", "--trials", "40",
+                       "--K", "4", "--d", "8", "--seed", "3"],
         "train": ["train", "--config", str(cfg)],
     }
     mismatches = []

@@ -36,6 +36,7 @@ class TestEtfCommand:
         report = (out / "gram_report.csv").read_text().splitlines()
         assert report[0].startswith("max_deviation")
         manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"command", "config", "artifacts", "created_at_unix"}
         assert set(manifest["artifacts"]) == {"frame.json", "frame.csv", "gram_report.csv"}
 
     def test_invalid_dims_nonzero_exit(self, tmp_path):
@@ -172,24 +173,13 @@ class TestRegularityCommand:
     def test_dr_bound_passes(self, tmp_path):
         out = tmp_path / "run"
         code = run(
-            "regularity", "--losses", "dr", "--gammas", "", "--deltas", "0.05",
+            "regularity", "--gammas", "", "--deltas", "0.05",
             "--trials", 100, "--K", 4, "--d", 8, "--out", out,
         )
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["dr_bound"]["passed"]
         assert summary["dr_bound"]["max_ratio_minus_bound"] <= 1e-9
-
-    def test_zero_trials_no_data(self, tmp_path):
-        out = tmp_path / "run"
-        code = run(
-            "regularity", "--losses", "dr", "--gammas", "", "--deltas", "0.05",
-            "--trials", 0, "--K", 4, "--d", 8, "--out", out,
-        )
-        assert code == EXIT_OK
-        lines = (out / "records.csv").read_text().splitlines()
-        assert len(lines) == 1  # header only
-        assert json.loads((out / "summary.json").read_text())["status"] == "no-data"
 
     def test_all_trials_excluded_fails(self, tmp_path, capsys):
         # a delta below DIST_GUARD puts every start at the optimum
@@ -200,19 +190,11 @@ class TestRegularityCommand:
         assert "all 20 trials started within 1e-12 of the optimum" in capsys.readouterr().err
         assert len((out / "records.csv").read_text().splitlines()) == 1
 
-    def test_no_step_rejected(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        code = run("regularity", "--losses", "ce", "--gammas", "", "--K", 4, "--d", 8,
-                   "--out", out)
-        assert code == EXIT_CONFIG
-        assert "no step to measure" in capsys.readouterr().err
-
     def test_paired_dominance_summary_present(self, tmp_path):
         out = tmp_path / "run"
         code = run(
-            "regularity", "--losses", "ce,dr", "--gammas", "0.1,0.5",
-            "--deltas", "0.01", "--trials", 120, "--K", 10, "--d", 20,
-            "--instance-optimal", "--out", out,
+            "regularity", "--gammas", "0.1,0.5", "--deltas", "0.01", "--trials", 120,
+            "--K", 10, "--d", 20, "--instance-optimal", "--out", out,
         )
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
@@ -225,7 +207,7 @@ class TestRegularityCommand:
 
     @pytest.mark.parametrize("argv", [
         ("--gammas", "0.1,0.1", "--deltas", "0.05,0.01"),
-        ("--gammas", "0.5,0.05", "--deltas", "0.01,0.05,0.01", "--losses", "dr,ce"),
+        ("--gammas", "0.5,0.05", "--deltas", "0.01,0.05,0.01"),
         ("--gammas", "0.1,0.5", "--deltas", "0.05", "--e-w", "4", "--instance-optimal"),
     ])
     def test_paired_dominance_from_written_records(self, tmp_path, argv):
@@ -254,12 +236,12 @@ class TestRegularityCommand:
         np.testing.assert_allclose(summary["paired_dominance"]["gamma_dr"], 0.5)  # sqrt(1/4)
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--trials", "-3", "--trials must be >= 0"),
+        ("--trials", "-3", "--trials must be > 0, got -3"),
+        ("--trials", "0", "--trials must be > 0, got 0"),
         ("--deltas", "0", "--deltas entries must be finite and > 0"),
         ("--deltas", "0.05,nan", "--deltas entries must be finite and > 0"),
         ("--deltas", "0.05,x", "--deltas must be comma-separated numbers"),
         ("--gammas", "0.1,inf", "--gammas entries must be finite"),
-        ("--losses", "ce,xx", "--losses entries must be 'ce' or 'dr'"),
         ("--e-h", "0", "--e-h must be finite and > 0"),
         ("--e-w", "inf", "--e-w must be finite and > 0"),
     ])
@@ -275,8 +257,7 @@ class TestRegularityCommand:
         for name in ("a", "b"):
             out = tmp_path / name
             run(
-                "regularity", "--losses", "ce,dr", "--gammas", "0.5",
-                "--deltas", "0.05", "--trials", 50, "--K", 4, "--d", 8,
+                "regularity", "--gammas", "0.5", "--deltas", "0.05", "--trials", 50, "--K", 4, "--d", 8,
                 "--seed", 3, "--out", out,
             )
             payloads.append(payload_bytes(out))
@@ -420,6 +401,18 @@ class TestTrainCommand:
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("regularity", "--K", 4, "--d", 8, "--losses", "ce"), "--losses ce"),
+        (("etf", "--d", 3, "--K", 4, "--label", "x"), "--label x"),
+    ])
+    def test_removed_flags_not_accepted(self, tmp_path, capsys, argv, flag):
+        """Every regularity run takes the DR step; the manifest has no free-form label."""
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", tmp_path / "x")
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("key", ["train_csv", "test_csv"])
     def test_missing_dataset_file_named(self, tmp_path, capsys, key):
         data = tmp_path / "data.csv"
@@ -502,6 +495,17 @@ class TestReportCommand:
         assert run("report", "--runs", run_dir, "--out", tmp_path / "x") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{run_dir}/{name}" in err and message in err
+
+    @pytest.mark.parametrize("alias", ["{}", "{}/", "{}/../run", "./{}"])
+    def test_repeated_run_rejected(self, tmp_path, capsys, monkeypatch, alias):
+        """One run directory given twice, under any spelling, would count twice."""
+        monkeypatch.chdir(tmp_path)
+        write_train_config(tmp_path / "cfg.json")
+        assert run("train", "--config", "cfg.json", "--out", "run") == EXIT_OK
+        code = run("report", "--runs", "run", alias.format("run"), "--out", "x")
+        assert code == EXIT_CONFIG
+        assert f"--runs repeats {alias.format('run')}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_manifest_rejected(self, tmp_path):
         empty = tmp_path / "empty"
@@ -622,6 +626,7 @@ class TestInputRefusedBeforeOutput:
             assert not out.exists()
 
     @pytest.mark.parametrize("key,text,message", [
+        ("train_csv", "0,1,2\n1,2,3\n2,3,4\n0,1.5,2\n", "line 1 is a data row, not the header"),
         ("train_csv", NO_CLASS_2, "class 2 has no samples"),
         ("test_csv", NO_CLASS_2, "class 2 has no samples"),
         ("test_csv", "label,x0\n0,1\n1,2\n2,3\n", "has 1 features, not 2"),

@@ -5,12 +5,16 @@ divergence) or 4 (failed check); an exception out of ``main`` is a bug.
 A command writes nothing itself; ``main`` writes its payloads only after it
 returned, so after exit 2 or 3 no ``--out`` directory may exist, for any
 command. Each example redraws a few values of a small valid input, so most
-examples still run. Floats range over all finite values, 1e300 and
+examples still run; ``report`` draws its run directories from one small
+``train`` run, aliases and broken copies of it, an ``etf`` run and a
+missing path. Floats range over all finite values, 1e300 and
 negatives included, and seeds include -1; every size (K, d, counts,
 epochs, steps, trials) stays small because memory and loops grow with it.
 """
 
 import json
+import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -18,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etfnc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from etfnc.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, REPORT_METRICS,
+                       main)
 from etfnc.trainer import REGIMES
 
 EXIT_CODES = {EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED, EXIT_CHECK_FAILED}
@@ -46,13 +51,38 @@ def argv(flags):
 
 
 def check_exit(args):
-    """Run ``etfnc *args --out <fresh dir>`` and apply the gate's assertions."""
+    """Run ``etfnc *args --out <fresh dir>``, apply the gate's assertions, return the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         code = main([str(a) for a in args] + ["--out", str(out)])
         assert code in EXIT_CODES
         if code in (EXIT_CONFIG, EXIT_DIVERGED):
             assert not out.exists()
+        return code
+
+
+@pytest.fixture(scope="module")
+def runs_dir(tmp_path_factory):
+    """A tiny one-seed ``train`` run (``run``) and an ``etf`` run (``etf``), built once."""
+    root = tmp_path_factory.mktemp("runs")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"num_classes": 3, "input_dim": 4, "n_max": 6, "imbalance_ratio": 0.5},
+        "model": {"hidden_sizes": [4], "feature_dim": 3}, "train": {"epochs": 2},
+        "regimes": ["etf-dr"], "seeds": [0]}))
+    assert main(["train", f"--config={cfg}", f"--out={root / 'run'}"]) == EXIT_OK
+    assert main(["etf", "--d=3", "--K=4", f"--out={root / 'etf'}"]) == EXIT_OK
+    return root
+
+
+#: a ``report --runs`` entry: a name under ``runs_dir`` (the run, two aliases of it,
+#: a non-train run, a missing directory), or a copy of the run whose summary.json
+#: has (key, value) set, or the key dropped where value is None
+REPORT_ENTRIES = (
+    st.sampled_from(["run", "run/", "./run", "etf", "missing"])
+    | st.tuples(st.sampled_from(["runs", "regime", "seed", *REPORT_METRICS]),
+                st.none() | st.sampled_from(["x", [0], -1, 1e308, True]))
+)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -83,7 +113,6 @@ class TestExitCodeGate:
         st.booleans(),
         mutated({"K": 4, "d": 6, "trials": 3, "gammas": "0.1,1.0", "deltas": "0.05"},
                 {"K": K_VALUES, "d": D_VALUES, "trials": st.integers(-1, 4),
-                 "losses": csv_list(st.sampled_from(["ce", "dr", "xx"])),
                  "gammas": csv_list(floats), "deltas": csv_list(floats), "e_h": floats,
                  "e_w": floats, "seed": SEEDS},
                 keep=("K", "d", "trials")),
@@ -114,3 +143,28 @@ class TestExitCodeGate:
             path = Path(tmp) / "cfg.json"
             path.write_text(json.dumps(cfg))
             check_exit(["train", f"--config={path}"])
+
+    @GATE
+    @given(st.lists(REPORT_ENTRIES, min_size=1, max_size=3))
+    def test_report(self, runs_dir, entries):
+        """Exit 0 or 2 only, and 2 whenever two entries name one directory."""
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = []
+            for i, entry in enumerate(entries):
+                if isinstance(entry, str):
+                    runs.append(f"{runs_dir}/{entry}")
+                    continue
+                (key, value), copy = entry, shutil.copytree(runs_dir / "run", f"{tmp}/copy{i}")
+                summary = json.loads(Path(copy, "summary.json").read_text())
+                node = summary if key == "runs" else summary["runs"][0]
+                if value is None:
+                    del node[key]
+                else:
+                    node[key] = value
+                Path(copy, "summary.json").write_text(json.dumps(summary))
+                runs.append(copy)
+            code = check_exit(["report", "--runs", *runs])
+            resolved = [os.path.realpath(run) for run in runs]
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if len(set(resolved)) < len(resolved):
+            assert code == EXIT_CONFIG

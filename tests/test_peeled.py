@@ -248,6 +248,19 @@ class TestOptimizeDlpm:
         with pytest.raises(ValueError, match="step_size must be positive"):
             optimize(make_dlpm(), "dr", step_size, 10)
 
+    @pytest.mark.parametrize("args,message", [
+        ((float("nan"), 5), "step_size must be positive and finite, got nan"),
+        ((float("inf"), 5), "step_size must be positive and finite, got inf"),
+        ((0.5, -3), "max_steps must be >= 0, got -3"),
+        ((0.5, 5, float("nan")), "stop_tol must be finite and >= 0, got nan"),
+        ((0.5, 5, -1e-3), "stop_tol must be finite and >= 0, got -0.001"),
+        ((0.5, 5, float("inf")), "stop_tol must be finite and >= 0, got inf"),
+    ])
+    def test_bad_arguments_rejected_before_any_step(self, args, message):
+        """The CLI refuses these flags first; the library refuses them for every caller."""
+        with pytest.raises(ValueError, match=message):
+            optimize(make_dlpm(), "dr", *args)
+
     def test_record_count_bounded(self):
         prob = make_dlpm()
         traj = optimize(prob, "ce", step_size=0.5, max_steps=25)

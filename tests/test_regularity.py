@@ -206,15 +206,15 @@ class TestInstanceOptimalRate:
         uniformity deviation, on either side.
         """
         clf = make_classifier()
-        records = run_regularity_sweep(clf, [("ce", "instance-optimal")], 0.01, 100, 4)[0]
+        records = run_regularity_sweep(clf, [("ce-opt", None)], 0.01, 100, 4)[0]
         assert records
         for r in records:
             assert abs(r.raw_ratio - r.bound) < 10 * max(r.uniformity_dev, 1e-6)
 
     def test_instance_optimal_needs_ce(self):
         clf = make_classifier()
-        with pytest.raises(ValueError):
-            run_regularity_sweep(clf, [("dr", "instance-optimal")], 0.01, 10, 0)
+        with pytest.raises(ValueError, match="unknown step kind 'dr-opt'"):
+            run_regularity_sweep(clf, [("dr-opt", None)], 0.01, 10, 0)
 
 
 # The sweep as it was before it shared one softmax per trial and took norms as
@@ -270,7 +270,7 @@ def reference_instance_rate(clf, h, c, e_h):
 
 def reference_records(clf, loss_kind, gamma, delta, trials, seed, e_h=1.0):
     """One step per trial, each (step, trial) drawing and evaluating its own start."""
-    instance_opt = gamma == "instance-optimal"
+    instance_opt = loss_kind == "ce-opt"
     records = []
     for t in range(trials):
         c, h_star, h0 = reference_sample_start(clf, delta, e_h, np.random.default_rng([seed, t]))
@@ -280,15 +280,15 @@ def reference_records(clf, loss_kind, gamma, delta, trials, seed, e_h=1.0):
         w = clf.scaled_columns[:, c]
         cos0 = min(float(h0 @ w / (np.linalg.norm(h0) * np.linalg.norm(w))), 1.0)
         g = reference_instance_rate(clf, h0, c, e_h) if instance_opt else float(gamma)
-        if loss_kind == "ce":
-            grad = reference_ce_grad(h0, c, clf.scaled_columns)
-        else:
+        if loss_kind == "dr":
             grad = dr_grad(h0, clf, c, e_h)
+        else:
+            grad = reference_ce_grad(h0, c, clf.scaled_columns)
         pre = h0 - g * grad
         h1 = reference_project_ball(pre, e_h)
         records.append(RegularityRecord(
             trial=t,
-            loss_kind=loss_kind + ("-opt" if instance_opt else ""),
+            loss_kind=loss_kind,
             gamma=g,
             delta=delta,
             class_index=c,
@@ -309,7 +309,7 @@ def bits(records):
                   for v in astuple(r)) for r in records]
 
 
-STEPS = [("ce", 0.05), ("dr", 1.0), ("ce", 0.5), ("ce", "instance-optimal"), ("ce", 0.5)]
+STEPS = [("ce", 0.05), ("dr", 1.0), ("ce", 0.5), ("ce-opt", None), ("ce", 0.5)]
 
 
 class TestSweep:
@@ -347,7 +347,7 @@ class TestSweep:
     def test_matches_separate_runs_property(self, K, d, seed, delta, e_h, e_w, gammas):
         clf = make_classifier(max(d, K - 1), K, e_w=e_w, seed=seed)
         steps = ([("dr", float(np.sqrt(e_h / clf.e_w)))] + [("ce", g) for g in gammas]
-                 + [("ce", "instance-optimal"), ("dr", gammas[0])])
+                 + [("ce-opt", None), ("dr", gammas[0])])
         sweep = run_regularity_sweep(clf, steps, delta, 8, seed, e_h)
         for (loss, gamma), records in zip(steps, sweep):
             assert bits(records) == bits(reference_records(clf, loss, gamma, delta, 8, seed, e_h))
@@ -364,10 +364,10 @@ class TestSweep:
 
     def test_bad_step_rejected_before_trials(self):
         clf = make_classifier()
-        with pytest.raises(ValueError, match="unknown loss kind"):
+        with pytest.raises(ValueError, match="unknown step kind 'xx'"):
             run_regularity_sweep(clf, [("ce", 0.1), ("xx", 0.1)], 0.05, 10, 0)
-        with pytest.raises(ValueError, match="instance-optimal"):
-            run_regularity_sweep(clf, [("dr", "instance-optimal")], 0.05, 10, 0)
+        with pytest.raises(ValueError, match="unknown step kind 'dr-opt'"):
+            run_regularity_sweep(clf, [("dr-opt", None)], 0.05, 10, 0)
 
 
 class TestPairDominance:
@@ -397,14 +397,14 @@ class TestPairDominance:
         json.dumps(out, allow_nan=False)
 
     def test_steps_found_in_any_order(self):
-        """The first DR step is the reference; instance-optimal CE steps are not paired."""
+        """The first DR step is the reference; ce-opt steps are not paired."""
         clf = make_classifier()
-        steps = [("ce", "instance-optimal"), ("ce", 0.5), ("dr", 1.0), ("ce", 0.1), ("dr", 0.5)]
+        steps = [("ce-opt", None), ("ce", 0.5), ("dr", 1.0), ("ce", 0.1), ("dr", 0.5)]
         runs = [run_regularity_sweep(clf, steps, delta, 30, 8) for delta in (0.05, 0.01)]
         assert pair_dominance(steps, [0.05, 0.01], runs) == dominance(clf, [0.5, 0.1],
                                                                       [0.05, 0.01], 30, 8)
 
-    @pytest.mark.parametrize("steps", [[("dr", 1.0)], [("dr", 1.0), ("ce", "instance-optimal")],
+    @pytest.mark.parametrize("steps", [[("dr", 1.0)], [("dr", 1.0), ("ce-opt", None)],
                                        [("ce", 0.5)]])
     def test_nothing_to_pair(self, steps):
         clf = make_classifier()
@@ -439,6 +439,13 @@ class TestCheckSweep:
         fields, passed = check_sweep(self.STEPS, [0.01], [[[], []]])
         assert not passed
         assert "dr_bound" not in fields
+
+    def test_sweep_without_dr_records_fails(self):
+        """CE records alone check neither the bound nor the dominance."""
+        steps = [("ce", 0.1), ("ce", 0.5)]
+        run = run_regularity_sweep(make_classifier(), steps, 0.01, 100, 3)
+        assert all(run)
+        assert check_sweep(steps, [0.01], [run]) == ({}, False)
 
     def test_bound_at_tolerance_passes(self):
         fields, passed = self.doctored(0, {7}, bound=0.0, ratio=BOUND_TOL)

@@ -103,6 +103,14 @@ class TestDatasetSpec:
             load_dataset_csv(path, num_classes=3)
         assert str(err.value) == f"{path} {message}"
 
+    def test_csv_without_header_rejected(self, tmp_path):
+        """Line 1 is read as the header; a data row there would be dropped."""
+        path = tmp_path / "data.csv"
+        path.write_text("0,1,2\n1,2,3\n2,3,4\n0,1.5,2\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset_csv(path, num_classes=3)
+        assert str(err.value) == f"{path}: line 1 is a data row, not the header (label,x0,...)"
+
     def test_csv_without_rows_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("label,x0\n")
