@@ -2,7 +2,7 @@
 
 Subcommands
     etf         generate + verify a frame, write JSON/CSV
-    peeled      run a DLPM/LPM optimization, write trajectory + final state
+    peeled      run a DLPM/LPM optimization of --counts classes, write trajectory + final state
     regularity  one-step CE, DR (always) and CE-opt steps; records + bound/dominance verdict
     train       backbone training regimes from a JSON config
     report      aggregate run directories into summary tables
@@ -145,21 +145,19 @@ def cmd_etf(args):
 # --- peeled -------------------------------------------------------------------
 
 
-def _parse_counts(args):
-    if args.counts:
-        with _blame("--counts"):
-            return np.array([int(v) for v in args.counts.split(",")])
-    with _blame("--n-max/--tau"):
-        return SyntheticDatasetSpec(args.K, 1, args.n_max, args.tau).counts()  # input_dim unused
+def _list(flag, text, kind):
+    """The comma-separated ``kind`` values of ``flag``; "" is the empty list."""
+    try:
+        return [kind(v) for v in text.split(",")] if text else []
+    except ValueError:
+        what = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{flag} must be comma-separated {what}, got {text!r}") from None
 
 
 def _parse_minor_classes(args, counts):
     """The probed classes: --minor-classes, or else the max(2, K//2) smallest classes."""
-    if args.minor_classes:
-        with _blame("--minor-classes"):
-            minor = [int(v) for v in args.minor_classes.split(",")]
-    else:
-        minor = sorted(np.argsort(counts, kind="stable")[: max(2, args.K // 2)].tolist())
+    minor = _list("--minor-classes", args.minor_classes, int) or sorted(
+        np.argsort(counts, kind="stable")[: max(2, args.K // 2)].tolist())
     if any(not 0 <= k < args.K for k in minor):
         raise ConfigError(f"--minor-classes entries must lie in [0, {args.K}), got {minor}")
     if len(minor) < 2 or len(set(minor)) != len(minor):
@@ -169,11 +167,9 @@ def _parse_minor_classes(args, counts):
 
 def cmd_peeled(args):
     _check_flags(args, positive=("d", "gamma", "e_h", "e_w"), nonnegative=("steps", "stop_tol"))
-    if args.init_at_optimum and args.mode != "dlpm":
-        raise ConfigError("--init-at-optimum needs dlpm mode")
     if args.minor_classes and args.mode != "lpm":
         raise ConfigError("--minor-classes needs lpm mode")
-    counts = _parse_counts(args)
+    counts = _list("--counts", args.counts, int)
     if args.mode == "dlpm":
         with _blame("--d/--K"):
             frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
@@ -186,10 +182,7 @@ def cmd_peeled(args):
             )
     minor = _parse_minor_classes(args, counts) if args.mode == "lpm" else None
     with _blame("--K/--counts"):
-        if args.init_at_optimum:
-            problem.features = lp.analytic_optimum(problem.classifier, args.e_h)[:, problem.labels].T
-        else:
-            problem = lp.init_features(problem, derive_seed(args.seed, "features"))
+        problem = lp.init_features(problem, derive_seed(args.seed, "features"))
 
     traj = lp.optimize(problem, args.loss, args.gamma, args.steps, args.stop_tol)
     final = traj.final
@@ -228,22 +221,15 @@ def cmd_peeled(args):
             f"peeled dlpm: {traj.stop_reason} after {traj.records[-1].step} steps, "
             f"final gap {traj.records[-1].gap:.3e}"
         )
-    return EXIT_OK, dict(_flags(args), counts_resolved=[int(c) for c in counts]), files
+    return EXIT_OK, _flags(args), files
 
 
 # --- regularity ----------------------------------------------------------------
 
 
-def _float_list(flag, text):
-    try:
-        return [float(v) for v in text.split(",")] if text else []
-    except ValueError:
-        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
-
-
 def cmd_regularity(args):
-    gammas = _float_list("--gammas", args.gammas)
-    deltas = _float_list("--deltas", args.deltas)
+    gammas = _list("--gammas", args.gammas, float)
+    deltas = _list("--deltas", args.deltas, float)
     _check_flags(args, positive=("e_h", "e_w", "trials"))
     if not deltas or not all(np.isfinite(deltas)) or min(deltas) <= 0:
         raise ConfigError(f"--deltas entries must be finite and > 0, got {args.deltas!r}")
@@ -323,7 +309,7 @@ def _check_config(cfg):
     """Check a train config before any run; a bad value raises ConfigError naming it.
 
     Required are the dataclass fields without a default; an external
-    dataset (``train_csv``) needs only ``num_classes``.
+    dataset (``train_csv``) needs ``num_classes`` and takes only ``test_csv`` besides.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -340,7 +326,13 @@ def _check_config(cfg):
         required = [f.name for f in fields(cls) if f.default is MISSING] if cls else []
         keys = (["num_classes"] if "train_csv" in node else required) + list(node)
         checks += [(f"{block}.{key}", node, key, allowed[key]) for key in keys]
-    if "test_csv" in cfg.get("dataset", {}) and "train_csv" not in cfg["dataset"]:
+    ds = cfg.get("dataset", {})
+    if "train_csv" in ds:  # an external dataset: a generator key would be ignored
+        ignored = sorted(set(ds) - {"num_classes", "train_csv", "test_csv"})
+        if ignored:
+            raise ConfigError(f"config field 'dataset.{ignored[0]}' does not apply with "
+                              "'dataset.train_csv', which allows num_classes and test_csv")
+    elif "test_csv" in ds:
         raise ConfigError("config field 'dataset.test_csv' needs 'dataset.train_csv'")
     checks += [(key, cfg, key, check) for key, check in _TOP.items()]
     for path, node, key, (test, what) in checks:
@@ -391,9 +383,8 @@ def cmd_train(args):
     ds, regimes, seeds = cfg["dataset"], cfg["regimes"], cfg["seeds"]
     model_cfg = {**_MODEL_DEFAULTS, **cfg.get("model", {})}
     hidden, feature_dim = model_cfg["hidden_sizes"], model_cfg["feature_dim"]
-    train_cfg = dict(cfg["train"], milestones=tuple(cfg["train"].get("milestones", ())))
     with _blame("config block 'train'"):
-        configs = {(seed, regime): tr.TrainConfig(regime=regime, seed=seed, **train_cfg)
+        configs = {(seed, regime): tr.TrainConfig(regime=regime, seed=seed, **cfg["train"])
                    for seed in seeds for regime in regimes}
     if "train_csv" in ds:  # an external dataset replaces the generator; read each file once
         train_set = _load_dataset(ds["train_csv"], ds["num_classes"])
@@ -476,8 +467,10 @@ def cmd_report(args):
                 raise ConfigError(
                     f"{run_dir}/summary.json: run {i} is missing {', '.join(missing)}"
                 )
-            if not all(isinstance(run[k], (int, float)) for k in REPORT_METRICS):
-                raise ConfigError(f"{run_dir}/summary.json: run {i} has a non-numeric metric")
+            bad = [k for k in REPORT_METRICS if not _KINDS[float][0](run[k])]
+            if bad:  # JSON true is an int to Python, and json.load reads NaN
+                raise ConfigError(f"{run_dir}/summary.json: run {i} has a non-numeric metric: "
+                                  f"{bad[0]} must be a finite number, got {run[bad[0]]!r}")
             if not (isinstance(run["regime"], str) and _is_int(run["seed"], 0)):
                 raise ConfigError(f"{run_dir}/summary.json: run {i} needs a string regime and "
                                   f"an integer seed >= 0, got regime {run['regime']!r}, "
@@ -524,15 +517,13 @@ def build_parser():
     sp.add_argument("--loss", choices=["ce", "dr"], required=True)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--counts", default="", help="comma-separated per-class counts")
-    sp.add_argument("--tau", type=float, default=1.0, help="imbalance ratio (with --n-max)")
-    sp.add_argument("--n-max", type=int, default=100)
+    sp.add_argument("--counts", required=True,
+                    help="comma-separated class counts, one integer >= 1 per class")
     sp.add_argument("--gamma", type=float, default=0.5)
     sp.add_argument("--steps", type=int, default=5000)
     sp.add_argument("--stop-tol", type=float, default=0.0)
     sp.add_argument("--e-h", type=float, default=1.0)
     sp.add_argument("--e-w", type=float, default=1.0)
-    sp.add_argument("--init-at-optimum", action="store_true")
     sp.add_argument("--minor-classes", default="", help="comma-separated minor class indices")
     common(sp)
     sp.set_defaults(func=cmd_peeled)

@@ -154,17 +154,14 @@ def run_regularity_sweep(
         bound = dr_eta_bound(cos0)
         p = softmax_probs(h0, W)  # one softmax per trial: uniformity, CE gradient and rate
         uniformity_dev = offclass_deviation(p, c)
-        grads = {}  # by loss: ce and ce-opt share CE's gradient
+        # ce and ce-opt share CE's gradient, -(pull + push)
+        grad_ce, grad_dr = -np.add(*_pull_push(p, c, W)), dr_grad(h0, classifier, c, e_h)
         for records, (kind, gamma) in zip(per_step, steps):
-            loss = "dr" if kind == "dr" else "ce"
-            if loss not in grads:  # CE's gradient is -(pull + push)
-                grads[loss] = (dr_grad(h0, classifier, c, e_h) if loss == "dr"
-                               else -np.add(*_pull_push(p, c, W)))
             if kind == "ce-opt" and p[c] == 1.0:  # the rate divides by 1 - p_c
                 raise NumericDivergence(
                     f"instance-optimal rate undefined in trial {t}: p_c rounds to 1")
             g = ce_instance_rate(K, e_h, e_w, cos_raw, p[c]) if kind == "ce-opt" else float(gamma)
-            pre = h0 - g * grads[loss]
+            pre = h0 - g * (grad_dr if kind == "dr" else grad_ce)
             if not np.isfinite(pre).all():
                 raise NumericDivergence(f"non-finite step in trial {t}")
             h1 = project_ball(pre, e_h)

@@ -240,23 +240,20 @@ class TrainConfig:
                                ("momentum", 0 <= self.momentum < 1, "in [0, 1)")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
-        ms = self.milestones
+        ms = tuple(map(int, self.milestones))
         in_range = not ms or (1 <= ms[0] and ms[-1] < self.epochs)
         if not in_range or any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("milestones must be strictly increasing and in [1, epochs), "
                              f"got {list(ms)}")
+        if not ms:  # decay at 80% and 90% of the epochs, deduped for tiny epoch counts
+            ms = tuple(sorted({m for m in (int(0.8 * self.epochs), int(0.9 * self.epochs))
+                               if 0 < m < self.epochs}))
+        object.__setattr__(self, "milestones", ms)
 
     @property
     def fixed_etf(self) -> bool:
         """Frozen ETF classifier and sphere-normalized features (etf-ce, etf-dr)."""
         return self.regime.startswith("etf-")
-
-    def resolved_milestones(self):
-        if self.milestones:
-            return tuple(int(m) for m in self.milestones)
-        # default decay points at 80% and 90%, deduped for tiny epoch counts
-        ms = {int(0.8 * self.epochs), int(0.9 * self.epochs)}
-        return tuple(sorted(m for m in ms if 0 < m < self.epochs))
 
 
 @dataclass
@@ -314,7 +311,6 @@ def train(model: MlpBackbone, train_set: FeatureBatch, test_set: FeatureBatch,
           config: TrainConfig) -> TrainLog:
     """Minibatch SGD with momentum; fixed-ETF classifiers receive no updates."""
     counts = train_set.counts()
-    milestones = config.resolved_milestones()
     K = train_set.num_classes
     rng = np.random.default_rng([config.seed, 12])
     W, fixed_clf = _build_classifier(
@@ -337,7 +333,7 @@ def train(model: MlpBackbone, train_set: FeatureBatch, test_set: FeatureBatch,
     for epoch in range(config.epochs):
         # overflow here surfaces as the divergence errors below
         with np.errstate(over="ignore", invalid="ignore"):
-            lr = config.step_size * 0.1 ** sum(epoch >= m for m in milestones)
+            lr = config.step_size * 0.1 ** sum(epoch >= m for m in config.milestones)
             perm = rng.permutation(N)
             loss_sum = 0.0
             for start in range(0, N, config.batch_size):

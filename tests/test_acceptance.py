@@ -283,7 +283,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     commands = {
         "etf": ["etf", "--d", "3", "--K", "4", "--seed", "1"],
         "peeled": ["peeled", "--mode", "dlpm", "--loss", "dr", "--K", "4", "--d", "6",
-                   "--tau", "0.5", "--n-max", "8", "--gamma", "1.0", "--steps", "40",
+                   "--counts", "8,6,5,4", "--gamma", "1.0", "--steps", "40",
                    "--seed", "2"],
         "regularity": ["regularity", "--gammas", "0.5", "--deltas", "0.05", "--trials", "40",
                        "--K", "4", "--d", "8", "--seed", "3"],

@@ -1,12 +1,14 @@
 """End-to-end CLI runs: artifacts, exit codes, byte-level determinism."""
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from etfnc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from etfnc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_parser, main
 from etfnc.etf import generate_etf, uniform_classifier
 from etfnc.regularity import check_sweep, pair_dominance, run_regularity_sweep
 from etfnc.serialize import derive_seed
@@ -23,6 +25,11 @@ def payload_bytes(run_dir):
         if p.name != "manifest.json":
             out[p.name] = p.read_bytes()
     return out
+
+
+#: a small valid peeled run; a repeated flag takes its last value, so tests extend it
+PEELED = ("peeled", "--mode", "dlpm", "--loss", "ce", "--K", 4, "--d", 6, "--counts", "5,3,2,1",
+          "--steps", 5)
 
 
 class TestEtfCommand:
@@ -60,7 +67,7 @@ class TestPeeledCommand:
         out = tmp_path / "run"
         code = run(
             "peeled", "--mode", "dlpm", "--loss", "ce", "--K", 5, "--d", 8,
-            "--tau", "0.1", "--n-max", 30, "--gamma", 0.5, "--steps", 3000,
+            "--counts", "30,17,9,5,3", "--gamma", 0.5, "--steps", 3000,
             "--stop-tol", "1e-3", "--out", out,
         )
         assert code == EXIT_OK
@@ -70,17 +77,6 @@ class TestPeeledCommand:
         assert final_gap < 1e-3
         state = json.loads((out / "final_state.json").read_text())
         assert state["classifier"]["num_classes"] == 5
-
-    def test_init_at_optimum_stays(self, tmp_path):
-        out = tmp_path / "run"
-        code = run(
-            "peeled", "--mode", "dlpm", "--loss", "dr", "--K", 4, "--d", 6,
-            "--counts", "3,2,2,1", "--gamma", 1.0, "--steps", 100,
-            "--init-at-optimum", "--out", out,
-        )
-        assert code == EXIT_OK
-        gaps = [float(l.split(",")[2]) for l in (out / "trajectory.csv").read_text().splitlines()[1:]]
-        assert max(gaps) < 1e-10
 
     def test_lpm_writes_probe(self, tmp_path):
         out = tmp_path / "run"
@@ -102,7 +98,7 @@ class TestPeeledCommand:
             ("2,7", "entries must lie in [0, 4)"),
             ("-1,2", "entries must lie in [0, 4)"),
             ("2,2", "at least two distinct classes"),
-            ("2,x", "--minor-classes: invalid literal for int()"),
+            ("2,x", "--minor-classes must be comma-separated integers, got '2,x'"),
         ],
     )
     def test_bad_minor_classes_rejected_before_run(self, tmp_path, capsys, minor, message):
@@ -119,8 +115,17 @@ class TestPeeledCommand:
     def test_lpm_default_probe_has_two_classes(self, tmp_path, K):
         out = tmp_path / "run"
         assert run("peeled", "--mode", "lpm", "--loss", "ce", "--K", K, "--d", 4, "--steps", 5,
-                   "--out", out) == EXIT_OK
+                   "--counts", ",".join(["100"] * K), "--out", out) == EXIT_OK
         assert len((out / "probe.csv").read_text().splitlines()) == 2  # header, one pair
+
+    def test_counts_required(self, tmp_path, capsys):
+        """The class counts have one way in: there is no default and no --n-max/--tau."""
+        with pytest.raises(SystemExit) as exc:
+            run("peeled", "--mode", "dlpm", "--loss", "ce", "--K", 4, "--d", 6,
+                "--out", tmp_path / "x")
+        assert exc.value.code == EXIT_CONFIG
+        assert "the following arguments are required: --counts" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_counts_mismatch_exit_config(self, tmp_path):
         assert run(
@@ -162,7 +167,7 @@ class TestPeeledCommand:
             out = tmp_path / name
             run(
                 "peeled", "--mode", "dlpm", "--loss", "dr", "--K", 4, "--d", 6,
-                "--tau", "0.5", "--n-max", 10, "--gamma", 1.0, "--steps", 50,
+                "--counts", "10,8,6,5", "--gamma", 1.0, "--steps", 50,
                 "--seed", 7, "--out", out,
             )
             dirs.append(payload_bytes(out))
@@ -404,9 +409,13 @@ class TestTrainCommand:
     @pytest.mark.parametrize("argv,flag", [
         (("regularity", "--K", 4, "--d", 8, "--losses", "ce"), "--losses ce"),
         (("etf", "--d", 3, "--K", 4, "--label", "x"), "--label x"),
+        ((*PEELED, "--tau", 0.5), "--tau 0.5"),
+        ((*PEELED, "--n-max", 8), "--n-max 8"),
+        ((*PEELED, "--mode", "dlpm", "--init-at-optimum"), "--init-at-optimum"),
     ])
     def test_removed_flags_not_accepted(self, tmp_path, capsys, argv, flag):
-        """Every regularity run takes the DR step; the manifest has no free-form label."""
+        """Every regularity run takes the DR step; the manifest has no free-form label;
+        peeled takes its class counts from --counts only and starts from init_features."""
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--out", tmp_path / "x")
         assert exc.value.code == EXIT_CONFIG
@@ -422,13 +431,18 @@ class TestTrainCommand:
         assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
         assert f"cannot read dataset file {tmp_path / 'nope.csv'}" in capsys.readouterr().err
 
-    def test_csv_dataset_ignores_input_dim(self, tmp_path):
-        """The frame dimension check applies to the generator, not to a CSV's columns."""
+    @pytest.mark.parametrize("key,value", [("imbalance_ratio", 7.0), ("noise_scale", -3.0),
+                                           ("test_per_class", 9), ("n_max", 5), ("input_dim", 1)])
+    def test_csv_dataset_takes_no_generator_key(self, tmp_path, capsys, key, value):
+        """Next to train_csv a generator key would be ignored, so it is refused."""
         data = tmp_path / "data.csv"
         data.write_text("label,x0\n0,1.0\n1,2.0\n2,3.0\n")
-        dataset = {"num_classes": 3, "train_csv": str(data), "input_dim": 1}
+        dataset = {"num_classes": 3, "train_csv": str(data), key: value}
         cfg = write_train_config(tmp_path / "cfg.json", dataset=dataset, train={"epochs": 1})
-        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_OK
+        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
+        assert f"'dataset.{key}' does not apply with 'dataset.train_csv'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run("train", "--config", tmp_path / "nope.json", "--out", tmp_path / "x") == EXIT_CONFIG
@@ -482,6 +496,10 @@ class TestReportCommand:
          "run 1 needs a string regime and an integer seed >= 0, got regime 1, seed 0"),
         ({"runs": [dict(REPORT_RUN, seed=[0])]},
          "run 0 needs a string regime and an integer seed >= 0, got regime 'etf-dr', seed [0]"),
+        ({"runs": [dict(REPORT_RUN, final_bal_acc=True)]},
+         "run 0 has a non-numeric metric: final_bal_acc must be a finite number, got True"),
+        ({"runs": [dict(REPORT_RUN, final_loss=float("nan"))]},  # json.dumps writes NaN
+         "run 0 has a non-numeric metric: final_loss must be a finite number, got nan"),
     ])
     def test_malformed_summary_named(self, tmp_path, capsys, summary, message):
         """``summary`` is written as summary.json, or is a (file, raw text) pair."""
@@ -513,9 +531,6 @@ class TestReportCommand:
         assert run("report", "--runs", empty, "--out", tmp_path / "x") == EXIT_CONFIG
 
 
-PEELED = ("peeled", "--mode", "dlpm", "--loss", "ce", "--K", 4, "--d", 6, "--steps", 5)
-
-
 #: a dataset CSV of three classes with no row of class 2
 NO_CLASS_2 = "label,x0,x1\n0,1,2\n1,2,3\n0,3,4\n"
 
@@ -532,10 +547,12 @@ class TestInputRefusedBeforeOutput:
         ((*PEELED, "--K", 1), "--K"),
         ((*PEELED, "--d", 2), "--d"),
         ((*PEELED, "--counts", "a,b,c,d"), "--counts"),
-        ((*PEELED, "--tau", 0), "--tau"),
-        ((*PEELED, "--tau", 2), "--tau"),
-        ((*PEELED, "--n-max", 0), "--n-max"),
-        ((*PEELED, "--n-max", 1, "--tau", 0.1), "--n-max"),
+        ((*PEELED, "--counts", "5,3,2.5,1"),
+         "--counts must be comma-separated integers, got '5,3,2.5,1'"),
+        ((*PEELED, "--counts", ""), "--K/--counts: class_counts must be K=4 integers >= 1"),
+        ((*PEELED, "--counts", "5,3,0,1"), "--K/--counts: class_counts must be K=4 integers >= 1"),
+        ((*PEELED, "--mode", "lpm", "--counts", "5,3,2"),
+         "--K/--counts: class_counts must be K=4 integers >= 1"),
         ((*PEELED, "--mode", "lpm", "--d", 0), "--d must be > 0"),
         (("regularity", "--K", 1, "--d", 4, "--trials", 3), "--K"),
         (("regularity", "--K", 4, "--d", 2, "--trials", 3), "--d"),
@@ -618,12 +635,10 @@ class TestInputRefusedBeforeOutput:
         n_max = 99999999999999999999
         cfg = write_train_config(tmp_path / "cfg.json", dataset={
             "num_classes": 3, "input_dim": 6, "n_max": n_max, "imbalance_ratio": 0.25})
-        for argv, named in (((*PEELED, "--n-max", n_max), "--n-max/--tau"),
-                            (("train", "--config", cfg), "config block 'dataset'")):
-            out = tmp_path / "x"
-            assert run(*argv, "--out", out) == EXIT_CONFIG
-            assert f"{named}: n_max={n_max} is too large" in capsys.readouterr().err
-            assert not out.exists()
+        out = tmp_path / "x"
+        assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
+        assert f"config block 'dataset': n_max={n_max} is too large" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,text,message", [
         ("train_csv", "0,1,2\n1,2,3\n2,3,4\n0,1.5,2\n", "line 1 is a data row, not the header"),
@@ -703,3 +718,15 @@ class TestNumericBreakdownDiverges:
         )
         assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_DIVERGED
         assert "train features collapsed to one point after epoch 0" in capsys.readouterr().err
+
+
+def test_readme_flags_match_parser():
+    """README.md names every subcommand option, and no option that does not parse."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sp in sub.choices.values() for a in sp._actions
+               for opt in a.option_strings} - {"-h", "--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+    # pip's --no-build-isolation; --flag=value is the placeholder of the exponent-form rule
+    assert named - {"--no-build-isolation", "--flag"} == options

@@ -96,17 +96,16 @@ class TestExitCodeGate:
 
     @GATE
     @given(
-        st.sampled_from(["dlpm", "lpm"]), st.sampled_from(["ce", "dr"]), st.booleans(),
+        st.sampled_from(["dlpm", "lpm"]), st.sampled_from(["ce", "dr"]),
         mutated({"K": 4, "d": 6, "counts": "5,3,2,1", "steps": 5},
-                {"K": K_VALUES, "d": D_VALUES, "tau": floats, "n_max": st.integers(-1, 8),
+                {"K": K_VALUES, "d": D_VALUES,
                  "counts": csv_list(st.integers(-1, 6)) | st.just("a,b"), "gamma": floats,
                  "steps": st.integers(-1, 6), "stop_tol": floats, "e_h": floats, "e_w": floats,
                  "minor_classes": csv_list(K_VALUES), "seed": SEEDS},
-                keep=("K", "d", "steps")),
+                keep=("K", "d", "counts", "steps")),
     )
-    def test_peeled(self, mode, loss, at_optimum, flags):
-        args = ["peeled", f"--mode={mode}", f"--loss={loss}", *argv(flags)]
-        check_exit(args + ["--init-at-optimum"] * at_optimum)
+    def test_peeled(self, mode, loss, flags):
+        check_exit(["peeled", f"--mode={mode}", f"--loss={loss}", *argv(flags)])
 
     @GATE
     @given(

@@ -337,6 +337,14 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"unknown regime '{regime}'"):
             TrainConfig(epochs=2, regime=regime)
 
+    @pytest.mark.parametrize("kwargs,milestones", [
+        (dict(epochs=10), (8, 9)), (dict(epochs=3), (2,)), (dict(epochs=1), ()),
+        (dict(epochs=10, milestones=(3, 7)), (3, 7)), (dict(epochs=10, milestones=[5]), (5,)),
+    ])
+    def test_milestones_resolved_at_construction(self, kwargs, milestones):
+        """An unset ``milestones`` becomes 80% and 90% of the epochs; explicit ones are kept."""
+        assert TrainConfig(**kwargs).milestones == milestones
+
     @pytest.mark.parametrize("milestones", [(5,), (3,), (2, 1), (1, 1), (0,), (-5,), (0, 2)])
     def test_bad_milestones_rejected_at_construction(self, milestones):
         with pytest.raises(ValueError, match=r"milestones must be strictly increasing and in \[1, epochs\)"):
