@@ -41,9 +41,9 @@ for seed in range(n_seeds):
         results[regime].append(
             (
                 log.final_bal_acc,
-                float(np.mean([r.nc_train.cos_ff_std for r in tail])),
-                float(np.mean([r.nc_train.cos_fc_std for r in tail])),
-                float(np.mean([r.nc_train.self_duality for r in tail])),
+                float(np.mean([r.train.cos_ff_std for r in tail])),
+                float(np.mean([r.train.cos_fc_std for r in tail])),
+                float(np.mean([r.train.self_duality for r in tail])),
             )
         )
         per_class[regime] = log.per_class_acc

@@ -38,9 +38,9 @@ import numpy as np
 from . import peeled as lp
 from . import regularity as reg
 from . import trainer as tr
-from .etf import frame_to_json_dict, generate_etf, uniform_classifier, verify_etf
+from .etf import GramReport, frame_to_json_dict, generate_etf, uniform_classifier, verify_etf
 from .losses import NumericDivergence
-from .serialize import derive_seed, sha256_file, write_csv, write_json
+from .serialize import derive_seed, sha256_file, table, write_csv, write_json
 from .trainer import SyntheticDatasetSpec
 
 EXIT_OK = 0
@@ -128,11 +128,7 @@ def cmd_etf(args):
     files = {
         "frame.json": frame_to_json_dict(frame),
         "frame.csv": (None, frame.columns.T),  # one frame column per line
-        "gram_report.csv": (
-            ["max_deviation", "worst_row", "worst_col", "passed", "tol"],
-            [[report.max_deviation, report.worst_row, report.worst_col,
-              int(report.passed), report.tol]],
-        ),
+        "gram_report.csv": table(GramReport, [report]),
     }
     config = {"d": args.d, "K": args.K, "seed": args.seed, "tol": args.tol}
     if not report.passed:
@@ -170,18 +166,15 @@ def cmd_peeled(args):
     if args.minor_classes and args.mode != "lpm":
         raise ConfigError("--minor-classes needs lpm mode")
     counts = _list("--counts", args.counts, int)
-    if args.mode == "dlpm":
-        with _blame("--d/--K"):
-            frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
-    with _blame("--K/--counts"):
+    with _blame("--d/--K/--counts"):
         if args.mode == "dlpm":
+            frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
             problem = lp.dlpm_problem(uniform_classifier(frame, args.e_w), counts, args.e_h)
         else:
-            problem = lp.lpm_problem(
-                args.d, args.K, counts, args.e_h, args.e_w, derive_seed(args.seed, "classifier")
-            )
+            problem = lp.lpm_problem(args.d, args.K, counts, args.e_h, args.e_w,
+                                     derive_seed(args.seed, "classifier"))
     minor = _parse_minor_classes(args, counts) if args.mode == "lpm" else None
-    with _blame("--K/--counts"):
+    with _blame("--d/--K/--counts"):
         problem = lp.init_features(problem, derive_seed(args.seed, "features"))
 
     traj = lp.optimize(problem, args.loss, args.gamma, args.steps, args.stop_tol)
@@ -204,14 +197,11 @@ def cmd_peeled(args):
         )
     else:
         state["classifier_matrix"] = np.asarray(final.classifier).tolist()
-    files = {"trajectory.csv": traj.csv_rows(), "final_state.json": state}
+    files = {"trajectory.csv": table(lp.StepRecord, traj.records), "final_state.json": state}
     if probe is not None:
-        files["probe.csv"] = (["class_i", "class_j", "cosine"],
-                              [[i, j, c] for i, j, c in probe.pairs])
-        files["probe_summary.csv"] = (
-            ["min_cosine", "mean_cosine", "balanced_reference"],
-            [[probe.min_cosine, probe.mean_cosine, -1.0 / (args.K - 1)]],
-        )
+        files["probe.csv"] = (["class_i", "class_j", "cosine"], probe.pairs)
+        files["probe_summary.csv"] = (["min_cosine", "mean_cosine", "balanced_reference"],
+                                      [[probe.min_cosine, probe.mean_cosine, -1.0 / (args.K - 1)]])
         print(
             f"peeled lpm: {traj.stop_reason} after {traj.records[-1].step} steps, "
             f"minor mean cosine {probe.mean_cosine:.4f} (balanced {-1.0/(args.K-1):.4f})"
@@ -248,7 +238,7 @@ def cmd_regularity(args):
     verdict, passed = reg.check_sweep(steps, deltas, runs)
     records = [r for run in runs for step_records in run for r in step_records]
     files = {
-        "records.csv": reg.records_csv(records),
+        "records.csv": table(reg.RegularityRecord, records),
         "summary.json": {"trials": args.trials, "K": args.K, "d": args.d,
                          "e_h": args.e_h, "e_w": args.e_w, **verdict},
     }
@@ -273,11 +263,19 @@ def _int_list(low):
     return lambda v: isinstance(v, list) and all(_is_int(n, low) for n in v)
 
 
+def _finite(v):
+    """``v`` as a finite float, or None: JSON true is an int to Python, json.load reads NaN."""
+    try:
+        v = float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else math.nan
+    except OverflowError:  # an integer past float range
+        return None
+    return v if math.isfinite(v) else None
+
+
 #: (test, what the value must be) per field type of the config dataclasses
 _KINDS = {
     int: (_is_int, "an integer >= 1"),
-    float: (lambda v: _is_int(v, -math.inf) or isinstance(v, float) and math.isfinite(v),
-            "a finite number"),
+    float: (lambda v: _finite(v) is not None, "a finite number"),
     tuple: (_int_list(-math.inf), "a list of integers"),
     str: (lambda v: isinstance(v, str), "a string"),
 }
@@ -340,6 +338,8 @@ def _check_config(cfg):
             raise ConfigError(f"config is missing required field '{path}'")
         if not test(node[key]):
             raise ConfigError(f"config field '{path}' must be {what}, got {node[key]!r}")
+        if (test, what) == _KINDS[float]:  # a JSON integer runs as the float it names
+            node[key] = float(node[key])
     for key in _TOP:  # a repeat would train twice and write one payload name twice
         repeated = [v for i, v in enumerate(cfg[key]) if v in cfg[key][:i]]
         if repeated:
@@ -382,7 +382,6 @@ def cmd_train(args):
     _check_config(cfg)
     ds, regimes, seeds = cfg["dataset"], cfg["regimes"], cfg["seeds"]
     model_cfg = {**_MODEL_DEFAULTS, **cfg.get("model", {})}
-    hidden, feature_dim = model_cfg["hidden_sizes"], model_cfg["feature_dim"]
     with _blame("config block 'train'"):
         configs = {(seed, regime): tr.TrainConfig(regime=regime, seed=seed, **cfg["train"])
                    for seed in seeds for regime in regimes}
@@ -395,19 +394,20 @@ def cmd_train(args):
         with _blame("config block 'dataset'"):
             datasets = {seed: tr.make_imbalanced_dataset(SyntheticDatasetSpec(
                 **dict(ds, seed=derive_seed(seed, "dataset")))) for seed in seeds}
+    sizes = [datasets[seeds[0]][0].dim, *model_cfg["hidden_sizes"], model_cfg["feature_dim"]]
+    with _blame("config block 'model'"):  # before any training: numpy may refuse a size
+        models = {(seed, regime): tr.MlpBackbone.init(sizes, derive_seed(seed, f"model:{regime}"))
+                  for seed in seeds for regime in regimes}
 
     summary = {"runs": [], "config_file": args.config}
     files = {}
     for seed in seeds:
         train_set, test_set = datasets[seed]
         for regime in regimes:
-            config = configs[seed, regime]
-            model = tr.MlpBackbone.init(
-                [train_set.dim, *hidden, feature_dim], derive_seed(seed, f"model:{regime}")
-            )
-            log = tr.train(model, train_set, test_set, config)
+            model = models[seed, regime]
+            log = tr.train(model, train_set, test_set, configs[seed, regime])
             name = f"trainlog_{regime}_seed{seed}.csv"
-            files[name] = log.csv_rows()
+            files[name] = table(tr.EpochRecord, log.records)
             files[f"model_{regime}_seed{seed}.json"] = {
                 "regime": regime, "seed": seed,
                 "weights": [w.tolist() for w in model.weights],
@@ -418,7 +418,7 @@ def cmd_train(args):
             summary["runs"].append({
                 "regime": regime, "seed": seed, "trainlog": name,
                 "final_bal_acc": log.final_bal_acc, "final_loss": log.records[-1].loss,
-                **{f"final_quarter_{k}": float(np.mean([getattr(r.nc_train, k) for r in tail]))
+                **{f"final_quarter_{k}": float(np.mean([getattr(r.train, k) for r in tail]))
                    for k in ("cos_ff_std", "cos_fc_std")},
             })
             print(f"train: {regime} seed {seed}: bal_acc {log.final_bal_acc:.4f}")
@@ -467,15 +467,15 @@ def cmd_report(args):
                 raise ConfigError(
                     f"{run_dir}/summary.json: run {i} is missing {', '.join(missing)}"
                 )
-            bad = [k for k in REPORT_METRICS if not _KINDS[float][0](run[k])]
-            if bad:  # JSON true is an int to Python, and json.load reads NaN
+            bad = [k for k in REPORT_METRICS if _finite(run[k]) is None]
+            if bad:
                 raise ConfigError(f"{run_dir}/summary.json: run {i} has a non-numeric metric: "
                                   f"{bad[0]} must be a finite number, got {run[bad[0]]!r}")
             if not (isinstance(run["regime"], str) and _is_int(run["seed"], 0)):
                 raise ConfigError(f"{run_dir}/summary.json: run {i} needs a string regime and "
                                   f"an integer seed >= 0, got regime {run['regime']!r}, "
                                   f"seed {run['seed']!r}")
-            rows.append((run_dir, run))
+            rows.append((run_dir, {**run, **{k: float(run[k]) for k in REPORT_METRICS}}))
     by_regime = _bal_acc_by_regime(run for _, run in rows)
     files = {
         "report_summary.csv": (
@@ -559,6 +559,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # the seeded commands
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if not args.out:
+            raise ConfigError("--out must name a directory, got ''")
         path = os.path.abspath(args.out)  # --out may not be, or lie under, a non-directory
         while not os.path.lexists(path):
             path = os.path.dirname(path)

@@ -17,7 +17,7 @@ scale-free and lies in [0, 4]; nc4 compares against the batch's own
 class means, and ties resolve to the lowest class index on both sides.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +46,6 @@ class NcReport:
     self_duality: float
     duality_gap: float
     nc4: float
-
-    def as_row(self) -> list:
-        return [getattr(self, f) for f in NC_FIELDS]
-
-
-#: the statistics in report and CSV column order
-NC_FIELDS = tuple(f.name for f in fields(NcReport))
 
 
 def nc_report(batch: FeatureBatch, W: np.ndarray) -> NcReport:

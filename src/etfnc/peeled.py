@@ -173,7 +173,7 @@ class StepRecord:
     loss: float
     gap: float  # NaN when no oracle (LPM / non-uniform classifier)
     grad_norm: float  # max displacement / step size; NaN before the first step
-    class_mean_dist: np.ndarray  # per-class mean |h - h*|; NaN entries without oracle
+    mean_dist: np.ndarray  # per-class mean |h - h*|; NaN entries without oracle
 
 
 @dataclass
@@ -181,15 +181,6 @@ class Trajectory:
     records: list = field(default_factory=list)
     final: PeeledProblem = None
     stop_reason: str = ""
-
-    def csv_rows(self):
-        header = ["step", "loss", "gap", "grad_norm"] + [
-            f"mean_dist_{k}" for k in range(len(self.records[0].class_mean_dist))
-        ]
-        rows = [
-            [r.step, r.loss, r.gap, r.grad_norm, *r.class_mean_dist] for r in self.records
-        ]
-        return header, rows
 
 
 def optimize(problem: PeeledProblem, loss_kind: str, step_size: float, max_steps: int,

@@ -26,8 +26,7 @@ records of that same pass, and ``check_sweep`` judges both claims on it.
 """
 
 import math
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,10 +262,3 @@ def check_sweep(steps, deltas, runs):
                       and cfg["mean_ce_raw"] >= cfg["mean_dr_raw"]
                       for cfg in dom["configs"] if cfg["raw_dominance_frac"] is not None)
     return summary, passed
-
-
-def records_csv(records) -> tuple:
-    """(header, rows) for records.csv: one column per RegularityRecord field."""
-    header = [f.name for f in fields(RegularityRecord)]
-    row = attrgetter(*header)
-    return header, [row(r) for r in records]

@@ -8,15 +8,15 @@ round-trip repr, which is also exact.
 import csv
 import hashlib
 import json
+from dataclasses import fields, is_dataclass
+from operator import attrgetter
+
+import numpy as np
 
 
 def fmt(x) -> str:
     """Format one float with 17 significant digits."""
     return "%.17g" % float(x)
-
-
-def fmt_row(values) -> list:
-    return [v if isinstance(v, str) else fmt(v) for v in values]
 
 
 def write_csv(path, header, rows):
@@ -30,7 +30,38 @@ def write_csv(path, header, rows):
         if header is not None:
             w.writerow(header)
         for row in rows:
-            w.writerow(fmt_row(row))
+            w.writerow([v if isinstance(v, str) else fmt(v) for v in row])
+
+
+def _columns(name, path, value):
+    """[(column names, attribute path, spread)] of one field holding ``value``."""
+    if is_dataclass(value):
+        return [c for f in fields(value)
+                for c in _columns(f"{name}_{f.name}", f"{path}.{f.name}", getattr(value, f.name))]
+    if np.ndim(value):  # a str or np.float64 has ndim 0: one column
+        return [([f"{name}_{k}" for k in range(len(value))], path, True)]
+    return [([name], path, False)]
+
+
+def table(cls, records) -> tuple:
+    """(header, rows) of a CSV with one column per field of the dataclass ``cls``, in field order.
+
+    A nested dataclass field ``f`` spreads over ``f_<its field>`` columns and
+    an array field over ``f_0 ... f_{n-1}``, its width taken from the first
+    record. With no records the header is the field names of ``cls``. The
+    column plan is built once, from the first record.
+    """
+    if not records:
+        return [f.name for f in fields(cls)], []
+    plan = [c for f in fields(cls) for c in _columns(f.name, f.name, getattr(records[0], f.name))]
+    header = [name for names, _, _ in plan for name in names]
+    paths, spread = [path for _, path, _ in plan], [s for _, _, s in plan]
+    # attrgetter of one path returns the value, of more a tuple
+    get = attrgetter(*paths) if len(paths) > 1 else lambda r, one=attrgetter(*paths): (one(r),)
+    if not any(spread):
+        return header, [get(r) for r in records]
+    return header, [[c for v, s in zip(get(r), spread) for c in (v if s else (v,))]
+                    for r in records]
 
 
 def write_json(path, obj):

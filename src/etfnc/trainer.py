@@ -25,7 +25,7 @@ import numpy as np
 from .batches import FeatureBatch
 from .etf import generate_etf, scale_classifier, uniform_classifier
 from .losses import NumericDivergence, ce_terms, dr_terms
-from .metrics import NC_FIELDS, NcReport, nc_report
+from .metrics import NcReport, nc_report
 
 REGIMES = ("learnable-ce", "learnable-wce", "etf-ce", "etf-dr")
 
@@ -261,8 +261,8 @@ class EpochRecord:
     epoch: int
     loss: float
     bal_acc: float
-    nc_train: NcReport
-    nc_test: NcReport
+    train: NcReport
+    test: NcReport
 
 
 @dataclass
@@ -270,18 +270,6 @@ class TrainLog:
     records: list = field(default_factory=list)
     classifier: np.ndarray = None
     per_class_acc: np.ndarray = None
-
-    def csv_rows(self):
-        header = (
-            ["epoch", "loss", "bal_acc"]
-            + [f"train_{f}" for f in NC_FIELDS]
-            + [f"test_{f}" for f in NC_FIELDS]
-        )
-        rows = [
-            [r.epoch, r.loss, r.bal_acc, *r.nc_train.as_row(), *r.nc_test.as_row()]
-            for r in self.records
-        ]
-        return header, rows
 
     @property
     def final_bal_acc(self) -> float:
@@ -387,8 +375,8 @@ def train(model: MlpBackbone, train_set: FeatureBatch, test_set: FeatureBatch,
                 epoch=epoch,
                 loss=loss_sum / N,
                 bal_acc=bal_acc,
-                nc_train=nc_report(FeatureBatch(train_feats, train_set.labels, K), W),
-                nc_test=nc_report(FeatureBatch(test_feats, test_set.labels, K), W),
+                train=nc_report(FeatureBatch(train_feats, train_set.labels, K), W),
+                test=nc_report(FeatureBatch(test_feats, test_set.labels, K), W),
             )
         )
         log.per_class_acc = per_class_acc

@@ -244,8 +244,8 @@ def test_criterion_7_desk_scale_regime_comparison():
             results[regime].append(
                 (
                     log.final_bal_acc,
-                    float(np.mean([r.nc_train.cos_ff_std for r in tail])),
-                    float(np.mean([r.nc_train.cos_fc_std for r in tail])),
+                    float(np.mean([r.train.cos_ff_std for r in tail])),
+                    float(np.mean([r.train.cos_fc_std for r in tail])),
                 )
             )
     dr, ce = results["etf-dr"], results["learnable-ce"]

@@ -299,6 +299,14 @@ class TestTrainCommand:
         header = (out / "trainlog_etf-dr_seed0.csv").read_text().splitlines()[0]
         assert header.startswith("epoch,loss,bal_acc,train_sigma_w_trace")
 
+    def test_integer_in_float_field_runs_as_float(self, tmp_path):
+        """A JSON integer past int64 in a float field runs as the float it names."""
+        cfg = tmp_path / "cfg.json"
+        for name, e_h in (("int", 10**20), ("float", 1e20)):
+            write_train_config(cfg, train={"epochs": 2, "e_h": e_h}, regimes=["etf-dr"])
+            assert run("train", "--config", cfg, "--out", tmp_path / name) == EXIT_OK
+        assert payload_bytes(tmp_path / "int") == payload_bytes(tmp_path / "float")
+
     def test_missing_field_named(self, tmp_path, capsys):
         cfg = {"dataset": {"num_classes": 3}, "regimes": [], "seeds": []}
         path = tmp_path / "bad.json"
@@ -500,6 +508,8 @@ class TestReportCommand:
          "run 0 has a non-numeric metric: final_bal_acc must be a finite number, got True"),
         ({"runs": [dict(REPORT_RUN, final_loss=float("nan"))]},  # json.dumps writes NaN
          "run 0 has a non-numeric metric: final_loss must be a finite number, got nan"),
+        ({"runs": [dict(REPORT_RUN, final_loss=10**400)]},  # past float range
+         "run 0 has a non-numeric metric: final_loss must be a finite number, got 1000"),
     ])
     def test_malformed_summary_named(self, tmp_path, capsys, summary, message):
         """``summary`` is written as summary.json, or is a (file, raw text) pair."""
@@ -513,6 +523,7 @@ class TestReportCommand:
         assert run("report", "--runs", run_dir, "--out", tmp_path / "x") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{run_dir}/{name}" in err and message in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("alias", ["{}", "{}/", "{}/../run", "./{}"])
     def test_repeated_run_rejected(self, tmp_path, capsys, monkeypatch, alias):
@@ -572,6 +583,9 @@ class TestInputRefusedBeforeOutput:
         (("regularity", "--K", 4, "--d", 6, "--trials", 3, "--seed", -1),
          "--seed must be >= 0, got -1"),
         ((*PEELED, "--minor-classes", "0,9"), "--minor-classes needs lpm mode"),
+        # sizes numpy refuses at once, before allocating anything
+        ((*PEELED, "--mode", "lpm", "--d", 2**62), "--d/--K/--counts: array is too big"),
+        ((*PEELED, "--d", 2**62), "--d/--K/--counts: array is too big"),
     ])
     def test_flags(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"
@@ -591,6 +605,15 @@ class TestInputRefusedBeforeOutput:
         assert f"--out {out}: {blocker} exists and is not a directory" in captured.err
         assert blocker.read_text() == "kept\n"
 
+    def test_out_empty(self, tmp_path, capsys, monkeypatch):
+        """An empty --out names no directory: refused before the command runs."""
+        monkeypatch.chdir(tmp_path)
+        assert run("etf", "--d", 3, "--K", 4, "--out", "") == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out must name a directory, got ''" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("block,value,named", [
         ("train", {"epochs": 3, "milestones": [5]}, ("'train'", "milestones")),
         ("train", {"epochs": 3, "milestones": [2, 1]}, ("'train'", "milestones")),
@@ -604,6 +627,12 @@ class TestInputRefusedBeforeOutput:
                      marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
         ("train", {"epochs": 3, "milestones": [0]}, ("'train'", "milestones")),
         ("train", {"epochs": 3, "milestones": [-5]}, ("'train'", "milestones")),
+        # an integer past float range
+        ("train", {"epochs": 3, "e_h": 10**400}, ("'train.e_h' must be a finite number",)),
+        ("dataset", {"noise_scale": -10**400}, ("'dataset.noise_scale' must be a finite number",)),
+        # sizes numpy refuses at once, before allocating anything
+        ("model", {"hidden_sizes": [2**62]}, ("config block 'model': array is too big",)),
+        ("model", {"feature_dim": 2**62}, ("config block 'model': array is too big",)),
     ])
     def test_train_config(self, tmp_path, capsys, block, value, named):
         base = {"num_classes": 3, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25}

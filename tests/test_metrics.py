@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from etfnc import metrics
 from etfnc.batches import FeatureBatch
 from etfnc.etf import generate_etf
-from etfnc.metrics import NC_FIELDS, NcReport, class_and_global_means, nc_report
+from etfnc.metrics import NcReport, class_and_global_means, nc_report
+from etfnc.serialize import table
+
+
+def assert_reports_close(r1, r2, atol):
+    """Every statistic of two reports agrees, column by column of their CSV layout."""
+    header, (row1, row2) = table(NcReport, [r1, r2])
+    for name, a, b in zip(header, row1, row2):
+        np.testing.assert_allclose(a, b, atol=atol, err_msg=name)
 
 
 def panels(report):
@@ -210,8 +218,7 @@ class TestReportInvariances:
         r1 = nc_report(batch, W)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         r2 = nc_report(FeatureBatch(feats @ q.T, labels, 4), q @ W)
-        for f in NC_FIELDS:
-            np.testing.assert_allclose(getattr(r1, f), getattr(r2, f), atol=1e-9, err_msg=f)
+        assert_reports_close(r1, r2, atol=1e-9)
 
     def test_duplication_invariance(self, rng):
         feats = rng.standard_normal((12, 5))
@@ -221,14 +228,15 @@ class TestReportInvariances:
         r2 = nc_report(
             FeatureBatch(np.vstack([feats, feats]), np.hstack([labels, labels]), 4), W
         )
-        for f in NC_FIELDS:
-            np.testing.assert_allclose(getattr(r1, f), getattr(r2, f), atol=1e-12, err_msg=f)
+        assert_reports_close(r1, r2, atol=1e-12)
 
     def test_field_order_fixed(self):
         batch, frame = collapsed_batch()
         report = nc_report(batch, frame.columns)
-        assert report.as_row() == [getattr(report, f) for f in NC_FIELDS]
-        assert len(report.as_row()) == 8
+        header, [row] = table(NcReport, [report])
+        assert header == ["sigma_w_trace", "cos_ff_avg", "cos_ff_std", "cos_fc_avg",
+                          "cos_fc_std", "self_duality", "duality_gap", "nc4"]
+        assert list(row) == [getattr(report, f) for f in header]
 
 
 def reference_means(batch):
@@ -347,8 +355,7 @@ class TestOnePass:
         perm = np.random.default_rng(seed).permutation(batch.size)
         shuffled = FeatureBatch(batch.features[perm], batch.labels[perm], batch.num_classes)
         r1, r2 = nc_report(batch, W), nc_report(shuffled, W)
-        for f in NC_FIELDS:
-            np.testing.assert_allclose(getattr(r1, f), getattr(r2, f), atol=1e-12, err_msg=f)
+        assert_reports_close(r1, r2, atol=1e-12)
 
     def test_one_means_pass_per_report(self, monkeypatch):
         calls = []

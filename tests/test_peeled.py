@@ -22,6 +22,7 @@ from etfnc.peeled import (
     optimize,
     project_ball,
 )
+from etfnc.serialize import table
 
 
 def make_dlpm(d=8, K=5, counts=(10, 5, 3, 2, 1), e_h=1.0, e_w=1.0, seed=0, frame_seed=1):
@@ -309,8 +310,12 @@ class TestOptimizeLpm:
     def test_gap_is_nan_without_oracle(self):
         prob = init_features(lpm_problem(6, 3, [4, 4, 4], 1.0, 1.0, 0), 0)
         traj = optimize(prob, "ce", step_size=0.5, max_steps=5)
-        assert np.isnan(traj.records[-1].gap)
-        assert traj.records[-1].grad_norm > 0
+        header, rows = table(StepRecord, traj.records)
+        last = dict(zip(header, rows[-1]))
+        assert np.isnan(last["gap"])
+        assert last["grad_norm"] > 0
+        assert header[4:] == ["mean_dist_0", "mean_dist_1", "mean_dist_2"]
+        assert all(np.isnan(last[name]) for name in header[4:])
 
 
 def _reference_project_rows(X, E):
@@ -437,7 +442,7 @@ def assert_same_run(a, b):
     for ra, rb in zip(a.records, b.records):
         scalars = [ra.step, ra.loss, ra.gap, ra.grad_norm]
         assert np.array_equal(scalars, [rb.step, rb.loss, rb.gap, rb.grad_norm], equal_nan=True)
-        assert np.array_equal(ra.class_mean_dist, rb.class_mean_dist, equal_nan=True)
+        assert np.array_equal(ra.mean_dist, rb.mean_dist, equal_nan=True)
     assert np.array_equal(a.final.features, b.final.features)
     assert np.array_equal(a.final.classifier_matrix, b.final.classifier_matrix)
 

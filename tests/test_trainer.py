@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from conftest import central_diff, rel_error
 from etfnc.batches import FeatureBatch
 from etfnc.losses import ce_terms, dr_terms
+from etfnc.serialize import table
 from etfnc.trainer import (
     REGIMES,
+    EpochRecord,
     MlpBackbone,
     SyntheticDatasetSpec,
     TrainConfig,
@@ -329,7 +331,7 @@ class TestTrain:
             model = MlpBackbone.init([6, 10, 5], seed=2)
             log = train(model, train_set, test_set, TrainConfig(epochs=2, regime=regime, seed=0))
             assert len(log.records) == 2
-            header, rows = log.csv_rows()
+            header, rows = table(EpochRecord, log.records)
             assert len(header) == 3 + 16 and len(rows) == 2
 
     @pytest.mark.parametrize("regime", ["learnable-dr", "etf", ""])
