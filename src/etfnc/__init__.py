@@ -42,7 +42,6 @@ from .peeled import (
     init_features,
     lpm_problem,
     minority_collapse_probe,
-    optimality_gap,
     optimize,
     project_ball,
 )

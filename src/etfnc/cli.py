@@ -5,7 +5,6 @@ Subcommands
     peeled      run a DLPM/LPM optimization of --counts classes, write trajectory + final state
     regularity  one-step CE, DR (always) and CE-opt steps; records + bound/dominance verdict
     train       backbone training regimes from a JSON config
-    report      aggregate run directories into summary tables
 
 Every run writes a manifest.json with the resolved configuration and
 sha256 hashes of the artifacts; rerunning a command with identical
@@ -299,7 +298,9 @@ _MODEL_DEFAULTS = {"hidden_sizes": [64], "feature_dim": 16}
 _TOP = {
     "regimes": ((lambda v: isinstance(v, list) and len(v) > 0 and all(r in tr.REGIMES for r in v)),
                 f"a list of one or more regimes from {', '.join(tr.REGIMES)}"),
-    "seeds": ((lambda v: _int_list(0)(v) and len(v) > 0), "a list of one or more integers >= 0"),
+    # a seed names payload files, so it is capped like an integer flag
+    "seeds": ((lambda v: _int_list(0)(v) and 0 < len(v) and max(v) < 2**63),
+              "a list of one or more integers >= 0 and < 2**63"),
 }
 
 
@@ -369,14 +370,6 @@ def _load_dataset(path, num_classes, dim=None):
     return data
 
 
-def _bal_acc_by_regime(runs):
-    """[(regime, [final_bal_acc per run])] in regime order."""
-    by_regime = {}
-    for run in runs:
-        by_regime.setdefault(run["regime"], []).append(run["final_bal_acc"])
-    return sorted(by_regime.items())
-
-
 def cmd_train(args):
     cfg = _read_json(args.config, "config file")
     _check_config(cfg)
@@ -400,6 +393,7 @@ def cmd_train(args):
                   for seed in seeds for regime in regimes}
 
     summary = {"runs": [], "config_file": args.config}
+    accs = {regime: [] for regime in regimes}  # final_bal_acc per seed
     files = {}
     for seed in seeds:
         train_set, test_set = datasets[seed]
@@ -421,76 +415,15 @@ def cmd_train(args):
                 **{f"final_quarter_{k}": float(np.mean([getattr(r.train, k) for r in tail]))
                    for k in ("cos_ff_std", "cos_fc_std")},
             })
+            accs[regime].append(log.final_bal_acc)
             print(f"train: {regime} seed {seed}: bal_acc {log.final_bal_acc:.4f}")
     summary["by_regime"] = {
-        regime: {
-            "mean_bal_acc": float(np.mean(accs)),
-            "std_bal_acc": float(np.std(accs)),
-            "runs": len(accs),
-        }
-        for regime, accs in _bal_acc_by_regime(summary["runs"])
+        regime: {"mean_bal_acc": float(np.mean(a)), "std_bal_acc": float(np.std(a)),
+                 "runs": len(a)}
+        for regime, a in accs.items()
     }
     files["summary.json"] = summary
     return EXIT_OK, cfg, files
-
-
-# --- report ----------------------------------------------------------------------
-
-
-#: per-run summary fields that report_long.csv lists
-REPORT_METRICS = ("final_bal_acc", "final_loss",
-                  "final_quarter_cos_ff_std", "final_quarter_cos_fc_std")
-
-
-def cmd_report(args):
-    if not args.runs:
-        raise ConfigError("no run directories given")
-    real = [os.path.realpath(run_dir) for run_dir in args.runs]
-    repeated = [run_dir for i, run_dir in enumerate(args.runs) if real[i] in real[:i]]
-    if repeated:  # a repeat would count one run twice
-        raise ConfigError(f"--runs repeats {repeated[0]}")
-    rows = []
-    for run_dir in args.runs:
-        manifest = _read_json(f"{run_dir}/manifest.json", "run file")
-        run_summary = _read_json(f"{run_dir}/summary.json", "run file")
-        if not isinstance(manifest, dict):
-            raise ConfigError(f"{run_dir}/manifest.json is not a JSON object")
-        if manifest.get("command") != "train":
-            raise ConfigError(f"{run_dir} is not a train run (command={manifest.get('command')!r})")
-        runs = run_summary.get("runs") if isinstance(run_summary, dict) else None
-        if not isinstance(runs, list):
-            raise ConfigError(f"{run_dir}/summary.json has no 'runs' list")
-        for i, run in enumerate(runs):
-            missing = [k for k in ("regime", "seed", *REPORT_METRICS)
-                       if not isinstance(run, dict) or k not in run]
-            if missing:
-                raise ConfigError(
-                    f"{run_dir}/summary.json: run {i} is missing {', '.join(missing)}"
-                )
-            bad = [k for k in REPORT_METRICS if _finite(run[k]) is None]
-            if bad:
-                raise ConfigError(f"{run_dir}/summary.json: run {i} has a non-numeric metric: "
-                                  f"{bad[0]} must be a finite number, got {run[bad[0]]!r}")
-            if not (isinstance(run["regime"], str) and _is_int(run["seed"], 0)):
-                raise ConfigError(f"{run_dir}/summary.json: run {i} needs a string regime and "
-                                  f"an integer seed >= 0, got regime {run['regime']!r}, "
-                                  f"seed {run['seed']!r}")
-            rows.append((run_dir, {**run, **{k: float(run[k]) for k in REPORT_METRICS}}))
-    by_regime = _bal_acc_by_regime(run for _, run in rows)
-    files = {
-        "report_summary.csv": (
-            ["regime", "runs", "bal_acc_mean", "bal_acc_std"],
-            [[regime, len(accs), float(np.mean(accs)), float(np.std(accs))]
-             for regime, accs in by_regime],
-        ),
-        "report_long.csv": (
-            ["run_dir", "regime", "seed", "metric", "value"],
-            [[run_dir, run["regime"], run["seed"], metric, run[metric]]
-             for run_dir, run in rows for metric in REPORT_METRICS],
-        ),
-    }
-    print(f"report: {len(rows)} runs, {len(by_regime)} regimes")
-    return EXIT_OK, {"runs": list(args.runs)}, files
 
 
 # --- parser -----------------------------------------------------------------------
@@ -545,11 +478,6 @@ def build_parser():
     sp.add_argument("--config", required=True)
     common(sp, seeded=False)
     sp.set_defaults(func=cmd_train)
-
-    sp = sub.add_parser("report", help="aggregate train run directories")
-    sp.add_argument("--runs", nargs="*", default=[])
-    common(sp, seeded=False)
-    sp.set_defaults(func=cmd_report)
     return p
 
 

@@ -158,15 +158,6 @@ def _gap_targets(classifier: FixedClassifier, e_h: float) -> np.ndarray:
     return np.sqrt(e_h * classifier.e_w) * classifier.frame.gram_target()
 
 
-def optimality_gap(problem: PeeledProblem) -> float:
-    """max over samples i and classes k' of |h_i . w*_k' - target(label_i, k')|."""
-    if not problem.is_fixed_classifier:
-        raise ValueError("optimality gap needs a fixed classifier (DLPM)")
-    targets = _gap_targets(problem.classifier, problem.e_h)  # raises if non-uniform
-    dots = problem.features @ problem.classifier_matrix
-    return float(np.abs(dots - targets[problem.labels]).max())
-
-
 @dataclass
 class StepRecord:
     step: int

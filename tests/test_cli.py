@@ -299,6 +299,17 @@ class TestTrainCommand:
         header = (out / "trainlog_etf-dr_seed0.csv").read_text().splitlines()[0]
         assert header.startswith("epoch,loss,bal_acc,train_sigma_w_trace")
 
+    def test_aggregates_three_seeds(self, tmp_path):
+        """by_regime holds the mean, std and count of final_bal_acc over the config's seeds."""
+        cfg = write_train_config(tmp_path / "cfg.json", seeds=[0, 1, 2])
+        assert run("train", "--config", cfg, "--out", tmp_path / "run") == EXIT_OK
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert len(summary["runs"]) == 3 * 2  # seeds x regimes
+        for regime in ("learnable-ce", "etf-dr"):
+            accs = [r["final_bal_acc"] for r in summary["runs"] if r["regime"] == regime]
+            assert summary["by_regime"][regime] == {
+                "mean_bal_acc": np.mean(accs), "std_bal_acc": np.std(accs), "runs": 3}
+
     def test_integer_in_float_field_runs_as_float(self, tmp_path):
         """A JSON integer past int64 in a float field runs as the float it names."""
         cfg = tmp_path / "cfg.json"
@@ -363,8 +374,10 @@ class TestTrainCommand:
             ("dataset", {"num_classes": 3, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25,
                          "test_csv": "t.csv"}, "'dataset.test_csv' needs 'dataset.train_csv'"),
             ("model", {"hidden_sizes": 3}, "'model.hidden_sizes' must be a list of integers >= 1"),
-            ("seeds", [0.5], "'seeds' must be a list of one or more integers >= 0, got [0.5]"),
-            ("seeds", [-1], "'seeds' must be a list of one or more integers >= 0, got [-1]"),
+            ("seeds", [0.5],
+             "'seeds' must be a list of one or more integers >= 0 and < 2**63, got [0.5]"),
+            ("seeds", [-1],
+             "'seeds' must be a list of one or more integers >= 0 and < 2**63, got [-1]"),
             ("regimes", "etf-dr",
              "'regimes' must be a list of one or more regimes from learnable-ce"),
             ("train", {"epochs": 1, "e_h": -1}, "config block 'train': e_h must be > 0, got -1"),
@@ -381,7 +394,8 @@ class TestTrainCommand:
              "'dataset.num_classes' must be >= 2, got 1"),
             ("model", {"hidden_sizes": [8], "feature_dim": 1},
              "'model.feature_dim' must be >= dataset.num_classes - 1 = 2, got 1"),
-            ("seeds", [], "'seeds' must be a list of one or more integers >= 0, got []"),
+            ("seeds", [],
+             "'seeds' must be a list of one or more integers >= 0 and < 2**63, got []"),
             ("regimes", [], "'regimes' must be a list of one or more regimes from learnable-ce, "
                             "learnable-wce, etf-ce, etf-dr, got []"),
             ("regimes", ["etf-dr", "etf-ce", "etf-dr"], "config field 'regimes' repeats 'etf-dr'"),
@@ -404,13 +418,11 @@ class TestTrainCommand:
             capsys.readouterr().err
         )
 
-    @pytest.mark.parametrize("command", ["train", "report"])
-    def test_seed_flag_not_accepted(self, tmp_path, capsys, command):
-        """train seeds come from the config's ``seeds``; report has none."""
+    def test_seed_flag_not_accepted(self, tmp_path, capsys):
+        """train seeds come from the config's ``seeds``."""
         cfg = write_train_config(tmp_path / "cfg.json")
-        argv = ["--config", cfg] if command == "train" else ["--runs", tmp_path]
         with pytest.raises(SystemExit) as exc:
-            run(command, *argv, "--seed", 3, "--out", tmp_path / "x")
+            run("train", "--config", cfg, "--seed", 3, "--out", tmp_path / "x")
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
@@ -428,6 +440,14 @@ class TestTrainCommand:
             run(*argv, "--out", tmp_path / "x")
         assert exc.value.code == EXIT_CONFIG
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_report_command_gone(self, tmp_path, capsys):
+        """summary.json's by_regime holds what report aggregated over run directories."""
+        with pytest.raises(SystemExit) as exc:
+            run("report", "--runs", tmp_path, "--out", tmp_path / "x")
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'report'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("key", ["train_csv", "test_csv"])
@@ -455,6 +475,17 @@ class TestTrainCommand:
     def test_missing_config_file(self, tmp_path):
         assert run("train", "--config", tmp_path / "nope.json", "--out", tmp_path / "x") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text,message", [
+        ("{", "config file {} is not valid JSON"),
+        ("[1]", "config must be a JSON object"),
+    ])
+    def test_malformed_config_named(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run("train", "--config", path, "--out", tmp_path / "x") == EXIT_CONFIG
+        assert message.format(path) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_train_config(tmp_path / "cfg.json")
         payloads = []
@@ -463,83 +494,6 @@ class TestTrainCommand:
             run("train", "--config", cfg, "--out", out)
             payloads.append(payload_bytes(out))
         assert payloads[0] == payloads[1]
-
-
-#: one well-formed run of a train summary.json
-REPORT_RUN = {"regime": "etf-dr", "seed": 0, "final_bal_acc": 0.5, "final_loss": 1.0,
-              "final_quarter_cos_ff_std": 0.0, "final_quarter_cos_fc_std": 0.0}
-
-
-class TestReportCommand:
-    def test_aggregates_three_seed_runs(self, tmp_path):
-        runs = []
-        for seed in (0, 1, 2):
-            out = tmp_path / f"run{seed}"
-            write_train_config(tmp_path / f"cfg{seed}.json", seeds=[seed])
-            run("train", "--config", tmp_path / f"cfg{seed}.json", "--out", out)
-            runs.append(out)
-        rep = tmp_path / "report"
-        assert run("report", "--runs", *runs, "--out", rep) == EXIT_OK
-        lines = (rep / "report_summary.csv").read_text().splitlines()
-        assert lines[0] == "regime,runs,bal_acc_mean,bal_acc_std"
-        assert len(lines) == 3  # one row per regime
-        assert all(line.split(",")[1] == "3" for line in lines[1:])
-        long = (rep / "report_long.csv").read_text().splitlines()
-        assert len(long) == 1 + 3 * 2 * 4  # seeds x regimes x metrics
-
-    def test_empty_input_rejected(self, tmp_path):
-        assert run("report", "--out", tmp_path / "x") == EXIT_CONFIG
-
-    @pytest.mark.parametrize("summary,message", [
-        ({}, "has no 'runs' list"),
-        ({"runs": [{"seed": 0, "final_bal_acc": 0.5}]}, "run 0 is missing regime, final_loss"),
-        ({"runs": "x"}, "has no 'runs' list"),
-        ({"runs": [dict(REPORT_RUN, final_bal_acc="x")]}, "run 0 has a non-numeric metric"),
-        (("summary.json", "{"), "is not valid JSON"),
-        (("manifest.json", '{"command": "train",'), "is not valid JSON"),
-        (("manifest.json", "[1]"), "is not a JSON object"),
-        ({"runs": [dict(REPORT_RUN, regime=["etf-dr"])]},
-         "run 0 needs a string regime and an integer seed >= 0, got regime ['etf-dr'], seed 0"),
-        ({"runs": [dict(REPORT_RUN, regime="a"), dict(REPORT_RUN, regime=1)]},
-         "run 1 needs a string regime and an integer seed >= 0, got regime 1, seed 0"),
-        ({"runs": [dict(REPORT_RUN, seed=[0])]},
-         "run 0 needs a string regime and an integer seed >= 0, got regime 'etf-dr', seed [0]"),
-        ({"runs": [dict(REPORT_RUN, final_bal_acc=True)]},
-         "run 0 has a non-numeric metric: final_bal_acc must be a finite number, got True"),
-        ({"runs": [dict(REPORT_RUN, final_loss=float("nan"))]},  # json.dumps writes NaN
-         "run 0 has a non-numeric metric: final_loss must be a finite number, got nan"),
-        ({"runs": [dict(REPORT_RUN, final_loss=10**400)]},  # past float range
-         "run 0 has a non-numeric metric: final_loss must be a finite number, got 1000"),
-    ])
-    def test_malformed_summary_named(self, tmp_path, capsys, summary, message):
-        """``summary`` is written as summary.json, or is a (file, raw text) pair."""
-        run_dir = tmp_path / "run"
-        write_train_config(tmp_path / "cfg.json")
-        assert run("train", "--config", tmp_path / "cfg.json", "--out", run_dir) == EXIT_OK
-        if not isinstance(summary, tuple):
-            summary = ("summary.json", json.dumps(summary))
-        name, text = summary
-        (run_dir / name).write_text(text)
-        assert run("report", "--runs", run_dir, "--out", tmp_path / "x") == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"{run_dir}/{name}" in err and message in err
-        assert not (tmp_path / "x").exists()
-
-    @pytest.mark.parametrize("alias", ["{}", "{}/", "{}/../run", "./{}"])
-    def test_repeated_run_rejected(self, tmp_path, capsys, monkeypatch, alias):
-        """One run directory given twice, under any spelling, would count twice."""
-        monkeypatch.chdir(tmp_path)
-        write_train_config(tmp_path / "cfg.json")
-        assert run("train", "--config", "cfg.json", "--out", "run") == EXIT_OK
-        code = run("report", "--runs", "run", alias.format("run"), "--out", "x")
-        assert code == EXIT_CONFIG
-        assert f"--runs repeats {alias.format('run')}" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-
-    def test_missing_manifest_rejected(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert run("report", "--runs", empty, "--out", tmp_path / "x") == EXIT_CONFIG
 
 
 #: a dataset CSV of three classes with no row of class 2
@@ -657,6 +611,18 @@ class TestInputRefusedBeforeOutput:
         assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [2**63, 10**300], ids=["2**63", "10**300"])
+    def test_seed_past_int64(self, tmp_path, capsys, seed):
+        """A seed names payload files; one past int64 is refused before any training."""
+        cfg = write_train_config(tmp_path / "cfg.json", seeds=[0, seed])
+        out = tmp_path / "x"
+        assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("config field 'seeds' must be a list of one or more integers >= 0 and < 2**63, "
+                f"got [0, {seed}]") in captured.err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")  # numpy warns when a cast to int64 wraps

@@ -5,16 +5,13 @@ divergence) or 4 (failed check); an exception out of ``main`` is a bug.
 A command writes nothing itself; ``main`` writes its payloads only after it
 returned, so after exit 2 or 3 no ``--out`` directory may exist, for any
 command. Each example redraws a few values of a small valid input, so most
-examples still run; ``report`` draws its run directories from one small
-``train`` run, aliases and broken copies of it, an ``etf`` run and a
-missing path. Floats range over all finite values, 1e300 and
-negatives included, and seeds include -1; every size (K, d, counts,
-epochs, steps, trials) stays small because memory and loops grow with it.
+examples still run. Floats range over all finite values, 1e300 and
+negatives included, and seeds include -1 (and 2**63 and 10**300 in a train
+config); every size (K, d, counts, epochs, steps, trials) stays small
+because memory and loops grow with it.
 """
 
 import json
-import os
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -22,8 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etfnc.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, REPORT_METRICS,
-                       main)
+from etfnc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from etfnc.trainer import REGIMES
 
 EXIT_CODES = {EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED, EXIT_CHECK_FAILED}
@@ -59,30 +55,6 @@ def check_exit(args):
         if code in (EXIT_CONFIG, EXIT_DIVERGED):
             assert not out.exists()
         return code
-
-
-@pytest.fixture(scope="module")
-def runs_dir(tmp_path_factory):
-    """A tiny one-seed ``train`` run (``run``) and an ``etf`` run (``etf``), built once."""
-    root = tmp_path_factory.mktemp("runs")
-    cfg = root / "cfg.json"
-    cfg.write_text(json.dumps({
-        "dataset": {"num_classes": 3, "input_dim": 4, "n_max": 6, "imbalance_ratio": 0.5},
-        "model": {"hidden_sizes": [4], "feature_dim": 3}, "train": {"epochs": 2},
-        "regimes": ["etf-dr"], "seeds": [0]}))
-    assert main(["train", f"--config={cfg}", f"--out={root / 'run'}"]) == EXIT_OK
-    assert main(["etf", "--d=3", "--K=4", f"--out={root / 'etf'}"]) == EXIT_OK
-    return root
-
-
-#: a ``report --runs`` entry: a name under ``runs_dir`` (the run, two aliases of it,
-#: a non-train run, a missing directory), or a copy of the run whose summary.json
-#: has (key, value) set, or the key dropped where value is None
-REPORT_ENTRIES = (
-    st.sampled_from(["run", "run/", "./run", "etf", "missing"])
-    | st.tuples(st.sampled_from(["runs", "regime", "seed", *REPORT_METRICS]),
-                st.none() | st.sampled_from(["x", [0], -1, 1e308, True]))
-)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -133,7 +105,7 @@ class TestExitCodeGate:
                  "step_size": floats, "milestones": st.lists(st.integers(-2, 4), max_size=3),
                  "momentum": floats, "e_h": floats}),
         st.lists(st.sampled_from(REGIMES), min_size=1, max_size=2),
-        st.lists(st.integers(0, 2), min_size=1, max_size=2),
+        st.lists(st.integers(0, 2) | st.sampled_from([2**63, 10**300]), min_size=1, max_size=2),
     )
     def test_train(self, dataset, model, train, regimes, seeds):
         cfg = {"dataset": dataset, "model": model, "train": train,
@@ -142,28 +114,3 @@ class TestExitCodeGate:
             path = Path(tmp) / "cfg.json"
             path.write_text(json.dumps(cfg))
             check_exit(["train", f"--config={path}"])
-
-    @GATE
-    @given(st.lists(REPORT_ENTRIES, min_size=1, max_size=3))
-    def test_report(self, runs_dir, entries):
-        """Exit 0 or 2 only, and 2 whenever two entries name one directory."""
-        with tempfile.TemporaryDirectory() as tmp:
-            runs = []
-            for i, entry in enumerate(entries):
-                if isinstance(entry, str):
-                    runs.append(f"{runs_dir}/{entry}")
-                    continue
-                (key, value), copy = entry, shutil.copytree(runs_dir / "run", f"{tmp}/copy{i}")
-                summary = json.loads(Path(copy, "summary.json").read_text())
-                node = summary if key == "runs" else summary["runs"][0]
-                if value is None:
-                    del node[key]
-                else:
-                    node[key] = value
-                Path(copy, "summary.json").write_text(json.dumps(summary))
-                runs.append(copy)
-            code = check_exit(["report", "--runs", *runs])
-            resolved = [os.path.realpath(run) for run in runs]
-        assert code in (EXIT_OK, EXIT_CONFIG)
-        if len(set(resolved)) < len(resolved):
-            assert code == EXIT_CONFIG

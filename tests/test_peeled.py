@@ -18,7 +18,6 @@ from etfnc.peeled import (
     init_features,
     lpm_problem,
     minority_collapse_probe,
-    optimality_gap,
     optimize,
     project_ball,
 )
@@ -158,24 +157,29 @@ class TestAnalyticOptimum:
             analytic_optimum(clf, 1.0)
 
 
+def step0_gap(prob):
+    """The optimality gap of ``prob``'s features: ``optimize``'s step-0 record."""
+    return optimize(prob, "dr", 0.5, 0).records[0].gap
+
+
 class TestOptimalityGap:
     def test_zero_at_optimum(self):
         clf = uniform_classifier(generate_etf(6, 4, 2), 1.0)
         prob = dlpm_problem(clf, [3, 2, 2, 1], 1.0)
         h_star = analytic_optimum(clf, 1.0)
         prob.features = h_star[:, prob.labels].T
-        assert optimality_gap(prob) < 1e-12
+        assert step0_gap(prob) < 1e-12
 
     def test_zero_features_gap_one(self):
         clf = uniform_classifier(generate_etf(6, 4, 2), 1.0)
         prob = dlpm_problem(clf, [2, 2, 2, 2], 1.0)
         prob.features = np.zeros((8, 6))
-        np.testing.assert_allclose(optimality_gap(prob), 1.0, atol=1e-12)
+        np.testing.assert_allclose(step0_gap(prob), 1.0, atol=1e-12)
 
     def test_rotation_invariance(self, rng):
         clf = uniform_classifier(generate_etf(6, 4, 2), 1.0)
         prob = init_features(dlpm_problem(clf, [3, 3, 3, 3], 1.0), 5)
-        gap = optimality_gap(prob)
+        gap = step0_gap(prob)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         rotated_frame = generate_etf(6, 4, 2)
         rotated = PeeledProblem(
@@ -187,13 +191,12 @@ class TestOptimalityGap:
             1.0,
             1.0,
         )
-        np.testing.assert_allclose(optimality_gap(rotated), gap, atol=1e-10)
+        np.testing.assert_allclose(step0_gap(rotated), gap, atol=1e-10)
 
-    def test_learnable_rejected(self):
+    def test_learnable_has_no_gap(self):
         prob = lpm_problem(5, 3, [2, 2, 2], 1.0, 1.0, 0)
         prob = init_features(prob, 0)
-        with pytest.raises(ValueError):
-            optimality_gap(prob)
+        assert np.isnan(step0_gap(prob))
 
 
 class TestOptimizeDlpm:
