@@ -4,9 +4,10 @@ collapse with a learnable one.
 With the classifier frozen as a scaled ETF, the feature-only problem
 (DLPM) is convex and its global optimum is known in closed form:
 h* = sqrt(E_H/E_W) w*_c for every sample, however imbalanced the class
-counts. Projected gradient descent is run against that oracle. With a
-learnable classifier (full LPM) the balanced problem still finds an ETF,
-but heavy imbalance merges the minor-class columns.
+counts. Projected gradient descent is run against that oracle, from the
+features each problem builder draws on the sphere with its feature seed.
+With a learnable classifier (full LPM) the balanced problem still finds
+an ETF, but heavy imbalance merges the minor-class columns.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ import numpy as np
 from etfnc import (
     dlpm_problem,
     generate_etf,
-    init_features,
     lpm_problem,
     minority_collapse_probe,
     optimize,
@@ -30,7 +30,7 @@ clf = uniform_classifier(generate_etf(d, K, seed=0), 1.0)
 print("=== DLPM: frozen ETF classifier, heavy imbalance ===")
 print(f"counts = {counts}")
 for loss, gamma in (("ce", 0.5), ("dr", 512.0)):
-    prob = init_features(dlpm_problem(clf, counts, 1.0), seed=1)
+    prob = dlpm_problem(clf, counts, 1.0, feature_seed=1)
     traj = optimize(prob, loss, step_size=gamma, max_steps=5000, stop_tol=1e-3)
     picks = [r for r in traj.records if r.step in (0, 1, 10, 100, traj.records[-1].step)]
     series = ", ".join(f"step {r.step}: {r.gap:.1e}" for r in picks)
@@ -42,14 +42,14 @@ print("=== DR's step-size freedom ===")
 print("DR's pull gradient vanishes like (1 - cos), so small fixed rates crawl")
 print("near the optimum; projection makes any fixed rate stable, so large ones work:")
 for gamma in (1.0, 32.0, 512.0):
-    prob = init_features(dlpm_problem(clf, [20] * K, 1.0), seed=2)
+    prob = dlpm_problem(clf, [20] * K, 1.0, feature_seed=2)
     traj = optimize(prob, "dr", step_size=gamma, max_steps=3000, stop_tol=1e-3)
     r = traj.records[-1]
     print(f"  gamma {gamma:6.1f}: gap {r.gap:.2e} after {r.step} steps ({traj.stop_reason})")
 print()
 
 print("=== Full LPM, balanced data: the learnable classifier finds an ETF ===")
-prob = init_features(lpm_problem(12, 6, [20] * 6, 1.0, 1.0, seed=3), seed=4)
+prob = lpm_problem(12, 6, [20] * 6, 1.0, 1.0, seed=3, feature_seed=4)
 traj = optimize(prob, "ce", step_size=0.5, max_steps=4000, stop_tol=1e-6)
 Wn = traj.final.classifier / np.linalg.norm(traj.final.classifier, axis=0, keepdims=True)
 target = 6 / 5 * np.eye(6) - 1 / 5
@@ -57,7 +57,7 @@ print(f"max |Gram - ETF target| of the learned classifier: {np.abs(Wn.T @ Wn - t
 
 print("=== Full LPM, 5 major + 5 minor classes: minority collapse ===")
 counts = [1000] * 5 + [2] * 5
-prob = init_features(lpm_problem(16, 10, counts, 1.0, 1.0, seed=5), seed=6)
+prob = lpm_problem(16, 10, counts, 1.0, 1.0, seed=5, feature_seed=6)
 traj = optimize(prob, "ce", step_size=0.5, max_steps=20000, stop_tol=1e-5)
 probe_minor = minority_collapse_probe(traj.final.classifier, [5, 6, 7, 8, 9])
 probe_major = minority_collapse_probe(traj.final.classifier, [0, 1, 2, 3, 4])

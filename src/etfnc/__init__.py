@@ -39,7 +39,6 @@ from .peeled import (
     Trajectory,
     analytic_optimum,
     dlpm_problem,
-    init_features,
     lpm_problem,
     minority_collapse_probe,
     optimize,

@@ -165,16 +165,16 @@ def cmd_peeled(args):
     if args.minor_classes and args.mode != "lpm":
         raise ConfigError("--minor-classes needs lpm mode")
     counts = _list("--counts", args.counts, int)
+    feature_seed = derive_seed(args.seed, "features")
     with _blame("--d/--K/--counts"):
         if args.mode == "dlpm":
             frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
-            problem = lp.dlpm_problem(uniform_classifier(frame, args.e_w), counts, args.e_h)
+            problem = lp.dlpm_problem(uniform_classifier(frame, args.e_w), counts, args.e_h,
+                                      feature_seed)
         else:
             problem = lp.lpm_problem(args.d, args.K, counts, args.e_h, args.e_w,
-                                     derive_seed(args.seed, "classifier"))
+                                     derive_seed(args.seed, "classifier"), feature_seed)
     minor = _parse_minor_classes(args, counts) if args.mode == "lpm" else None
-    with _blame("--d/--K/--counts"):
-        problem = lp.init_features(problem, derive_seed(args.seed, "features"))
 
     traj = lp.optimize(problem, args.loss, args.gamma, args.steps, args.stop_tol)
     final = traj.final
@@ -186,7 +186,7 @@ def cmd_peeled(args):
         "e_w": args.e_w,
         "class_counts": [int(c) for c in counts],
         "labels": [int(v) for v in final.labels],
-        "features": np.asarray(final.features).tolist(),
+        "features": final.features.tolist(),
         "stop_reason": traj.stop_reason,
     }
     if final.is_fixed_classifier:
@@ -201,15 +201,11 @@ def cmd_peeled(args):
         files["probe.csv"] = (["class_i", "class_j", "cosine"], probe.pairs)
         files["probe_summary.csv"] = (["min_cosine", "mean_cosine", "balanced_reference"],
                                       [[probe.min_cosine, probe.mean_cosine, -1.0 / (args.K - 1)]])
-        print(
-            f"peeled lpm: {traj.stop_reason} after {traj.records[-1].step} steps, "
-            f"minor mean cosine {probe.mean_cosine:.4f} (balanced {-1.0/(args.K-1):.4f})"
-        )
+        print(f"peeled lpm: {traj.stop_reason} after {traj.records[-1].step} steps, "
+              f"minor mean cosine {probe.mean_cosine:.4f} (balanced {-1.0/(args.K-1):.4f})")
     else:
-        print(
-            f"peeled dlpm: {traj.stop_reason} after {traj.records[-1].step} steps, "
-            f"final gap {traj.records[-1].gap:.3e}"
-        )
+        print(f"peeled dlpm: {traj.stop_reason} after {traj.records[-1].step} steps, "
+              f"final gap {traj.records[-1].gap:.3e}")
     return EXIT_OK, _flags(args), files
 
 
@@ -220,13 +216,14 @@ def cmd_regularity(args):
     gammas = _list("--gammas", args.gammas, float)
     deltas = _list("--deltas", args.deltas, float)
     _check_flags(args, positive=("e_h", "e_w", "trials"))
-    if not deltas or not all(np.isfinite(deltas)) or min(deltas) <= 0:
+    if not deltas or not all(0 < v < math.inf for v in deltas):
         raise ConfigError(f"--deltas entries must be finite and > 0, got {args.deltas!r}")
-    if not all(np.isfinite(gammas)):
-        raise ConfigError(f"--gammas entries must be finite, got {args.gammas!r}")
+    if not all(0 < v < math.inf for v in gammas):  # a rate <= 0 steps CE away from h*
+        raise ConfigError(f"--gammas entries must be finite and > 0, got {args.gammas!r}")
     with _blame("--d/--K"):
         frame = generate_etf(args.d, args.K, derive_seed(args.seed, "etf"))
-    clf = uniform_classifier(frame, args.e_w)
+        clf = uniform_classifier(frame, args.e_w)
+        reg.check_classifier(clf)
 
     # clf.e_w is sqrt(--e-w)**2, which can differ from --e-w in the last ulp
     gamma_dr = float(np.sqrt(args.e_h / clf.e_w))

@@ -172,8 +172,8 @@ def scale_classifier(frame: EtfFrame, lengths) -> FixedClassifier:
         raise ValueError(
             f"need one length per class, got shape {lengths.shape} for K={frame.num_classes}"
         )
-    if np.any(lengths <= 0):
-        raise ValueError("classifier lengths must be positive")
+    if not np.all((lengths > 0) & (lengths < np.inf)):
+        raise ValueError(f"classifier lengths must be finite and > 0, got {lengths.tolist()}")
     return FixedClassifier(
         frame=frame,
         lengths=lengths,
@@ -183,8 +183,8 @@ def scale_classifier(frame: EtfFrame, lengths) -> FixedClassifier:
 
 def uniform_classifier(frame: EtfFrame, e_w: float = 1.0) -> FixedClassifier:
     """Classifier with every column at length sqrt(e_w)."""
-    if e_w <= 0:
-        raise ValueError("e_w must be positive")
+    if not 0 < e_w < np.inf:
+        raise ValueError(f"e_w must be finite and > 0, got {e_w}")
     return scale_classifier(frame, np.full(frame.num_classes, np.sqrt(e_w)))
 
 

@@ -16,10 +16,15 @@ per-sample loss (the objective is separable in the features); in LPM
 mode the classifier additionally takes a projected step against the
 1/N-averaged objective gradient. Both blocks share one step size.
 The loop runs in fixed buffers: no (N, d) temporaries per DLPM step.
+
+A problem is built whole: ``dlpm_problem`` and ``lpm_problem`` draw its
+features uniformly on the sphere |h|^2 = E_H from a feature seed. To
+start elsewhere, assign ``problem.features`` after building.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -73,7 +78,7 @@ class PeeledProblem:
     equal to k, one contiguous slice.
     """
 
-    features: np.ndarray | None
+    features: np.ndarray
     class_counts: np.ndarray
     classifier: object
     e_h: float
@@ -89,21 +94,11 @@ class PeeledProblem:
 
     @property
     def classifier_matrix(self) -> np.ndarray:
-        if self.is_fixed_classifier:
-            return self.classifier.scaled_columns
-        return self.classifier
+        return self.classifier.scaled_columns if self.is_fixed_classifier else self.classifier
 
     @property
     def num_classes(self) -> int:
         return len(self.class_counts)
-
-    @property
-    def dim(self) -> int:
-        return self.classifier_matrix.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.class_counts.sum())
 
 
 def _class_counts(class_counts, K: int) -> np.ndarray:
@@ -115,32 +110,41 @@ def _class_counts(class_counts, K: int) -> np.ndarray:
     return counts.astype(int)
 
 
-def dlpm_problem(classifier: FixedClassifier, class_counts, e_h: float) -> PeeledProblem:
-    """Decoupled LPM: fixed classifier, features to be initialized."""
+def _sphere_rows(n: int, d: int, e_h: float, seed: int) -> np.ndarray:
+    """n features drawn uniformly on the sphere |h|^2 = e_h, one draw per row in row order."""
+    if not 0 < e_h < math.inf:
+        raise ValueError(f"e_h must be finite and > 0, got {e_h}")
+    rng = np.random.default_rng(seed)
+    features = np.empty((n, d))
+    for h in features:
+        rng.standard_normal(out=h)
+        h *= np.sqrt(e_h) / np.linalg.norm(h)
+    return features
+
+
+def dlpm_problem(classifier: FixedClassifier, class_counts, e_h: float,
+                 feature_seed: int) -> PeeledProblem:
+    """Decoupled LPM: fixed classifier, features drawn on the sphere with ``feature_seed``."""
     class_counts = _class_counts(class_counts, classifier.num_classes)
+    features = _sphere_rows(int(class_counts.sum()), classifier.dim, e_h, feature_seed)
     e_w = float(classifier.lengths[0] ** 2) if classifier.is_uniform() else float("nan")
-    return PeeledProblem(None, class_counts, classifier, float(e_h), e_w)
+    return PeeledProblem(features, class_counts, classifier, float(e_h), e_w)
 
 
-def lpm_problem(d: int, K: int, class_counts, e_h: float, e_w: float, seed: int) -> PeeledProblem:
-    """Full LPM: learnable classifier initialized uniformly on the sphere |w|^2 = E_W."""
+def lpm_problem(d: int, K: int, class_counts, e_h: float, e_w: float, seed: int,
+                feature_seed: int) -> PeeledProblem:
+    """Full LPM: a learnable classifier drawn uniformly on the sphere |w|^2 = E_W with ``seed``."""
     if K < 2:
         raise ValueError(f"need at least K=2 classes, got K={K}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got d={d}")
+    if not 0 < e_w < math.inf:
+        raise ValueError(f"e_w must be finite and > 0, got {e_w}")
     class_counts = _class_counts(class_counts, K)
-    rng = np.random.default_rng(seed)
-    W = rng.standard_normal((d, K))
+    features = _sphere_rows(int(class_counts.sum()), d, e_h, feature_seed)
+    W = np.random.default_rng(seed).standard_normal((d, K))
     W *= np.sqrt(e_w) / np.linalg.norm(W, axis=0, keepdims=True)
-    return PeeledProblem(None, class_counts, W, float(e_h), float(e_w))
-
-
-def init_features(problem: PeeledProblem, seed: int) -> PeeledProblem:
-    """Sample every feature uniformly on the sphere |h|^2 = E_H."""
-    rng = np.random.default_rng(seed)
-    features = np.empty((problem.total, problem.dim))
-    for h in features:  # one draw per row, in row order
-        rng.standard_normal(out=h)
-        h *= np.sqrt(problem.e_h) / np.linalg.norm(h)
-    return replace(problem, features=features)
+    return PeeledProblem(features, class_counts, W, float(e_h), float(e_w))
 
 
 def analytic_optimum(classifier: FixedClassifier, e_h: float) -> np.ndarray:
@@ -192,8 +196,6 @@ def optimize(problem: PeeledProblem, loss_kind: str, step_size: float, max_steps
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     if not 0 <= stop_tol < math.inf:
         raise ValueError(f"stop_tol must be finite and >= 0, got {stop_tol}")
-    if problem.features is None:
-        raise ValueError("problem has no features; call init_features first")
 
     X = problem.features.astype(float, order="C")
     labels = problem.labels
@@ -306,9 +308,7 @@ def minority_collapse_probe(W: np.ndarray, minor_classes) -> MinorityProbe:
     if np.any(norms < 1e-300):
         raise NumericDivergence("the squared entries of a minor-class column underflow to zero")
     cols = W[:, minor] / norms
-    pairs = []
-    for a in range(len(minor)):
-        for b in range(a + 1, len(minor)):
-            pairs.append((minor[a], minor[b], float(cols[:, a] @ cols[:, b])))
+    pairs = [(minor[a], minor[b], float(cols[:, a] @ cols[:, b]))
+             for a, b in combinations(range(len(minor)), 2)]
     cosines = [c for _, _, c in pairs]
     return MinorityProbe(float(min(cosines)), float(np.mean(cosines)), pairs)

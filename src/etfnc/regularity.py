@@ -110,6 +110,14 @@ def ce_instance_rate(K: int, e_h: float, e_w: float, cos: float, p_c: float) -> 
     return (K - 1) / K * math.sqrt(e_h / e_w) * (1.0 - cos) / (1.0 - p_c)
 
 
+def check_classifier(classifier: FixedClassifier) -> None:
+    """Refuse, with a ValueError, a classifier the sweep cannot measure."""
+    if not classifier.is_uniform():
+        raise ValueError("regularity experiment needs a uniform-length classifier")
+    if classifier.dim < 2:  # the sphere of d = 1 is two points: no tangent start direction
+        raise ValueError(f"regularity experiment needs d >= 2, got d={classifier.dim}")
+
+
 def run_regularity_sweep(
     classifier: FixedClassifier,
     steps,
@@ -130,8 +138,7 @@ def run_regularity_sweep(
     for kind, _ in steps:
         if kind not in ("ce", "dr", "ce-opt"):
             raise ValueError(f"unknown step kind {kind!r}")
-    if not classifier.is_uniform():
-        raise ValueError("regularity experiment needs a uniform-length classifier")
+    check_classifier(classifier)
 
     K, W, e_w = classifier.num_classes, classifier.scaled_columns, classifier.e_w
     w_norms = [np.linalg.norm(W[:, k]) for k in range(K)]  # |w_c|: the columns are strided

@@ -5,7 +5,6 @@ back yields the identical double; JSON relies on Python's shortest
 round-trip repr, which is also exact.
 """
 
-import csv
 import hashlib
 import json
 from dataclasses import fields, is_dataclass
@@ -14,23 +13,19 @@ from operator import attrgetter
 import numpy as np
 
 
-def fmt(x) -> str:
-    """Format one float with 17 significant digits."""
-    return "%.17g" % float(x)
-
-
 def write_csv(path, header, rows):
     """Write a CSV, with a header row unless ``header`` is None; floats at 17 significant digits.
 
-    Row cells may be floats, ints, or pre-formatted strings. Line endings
-    are fixed to '\\n' so payloads are byte-identical across platforms.
+    Row cells may be floats, ints, bools or strings; each column takes its
+    format from the first row, and no cell is quoted. Line endings are
+    fixed to '\\n' so payloads are byte-identical across platforms.
     """
     with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
         if header is not None:
-            w.writerow(header)
-        for row in rows:
-            w.writerow([v if isinstance(v, str) else fmt(v) for v in row])
+            f.write(",".join(header) + "\n")
+        if len(rows):
+            line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+            f.writelines(line % tuple(r) for r in rows)
 
 
 def _columns(name, path, value):

@@ -14,7 +14,7 @@ import etfnc as e
 from conftest import central_diff, rel_error
 from etfnc.batches import FeatureBatch
 from etfnc.cli import main as cli_main
-from etfnc.peeled import dlpm_problem, init_features, lpm_problem, optimize
+from etfnc.peeled import dlpm_problem, lpm_problem, optimize
 from etfnc.regularity import pair_dominance, run_regularity_sweep
 from etfnc.serialize import derive_seed
 from etfnc.trainer import MlpBackbone, SyntheticDatasetSpec, TrainConfig, make_imbalanced_dataset, train
@@ -118,7 +118,7 @@ def test_criterion_3_dlpm_oracle_equivalence():
     for loss_kind, gamma in (("ce", 0.5), ("dr", 512.0)):
         worst_gap, worst_steps = 0.0, 0
         for seed in range(5):
-            prob = init_features(dlpm_problem(clf, COUNTS_C3, 1.0), seed)
+            prob = dlpm_problem(clf, COUNTS_C3, 1.0, seed)
             traj = optimize(prob, loss_kind, step_size=gamma, max_steps=5000, stop_tol=1e-3)
             worst_gap = max(worst_gap, traj.records[-1].gap)
             worst_steps = max(worst_steps, traj.records[-1].step)
@@ -176,7 +176,7 @@ def test_criterion_4_contraction_bound_and_dominance():
 def test_criterion_5_minority_collapse_probe():
     """LPM merges minor-class columns; DLPM on the same data does not."""
     counts = [1000] * 5 + [2] * 5
-    prob = init_features(lpm_problem(16, 10, counts, 1.0, 1.0, seed=50), seed=51)
+    prob = lpm_problem(16, 10, counts, 1.0, 1.0, seed=50, feature_seed=51)
     traj = optimize(prob, "ce", step_size=0.5, max_steps=20000, stop_tol=1e-5)
     assert traj.stop_reason == "grad_norm", "LPM did not reach gradient norm < 1e-5"
     probe = e.minority_collapse_probe(traj.final.classifier, [5, 6, 7, 8, 9])
@@ -184,7 +184,7 @@ def test_criterion_5_minority_collapse_probe():
     lpm_ok = probe.mean_cosine >= balanced + 0.3  # calibrated runs reach ~1.0
 
     clf = e.uniform_classifier(e.generate_etf(16, 10, 50), 1.0)
-    dprob = init_features(dlpm_problem(clf, counts, 1.0), seed=51)
+    dprob = dlpm_problem(clf, counts, 1.0, feature_seed=51)
     dtraj = optimize(dprob, "ce", step_size=0.5, max_steps=5000, stop_tol=1e-4)
     means = np.stack(
         [dtraj.final.features[dtraj.final.labels == k].mean(axis=0) for k in range(10)]

@@ -247,6 +247,9 @@ class TestRegularityCommand:
         ("--deltas", "0.05,nan", "--deltas entries must be finite and > 0"),
         ("--deltas", "0.05,x", "--deltas must be comma-separated numbers"),
         ("--gammas", "0.1,inf", "--gammas entries must be finite"),
+        # a CE step at a rate <= 0 never moves toward h*: the dominance check would pass vacuously
+        ("--gammas", "0", "--gammas entries must be finite and > 0, got '0'"),
+        ("--gammas", "0.1,-1", "--gammas entries must be finite and > 0, got '0.1,-1'"),
         ("--e-h", "0", "--e-h must be finite and > 0"),
         ("--e-w", "inf", "--e-w must be finite and > 0"),
     ])
@@ -435,7 +438,7 @@ class TestTrainCommand:
     ])
     def test_removed_flags_not_accepted(self, tmp_path, capsys, argv, flag):
         """Every regularity run takes the DR step; the manifest has no free-form label;
-        peeled takes its class counts from --counts only and starts from init_features."""
+        peeled takes its class counts from --counts only and starts from the drawn features."""
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--out", tmp_path / "x")
         assert exc.value.code == EXIT_CONFIG
@@ -540,6 +543,11 @@ class TestInputRefusedBeforeOutput:
         # sizes numpy refuses at once, before allocating anything
         ((*PEELED, "--mode", "lpm", "--d", 2**62), "--d/--K/--counts: array is too big"),
         ((*PEELED, "--d", 2**62), "--d/--K/--counts: array is too big"),
+        # the sphere of d = 1 is two points: a regularity start has no tangent direction
+        (("regularity", "--K", 2, "--d", 1, "--trials", 3),
+         "--d/--K: regularity experiment needs d >= 2, got d=1"),
+        (("regularity", "--K", 4, "--d", 6, "--trials", 3, "--gammas=-1"),
+         "--gammas entries must be finite and > 0, got '-1'"),
     ])
     def test_flags(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"

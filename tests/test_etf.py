@@ -160,6 +160,22 @@ class TestScaleClassifier:
         with pytest.raises(ValueError):
             scale_classifier(frame, [1.0, -1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("lengths,e_w,message", [
+        ([np.nan, 1.0, 1.0, 1.0], None, "classifier lengths must be finite and > 0"),
+        ([np.inf, 1.0, 1.0, 1.0], None, "classifier lengths must be finite and > 0"),
+        (None, np.nan, "e_w must be finite and > 0, got nan"),
+        (None, np.inf, "e_w must be finite and > 0, got inf"),
+        (None, 0.0, "e_w must be finite and > 0, got 0.0"),
+    ])
+    def test_nonfinite_length_rejected(self, lengths, e_w, message):
+        """A NaN or inf length would make NaN or inf classifier columns."""
+        frame = generate_etf(3, 4, 1)
+        with pytest.raises(ValueError, match=message):
+            if e_w is None:
+                scale_classifier(frame, lengths)
+            else:
+                uniform_classifier(frame, e_w)
+
     def test_uniform_helper_e_w(self):
         clf = uniform_classifier(generate_etf(3, 4, 1), e_w=4.0)
         assert clf.is_uniform()

@@ -6,7 +6,6 @@ from etfnc import (
     analytic_optimum,
     dlpm_problem,
     generate_etf,
-    init_features,
     nc_report,
     optimize,
     uniform_classifier,
@@ -17,7 +16,7 @@ from oracles import dr_loss
 
 def run_dlpm(counts, seed=1, stop=1e-3):
     clf = uniform_classifier(generate_etf(16, 10, 0), 1.0)
-    prob = init_features(dlpm_problem(clf, counts, 1.0), seed)
+    prob = dlpm_problem(clf, counts, 1.0, seed)
     traj = optimize(prob, "ce", step_size=0.5, max_steps=4000, stop_tol=stop)
     assert traj.records[-1].gap < stop
     return traj.final, clf

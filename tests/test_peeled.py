@@ -1,5 +1,7 @@
 """Projected gradient descent on the (decoupled) layer-peeled model."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from etfnc.peeled import (
     _gap_targets,
     analytic_optimum,
     dlpm_problem,
-    init_features,
     lpm_problem,
     minority_collapse_probe,
     optimize,
@@ -26,7 +27,7 @@ from etfnc.serialize import table
 
 def make_dlpm(d=8, K=5, counts=(10, 5, 3, 2, 1), e_h=1.0, e_w=1.0, seed=0, frame_seed=1):
     clf = uniform_classifier(generate_etf(d, K, frame_seed), e_w)
-    return init_features(dlpm_problem(clf, list(counts), e_h), seed)
+    return dlpm_problem(clf, list(counts), e_h, seed)
 
 
 class TestProjectBall:
@@ -76,31 +77,39 @@ class TestProjectBall:
             assert w @ w <= 1.0
 
 
+def both_builders(d, counts, e_h, feature_seed):
+    """A DLPM and an LPM problem on the same sizes and feature seed."""
+    clf = uniform_classifier(generate_etf(d, len(counts), 1), 1.0)
+    return (dlpm_problem(clf, counts, e_h, feature_seed),
+            lpm_problem(d, len(counts), counts, e_h, 1.0, 0, feature_seed))
+
+
 class TestInitFeatures:
+    """The initial features each builder draws from its feature seed."""
+
     def test_on_sphere(self):
-        prob = make_dlpm(e_h=2.5)
-        nsq = np.einsum("ij,ij->i", prob.features, prob.features)
-        np.testing.assert_allclose(nsq, 2.5, atol=1e-12)
+        for prob in both_builders(8, [10, 5, 3, 2, 1], 2.5, 0):
+            nsq = np.einsum("ij,ij->i", prob.features, prob.features)
+            np.testing.assert_allclose(nsq, 2.5, atol=1e-12)
 
     def test_deterministic(self):
-        a = make_dlpm(seed=9)
-        b = make_dlpm(seed=9)
-        assert np.array_equal(a.features, b.features)
+        for a, b in zip(both_builders(8, [10, 5, 3, 2, 1], 1.0, 9),
+                        both_builders(8, [10, 5, 3, 2, 1], 1.0, 9)):
+            assert np.array_equal(a.features, b.features)
 
     @pytest.mark.parametrize("d,counts,e_h", [(1, [1, 1], 1.0), (6, [5, 3, 1, 1], 2.5),
                                               (32, [40, 7], 0.3)])
     def test_bits_equal_row_by_row_draws(self, d, counts, e_h):
         """One (N, d) array holds the same bits as stacking one fresh draw per row."""
-        prob = lpm_problem(d, len(counts), counts, e_h, 1.0, 0)
         rng = np.random.default_rng(7)
         rows = []
         for _ in range(sum(counts)):
             h = rng.standard_normal(d)
             h *= np.sqrt(e_h) / np.linalg.norm(h)
             rows.append(h)
-        features = init_features(prob, 7).features
-        assert features.flags.c_contiguous
-        assert np.array_equal(features.view(np.int64), np.vstack(rows).view(np.int64))
+        for prob in both_builders(d, counts, e_h, 7):
+            assert prob.features.flags.c_contiguous
+            assert np.array_equal(prob.features.view(np.int64), np.vstack(rows).view(np.int64))
 
 
 class TestProblemCounts:
@@ -109,26 +118,50 @@ class TestProblemCounts:
     def test_dlpm_needs_one_count_per_class(self, counts):
         clf = uniform_classifier(generate_etf(6, 4, 0), 1.0)
         with pytest.raises(ValueError, match=r"class_counts must be K=4 integers >= 1"):
-            dlpm_problem(clf, counts, 1.0)
+            dlpm_problem(clf, counts, 1.0, 0)
 
     @pytest.mark.parametrize("counts", [[2**63 - 1, 1, 1, 1], [2**62, 2**62, 1, 1]])
     def test_counts_total_below_2_63(self, counts):
         """Each count fits in int64 but their sum would wrap."""
         clf = uniform_classifier(generate_etf(6, 4, 0), 1.0)
         with pytest.raises(ValueError, match=r"class_counts must total < 2\*\*63"):
-            dlpm_problem(clf, counts, 1.0)
+            dlpm_problem(clf, counts, 1.0, 0)
         with pytest.raises(ValueError, match=r"class_counts must total < 2\*\*63"):
-            lpm_problem(6, 4, counts, 1.0, 1.0, 0)
+            lpm_problem(6, 4, counts, 1.0, 1.0, 0, 0)
 
     @pytest.mark.parametrize("counts", [[2, 2], [2, 0, 2]])
     def test_lpm_needs_one_count_per_class(self, counts):
         with pytest.raises(ValueError, match=r"class_counts must be K=3 integers >= 1"):
-            lpm_problem(5, 3, counts, 1.0, 1.0, 0)
+            lpm_problem(5, 3, counts, 1.0, 1.0, 0, 0)
 
     @pytest.mark.parametrize("K", [1, 0])
     def test_lpm_needs_two_classes(self, K):
         with pytest.raises(ValueError, match=f"need at least K=2 classes, got K={K}"):
-            lpm_problem(5, K, [4] * max(K, 1), 1.0, 1.0, 0)
+            lpm_problem(5, K, [4] * max(K, 1), 1.0, 1.0, 0, 0)
+
+    @pytest.mark.parametrize("mode,d,e_h,e_w,message", [
+        ("dlpm", 6, -1.0, 1.0, "e_h must be finite and > 0, got -1.0"),
+        ("dlpm", 6, np.nan, 1.0, "e_h must be finite and > 0, got nan"),
+        ("dlpm", 6, np.inf, 1.0, "e_h must be finite and > 0, got inf"),
+        ("lpm", 6, np.nan, 1.0, "e_h must be finite and > 0, got nan"),
+        ("lpm", 6, 1.0, 0.0, "e_w must be finite and > 0, got 0.0"),
+        ("lpm", 6, 1.0, -1.0, "e_w must be finite and > 0, got -1.0"),
+        ("lpm", 6, 1.0, np.inf, "e_w must be finite and > 0, got inf"),
+        ("lpm", 0, 1.0, 1.0, "d must be >= 1, got d=0"),
+    ])
+    def test_bad_sizes_rejected_before_drawing(self, monkeypatch, mode, d, e_h, e_w, message):
+        """Each would draw NaN or inf features or columns; no rng is made before the refusal."""
+        clf = uniform_classifier(generate_etf(6, 4, 0), 1.0)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an array was drawn before the refusal")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if mode == "dlpm":
+                dlpm_problem(clf, [2, 2, 2, 2], e_h, 0)
+            else:
+                lpm_problem(d, 4, [2, 2, 2, 2], e_h, e_w, 0, 0)
 
 
 class TestAnalyticOptimum:
@@ -165,20 +198,20 @@ def step0_gap(prob):
 class TestOptimalityGap:
     def test_zero_at_optimum(self):
         clf = uniform_classifier(generate_etf(6, 4, 2), 1.0)
-        prob = dlpm_problem(clf, [3, 2, 2, 1], 1.0)
+        prob = dlpm_problem(clf, [3, 2, 2, 1], 1.0, 0)
         h_star = analytic_optimum(clf, 1.0)
         prob.features = h_star[:, prob.labels].T
         assert step0_gap(prob) < 1e-12
 
     def test_zero_features_gap_one(self):
         clf = uniform_classifier(generate_etf(6, 4, 2), 1.0)
-        prob = dlpm_problem(clf, [2, 2, 2, 2], 1.0)
+        prob = dlpm_problem(clf, [2, 2, 2, 2], 1.0, 0)
         prob.features = np.zeros((8, 6))
         np.testing.assert_allclose(step0_gap(prob), 1.0, atol=1e-12)
 
     def test_rotation_invariance(self, rng):
         clf = uniform_classifier(generate_etf(6, 4, 2), 1.0)
-        prob = init_features(dlpm_problem(clf, [3, 3, 3, 3], 1.0), 5)
+        prob = dlpm_problem(clf, [3, 3, 3, 3], 1.0, 5)
         gap = step0_gap(prob)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         rotated_frame = generate_etf(6, 4, 2)
@@ -194,8 +227,7 @@ class TestOptimalityGap:
         np.testing.assert_allclose(step0_gap(rotated), gap, atol=1e-10)
 
     def test_learnable_has_no_gap(self):
-        prob = lpm_problem(5, 3, [2, 2, 2], 1.0, 1.0, 0)
-        prob = init_features(prob, 0)
+        prob = lpm_problem(5, 3, [2, 2, 2], 1.0, 1.0, 0, 0)
         assert np.isnan(step0_gap(prob))
 
 
@@ -208,7 +240,7 @@ class TestOptimizeDlpm:
 
     def test_fixed_point_at_optimum(self):
         clf = uniform_classifier(generate_etf(16, 10, 4), 1.0)
-        prob = dlpm_problem(clf, [5] * 10, 1.0)
+        prob = dlpm_problem(clf, [5] * 10, 1.0, 0)
         h_star = analytic_optimum(clf, 1.0)
         prob.features = h_star[:, prob.labels].T.copy()
         for loss in ("ce", "dr"):
@@ -228,7 +260,7 @@ class TestOptimizeDlpm:
         run for both losses, under imbalance."""
         clf = uniform_classifier(generate_etf(12, 6, 2), 1.0)
         for loss, gamma in (("ce", 0.5), ("dr", 256.0)):
-            prob = init_features(dlpm_problem(clf, [50, 20, 8, 3, 2, 1], 1.0), 3)
+            prob = dlpm_problem(clf, [50, 20, 8, 3, 2, 1], 1.0, 3)
             traj = optimize(prob, loss, step_size=gamma, max_steps=600)
             gaps = [r.gap for r in traj.records]
             tail = gaps[len(gaps) // 2 :]
@@ -271,7 +303,7 @@ class TestOptimizeDlpm:
         assert len(traj.records) <= 26
 
     def test_input_problem_not_mutated(self):
-        lpm = init_features(lpm_problem(6, 3, [4, 3, 2], 1.0, 1.0, 0), 1)
+        lpm = lpm_problem(6, 3, [4, 3, 2], 1.0, 1.0, 0, 1)
         for prob in (make_dlpm(), lpm):
             before = prob.features.copy()
             W_before = prob.classifier_matrix.copy()
@@ -296,7 +328,7 @@ class TestOptimizeDlpm:
 class TestOptimizeLpm:
     def test_balanced_lpm_learns_etf(self):
         """Learned classifier Gram matches the ETF target up to 1e-2."""
-        prob = init_features(lpm_problem(12, 6, [20] * 6, 1.0, 1.0, 3), 4)
+        prob = lpm_problem(12, 6, [20] * 6, 1.0, 1.0, 3, 4)
         traj = optimize(prob, "ce", step_size=0.5, max_steps=4000, stop_tol=1e-6)
         W = traj.final.classifier
         Wn = W / np.linalg.norm(W, axis=0, keepdims=True)
@@ -305,13 +337,13 @@ class TestOptimizeLpm:
 
     def test_minority_collapse_small(self):
         """3 major + 3 minor classes: minor columns merge (cos >> -1/(K-1))."""
-        prob = init_features(lpm_problem(12, 6, [300, 300, 300, 2, 2, 2], 1.0, 1.0, 1), 2)
+        prob = lpm_problem(12, 6, [300, 300, 300, 2, 2, 2], 1.0, 1.0, 1, 2)
         traj = optimize(prob, "ce", step_size=0.5, max_steps=4000, stop_tol=1e-5)
         probe = minority_collapse_probe(traj.final.classifier, [3, 4, 5])
         assert probe.mean_cosine > 0.9  # calibrated: merges to ~1.0
 
     def test_gap_is_nan_without_oracle(self):
-        prob = init_features(lpm_problem(6, 3, [4, 4, 4], 1.0, 1.0, 0), 0)
+        prob = lpm_problem(6, 3, [4, 4, 4], 1.0, 1.0, 0, 0)
         traj = optimize(prob, "ce", step_size=0.5, max_steps=5)
         header, rows = table(StepRecord, traj.records)
         last = dict(zip(header, rows[-1]))
@@ -428,10 +460,10 @@ def peeled_runs(draw):
     e_h, e_w = draw(st.sampled_from([1.0, 2.5])), draw(st.sampled_from([1.0, 4.0]))
     if draw(st.sampled_from(["dlpm", "lpm"])) == "dlpm":
         clf = uniform_classifier(generate_etf(d, K, draw(st.integers(0, 99))), e_w)
-        prob = dlpm_problem(clf, counts, e_h)
+        prob = dlpm_problem(clf, counts, e_h, draw(st.integers(0, 99)))
     else:
-        prob = lpm_problem(d, K, counts, e_h, e_w, draw(st.integers(0, 99)))
-    prob = init_features(prob, draw(st.integers(0, 99)))
+        prob = lpm_problem(d, K, counts, e_h, e_w, draw(st.integers(0, 99)),
+                           draw(st.integers(0, 99)))
     loss = draw(st.sampled_from(["ce", "dr"]))
     gamma = draw(st.floats(1e-3, 600.0 if loss == "dr" else 4.0))
     config = dict(step_size=gamma, max_steps=draw(st.integers(0, 60)),
@@ -465,9 +497,9 @@ class TestMatchesReference:
         counts = [300, 100, 33, 11, 4, 1, 1, 1, 1, 1]
         for mode, loss, gamma in (("dlpm", "dr", 512.0), ("dlpm", "ce", 0.5), ("lpm", "ce", 0.5)):
             if mode == "dlpm":
-                prob = init_features(dlpm_problem(clf, counts, 1.0), 1)
+                prob = dlpm_problem(clf, counts, 1.0, 1)
             else:
-                prob = init_features(lpm_problem(16, 10, counts, 1.0, 1.0, 2), 3)
+                prob = lpm_problem(16, 10, counts, 1.0, 1.0, 2, 3)
             config = dict(step_size=gamma, max_steps=40)
             assert_same_run(optimize(prob, loss, **config), _reference_optimize(prob, loss, **config))
 
@@ -479,7 +511,7 @@ class TestMatchesReference:
         if mode == "dlpm":
             prob = make_dlpm()
         else:
-            prob = init_features(lpm_problem(6, 3, [4, 3, 2], 1.0, 1.0, 0), 1)
+            prob = lpm_problem(6, 3, [4, 3, 2], 1.0, 1.0, 0, 1)
         prob.features = prob.features.copy()
         prob.features[2, 1] = bad
         config = dict(step_size=0.5, max_steps=10)

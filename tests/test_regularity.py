@@ -369,6 +369,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown step kind 'dr-opt'"):
             run_regularity_sweep(clf, [("dr-opt", None)], 0.05, 10, 0)
 
+    def test_one_dimension_rejected_before_trials(self):
+        """The sphere of d = 1 is two points: a start has no tangent direction to move along."""
+        clf = uniform_classifier(generate_etf(1, 2, 0), 1.0)
+        with pytest.raises(ValueError, match="regularity experiment needs d >= 2, got d=1"):
+            run_regularity_sweep(clf, STEPS, 0.05, 10, 0)
+
 
 class TestPairDominance:
     def test_repeated_gammas_and_deltas_paired_by_position(self):

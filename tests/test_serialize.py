@@ -82,3 +82,9 @@ class TestTable:
         write_csv(path, *table(Record, [Record(3, "ce", 0.1, np.array([0.5]), Panel(1.0, 2.0))]))
         assert path.read_text() == ("step,kind,rate,dist_0,train_avg,train_std\n"
                                     "3,ce,0.10000000000000001,0.5,1,2\n")
+        write_csv(path, None, np.array([[0.5, -0.0], [1.0 / 3.0, 2.0]]))  # frame.csv's form
+        assert path.read_text() == "0.5,-0\n0.33333333333333331,2\n"
+        write_csv(path, ["a", "b"], [])
+        assert path.read_text() == "a,b\n"
+        write_csv(path, ["ok", "x", "z"], [[True, np.nan, -0.0], [np.False_, 1.0, 0.0]])
+        assert path.read_text() == "ok,x,z\n1,nan,-0\n0,1,0\n"
