@@ -41,13 +41,13 @@ print("=== Feature-side: a sample of class 2 sitting near class 0's column ===")
 h = 0.9 * W[:, 0] + 0.2 * W[:, 2]
 h /= np.linalg.norm(h)
 label = 2
-pp = decompose_pull_push_feature(h, label, W)
-step_ce = pp.pull + pp.push  # the negative CE gradient
+pull, push = decompose_pull_push_feature(h, label, W)
+step_ce = pull + push  # the negative CE gradient
 step_dr = -dr_grad(h, clf, label, 1.0)
 print(f"feature is {angle_to(h, 0):5.1f} deg from w_0 (wrong) and {angle_to(h, 2):5.1f} deg from w_2 (own)")
 print(f"CE  step direction: {angle_to(step_ce, 2):5.1f} deg away from the target w_2")
-print(f"  pull alone      : {angle_to(pp.pull, 2):5.1f} deg (always exact)")
-print(f"  push alone      : {angle_to(pp.push, 2):5.1f} deg (deflected by nearby w_0)")
+print(f"  pull alone      : {angle_to(pull, 2):5.1f} deg (always exact)")
+print(f"  push alone      : {angle_to(push, 2):5.1f} deg (deflected by nearby w_0)")
 print(f"DR  step direction: {angle_to(step_dr, 2):5.1f} deg (pull only)")
 print()
 
@@ -61,12 +61,12 @@ for k, n in enumerate(counts):
 batch = FeatureBatch(np.vstack(feats), np.concatenate(labels), K)
 print(f"class counts: {counts}")
 for k in range(K):
-    pp = decompose_pull_push_classifier(batch, W, k)
-    ratio = np.linalg.norm(pp.push) / np.linalg.norm(pp.pull)
+    pull, push = decompose_pull_push_classifier(batch, W, k)
+    ratio = np.linalg.norm(push) / np.linalg.norm(pull)
     tag = " <- push dominates: the minor class is steered by the others" if ratio > 1 else ""
     print(
-        f"class {k}: ||pull|| = {np.linalg.norm(pp.pull):8.2f}, "
-        f"||push|| = {np.linalg.norm(pp.push):7.2f}, push/pull = {ratio:6.2f}{tag}"
+        f"class {k}: ||pull|| = {np.linalg.norm(pull):8.2f}, "
+        f"||push|| = {np.linalg.norm(push):7.2f}, push/pull = {ratio:6.2f}{tag}"
     )
 print()
 print("A frozen ETF classifier never takes these imbalanced classifier steps;")

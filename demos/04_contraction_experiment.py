@@ -11,7 +11,7 @@ good this close to the optimum.
 """
 
 from etfnc import generate_etf, uniform_classifier
-from etfnc.regularity import pair_dominance, run_regularity_sweep
+from etfnc.regularity import check_sweep, run_regularity_sweep
 
 K, d = 10, 20
 clf = uniform_classifier(generate_etf(d, K, seed=0), 1.0)
@@ -29,7 +29,8 @@ print()
 
 print("=== Paired CE vs DR at matched starts (delta = 0.01) ===")
 steps = [("dr", 1.0)] + [("ce", gamma) for gamma in (0.05, 0.1, 0.5, 1.0)]
-out = pair_dominance(steps, [0.01], [run_regularity_sweep(clf, steps, 0.01, trials=500, seed=2)])
+run = run_regularity_sweep(clf, steps, 0.01, trials=500, seed=2)
+out = check_sweep(steps, [0.01], [run])[0]["paired_dominance"]
 print(f"uniformity gate: off-class softmax deviation < {out['uniformity_gate']:g}")
 print(f"{'gamma_CE':>8} {'gated':>6} {'CE pre-proj':>12} {'DR pre-proj':>12} {'CE>=DR':>7} {'CE proj':>9} {'DR proj':>9}")
 for cfg in out["configs"]:

@@ -24,7 +24,6 @@ from .etf import (
 )
 from .losses import (
     NumericDivergence,
-    PullPush,
     ce_terms,
     decompose_pull_push_classifier,
     decompose_pull_push_feature,

@@ -3,7 +3,8 @@
 Both losses act on a feature h in R^d and a classifier matrix W in
 R^{d x K} whose k-th column scores class k. The negative CE gradient
 splits into a "pull" term toward the own-class column and a "push" term
-away from the other columns; the DR loss keeps only an (exact) pull.
+away from the other columns, which the decompositions return as a plain
+``(pull, push)`` pair; the DR loss keeps only an (exact) pull.
 
 Batches go through two kernels, ``ce_terms(h, labels, W)`` and
 ``dr_terms(features, cols, targets)``, which takes cols = W[:, labels]
@@ -15,8 +16,6 @@ The per-sample functions are the paper-form reference (eqs. (3)-(7));
 their gradients carry no 1/N.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .batches import FeatureBatch
@@ -25,17 +24,6 @@ from .etf import FixedClassifier
 
 class NumericDivergence(FloatingPointError):
     """A loss or an update produced non-finite values."""
-
-
-@dataclass(frozen=True)
-class PullPush:
-    """Additive split of a negative gradient: pull + push == -gradient."""
-
-    pull: np.ndarray
-    push: np.ndarray
-
-    def neg_gradient(self) -> np.ndarray:
-        return self.pull + self.push
 
 
 def _softmax(h: np.ndarray, W: np.ndarray):
@@ -88,15 +76,14 @@ def _pull_push(p: np.ndarray, label: int, W: np.ndarray):
     return pull, -(W[:, others] @ p[others])
 
 
-def decompose_pull_push_feature(h: np.ndarray, label: int, W: np.ndarray) -> PullPush:
-    """Split -dL_CE/dh into pull = (1-p_c) w_c and push = -sum_{k!=c} p_k w_k."""
+def decompose_pull_push_feature(h: np.ndarray, label: int, W: np.ndarray):
+    """(pull, push) of -dL_CE/dh: pull = (1-p_c) w_c, push = -sum_{k!=c} p_k w_k."""
     W = np.asarray(W, dtype=float)
-    pull, push = _pull_push(softmax_probs(h, W), label, W)
-    return PullPush(pull=pull, push=push)
+    return _pull_push(softmax_probs(h, W), label, W)
 
 
-def decompose_pull_push_classifier(batch: FeatureBatch, W: np.ndarray, k: int) -> PullPush:
-    """Pull from own-class features, push from all other-class features."""
+def decompose_pull_push_classifier(batch: FeatureBatch, W: np.ndarray, k: int):
+    """(pull, push) of -dL_CE/dw_k: pull from own-class features, push from the others."""
     if batch.size == 0:
         raise ValueError("empty batch")
     if not 0 <= k < batch.num_classes:
@@ -105,12 +92,7 @@ def decompose_pull_push_classifier(batch: FeatureBatch, W: np.ndarray, k: int) -
     own = batch.labels == k
     pull = (1.0 - P[own, k]) @ batch.features[own]
     push = -(P[~own, k] @ batch.features[~own])
-    return PullPush(pull=pull, push=push)
-
-
-def _dr_target(classifier: FixedClassifier, c: int, e_h: float) -> float:
-    # per-class length in both target and normalizer (class-weighted variant)
-    return float(classifier.lengths[c] * np.sqrt(e_h))
+    return pull, push
 
 
 def dr_grad(h: np.ndarray, classifier: FixedClassifier, c: int, e_h: float) -> np.ndarray:
@@ -121,7 +103,8 @@ def dr_grad(h: np.ndarray, classifier: FixedClassifier, c: int, e_h: float) -> n
     form -(1 - cos(h, w_c)) w_c; off the sphere the quadratic form is the
     true gradient and is what we return.
     """
-    t = _dr_target(classifier, c, e_h)
+    # per-class length in both target and normalizer (class-weighted variant)
+    t = float(classifier.lengths[c] * np.sqrt(e_h))
     w = classifier.scaled_columns[:, c]
     dot = float(np.asarray(h, dtype=float) @ w)
     return (dot / t - 1.0) * w

@@ -21,8 +21,8 @@ dominance is a statement about ``raw_ratio``; the DR <= bound check
 holds for both.
 
 One pass over the trials per delta draws each start once and takes
-every (kind, gamma) step from it; the dominance summary pairs the
-records of that same pass, and ``check_sweep`` judges both claims on it.
+every (kind, gamma) step from it; ``check_sweep`` builds the dominance
+summary from the records of that same pass and judges both claims on it.
 """
 
 import math
@@ -141,53 +141,58 @@ def run_regularity_sweep(
     check_classifier(classifier)
 
     K, W, e_w = classifier.num_classes, classifier.scaled_columns, classifier.e_w
-    w_norms = [np.linalg.norm(W[:, k]) for k in range(K)]  # |w_c|: the columns are strided
-    per_step = [[] for _ in steps]
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        c, h_star, h0 = _sample_start(classifier, delta, e_h, rng)
-        n0 = _norm(h0)
-        if not 0 < n0 < np.inf:  # rescaling |h* + delta u| over- or underflowed
-            raise NumericDivergence(f"start of trial {t} at delta={delta:g} left the sphere")
-        dist0 = _norm(h0 - h_star)
-        if dist0 < DIST_GUARD:
-            continue
-        dist0_sq = _squared(dist0)
-        w, w_norm = W[:, c], w_norms[c]
-        cos_raw = float(h0.dot(w) / (n0 * w_norm))
-        # within ~1e-8 of h* the cosine can round to 1 + ulp
-        cos0 = min(cos_raw, 1.0)
-        bound = dr_eta_bound(cos0)
-        p = softmax_probs(h0, W)  # one softmax per trial: uniformity, CE gradient and rate
-        uniformity_dev = offclass_deviation(p, c)
-        # ce and ce-opt share CE's gradient, -(pull + push)
-        grad_ce, grad_dr = -np.add(*_pull_push(p, c, W)), dr_grad(h0, classifier, c, e_h)
-        for records, (kind, gamma) in zip(per_step, steps):
-            if kind == "ce-opt" and p[c] == 1.0:  # the rate divides by 1 - p_c
-                raise NumericDivergence(
-                    f"instance-optimal rate undefined in trial {t}: p_c rounds to 1")
-            g = ce_instance_rate(K, e_h, e_w, cos_raw, p[c]) if kind == "ce-opt" else float(gamma)
-            pre = h0 - g * (grad_dr if kind == "dr" else grad_ce)
-            if not np.isfinite(pre).all():
-                raise NumericDivergence(f"non-finite step in trial {t}")
-            h1 = project_ball(pre, e_h)
-            h1_sq = h1.dot(h1)
-            records.append(
-                RegularityRecord(
-                    trial=t,
-                    loss_kind=kind,
-                    gamma=g,
-                    delta=delta,
-                    class_index=c,
-                    cos_before=cos0,
-                    ratio=float(_squared(_norm(h1 - h_star)) / dist0_sq),
-                    raw_ratio=float(_squared(_norm(pre - h_star)) / dist0_sq),
-                    bound=bound,
-                    uniformity_dev=uniformity_dev,
-                    sphere_dev=float(abs(h1_sq - e_h)),
-                    cos_after=float(h1.dot(w) / (math.sqrt(h1_sq) * w_norm)),
+    # an overflow surfaces as a NumericDivergence: at the start, the step or the projection
+    with np.errstate(over="ignore"):
+        w_norms = [np.linalg.norm(W[:, k]) for k in range(K)]  # |w_c|: the columns are strided
+        if not all(0 < n < np.inf for n in w_norms):  # cos(h, w_c) would divide by |w_c|
+            raise NumericDivergence(f"classifier column norms under- or overflow at e_w={e_w:g}")
+        per_step = [[] for _ in steps]
+        for t in range(trials):
+            rng = np.random.default_rng([seed, t])
+            c, h_star, h0 = _sample_start(classifier, delta, e_h, rng)
+            n0 = _norm(h0)
+            if not 0 < n0 < np.inf:  # rescaling |h* + delta u| over- or underflowed
+                raise NumericDivergence(f"start of trial {t} at delta={delta:g} left the sphere")
+            dist0 = _norm(h0 - h_star)
+            if dist0 < DIST_GUARD:
+                continue
+            dist0_sq = _squared(dist0)
+            w, w_norm = W[:, c], w_norms[c]
+            cos_raw = float(h0.dot(w) / (n0 * w_norm))
+            # within ~1e-8 of h* the cosine can round to 1 + ulp
+            cos0 = min(cos_raw, 1.0)
+            bound = dr_eta_bound(cos0)
+            p = softmax_probs(h0, W)  # one softmax per trial: uniformity, CE gradient and rate
+            uniformity_dev = offclass_deviation(p, c)
+            # ce and ce-opt share CE's gradient, -(pull + push)
+            grad_ce, grad_dr = -np.add(*_pull_push(p, c, W)), dr_grad(h0, classifier, c, e_h)
+            for records, (kind, gamma) in zip(per_step, steps):
+                if kind == "ce-opt" and p[c] == 1.0:  # the rate divides by 1 - p_c
+                    raise NumericDivergence(
+                        f"instance-optimal rate undefined in trial {t}: p_c rounds to 1")
+                g = (ce_instance_rate(K, e_h, e_w, cos_raw, p[c]) if kind == "ce-opt"
+                     else float(gamma))
+                pre = h0 - g * (grad_dr if kind == "dr" else grad_ce)
+                if not np.isfinite(pre).all():
+                    raise NumericDivergence(f"non-finite step in trial {t}")
+                h1 = project_ball(pre, e_h)
+                h1_sq = h1.dot(h1)
+                records.append(
+                    RegularityRecord(
+                        trial=t,
+                        loss_kind=kind,
+                        gamma=g,
+                        delta=delta,
+                        class_index=c,
+                        cos_before=cos0,
+                        ratio=float(_squared(_norm(h1 - h_star)) / dist0_sq),
+                        raw_ratio=float(_squared(_norm(pre - h_star)) / dist0_sq),
+                        bound=bound,
+                        uniformity_dev=uniformity_dev,
+                        sphere_dev=float(abs(h1_sq - e_h)),
+                        cos_after=float(h1.dot(w) / (math.sqrt(h1_sq) * w_norm)),
+                    )
                 )
-            )
     return per_step
 
 
@@ -199,23 +204,37 @@ BOUND_TOL = 1e-9
 DOMINANCE_FRAC = 0.99
 
 
-def pair_dominance(steps, deltas, runs):
-    """Pair the fixed-rate CE steps of a sweep with its first DR step.
+def check_sweep(steps, deltas, runs):
+    """``(summary fields, passed)`` of a sweep.
 
     ``runs[i]`` is ``run_regularity_sweep(classifier, steps, deltas[i], ...)``
-    as returned, so every step lists the same trials. Returns None when
-    ``steps`` has no ``dr`` step or no ``ce`` step. Otherwise, per
-    (delta, CE step) in order, the summary reports the trials that
-    produced records (trials excluded at the optimum produce none) and,
-    over those passing the uniformity gate, the fraction with raw CE ratio
-    >= raw DR ratio - 1e-9, the means of both readings, and the
-    post-projection comparison.
+    as returned, so every step lists the same trials. ``dr_bound`` holds the
+    worst ratio - bound, sphere deviation and cos_after over all DR records;
+    it is absent when there are none. ``paired_dominance``
+    pairs each fixed-rate CE step with the first DR step; it is absent when
+    ``steps`` has no ``dr`` step or no ``ce`` step. Per (delta, CE step) in
+    order it reports the trials that produced records (trials excluded at the
+    optimum produce none) and, over those passing the uniformity gate, the
+    fraction with raw CE ratio >= raw DR ratio - 1e-9, the means of both
+    readings, and the post-projection comparison.
+
+    It passes if it has DR records (else it checks nothing), every DR ratio - bound
+    <= BOUND_TOL, and on every gated config raw CE >= raw DR on >= DOMINANCE_FRAC
+    of trials and in the mean.
     """
+    all_dr = [r for run in runs for records in run for r in records if r.loss_kind == "dr"]
+    summary, passed = {}, bool(all_dr)
+    if all_dr:
+        worst = max(r.ratio - r.bound for r in all_dr)
+        summary["dr_bound"] = {"max_ratio_minus_bound": worst, "passed": worst <= BOUND_TOL,
+                              "max_sphere_dev": max(r.sphere_dev for r in all_dr),
+                              "min_cos_after": min(r.cos_after for r in all_dr)}
+        passed &= worst <= BOUND_TOL
     dr_at = next((i for i, (kind, _) in enumerate(steps) if kind == "dr"), None)
     ce_at = [i for i, (kind, _) in enumerate(steps) if kind == "ce"]
     if dr_at is None or not ce_at:
-        return None
-    out = {"gamma_dr": float(steps[dr_at][1]), "uniformity_gate": UNIFORMITY_GATE, "configs": []}
+        return summary, passed
+    dom = {"gamma_dr": float(steps[dr_at][1]), "uniformity_gate": UNIFORMITY_GATE, "configs": []}
     for delta, run in zip(deltas, runs):
         dr = run[dr_at]
         bound_gap = max((r.ratio - r.bound) for r in dr) if dr else None
@@ -238,34 +257,13 @@ def pair_dominance(steps, deltas, runs):
                     mean_ce_ratio=float(np.mean([c.ratio for c, _ in paired])),
                     mean_dr_ratio=float(np.mean([d.ratio for _, d in paired])),
                 )
+                passed &= (cfg["raw_dominance_frac"] >= DOMINANCE_FRAC
+                           and cfg["mean_ce_raw"] >= cfg["mean_dr_raw"])
             elif dr:
                 cfg.update(raw_dominance_frac=None, note="no trials passed the gate")
             else:
                 cfg.update(raw_dominance_frac=None,
                            note="no trials: every start was excluded at the optimum")
-            out["configs"].append(cfg)
-    return out
-
-
-def check_sweep(steps, deltas, runs):
-    """``(summary fields, passed)`` of a sweep; ``runs`` as for ``pair_dominance``.
-
-    It passes if it has DR records (else it checks nothing), every DR ratio - bound
-    <= BOUND_TOL, and on every gated config raw CE >= raw DR on >= DOMINANCE_FRAC
-    of trials and in the mean.
-    """
-    dr = [r for run in runs for step_records in run for r in step_records if r.loss_kind == "dr"]
-    summary, passed = {}, bool(dr)
-    if dr:
-        worst = max(r.ratio - r.bound for r in dr)
-        summary["dr_bound"] = {"max_ratio_minus_bound": worst, "passed": worst <= BOUND_TOL,
-                              "max_sphere_dev": max(r.sphere_dev for r in dr),
-                              "min_cos_after": min(r.cos_after for r in dr)}
-        passed &= worst <= BOUND_TOL
-    dom = pair_dominance(steps, deltas, runs)
-    if dom is not None:
-        summary["paired_dominance"] = dom
-        passed &= all(cfg["raw_dominance_frac"] >= DOMINANCE_FRAC
-                      and cfg["mean_ce_raw"] >= cfg["mean_dr_raw"]
-                      for cfg in dom["configs"] if cfg["raw_dominance_frac"] is not None)
+            dom["configs"].append(cfg)
+    summary["paired_dominance"] = dom
     return summary, passed

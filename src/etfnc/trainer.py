@@ -312,9 +312,8 @@ def train(model: MlpBackbone, train_set: FeatureBatch, test_set: FeatureBatch,
     # fixed lengths weight the loss, not the decision rule (see balanced_accuracy)
     W_unit = W / np.linalg.norm(W, axis=0, keepdims=True) if fixed else None
 
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
-    vel_clf = np.zeros_like(W)
+    params = [*model.weights, *model.biases] + ([] if fixed else [W])  # updated in place
+    velocities = [np.zeros_like(p) for p in params]
     N = train_set.size
     log = TrainLog()
 
@@ -353,14 +352,11 @@ def train(model: MlpBackbone, train_set: FeatureBatch, test_set: FeatureBatch,
                     raise NumericDivergence(f"training diverged at epoch {epoch}")
 
                 d_ws, d_bs = model.backward(cache, grad_feats)
-                for l in range(len(model.weights)):
-                    vel_w[l] = config.momentum * vel_w[l] + d_ws[l]
-                    vel_b[l] = config.momentum * vel_b[l] + d_bs[l]
-                    model.weights[l] -= lr * vel_w[l]
-                    model.biases[l] -= lr * vel_b[l]
-                if not fixed:
-                    vel_clf = config.momentum * vel_clf + grad_clf
-                    W = W - lr * vel_clf
+                grads = d_ws + d_bs if fixed else d_ws + d_bs + [grad_clf]
+                for p, v, g in zip(params, velocities, grads):
+                    v *= config.momentum
+                    v += g
+                    p -= lr * v
 
             train_feats = _features_for_metrics(model, train_set.features, config)
             test_feats = _features_for_metrics(model, test_set.features, config)

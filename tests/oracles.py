@@ -28,12 +28,14 @@ def dr_loss(h, classifier, c, e_h) -> float:
 
 def ce_feature_grad(h, label, W) -> np.ndarray:
     """dL_CE/dh = -(1-p_c) w_c + sum_{k!=c} p_k w_k, minus the pull/push split."""
-    return -decompose_pull_push_feature(h, label, W).neg_gradient()
+    pull, push = decompose_pull_push_feature(h, label, W)
+    return -(pull + push)
 
 
 def ce_grad_classifier(batch, W, k) -> np.ndarray:
     """dL_CE/dw_k over a batch (sum over samples, no 1/N)."""
-    return -decompose_pull_push_classifier(batch, W, k).neg_gradient()
+    pull, push = decompose_pull_push_classifier(batch, W, k)
+    return -(pull + push)
 
 
 def feature_normalize(h, e_h) -> np.ndarray:

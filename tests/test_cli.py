@@ -10,8 +10,10 @@ import pytest
 
 from etfnc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_parser, main
 from etfnc.etf import generate_etf, uniform_classifier
-from etfnc.regularity import check_sweep, pair_dominance, run_regularity_sweep
+from etfnc.regularity import check_sweep, run_regularity_sweep
 from etfnc.serialize import derive_seed
+from etfnc.trainer import SyntheticDatasetSpec, make_imbalanced_dataset
+from oracles import save_dataset_csv
 
 
 def run(*argv):
@@ -226,12 +228,11 @@ class TestRegularityCommand:
         deltas = [float(d) for d in args["--deltas"].split(",")]
         steps = [("dr", float(np.sqrt(1.0 / clf.e_w)))] + [("ce", g) for g in gammas]
         runs = [run_regularity_sweep(clf, steps, d, 30, 2) for d in deltas]
-        expected = pair_dominance(steps, deltas, runs)
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["paired_dominance"] == json.loads(json.dumps(expected))
         verdict = json.loads(json.dumps(check_sweep(steps, deltas, runs)[0]))
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["paired_dominance"] == verdict["paired_dominance"]
         assert summary["dr_bound"] == verdict["dr_bound"]
-        assert len(expected["configs"]) == len(gammas) * len(deltas)
+        assert len(verdict["paired_dominance"]["configs"]) == len(gammas) * len(deltas)
 
     def test_dr_reference_rate(self, tmp_path):
         out = tmp_path / "run"
@@ -312,6 +313,29 @@ class TestTrainCommand:
             accs = [r["final_bal_acc"] for r in summary["runs"] if r["regime"] == regime]
             assert summary["by_regime"][regime] == {
                 "mean_bal_acc": np.mean(accs), "std_bal_acc": np.std(accs), "runs": 3}
+
+    def test_csv_dataset_trains_as_its_generator(self, tmp_path):
+        """The generated dataset, written as train_csv/test_csv, trains to the same bytes."""
+        regimes = ["learnable-wce", "etf-dr"]
+        generated = write_train_config(tmp_path / "generated.json", regimes=regimes)
+        spec = dict(json.loads(generated.read_text())["dataset"], seed=derive_seed(0, "dataset"))
+        train_set, test_set = make_imbalanced_dataset(SyntheticDatasetSpec(**spec))
+        save_dataset_csv(tmp_path / "train.csv", train_set)
+        save_dataset_csv(tmp_path / "test.csv", test_set)
+        from_csv = write_train_config(tmp_path / "from_csv.json", regimes=regimes, dataset={
+            "num_classes": 3, "train_csv": str(tmp_path / "train.csv"),
+            "test_csv": str(tmp_path / "test.csv")})
+        payloads, summaries = [], []
+        for cfg in (generated, from_csv):
+            out = tmp_path / cfg.stem
+            assert run("train", "--config", cfg, "--out", out) == EXIT_OK
+            payloads.append(payload_bytes(out))
+            summaries.append(json.loads(payloads[-1].pop("summary.json")))
+            assert summaries[-1].pop("config_file") == str(cfg)
+        assert sorted(payloads[0]) == sorted(f"{kind}_{regime}_seed0.{ext}" for regime in regimes
+                                             for kind, ext in (("trainlog", "csv"), ("model", "json")))
+        assert payloads[0] == payloads[1]
+        assert summaries[0] == summaries[1]
 
     def test_integer_in_float_field_runs_as_float(self, tmp_path):
         """A JSON integer past int64 in a float field runs as the float it names."""
@@ -666,7 +690,6 @@ class TestInputRefusedBeforeOutput:
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNumericBreakdownDiverges:
     """A number out of floating-point range mid-run exits 3 where it happens."""
 
@@ -690,6 +713,10 @@ class TestNumericBreakdownDiverges:
     @pytest.mark.parametrize("argv,message", [
         (("--deltas", "1e300"), "start of trial 0 at delta=1e+300 left the sphere"),
         (("--e-h", "5e-324"), "left the sphere"),
+        # |w_c|^2 underflows: the cosines would divide by 0
+        (("--e-w", "5e-324"), "classifier column norms under- or overflow"),
+        # the step leaves h finite, but its squared norm overflows in the projection
+        (("--gammas", "1e300"), "no finite projection"),
     ])
     def test_regularity_start(self, tmp_path, capsys, argv, message):
         code = run("regularity", "--K", 4, "--d", 6, "--trials", 5, *argv, "--out", tmp_path / "x")

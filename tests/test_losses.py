@@ -148,9 +148,9 @@ class TestCeGradClassifier:
         labels = np.repeat([0, 1], 20)
         batch = FeatureBatch(feats, labels, K)
         W = rng.standard_normal((d, K))
-        pp = decompose_pull_push_classifier(batch, W, 2)
-        assert np.all(pp.pull == 0)
-        np.testing.assert_allclose(ce_grad_classifier(batch, W, 2), -pp.push, atol=1e-15)
+        pull, push = decompose_pull_push_classifier(batch, W, 2)
+        assert np.all(pull == 0)
+        np.testing.assert_allclose(ce_grad_classifier(batch, W, 2), -push, atol=1e-15)
 
     def test_empty_batch_rejected(self):
         batch = FeatureBatch(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
@@ -164,21 +164,21 @@ class TestPullPushFeature:
             W = rng.standard_normal((6, 4))
             h = rng.standard_normal(6)
             c = int(rng.integers(4))
-            pp = decompose_pull_push_feature(h, c, W)
+            pull, push = decompose_pull_push_feature(h, c, W)
             g = W @ (ce_terms(h, c, W)[1] - np.eye(4)[c])  # W dL/dlogits, the batch kernel's form
-            assert rel_error(pp.pull + pp.push, -g) < 1e-12
+            assert rel_error(pull + push, -g) < 1e-12
 
     def test_saturated_softmax_vanishes(self):
         W = etf_matrix(6, 4)
-        pp = decompose_pull_push_feature(50.0 * W[:, 1], 1, W)
-        assert np.linalg.norm(pp.pull) < 1e-8
-        assert np.linalg.norm(pp.push) < 1e-8
+        pull, push = decompose_pull_push_feature(50.0 * W[:, 1], 1, W)
+        assert np.linalg.norm(pull) < 1e-8
+        assert np.linalg.norm(push) < 1e-8
 
     def test_equal_logits_push_parallel_to_own_column(self):
         W = etf_matrix(6, 4)
-        pp = decompose_pull_push_feature(np.zeros(6), 2, W)
+        pull, push = decompose_pull_push_feature(np.zeros(6), 2, W)
         # sum of other columns is -w_c, so push = (1/K) w_c
-        np.testing.assert_allclose(pp.push, 0.25 * W[:, 2], atol=1e-12)
+        np.testing.assert_allclose(push, 0.25 * W[:, 2], atol=1e-12)
 
 
 class TestPullPushClassifier:
@@ -188,9 +188,9 @@ class TestPullPushClassifier:
             batch = FeatureBatch(rng.standard_normal((N, d)), rng.integers(K, size=N), K)
             W = rng.standard_normal((d, K))
             k = int(rng.integers(K))
-            pp = decompose_pull_push_classifier(batch, W, k)
+            pull, push = decompose_pull_push_classifier(batch, W, k)
             g = ce_grad_classifier(batch, W, k)
-            assert rel_error(pp.pull + pp.push, -g) < 1e-12
+            assert rel_error(pull + push, -g) < 1e-12
 
     def test_matches_per_sample_sums(self, rng):
         """pull = sum_{y_i=k} (1-p_k(h_i)) h_i, push = -sum_{y_i!=k} p_k(h_i) h_i."""
@@ -205,9 +205,9 @@ class TestPullPushClassifier:
                     pull += (1.0 - p_k) * h
                 else:
                     push -= p_k * h
-            pp = decompose_pull_push_classifier(batch, W, k)
-            np.testing.assert_allclose(pp.pull, pull, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(pp.push, push, rtol=1e-12, atol=1e-12)
+            got_pull, got_push = decompose_pull_push_classifier(batch, W, k)
+            np.testing.assert_allclose(got_pull, pull, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got_push, push, rtol=1e-12, atol=1e-12)
 
     def test_extreme_imbalance_push_dominates(self, rng):
         d, K = 8, 4
@@ -216,14 +216,14 @@ class TestPullPushClassifier:
         labels = np.repeat(np.arange(K), counts)
         batch = FeatureBatch(feats, labels, K)
         W = rng.standard_normal((d, K)) / np.sqrt(d)
-        pp = decompose_pull_push_classifier(batch, W, 0)
-        assert np.linalg.norm(pp.push) > np.linalg.norm(pp.pull)
+        pull, push = decompose_pull_push_classifier(batch, W, 0)
+        assert np.linalg.norm(push) > np.linalg.norm(pull)
 
     def test_single_class_batch_zero_push(self, rng):
         feats = rng.standard_normal((7, 4))
         batch = FeatureBatch(feats, np.full(7, 1), 3)
-        pp = decompose_pull_push_classifier(batch, np.ones((4, 3)), 1)
-        assert np.all(pp.push == 0)
+        pull, push = decompose_pull_push_classifier(batch, np.ones((4, 3)), 1)
+        assert np.all(push == 0)
 
 
 class TestDrLoss:

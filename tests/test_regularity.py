@@ -19,7 +19,6 @@ from etfnc.regularity import (
     check_sweep,
     dr_eta_bound,
     offclass_deviation,
-    pair_dominance,
     run_regularity_sweep,
 )
 from etfnc.serialize import derive_seed
@@ -33,7 +32,7 @@ def dominance(clf, gammas, deltas, trials, seed, e_h=1.0):
     """CE at each of ``gammas`` paired with DR at sqrt(E_H/E_W), as the CLI pairs them."""
     steps = [("dr", float(np.sqrt(e_h / clf.e_w)))] + [("ce", g) for g in gammas]
     runs = [run_regularity_sweep(clf, steps, delta, trials, seed, e_h) for delta in deltas]
-    return pair_dominance(steps, deltas, runs)
+    return check_sweep(steps, deltas, runs)[0]["paired_dominance"]
 
 
 class TestContractionRatio:
@@ -356,11 +355,15 @@ class TestSweep:
         clf = make_classifier()
         assert run_regularity_sweep(clf, STEPS, 0.0, 5, 0) == [[] for _ in STEPS]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_start_diverges(self):
         """|h* + delta u| overflows, so the start would rescale to 0 and its cosine to NaN."""
         with pytest.raises(NumericDivergence, match="start of trial 0 at delta=1e\\+300"):
             run_regularity_sweep(make_classifier(), STEPS, 1e300, 5, 0)
+
+    def test_underflowing_columns_diverge_before_trials(self):
+        """A subnormal E_W: every |w_c|^2 underflows, so cos(h, w_c) would divide by 0."""
+        with pytest.raises(NumericDivergence, match="classifier column norms under- or overflow"):
+            run_regularity_sweep(make_classifier(e_w=5e-324), STEPS, 0.05, 0, 0)
 
     def test_bad_step_rejected_before_trials(self):
         clf = make_classifier()
@@ -377,6 +380,8 @@ class TestSweep:
 
 
 class TestPairDominance:
+    """The ``paired_dominance`` block of ``check_sweep``."""
+
     def test_repeated_gammas_and_deltas_paired_by_position(self):
         clf = make_classifier()
         out = dominance(clf, [0.1, 0.1], [0.05, 0.01, 0.05], trials=30, seed=4)
@@ -407,14 +412,15 @@ class TestPairDominance:
         clf = make_classifier()
         steps = [("ce-opt", None), ("ce", 0.5), ("dr", 1.0), ("ce", 0.1), ("dr", 0.5)]
         runs = [run_regularity_sweep(clf, steps, delta, 30, 8) for delta in (0.05, 0.01)]
-        assert pair_dominance(steps, [0.05, 0.01], runs) == dominance(clf, [0.5, 0.1],
-                                                                      [0.05, 0.01], 30, 8)
+        assert check_sweep(steps, [0.05, 0.01], runs)[0]["paired_dominance"] == dominance(
+            clf, [0.5, 0.1], [0.05, 0.01], 30, 8)
 
     @pytest.mark.parametrize("steps", [[("dr", 1.0)], [("dr", 1.0), ("ce-opt", None)],
                                        [("ce", 0.5)]])
     def test_nothing_to_pair(self, steps):
         clf = make_classifier()
-        assert pair_dominance(steps, [0.05], [run_regularity_sweep(clf, steps, 0.05, 5, 0)]) is None
+        fields, _ = check_sweep(steps, [0.05], [run_regularity_sweep(clf, steps, 0.05, 5, 0)])
+        assert "paired_dominance" not in fields
 
 
 class TestCheckSweep:
@@ -438,7 +444,6 @@ class TestCheckSweep:
         assert passed
         assert fields["dr_bound"]["passed"]
         assert fields["dr_bound"]["max_ratio_minus_bound"] <= BOUND_TOL
-        assert fields["paired_dominance"] == pair_dominance(self.STEPS, [0.01, 0.05], runs)
         assert fields["paired_dominance"]["configs"][0]["gated_trials"] == 100
 
     def test_sweep_without_records_fails(self):
