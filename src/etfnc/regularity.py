@@ -202,6 +202,8 @@ UNIFORMITY_GATE = 1e-3
 BOUND_TOL = 1e-9
 #: least fraction of gated trials on which CE's raw ratio must reach DR's
 DOMINANCE_FRAC = 0.99
+#: slack on CE's raw ratio against DR's, per trial and in the mean
+DOMINANCE_SLACK = 1e-9
 
 
 def check_sweep(steps, deltas, runs):
@@ -215,12 +217,12 @@ def check_sweep(steps, deltas, runs):
     ``steps`` has no ``dr`` step or no ``ce`` step. Per (delta, CE step) in
     order it reports the trials that produced records (trials excluded at the
     optimum produce none) and, over those passing the uniformity gate, the
-    fraction with raw CE ratio >= raw DR ratio - 1e-9, the means of both
+    fraction with raw CE ratio >= raw DR ratio - DOMINANCE_SLACK, the means of both
     readings, and the post-projection comparison.
 
     It passes if it has DR records (else it checks nothing), every DR ratio - bound
-    <= BOUND_TOL, and on every gated config raw CE >= raw DR on >= DOMINANCE_FRAC
-    of trials and in the mean.
+    <= BOUND_TOL, and on every gated config raw CE >= raw DR - DOMINANCE_SLACK on
+    >= DOMINANCE_FRAC of trials and in the mean.
     """
     all_dr = [r for run in runs for records in run for r in records if r.loss_kind == "dr"]
     summary, passed = {}, bool(all_dr)
@@ -249,7 +251,7 @@ def check_sweep(steps, deltas, runs):
                 "dr_max_ratio_minus_bound": bound_gap,
             }
             if paired:
-                raw_ok = [c.raw_ratio >= d.raw_ratio - 1e-9 for c, d in paired]
+                raw_ok = [c.raw_ratio >= d.raw_ratio - DOMINANCE_SLACK for c, d in paired]
                 cfg.update(
                     raw_dominance_frac=float(np.mean(raw_ok)),
                     mean_ce_raw=float(np.mean([c.raw_ratio for c, _ in paired])),
@@ -258,7 +260,7 @@ def check_sweep(steps, deltas, runs):
                     mean_dr_ratio=float(np.mean([d.ratio for _, d in paired])),
                 )
                 passed &= (cfg["raw_dominance_frac"] >= DOMINANCE_FRAC
-                           and cfg["mean_ce_raw"] >= cfg["mean_dr_raw"])
+                           and cfg["mean_ce_raw"] >= cfg["mean_dr_raw"] - DOMINANCE_SLACK)
             elif dr:
                 cfg.update(raw_dominance_frac=None, note="no trials passed the gate")
             else:

@@ -2,18 +2,26 @@
 
 import argparse
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from etfnc import cli
 from etfnc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_parser, main
 from etfnc.etf import generate_etf, uniform_classifier
 from etfnc.regularity import check_sweep, run_regularity_sweep
 from etfnc.serialize import derive_seed
 from etfnc.trainer import SyntheticDatasetSpec, make_imbalanced_dataset
 from oracles import save_dataset_csv
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -187,6 +195,15 @@ class TestRegularityCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["dr_bound"]["passed"]
         assert summary["dr_bound"]["max_ratio_minus_bound"] <= 1e-9
+
+    def test_means_equal_to_rounding_pass(self, tmp_path):
+        """At e_h = 1e8 both raw ratios sit within ~1e-11 of 1, and DR's mean rounds above CE's."""
+        out = tmp_path / "run"
+        code = run("regularity", "--K", 4, "--d", 6, "--trials", 20, "--e-h", "1e8", "--out", out)
+        assert code == EXIT_OK
+        configs = json.loads((out / "summary.json").read_text())["paired_dominance"]["configs"]
+        assert all(c["raw_dominance_frac"] == 1.0 for c in configs)
+        assert any(c["mean_ce_raw"] < c["mean_dr_raw"] for c in configs)
 
     def test_all_trials_excluded_fails(self, tmp_path, capsys):
         # a delta below DIST_GUARD puts every start at the optimum
@@ -525,6 +542,75 @@ class TestTrainCommand:
 
 #: a dataset CSV of three classes with no row of class 2
 NO_CLASS_2 = "label,x0,x1\n0,1,2\n1,2,3\n0,3,4\n"
+
+
+class TestTrainPool:
+    """With BLAS on one thread, train's runs go through a fork pool, with the same payloads."""
+
+    REGIMES = ["learnable-ce", "learnable-wce", "etf-ce", "etf-dr"]
+
+    @pytest.mark.parametrize("env,runs,workers", [
+        ({}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 4, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4, 3),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, 3),
+    ])
+    def test_workers(self, monkeypatch, env, runs, workers):
+        """The first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that is set decides, as in OpenBLAS."""
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert cli._train_workers(runs) == workers
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable CPU runs no pool")
+    def test_pool_payloads_equal_in_process(self, tmp_path):
+        """Each side starts with its BLAS thread count fixed, as the benchmark starts its runs."""
+        cfg = write_train_config(tmp_path / "cfg.json", regimes=self.REGIMES, seeds=[0, 1])
+        payloads = []
+        for threads in ("1", "2"):  # "2" runs in process
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "etfnc.cli", "train", "--config", cfg, "--out", out],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            payloads.append(payload_bytes(out))
+        assert len(payloads[0]) == 2 * 2 * len(self.REGIMES) + 1
+        assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("regimes,message", [
+        (REGIMES[:3], "non-finite logits in softmax"),
+        # job 0 fails with a message of its own; a later job's error must not overtake it
+        (["etf-dr", "etf-ce", "learnable-ce"], "training diverged at epoch 0"),
+    ])
+    def test_pooled_divergence(self, tmp_path, capsys, monkeypatch, regimes, message):
+        """The first failing run in job order decides the message; no --out, no live worker."""
+        cfg = write_train_config(tmp_path / "cfg.json", regimes=regimes,
+                                 train={"epochs": 3, "batch_size": 8, "step_size": 1e308})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        errors = []
+        for threads in ("1", "2"):  # pooled, then in process
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            assert cli._train_workers(3) == (2 if threads == "1" else 1)
+            assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_DIVERGED
+            errors.append(capsys.readouterr().err)
+            assert not (tmp_path / "x").exists()
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1] == f"numeric divergence: {message}\n"
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    """The benchmark's setup_s times `import etfnc.cli`; the pool's import waits for a pooled run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import etfnc.cli, sys; print('multiprocessing' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 class TestInputRefusedBeforeOutput:
