@@ -21,7 +21,8 @@ the manifest records and its payloads by file name. Only main writes them,
 with the manifest, after the command returned, so exit 2 or 3 never
 leaves --out behind; exit 4 writes the payloads of the failed check.
 A negative number in exponent form needs --flag=value (--gamma=-1e+300).
-With BLAS pinned to one thread, train's runs use one process per usable CPU, with the same payloads.
+With BLAS pinned to one thread, train's runs use one process per usable CPU, with the same
+payloads; each worker takes its jobs from the fork, and is sent only a job's index.
 """
 
 import argparse
@@ -240,8 +241,9 @@ def cmd_regularity(args):
                          "e_h": args.e_h, "e_w": args.e_w, **verdict},
     }
     if not passed:
+        guard = reg.DIST_GUARD * math.sqrt(args.e_h)
         why = (f"no records: all {args.trials * len(deltas)} trials started within "
-               f"{reg.DIST_GUARD:g} of the optimum and were excluded" if not records
+               f"{guard:g} of the optimum and were excluded" if not records
                else "bound or dominance check FAILED")
         print(f"regularity: {why}", file=sys.stderr)
         return EXIT_CHECK_FAILED, _flags(args), files
@@ -373,34 +375,46 @@ def _train_workers(runs):
 
     OpenBLAS reads OPENBLAS_NUM_THREADS first, then OMP_NUM_THREADS. With
     more BLAS threads, each worker's threads would fight for the same cores.
+    A platform without ``os.fork`` or ``os.sched_getaffinity`` trains in process.
     """
     threads = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
                     if v in os.environ), None)
-    return min(runs, len(os.sched_getaffinity(0))) if threads == "1" else 1
+    pooled = threads == "1" and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return min(runs, len(os.sched_getaffinity(0))) if pooled else 1
+
+
+#: the (model, train set, test set, config) jobs of the running train command;
+#: a fork worker inherits them, so a worker is sent only a job's index
+_JOBS = []
 
 
 @contextmanager
-def _run_map(runs):
-    """``map``, or ``imap`` of a fork pool of ``_train_workers(runs)`` processes.
+def _run_map(jobs):
+    """Yield the ``(model, log)`` of every job in job order, trained in process or in a pool.
 
-    Either yields results in job order and raises a run's error when its
-    job is reached; leaving the block stops and joins every worker.
+    The pool is a fork pool of ``_train_workers(len(jobs))`` processes. A
+    run's error is raised when its job is reached; leaving the block stops
+    and joins every worker and releases the jobs.
     """
-    workers = _train_workers(runs)
-    if workers < 2:
-        yield map
-        return
-    import multiprocessing  # here: multiprocessing.pool adds ~17 ms to `import etfnc.cli`
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        yield pool.imap
+    _JOBS[:] = jobs  # before the pool forks
+    try:
+        workers = _train_workers(len(jobs))
+        if workers < 2:
+            yield map(_train_run, range(len(jobs)))
+        else:
+            import multiprocessing  # here: multiprocessing.pool adds ~17 ms to `import etfnc.cli`
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                yield pool.imap(_train_run, range(len(jobs)))
+    finally:
+        _JOBS.clear()
 
 
-def _train_run(job):
-    """Train one (model, train set, test set, config) job: ``(model, log)``.
+def _train_run(i):
+    """Train job ``i`` of ``_JOBS``: ``(model, log)``.
 
     The model comes back because a pool worker trains its own copy.
     """
-    model, train_set, test_set, config = job
+    model, train_set, test_set, config = _JOBS[i]
     return model, tr.train(model, train_set, test_set, config)
 
 
@@ -430,8 +444,8 @@ def cmd_train(args):
     summary = {"runs": [], "config_file": args.config}
     accs = {regime: [] for regime in regimes}  # final_bal_acc per seed
     files = {}
-    with _run_map(len(jobs)) as run_map:
-        for (seed, regime), (model, log) in zip(keys, run_map(_train_run, jobs)):
+    with _run_map(jobs) as results:
+        for (seed, regime), (model, log) in zip(keys, results):
             name = f"trainlog_{regime}_seed{seed}.csv"
             files[name] = table(tr.EpochRecord, log.records)
             files[f"model_{regime}_seed{seed}.json"] = {
@@ -495,7 +509,8 @@ def build_parser():
 
     sp = sub.add_parser("regularity", help="one-step contraction experiment")
     sp.add_argument("--gammas", default="0.05,0.1,0.5,1.0", help="CE step-size sweep")
-    sp.add_argument("--deltas", default="0.01,0.05,0.1")
+    sp.add_argument("--deltas", default="0.01,0.05,0.1",
+                    help="start distances from h*, as fractions of |h*| = sqrt(E_H)")
     sp.add_argument("--trials", type=int, default=500)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)

@@ -34,8 +34,9 @@ from .etf import FixedClassifier
 from .losses import NumericDivergence, _pull_push, dr_grad, softmax_probs
 from .peeled import project_ball
 
-#: trials closer to the optimum than this are flagged at-optimum, not ratios
+#: trials closer to the optimum than this times |h*| = sqrt(E_H) are excluded, not ratios
 DIST_GUARD = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 def dr_eta_bound(cos_angle: float) -> float:
@@ -88,7 +89,7 @@ def _squared(x: float) -> np.float64:
 
 
 def _sample_start(classifier: FixedClassifier, delta: float, e_h: float, rng):
-    """Start point h* + delta * u (u tangent, unit), rescaled to the sphere."""
+    """Start point h* + delta |h*| u (u tangent, unit), rescaled to the sphere |h*| = sqrt(E_H)."""
     K = classifier.num_classes
     c = int(rng.integers(K))
     root_e_h = np.sqrt(e_h)
@@ -96,7 +97,7 @@ def _sample_start(classifier: FixedClassifier, delta: float, e_h: float, rng):
     u = rng.standard_normal(classifier.dim)
     u -= (u @ h_star) / e_h * h_star
     u /= _norm(u)
-    h0 = h_star + delta * u
+    h0 = h_star + (delta * root_e_h) * u
     h0 *= root_e_h / _norm(h0)
     return c, h_star, h0
 
@@ -133,7 +134,9 @@ def run_regularity_sweep(
     bound-matching rate, reported for illustration. Returns one list of
     RegularityRecords per step. Trial t draws its start once, with rng
     seed (seed, t), and every step starts from it, so the lists are
-    paired by trial. Trials starting within DIST_GUARD of h* are excluded.
+    paired by trial. ``delta`` is a fraction of |h*| = sqrt(e_h), so a
+    start lies at about the same angle to h* at every e_h. Trials starting
+    within DIST_GUARD sqrt(e_h) of h* are excluded.
     """
     for kind, _ in steps:
         if kind not in ("ce", "dr", "ce-opt"):
@@ -141,20 +144,25 @@ def run_regularity_sweep(
     check_classifier(classifier)
 
     K, W, e_w = classifier.num_classes, classifier.scaled_columns, classifier.e_w
-    # an overflow surfaces as a NumericDivergence: at the start, the step or the projection
-    with np.errstate(over="ignore"):
+    # an over- or underflow surfaces as a NumericDivergence: at the start, the step or the
+    # projection (a start whose norm underflows to 0 divides by it)
+    with np.errstate(over="ignore", divide="ignore"):
         w_norms = [np.linalg.norm(W[:, k]) for k in range(K)]  # |w_c|: the columns are strided
         if not all(0 < n < np.inf for n in w_norms):  # cos(h, w_c) would divide by |w_c|
             raise NumericDivergence(f"classifier column norms under- or overflow at e_w={e_w:g}")
         per_step = [[] for _ in steps]
+        guard = DIST_GUARD * math.sqrt(e_h)
         for t in range(trials):
             rng = np.random.default_rng([seed, t])
             c, h_star, h0 = _sample_start(classifier, delta, e_h, rng)
-            n0 = _norm(h0)
-            if not 0 < n0 < np.inf:  # rescaling |h* + delta u| over- or underflowed
+            # rescaling |h* + delta u| over- or underflowed, or |h0|^2 = E_H is subnormal: too
+            # few bits for the ratios, and project_ball's ulp nudges would not shrink it
+            n0_sq = h0.dot(h0)
+            if not _TINY <= n0_sq < np.inf:
                 raise NumericDivergence(f"start of trial {t} at delta={delta:g} left the sphere")
+            n0 = math.sqrt(n0_sq)
             dist0 = _norm(h0 - h_star)
-            if dist0 < DIST_GUARD:
+            if dist0 < guard:
                 continue
             dist0_sq = _squared(dist0)
             w, w_norm = W[:, c], w_norms[c]

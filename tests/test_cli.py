@@ -1,6 +1,7 @@
 """End-to-end CLI runs: artifacts, exit codes, byte-level determinism."""
 
 import argparse
+import csv
 import json
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ import pytest
 
 from etfnc import cli
 from etfnc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_parser, main
+from etfnc.batches import FeatureBatch
 from etfnc.etf import generate_etf, uniform_classifier
 from etfnc.regularity import check_sweep, run_regularity_sweep
 from etfnc.serialize import derive_seed
@@ -197,22 +199,42 @@ class TestRegularityCommand:
         assert summary["dr_bound"]["max_ratio_minus_bound"] <= 1e-9
 
     def test_means_equal_to_rounding_pass(self, tmp_path):
-        """At e_h = 1e8 both raw ratios sit within ~1e-11 of 1, and DR's mean rounds above CE's."""
+        """Starts 1e-6 to 1e-5 of |h*| off h*: both raw ratios sit within ~1e-11 of 1,
+        and DR's mean rounds above CE's."""
         out = tmp_path / "run"
-        code = run("regularity", "--K", 4, "--d", 6, "--trials", 20, "--e-h", "1e8", "--out", out)
+        code = run("regularity", "--K", 4, "--d", 6, "--trials", 20, "--e-h", "1e8",
+                   "--deltas", "1e-6,5e-6,1e-5", "--out", out)
         assert code == EXIT_OK
         configs = json.loads((out / "summary.json").read_text())["paired_dominance"]["configs"]
         assert all(c["raw_dominance_frac"] == 1.0 for c in configs)
         assert any(c["mean_ce_raw"] < c["mean_dr_raw"] for c in configs)
 
     def test_all_trials_excluded_fails(self, tmp_path, capsys):
-        # a delta below DIST_GUARD puts every start at the optimum
-        out = tmp_path / "run"
-        code = run("regularity", "--deltas", "1e-13", "--trials", 20, "--K", 4, "--d", 8,
-                   "--out", out)
-        assert code == EXIT_CHECK_FAILED
-        assert "all 20 trials started within 1e-12 of the optimum" in capsys.readouterr().err
-        assert len((out / "records.csv").read_text().splitlines()) == 1
+        # a delta below DIST_GUARD puts every start at the optimum; both scale with sqrt(E_H)
+        for e_h, guard in (("1", "1e-12"), ("1e8", "1e-08")):
+            out = tmp_path / e_h
+            code = run("regularity", "--deltas", "1e-13", "--trials", 20, "--K", 4, "--d", 8,
+                       "--e-h", e_h, "--out", out)
+            assert code == EXIT_CHECK_FAILED
+            assert f"all 20 trials started within {guard} of the optimum" in capsys.readouterr().err
+            assert len((out / "records.csv").read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("e_h", ["1e-300", "1e-30", "1e12", "1e160", "1e300"])
+    def test_starts_scale_free(self, tmp_path, e_h):
+        """Deltas are fractions of |h*| = sqrt(E_H): every E_H sees the starts of E_H = 1."""
+        runs = {}
+        for scale in ("1", e_h):
+            out = tmp_path / scale
+            assert run("regularity", "--K", 4, "--d", 6, "--trials", 20, "--e-h", scale,
+                       "--out", out) == EXIT_OK
+            runs[scale] = list(csv.DictReader((out / "records.csv").read_text().splitlines()))
+        assert len(runs[e_h]) == len(runs["1"]) == 300
+        # DR at rate sqrt(E_H/E_W) is scale-free too; CE at a fixed rate is not
+        for column, kinds in (("cos_before", ("ce", "dr")), ("ratio", ("dr",)),
+                              ("raw_ratio", ("dr",))):
+            scaled, unit = ([float(r[column]) for r in rows if r["loss_kind"] in kinds]
+                            for rows in (runs[e_h], runs["1"]))
+            np.testing.assert_allclose(scaled, unit, rtol=1e-9)
 
     def test_paired_dominance_summary_present(self, tmp_path):
         out = tmp_path / "run"
@@ -558,14 +580,20 @@ class TestTrainPool:
         ({"OMP_NUM_THREADS": "1"}, 4, 3),
         ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 1),
         ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, 3),
+        # an "os.<name>" entry removes that function, as on macOS (sched_getaffinity) or Windows
+        ({"OPENBLAS_NUM_THREADS": "1", "os.sched_getaffinity": None}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "os.fork": None}, 4, 1),
     ])
     def test_workers(self, monkeypatch, env, runs, workers):
         """The first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that is set decides, as in OpenBLAS."""
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        for name, value in env.items():
+            if name.startswith("os."):
+                monkeypatch.delattr(os, name[3:])
+            else:
+                monkeypatch.setenv(name, value)
         assert cli._train_workers(runs) == workers
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable CPU runs no pool")
@@ -582,6 +610,28 @@ class TestTrainPool:
             assert proc.returncode == EXIT_OK, proc.stderr
             payloads.append(payload_bytes(out))
         assert len(payloads[0]) == 2 * 2 * len(self.REGIMES) + 1
+        assert payloads[0] == payloads[1]
+
+    def test_workers_take_jobs_from_the_fork(self, tmp_path, monkeypatch):
+        """A dataset that cannot be pickled still trains in the pool: no job crosses a pipe."""
+        cfg = write_train_config(tmp_path / "cfg.json", regimes=self.REGIMES[:2],
+                                 train={"epochs": 2})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        payloads = []
+        for threads in ("2", "1"):  # in process, then pooled
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            if threads == "1":
+                assert cli._train_workers(2) == 2
+
+                def refuse(self, protocol):
+                    raise TypeError("a FeatureBatch was pickled")
+                monkeypatch.setattr(FeatureBatch, "__reduce_ex__", refuse)
+            out = tmp_path / f"threads{threads}"
+            assert run("train", "--config", cfg, "--out", out) == EXIT_OK
+            payloads.append(payload_bytes(out))
+            assert multiprocessing.active_children() == []
+            assert cli._JOBS == []
+        assert len(payloads[1]) == 2 * 2 + 1
         assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("regimes,message", [
@@ -803,6 +853,8 @@ class TestNumericBreakdownDiverges:
         (("--e-w", "5e-324"), "classifier column norms under- or overflow"),
         # the step leaves h finite, but its squared norm overflows in the projection
         (("--gammas", "1e300"), "no finite projection"),
+        # a subnormal |h0|^2 = E_H: project_ball's ulp nudges would not shrink it
+        (("--e-h", "1e-320"), "start of trial 0 at delta=0.01 left the sphere"),
     ])
     def test_regularity_start(self, tmp_path, capsys, argv, message):
         code = run("regularity", "--K", 4, "--d", 6, "--trials", 5, *argv, "--out", tmp_path / "x")

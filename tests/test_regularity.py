@@ -227,7 +227,7 @@ def reference_sample_start(clf, delta, e_h, rng):
     u = rng.standard_normal(clf.dim)
     u -= (u @ h_star) / e_h * h_star
     u /= np.linalg.norm(u)
-    h0 = h_star + delta * u
+    h0 = h_star + (delta * np.sqrt(e_h)) * u
     h0 *= np.sqrt(e_h) / np.linalg.norm(h0)
     return c, h_star, h0
 
@@ -274,7 +274,7 @@ def reference_records(clf, loss_kind, gamma, delta, trials, seed, e_h=1.0):
     for t in range(trials):
         c, h_star, h0 = reference_sample_start(clf, delta, e_h, np.random.default_rng([seed, t]))
         dist0 = np.linalg.norm(h0 - h_star)
-        if dist0 < DIST_GUARD:
+        if dist0 < DIST_GUARD * np.sqrt(e_h):
             continue
         w = clf.scaled_columns[:, c]
         cos0 = min(float(h0 @ w / (np.linalg.norm(h0) * np.linalg.norm(w))), 1.0)
