@@ -276,7 +276,6 @@ _KINDS = {
     int: (_is_int, "an integer >= 1"),
     float: (lambda v: _finite(v) is not None, "a finite number"),
     tuple: (_int_list(-math.inf), "a list of integers"),
-    str: (lambda v: isinstance(v, str), "a string"),
 }
 
 
@@ -287,7 +286,7 @@ def _schema(cls, *skip, **extra):
 #: the keys each block may set, with their checks; ``seeds`` and
 #: ``regimes`` are top-level lists
 _BLOCKS = {
-    "dataset": _schema(SyntheticDatasetSpec, "seed", train_csv=_KINDS[str], test_csv=_KINDS[str],
+    "dataset": _schema(SyntheticDatasetSpec, "seed",
                        test_per_class=(lambda v: _is_int(v, 0), "an integer >= 0 (0: n_max)")),
     "model": {"hidden_sizes": (_int_list(1), "a list of integers >= 1"),
               "feature_dim": _KINDS[int]},
@@ -307,8 +306,7 @@ _TOP = {
 def _check_config(cfg):
     """Check a train config before any run; a bad value raises ConfigError naming it.
 
-    Required are the dataclass fields without a default; an external
-    dataset (``train_csv``) needs ``num_classes`` and takes only ``test_csv`` besides.
+    Required are the dataclass fields without a default.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -323,16 +321,7 @@ def _check_config(cfg):
                               f"'{block}' allows {', '.join(sorted(allowed))}")
         cls = {"dataset": SyntheticDatasetSpec, "train": tr.TrainConfig}.get(block)
         required = [f.name for f in fields(cls) if f.default is MISSING] if cls else []
-        keys = (["num_classes"] if "train_csv" in node else required) + list(node)
-        checks += [(f"{block}.{key}", node, key, allowed[key]) for key in keys]
-    ds = cfg.get("dataset", {})
-    if "train_csv" in ds:  # an external dataset: a generator key would be ignored
-        ignored = sorted(set(ds) - {"num_classes", "train_csv", "test_csv"})
-        if ignored:
-            raise ConfigError(f"config field 'dataset.{ignored[0]}' does not apply with "
-                              "'dataset.train_csv', which allows num_classes and test_csv")
-    elif "test_csv" in ds:
-        raise ConfigError("config field 'dataset.test_csv' needs 'dataset.train_csv'")
+        checks += [(f"{block}.{key}", node, key, allowed[key]) for key in required + list(node)]
     checks += [(key, cfg, key, check) for key, check in _TOP.items()]
     for path, node, key, (test, what) in checks:
         if key not in node:
@@ -350,24 +339,10 @@ def _check_config(cfg):
     if K < 2:
         raise ConfigError(f"config field 'dataset.num_classes' must be >= 2, got {K}")
     for path, d in (("model.feature_dim", model["feature_dim"]),
-                    ("dataset.input_dim", K if "train_csv" in ds else ds["input_dim"])):
+                    ("dataset.input_dim", ds["input_dim"])):
         if d < K - 1:  # an ETF frame of K classes spans K-1 dimensions
             raise ConfigError(f"config field '{path}' must be >= "
                               f"dataset.num_classes - 1 = {K - 1}, got {d}")
-
-
-def _load_dataset(path, num_classes, dim=None):
-    """One dataset CSV; it must hold a row of every class, and ``dim`` features if given."""
-    try:
-        with _blame("dataset file"):
-            data = tr.load_dataset_csv(path, num_classes)
-    except OSError as e:
-        raise ConfigError(f"cannot read dataset file {path}: {e.strerror}") from None
-    with _blame(f"dataset file: {path}"):
-        data.counts()
-    if dim not in (None, data.dim):
-        raise ConfigError(f"dataset file: {path}: has {data.dim} features, not {dim}")
-    return data
 
 
 def _train_workers(runs):
@@ -426,15 +401,9 @@ def cmd_train(args):
     with _blame("config block 'train'"):
         configs = {(seed, regime): tr.TrainConfig(regime=regime, seed=seed, **cfg["train"])
                    for seed in seeds for regime in regimes}
-    if "train_csv" in ds:  # an external dataset replaces the generator; read each file once
-        train_set = _load_dataset(ds["train_csv"], ds["num_classes"])
-        test_set = (_load_dataset(ds["test_csv"], ds["num_classes"], train_set.dim)
-                    if "test_csv" in ds else train_set)
-        datasets = dict.fromkeys(seeds, (train_set, test_set))
-    else:
-        with _blame("config block 'dataset'"):
-            datasets = {seed: tr.make_imbalanced_dataset(SyntheticDatasetSpec(
-                **dict(ds, seed=derive_seed(seed, "dataset")))) for seed in seeds}
+    with _blame("config block 'dataset'"):
+        datasets = {seed: tr.make_imbalanced_dataset(SyntheticDatasetSpec(
+            **dict(ds, seed=derive_seed(seed, "dataset")))) for seed in seeds}
     sizes = [datasets[seeds[0]][0].dim, *model_cfg["hidden_sizes"], model_cfg["feature_dim"]]
     keys = [(seed, regime) for seed in seeds for regime in regimes]
     with _blame("config block 'model'"):  # before any training: numpy may refuse a size

@@ -178,6 +178,7 @@ class Trajectory:
     stop_reason: str = ""
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each overflow ends as a NumericDivergence
 def optimize(problem: PeeledProblem, loss_kind: str, step_size: float, max_steps: int,
              stop_tol: float = 0.0) -> Trajectory:
     """Projected gradient descent on a peeled problem.
@@ -186,7 +187,9 @@ def optimize(problem: PeeledProblem, loss_kind: str, step_size: float, max_steps
     LPM mode the classifier columns take the analogous projected step
     against the averaged objective. Stops at max_steps, or when the
     optimality gap (DLPM with oracle) or the displacement norm
-    (otherwise) falls below stop_tol.
+    (otherwise) falls below stop_tol. A step that leaves the features or
+    the classifier non-finite, or a record whose loss, gap or class mean
+    distance to the optimum is not finite, raises NumericDivergence.
     """
     if loss_kind not in ("ce", "dr"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -232,8 +235,11 @@ def optimize(problem: PeeledProblem, loss_kind: str, step_size: float, max_steps
             gap = float(np.abs(dots, out=dots).max())
             dists = row_norms(np.subtract(X, h_rows, out=D))
             mean_d = np.array([np.add.reduce(dists[a:b]) / (b - a) for a, b in spans])
+            finite = math.isfinite(gap) and np.isfinite(mean_d).all()
         else:
-            gap, mean_d = float("nan"), np.full(problem.num_classes, np.nan)
+            gap, mean_d, finite = float("nan"), np.full(problem.num_classes, np.nan), True
+        if not (finite and math.isfinite(loss)):
+            raise NumericDivergence(f"loss or distance to the optimum out of range at step {step}")
         return StepRecord(step, loss, gap, grad_norm, mean_d)
 
     # the terms of X_t give the record of step t and the gradient of step t+1
@@ -247,10 +253,8 @@ def optimize(problem: PeeledProblem, loss_kind: str, step_size: float, max_steps
             np.subtract(np.matmul(aux, Wmat.T, out=D), cols.T, out=D)
         else:
             np.multiply(aux[:, None], cols.T, out=D)
-        # overflow here surfaces as the divergence error below
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(X, np.multiply(step_size, D, out=D), out=X_new)
-            _project_rows(X_new, problem.e_h)
+        np.subtract(X, np.multiply(step_size, D, out=D), out=X_new)
+        _project_rows(X_new, problem.e_h)
         if not fixed:
             dlogits = aux - onehot if loss_kind == "ce" else aux[:, None] * onehot
             Gw = X.T @ dlogits / N

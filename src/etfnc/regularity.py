@@ -185,6 +185,9 @@ def run_regularity_sweep(
                     raise NumericDivergence(f"non-finite step in trial {t}")
                 h1 = project_ball(pre, e_h)
                 h1_sq = h1.dot(h1)
+                raw_ratio = float(_squared(_norm(pre - h_star)) / dist0_sq)
+                if not math.isfinite(raw_ratio):  # |pre - h*|^2 overflows, or dist0^2 underflows
+                    raise NumericDivergence(f"raw ratio not finite in trial {t} at delta={delta:g}")
                 records.append(
                     RegularityRecord(
                         trial=t,
@@ -194,7 +197,7 @@ def run_regularity_sweep(
                         class_index=c,
                         cos_before=cos0,
                         ratio=float(_squared(_norm(h1 - h_star)) / dist0_sq),
-                        raw_ratio=float(_squared(_norm(pre - h_star)) / dist0_sq),
+                        raw_ratio=raw_ratio,
                         bound=bound,
                         uniformity_dev=uniformity_dev,
                         sphere_dev=float(abs(h1_sq - e_h)),
@@ -260,13 +263,17 @@ def check_sweep(steps, deltas, runs):
             }
             if paired:
                 raw_ok = [c.raw_ratio >= d.raw_ratio - DOMINANCE_SLACK for c, d in paired]
-                cfg.update(
-                    raw_dominance_frac=float(np.mean(raw_ok)),
-                    mean_ce_raw=float(np.mean([c.raw_ratio for c, _ in paired])),
-                    mean_dr_raw=float(np.mean([d.raw_ratio for _, d in paired])),
-                    mean_ce_ratio=float(np.mean([c.ratio for c, _ in paired])),
-                    mean_dr_ratio=float(np.mean([d.ratio for _, d in paired])),
-                )
+                with np.errstate(over="ignore"):  # a sum past float range is refused below
+                    cfg.update(
+                        raw_dominance_frac=float(np.mean(raw_ok)),
+                        mean_ce_raw=float(np.mean([c.raw_ratio for c, _ in paired])),
+                        mean_dr_raw=float(np.mean([d.raw_ratio for _, d in paired])),
+                        mean_ce_ratio=float(np.mean([c.ratio for c, _ in paired])),
+                        mean_dr_ratio=float(np.mean([d.ratio for _, d in paired])),
+                    )
+                if not all(math.isfinite(v) for k, v in cfg.items() if k.startswith("mean_")):
+                    raise NumericDivergence(
+                        f"mean ratio overflows at delta={delta:g}, gamma_ce={gamma:g}")
                 passed &= (cfg["raw_dominance_frac"] >= DOMINANCE_FRAC
                            and cfg["mean_ce_raw"] >= cfg["mean_dr_raw"] - DOMINANCE_SLACK)
             elif dr:

@@ -60,9 +60,12 @@ def table(cls, records) -> tuple:
 
 
 def write_json(path, obj):
-    """Write JSON with sorted keys and a trailing newline (stable bytes)."""
+    """Write JSON with sorted keys and a trailing newline (stable bytes).
+
+    A NaN or infinity is not JSON: it raises ValueError, never writes ``Infinity``.
+    """
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

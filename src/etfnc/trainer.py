@@ -174,40 +174,6 @@ def make_imbalanced_dataset(spec: SyntheticDatasetSpec):
         return draw(rng_train, counts), draw(rng_test, np.full(K, per_test))
 
 
-def load_dataset_csv(path, num_classes: int) -> FeatureBatch:
-    """Read a ``label,x0,...`` CSV of K classes; a bad row or value raises ValueError naming it."""
-    import csv as _csv
-
-    with open(path, newline="") as f:
-        reader = _csv.reader(f)
-        header = next(reader, None)
-        try:
-            int(header[0])
-        except (TypeError, IndexError, ValueError):  # no line, a blank line or a header
-            pass
-        else:  # the header would be skipped, and a sample with it
-            raise ValueError(f"{path}: line 1 is a data row, not the header (label,x0,...)")
-        ys, xs = [], []
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            try:
-                label, x = int(row[0]), [float(v) for v in row[1:]]
-            except (IndexError, ValueError):
-                raise ValueError(f"{where}: expected an integer label followed by numbers") from None
-            if not 0 <= label < num_classes:
-                raise ValueError(f"{where}: label {label} outside [0, {num_classes})")
-            if xs and len(x) != len(xs[0]):
-                raise ValueError(f"{where}: {len(x)} features, the first row has {len(xs[0])}")
-            ys.append(label)
-            xs.append(x)
-    if not ys:
-        raise ValueError(f"{path}: no data rows")
-    try:
-        return FeatureBatch(xs, ys, num_classes)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-
-
 # --- training ---------------------------------------------------------------
 
 

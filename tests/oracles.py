@@ -3,15 +3,13 @@
 The library computes losses and gradients through the batch kernels
 ``ce_terms`` and ``dr_terms``; these functions restate the paper's
 per-sample forms (eqs. (3)-(7)) for the tests to compare against, along
-with the CSV writers and readers the tests use to round-trip data.
+with the reader of the ``frame.csv`` text that the tests round-trip.
 """
 
 import numpy as np
 
-from etfnc.batches import FeatureBatch
 from etfnc.etf import EtfFrame
 from etfnc.losses import ce_terms, decompose_pull_push_classifier, decompose_pull_push_feature
-from etfnc.serialize import write_csv
 
 
 def ce_loss(h, label, W) -> float:
@@ -45,13 +43,6 @@ def feature_normalize(h, e_h) -> np.ndarray:
     if n <= 1e-12:
         raise ValueError("cannot normalize a (near-)zero feature vector")
     return h * (np.sqrt(e_h) / n)
-
-
-def save_dataset_csv(path, dataset: FeatureBatch):
-    """Write a dataset as the ``label,x0,...`` CSV that ``load_dataset_csv`` reads."""
-    header = ["label"] + [f"x{i}" for i in range(dataset.dim)]
-    rows = [[int(y), *x] for y, x in zip(dataset.labels, dataset.features)]
-    write_csv(path, header, rows)
 
 
 def frame_from_csv_text(text: str, rotation_seed: int = 0) -> EtfFrame:

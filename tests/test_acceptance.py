@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
+``test_claim_3_*`` pins claim 3 of README's claims ledger on criterion 3's instance.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete. Every tolerance is pinned here; nothing is deferred.
 """
@@ -127,6 +129,27 @@ def test_criterion_3_dlpm_oracle_equivalence():
         ok,
         "; ".join(f"{k}: gap {g:.2e} in <= {s} steps" for k, (g, s) in results.items()),
     )
+
+
+def test_claim_3_dr_steps_do_not_grow_with_scale():
+    """Paper claim 3 on criterion 3's instance: DR needs as many steps at E_H = E_W = 16 as
+    at 1, while CE at a fixed rate stops in 3 steps at 1 and stalls within 5000 at 16.
+
+    The gap is compared with 1e-3 sqrt(E_H E_W), its size relative to the optimum.
+    Measured: DR stops at step 1095 at both scales; CE at 16 ends at gap 0.354 sqrt(E_H E_W).
+    """
+    frame = e.generate_etf(16, 10, 0)
+
+    def run(loss_kind, gamma, scale):
+        prob = dlpm_problem(e.uniform_classifier(frame, scale), COUNTS_C3, scale, 0)
+        return optimize(prob, loss_kind, gamma, max_steps=5000, stop_tol=1e-3 * scale)
+
+    dr = [run("dr", 512.0, scale) for scale in (1.0, 16.0)]
+    assert [t.stop_reason for t in dr] == ["gap", "gap"]
+    assert dr[0].records[-1].step == dr[1].records[-1].step
+    ce = [run("ce", 32.0, scale) for scale in (1.0, 16.0)]
+    assert ce[0].stop_reason == "gap"
+    assert ce[1].stop_reason == "max_steps" and ce[1].records[-1].gap >= 1e-3 * 16.0
 
 
 def test_criterion_4_contraction_bound_and_dominance():

@@ -19,8 +19,6 @@ from etfnc.batches import FeatureBatch
 from etfnc.etf import generate_etf, uniform_classifier
 from etfnc.regularity import check_sweep, run_regularity_sweep
 from etfnc.serialize import derive_seed
-from etfnc.trainer import SyntheticDatasetSpec, make_imbalanced_dataset
-from oracles import save_dataset_csv
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -353,29 +351,6 @@ class TestTrainCommand:
             assert summary["by_regime"][regime] == {
                 "mean_bal_acc": np.mean(accs), "std_bal_acc": np.std(accs), "runs": 3}
 
-    def test_csv_dataset_trains_as_its_generator(self, tmp_path):
-        """The generated dataset, written as train_csv/test_csv, trains to the same bytes."""
-        regimes = ["learnable-wce", "etf-dr"]
-        generated = write_train_config(tmp_path / "generated.json", regimes=regimes)
-        spec = dict(json.loads(generated.read_text())["dataset"], seed=derive_seed(0, "dataset"))
-        train_set, test_set = make_imbalanced_dataset(SyntheticDatasetSpec(**spec))
-        save_dataset_csv(tmp_path / "train.csv", train_set)
-        save_dataset_csv(tmp_path / "test.csv", test_set)
-        from_csv = write_train_config(tmp_path / "from_csv.json", regimes=regimes, dataset={
-            "num_classes": 3, "train_csv": str(tmp_path / "train.csv"),
-            "test_csv": str(tmp_path / "test.csv")})
-        payloads, summaries = [], []
-        for cfg in (generated, from_csv):
-            out = tmp_path / cfg.stem
-            assert run("train", "--config", cfg, "--out", out) == EXIT_OK
-            payloads.append(payload_bytes(out))
-            summaries.append(json.loads(payloads[-1].pop("summary.json")))
-            assert summaries[-1].pop("config_file") == str(cfg)
-        assert sorted(payloads[0]) == sorted(f"{kind}_{regime}_seed0.{ext}" for regime in regimes
-                                             for kind, ext in (("trainlog", "csv"), ("model", "json")))
-        assert payloads[0] == payloads[1]
-        assert summaries[0] == summaries[1]
-
     def test_integer_in_float_field_runs_as_float(self, tmp_path):
         """A JSON integer past int64 in a float field runs as the float it names."""
         cfg = tmp_path / "cfg.json"
@@ -406,15 +381,6 @@ class TestTrainCommand:
         assert "train: learnable-ce seed 0" in out.out and "numeric divergence" in out.err
         assert not (tmp_path / "x").exists()
 
-    def test_bad_dataset_row_named(self, tmp_path, capsys):
-        data = tmp_path / "data.csv"
-        data.write_text("label,x0,x1\n0,1.0,2.0\n1,0.5\n")
-        cfg = write_train_config(
-            tmp_path / "cfg.json", dataset={"num_classes": 2, "train_csv": str(data)}
-        )
-        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
-        assert f"{data} line 3: 1 features" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "block,value,message",
         [
@@ -437,8 +403,9 @@ class TestTrainCommand:
              "'train.momentum' must be a finite number, got None"),
             ("dataset", {"num_classes": 3, "input_dim": 6, "n_max": "10", "imbalance_ratio": 0.25},
              "'dataset.n_max' must be an integer >= 1, got '10'"),
-            ("dataset", {"num_classes": 3, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25,
-                         "test_csv": "t.csv"}, "'dataset.test_csv' needs 'dataset.train_csv'"),
+            # a dataset comes from the generator only; train() takes arrays through the library
+            ("dataset", {"num_classes": 3, "train_csv": "t.csv"},
+             "config has unknown key 'dataset.train_csv'"),
             ("model", {"hidden_sizes": 3}, "'model.hidden_sizes' must be a list of integers >= 1"),
             ("seeds", [0.5],
              "'seeds' must be a list of one or more integers >= 0 and < 2**63, got [0.5]"),
@@ -516,28 +483,6 @@ class TestTrainCommand:
         assert "invalid choice: 'report'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("key", ["train_csv", "test_csv"])
-    def test_missing_dataset_file_named(self, tmp_path, capsys, key):
-        data = tmp_path / "data.csv"
-        data.write_text("label,x0\n0,1.0\n1,2.0\n")
-        dataset = {"num_classes": 2, "train_csv": str(data), key: str(tmp_path / "nope.csv")}
-        cfg = write_train_config(tmp_path / "cfg.json", dataset=dataset)
-        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
-        assert f"cannot read dataset file {tmp_path / 'nope.csv'}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key,value", [("imbalance_ratio", 7.0), ("noise_scale", -3.0),
-                                           ("test_per_class", 9), ("n_max", 5), ("input_dim", 1)])
-    def test_csv_dataset_takes_no_generator_key(self, tmp_path, capsys, key, value):
-        """Next to train_csv a generator key would be ignored, so it is refused."""
-        data = tmp_path / "data.csv"
-        data.write_text("label,x0\n0,1.0\n1,2.0\n2,3.0\n")
-        dataset = {"num_classes": 3, "train_csv": str(data), key: value}
-        cfg = write_train_config(tmp_path / "cfg.json", dataset=dataset, train={"epochs": 1})
-        assert run("train", "--config", cfg, "--out", tmp_path / "x") == EXIT_CONFIG
-        assert f"'dataset.{key}' does not apply with 'dataset.train_csv'" in (
-            capsys.readouterr().err)
-        assert not (tmp_path / "x").exists()
-
     def test_missing_config_file(self, tmp_path):
         assert run("train", "--config", tmp_path / "nope.json", "--out", tmp_path / "x") == EXIT_CONFIG
 
@@ -560,10 +505,6 @@ class TestTrainCommand:
             run("train", "--config", cfg, "--out", out)
             payloads.append(payload_bytes(out))
         assert payloads[0] == payloads[1]
-
-
-#: a dataset CSV of three classes with no row of class 2
-NO_CLASS_2 = "label,x0,x1\n0,1,2\n1,2,3\n0,3,4\n"
 
 
 class TestTrainPool:
@@ -803,29 +744,6 @@ class TestInputRefusedBeforeOutput:
         assert f"config block 'dataset': n_max={n_max} is too large" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key,text,message", [
-        ("train_csv", "0,1,2\n1,2,3\n2,3,4\n0,1.5,2\n", "line 1 is a data row, not the header"),
-        ("train_csv", NO_CLASS_2, "class 2 has no samples"),
-        ("test_csv", NO_CLASS_2, "class 2 has no samples"),
-        ("test_csv", "label,x0\n0,1\n1,2\n2,3\n", "has 1 features, not 2"),
-        ("train_csv", "label,x0,x1\n0,1,2\n1,nan,3\n2,3,4\n",
-         "features contain non-finite entries"),
-        ("test_csv", "label,x0,x1\n0,1,2\n1,2,-inf\n2,3,4\n",
-         "features contain non-finite entries"),
-    ])
-    def test_dataset_files(self, tmp_path, capsys, key, text, message):
-        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-        good.write_text("label,x0,x1\n0,1,2\n1,2,3\n2,3,4\n0,1.5,2\n")
-        bad.write_text(text)
-        dataset = {"num_classes": 3, "train_csv": str(good), key: str(bad)}
-        cfg = write_train_config(tmp_path / "cfg.json", dataset=dataset,
-                                 model={"hidden_sizes": [4], "feature_dim": 3})
-        out = tmp_path / "x"
-        assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
-        assert f"dataset file: {bad}: {message}" in capsys.readouterr().err
-        assert not out.exists()
-
-
 class TestNumericBreakdownDiverges:
     """A number out of floating-point range mid-run exits 3 where it happens."""
 
@@ -838,6 +756,11 @@ class TestNumericBreakdownDiverges:
          "no finite projection"),
         # a subnormal E_W: the norms of the probed columns underflow
         (("--mode", "lpm", "--loss", "ce", "--e-w", "5e-324"), "column underflow"),
+        # the step-0 record overflows: DR's squared residual, and |h - h*|^2 near 4 E_H
+        (("--mode", "dlpm", "--loss", "dr", "--e-w", "1e308"),
+         "loss or distance to the optimum out of range at step 0"),
+        (("--mode", "dlpm", "--loss", "ce", "--e-h", "1.7976931348623157e308"),
+         "loss or distance to the optimum out of range at step 0"),
     ])
     def test_peeled(self, tmp_path, capsys, argv, message):
         code = run("peeled", "--K", 4, "--d", 6, "--counts", "5,3,2,1", "--steps", 20, *argv,
@@ -855,6 +778,12 @@ class TestNumericBreakdownDiverges:
         (("--gammas", "1e300"), "no finite projection"),
         # a subnormal |h0|^2 = E_H: project_ball's ulp nudges would not shrink it
         (("--e-h", "1e-320"), "start of trial 0 at delta=0.01 left the sphere"),
+        # CE's raw ratio |pre - h*|^2 / |h0 - h*|^2 overflows; summary.json would hold Infinity
+        (("--gammas", "1e153"), "raw ratio not finite in trial 0 at delta=0.01"),
+        (("--e-h", "1e-307"), "raw ratio not finite in trial 0 at delta=0.01"),
+        # every raw ratio is finite, about 1e307, but the sum of 20 overflows in their mean
+        (("--gammas", "1e152", "--trials", "20"),
+         "mean ratio overflows at delta=0.01, gamma_ce=1e+152"),
     ])
     def test_regularity_start(self, tmp_path, capsys, argv, message):
         code = run("regularity", "--K", 4, "--d", 6, "--trials", 5, *argv, "--out", tmp_path / "x")

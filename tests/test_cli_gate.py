@@ -4,7 +4,9 @@ Every input must end in exit 0 (ok), 2 (config error), 3 (numeric
 divergence) or 4 (failed check); an exception out of ``main`` is a bug.
 A command writes nothing itself; ``main`` writes its payloads only after it
 returned, so after exit 2 or 3 no ``--out`` directory may exist, for any
-command. Each example redraws a few values of a small valid input, so most
+command; after exit 0 or 4 every JSON payload must parse as standard JSON
+(no NaN or Infinity). A warning is an error, as everywhere in the suite.
+Each example redraws a few values of a small valid input, so most
 examples still run. Floats range over all finite values, 1e300 and
 negatives included, and seeds include -1 (and 2**63 and 10**300 in a train
 config); every size (K, d, counts, epochs, steps, trials) stays small
@@ -15,7 +17,6 @@ import json
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,6 +47,11 @@ def argv(flags):
     return [f"--{name.replace('_', '-')}={value}" for name, value in flags.items()]
 
 
+def refuse_constant(name):
+    """``json.loads``'s hook for NaN, Infinity and -Infinity, which standard JSON lacks."""
+    raise AssertionError(f"a payload holds {name}, which is not JSON")
+
+
 def check_exit(args):
     """Run ``etfnc *args --out <fresh dir>``, apply the gate's assertions, return the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -54,10 +60,12 @@ def check_exit(args):
         assert code in EXIT_CODES
         if code in (EXIT_CONFIG, EXIT_DIVERGED):
             assert not out.exists()
+        else:  # NaN and Infinity are not JSON
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=refuse_constant)
         return code
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestExitCodeGate:
     @GATE
     @given(mutated({"d": 3, "K": 4},

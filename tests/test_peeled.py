@@ -403,6 +403,8 @@ def _reference_optimize(problem, loss_kind, step_size, max_steps, stop_tol=0.0):
         else:
             gap = float("nan")
             mean_d = np.full(problem.num_classes, np.nan)
+        if not np.isfinite([loss, *([gap, *mean_d] if has_oracle else [])]).all():
+            raise NumericDivergence(f"loss or distance to the optimum out of range at step {step}")
         return StepRecord(step, loss, gap, grad_norm, mean_d)
 
     per_sample, aux = loss_terms(X, labels)

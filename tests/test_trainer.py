@@ -17,7 +17,6 @@ from etfnc.trainer import (
     TrainConfig,
     balanced_accuracy,
     class_weights,
-    load_dataset_csv,
     make_imbalanced_dataset,
     train,
 )
@@ -28,7 +27,7 @@ from etfnc.trainer import (
     _normalize_rows,
     _normalize_rows_vjp,
 )
-from oracles import ce_loss, dr_loss, feature_normalize, save_dataset_csv
+from oracles import ce_loss, dr_loss, feature_normalize
 
 
 class TestDatasetSpec:
@@ -79,45 +78,6 @@ class TestDatasetSpec:
         assert np.array_equal(tr1.features, tr2.features)
         assert np.array_equal(te1.features, te2.features)
         np.testing.assert_array_equal(np.bincount(te1.labels), [7, 7, 7])
-
-    def test_csv_roundtrip(self, tmp_path):
-        spec = SyntheticDatasetSpec(num_classes=3, input_dim=4, n_max=8, imbalance_ratio=0.5, seed=0)
-        train_set, _ = make_imbalanced_dataset(spec)
-        path = tmp_path / "data.csv"
-        save_dataset_csv(path, train_set)
-        back = load_dataset_csv(path, num_classes=3)
-        assert np.array_equal(back.labels, train_set.labels)
-        assert np.abs(back.features - train_set.features).max() < 1e-15
-
-    @pytest.mark.parametrize(
-        "bad_row,message",
-        [
-            ("3,0.5,0.5", "line 3: label 3 outside [0, 3)"),
-            ("-1,0.5,0.5", "line 3: label -1 outside [0, 3)"),
-            ("1,0.5", "line 3: 1 features, the first row has 2"),
-            ("1,0.5,abc", "line 3: expected an integer label followed by numbers"),
-        ],
-    )
-    def test_csv_bad_row_named(self, tmp_path, bad_row, message):
-        path = tmp_path / "data.csv"
-        path.write_text(f"label,x0,x1\n0,1.0,2.0\n{bad_row}\n2,0.0,0.0\n")
-        with pytest.raises(ValueError) as err:
-            load_dataset_csv(path, num_classes=3)
-        assert str(err.value) == f"{path} {message}"
-
-    def test_csv_without_header_rejected(self, tmp_path):
-        """Line 1 is read as the header; a data row there would be dropped."""
-        path = tmp_path / "data.csv"
-        path.write_text("0,1,2\n1,2,3\n2,3,4\n0,1.5,2\n")
-        with pytest.raises(ValueError) as err:
-            load_dataset_csv(path, num_classes=3)
-        assert str(err.value) == f"{path}: line 1 is a data row, not the header (label,x0,...)"
-
-    def test_csv_without_rows_rejected(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("label,x0\n")
-        with pytest.raises(ValueError, match="no data rows"):
-            load_dataset_csv(path, num_classes=3)
 
 
 def reference_forward(model, x):
