@@ -12,8 +12,8 @@ inputs reproduces every CSV/JSON payload byte for byte (wall-clock time
 appears only in the manifest). Seeds fan out per component via
 serialize.derive_seed. Exit codes: 0 ok, 2 bad config/flags, 3 numeric
 divergence, 4 a verification/acceptance check failed, 1 a bug (traceback).
-This module parses argv and JSON and checks types; range rules and verdicts
-live in the library (TrainConfig, the peeled problem builders, check_sweep).
+This module parses argv and checks flags and a train config's JSON shape; value
+rules and verdicts live in the library (the config types, peeled problems, check_sweep).
 A ValueError or MemoryError raised while building a run's inputs becomes a
 ConfigError naming the flag, config block or file.
 Each cmd_* function writes nothing: it returns its exit code, the config
@@ -39,7 +39,8 @@ import numpy as np
 from . import peeled as lp
 from . import regularity as reg
 from . import trainer as tr
-from .etf import GramReport, frame_to_json_dict, generate_etf, uniform_classifier, verify_etf
+from .etf import (STRUCT_TOL, GramReport, frame_to_json_dict, generate_etf, uniform_classifier,
+                  verify_etf)
 from .losses import NumericDivergence
 from .serialize import derive_seed, sha256_file, table, write_csv, write_json
 from .trainer import SyntheticDatasetSpec
@@ -262,38 +263,19 @@ def _int_list(low):
     return lambda v: isinstance(v, list) and all(_is_int(n, low) for n in v)
 
 
-def _finite(v):
-    """``v`` as a finite float, or None: JSON true is an int to Python, json.load reads NaN."""
-    try:
-        v = float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else math.nan
-    except OverflowError:  # an integer past float range
-        return None
-    return v if math.isfinite(v) else None
+def _keys(cls, *skip):
+    """(settable keys, required keys) of a block that builds ``cls``: its fields but ``skip``."""
+    return ([f.name for f in fields(cls) if f.name not in skip],
+            [f.name for f in fields(cls) if f.default is MISSING])
 
 
-#: (test, what the value must be) per field type of the config dataclasses
-_KINDS = {
-    int: (_is_int, "an integer >= 1"),
-    float: (lambda v: _finite(v) is not None, "a finite number"),
-    tuple: (_int_list(-math.inf), "a list of integers"),
-}
-
-
-def _schema(cls, *skip, **extra):
-    return {**{f.name: _KINDS[f.type] for f in fields(cls) if f.name not in skip}, **extra}
-
-
-#: the keys each block may set, with their checks; ``seeds`` and
-#: ``regimes`` are top-level lists
-_BLOCKS = {
-    "dataset": _schema(SyntheticDatasetSpec, "seed",
-                       test_per_class=(lambda v: _is_int(v, 0), "an integer >= 0 (0: n_max)")),
-    "model": {"hidden_sizes": (_int_list(1), "a list of integers >= 1"),
-              "feature_dim": _KINDS[int]},
-    "train": _schema(tr.TrainConfig, "regime", "seed"),
-}
-#: what ``model`` holds when the config leaves a key out
+#: what ``model`` holds when the config leaves a key out, and (test, what it must be) per key
 _MODEL_DEFAULTS = {"hidden_sizes": [64], "feature_dim": 16}
+_MODEL = {"hidden_sizes": (_int_list(1), "a list of integers >= 1"),
+          "feature_dim": (_is_int, "an integer >= 1")}
+#: the (settable, required) keys of each block; a run's seed and regime come from the top level
+_BLOCKS = {"dataset": _keys(SyntheticDatasetSpec, "seed"), "model": (list(_MODEL), []),
+           "train": _keys(tr.TrainConfig, "regime", "seed")}
 _TOP = {
     "regimes": ((lambda v: isinstance(v, list) and len(v) > 0 and all(r in tr.REGIMES for r in v)),
                 f"a list of one or more regimes from {', '.join(tr.REGIMES)}"),
@@ -304,14 +286,13 @@ _TOP = {
 
 
 def _check_config(cfg):
-    """Check a train config before any run; a bad value raises ConfigError naming it.
+    """Check a train config's JSON shape before any run; return its model block with defaults.
 
-    Required are the dataclass fields without a default.
+    A bad shape raises ConfigError naming the key; the config types check the values.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    checks = []  # (path, node, key, (test, what))
-    for block, allowed in _BLOCKS.items():
+    for block, (allowed, required) in _BLOCKS.items():
         node = cfg.get(block, {})
         if not isinstance(node, dict):
             raise ConfigError(f"config field '{block}' must be an object")
@@ -319,30 +300,26 @@ def _check_config(cfg):
         if unknown:
             raise ConfigError(f"config has unknown key '{block}.{unknown[0]}'; "
                               f"'{block}' allows {', '.join(sorted(allowed))}")
-        cls = {"dataset": SyntheticDatasetSpec, "train": tr.TrainConfig}.get(block)
-        required = [f.name for f in fields(cls) if f.default is MISSING] if cls else []
-        checks += [(f"{block}.{key}", node, key, allowed[key]) for key in required + list(node)]
-    checks += [(key, cfg, key, check) for key, check in _TOP.items()]
+        missing = [key for key in required if key not in node]
+        if missing:
+            raise ConfigError(f"config is missing required field '{block}.{missing[0]}'")
+    model = {**_MODEL_DEFAULTS, **cfg.get("model", {})}
+    checks = ([(f"model.{key}", model, key, check) for key, check in _MODEL.items()]
+              + [(key, cfg, key, check) for key, check in _TOP.items()])
     for path, node, key, (test, what) in checks:
         if key not in node:
             raise ConfigError(f"config is missing required field '{path}'")
         if not test(node[key]):
             raise ConfigError(f"config field '{path}' must be {what}, got {node[key]!r}")
-        if (test, what) == _KINDS[float]:  # a JSON integer runs as the float it names
-            node[key] = float(node[key])
     for key in _TOP:  # a repeat would train twice and write one payload name twice
         repeated = [v for i, v in enumerate(cfg[key]) if v in cfg[key][:i]]
         if repeated:
             raise ConfigError(f"config field '{key}' repeats {repeated[0]!r}")
-    ds, model = cfg["dataset"], {**_MODEL_DEFAULTS, **cfg.get("model", {})}
-    K = ds["num_classes"]
-    if K < 2:
-        raise ConfigError(f"config field 'dataset.num_classes' must be >= 2, got {K}")
-    for path, d in (("model.feature_dim", model["feature_dim"]),
-                    ("dataset.input_dim", ds["input_dim"])):
-        if d < K - 1:  # an ETF frame of K classes spans K-1 dimensions
-            raise ConfigError(f"config field '{path}' must be >= "
-                              f"dataset.num_classes - 1 = {K - 1}, got {d}")
+    K = cfg["dataset"]["num_classes"]  # SyntheticDatasetSpec refuses a K that is no integer
+    if _is_int(K) and model["feature_dim"] < K - 1:  # an ETF of K classes spans K-1 dims
+        raise ConfigError(f"config field 'model.feature_dim' must be >= "
+                          f"dataset.num_classes - 1 = {K - 1}, got {model['feature_dim']}")
+    return model
 
 
 def _train_workers(runs):
@@ -395,9 +372,8 @@ def _train_run(i):
 
 def cmd_train(args):
     cfg = _read_json(args.config, "config file")
-    _check_config(cfg)
+    model_cfg = _check_config(cfg)
     ds, regimes, seeds = cfg["dataset"], cfg["regimes"], cfg["seeds"]
-    model_cfg = {**_MODEL_DEFAULTS, **cfg.get("model", {})}
     with _blame("config block 'train'"):
         configs = {(seed, regime): tr.TrainConfig(regime=regime, seed=seed, **cfg["train"])
                    for seed in seeds for regime in regimes}
@@ -456,7 +432,7 @@ def build_parser():
     sp = sub.add_parser("etf", help="generate and verify a simplex ETF")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=STRUCT_TOL)
     common(sp)
     sp.set_defaults(func=cmd_etf)
 

@@ -255,6 +255,7 @@ def optimize(problem: PeeledProblem, loss_kind: str, step_size: float, max_steps
             np.multiply(aux[:, None], cols.T, out=D)
         np.subtract(X, np.multiply(step_size, D, out=D), out=X_new)
         _project_rows(X_new, problem.e_h)
+        W_new = Wmat  # a fixed classifier: a non-finite entry already fails the step-0 loss
         if not fixed:
             dlogits = aux - onehot if loss_kind == "ce" else aux[:, None] * onehot
             Gw = X.T @ dlogits / N
@@ -264,10 +265,8 @@ def optimize(problem: PeeledProblem, loss_kind: str, step_size: float, max_steps
                 # were recorded with: matmul and axis-0 sums round by layout
                 W_new = np.asfortranarray(W_new)
             cols = W_new[:, labels]
-        else:
-            W_new = Wmat
 
-        if not (np.all(np.isfinite(X_new)) and np.all(np.isfinite(W_new))):
+        if not (np.all(np.isfinite(X_new)) and (fixed or np.all(np.isfinite(W_new)))):
             raise NumericDivergence(f"non-finite values encountered at step {t}")
 
         disp = row_norms(np.subtract(X_new, X, out=D)).max()

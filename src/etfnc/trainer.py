@@ -18,6 +18,7 @@ Each epoch logs the train loss, balanced test accuracy, and the full NC
 statistics bundle on both train and test features.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +122,26 @@ def class_weights(counts) -> np.ndarray:
 # --- synthetic data ---------------------------------------------------------
 
 
+def _check_int(config, name, low, high=2**63):
+    """Refuse field ``name`` unless it is an int (no bool) in [low, high); numpy sizes are int64."""
+    value = getattr(config, name)
+    if type(value) is not int or value < low:  # the type test first: no comparison can raise
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    if value >= high:
+        raise ValueError(f"{name}={value} is too large: it must be < 2**{high.bit_length() - 1}")
+
+
+def _check_float(config, name, ok=lambda v: True, rule=""):
+    """Store field ``name`` as a float: a number (no bool) in float range for which ``ok`` holds."""
+    value = getattr(config, name)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):  # NaN fails; an int compares exactly
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if not ok(value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    object.__setattr__(config, name, float(value))
+
+
 @dataclass(frozen=True)
 class SyntheticDatasetSpec:
     """Gaussian blobs on ETF-placed centers with exponentially decayed counts."""
@@ -135,18 +156,18 @@ class SyntheticDatasetSpec:
     test_per_class: int = 0  # 0 -> n_max
 
     def __post_init__(self):
-        if self.test_per_class >= 2**63:  # numpy sizes are int64
-            raise ValueError(
-                f"test_per_class={self.test_per_class} is too large: it must be < 2**63")
+        _check_int(self, "num_classes", 2)
+        _check_int(self, "input_dim", self.num_classes - 1)  # an ETF of K classes spans K-1 dims
+        _check_int(self, "n_max", 1, 2**53)  # n_k is rounded in float64: exact below 2**53
+        _check_float(self, "imbalance_ratio", lambda v: 0 < v <= 1, "in (0, 1]")
+        _check_float(self, "separation")
+        _check_float(self, "noise_scale")
+        _check_int(self, "seed", 0)
+        _check_int(self, "test_per_class", 0)
 
     def counts(self) -> np.ndarray:
         """n_k = round(n_max * tau^(k / (K-1)))."""
-        if not 0.0 < self.imbalance_ratio <= 1.0:
-            raise ValueError("imbalance_ratio must lie in (0, 1]")
-        K = self.num_classes
-        exponents = np.arange(K) / (K - 1) if K > 1 else np.zeros(1)
-        if self.n_max >= 2**53:  # n_k is rounded in float64, which holds integers exactly below 2**53
-            raise ValueError(f"n_max={self.n_max} is too large: it must be < 2**53")
+        exponents = np.arange(self.num_classes) / (self.num_classes - 1)
         n = np.rint(self.n_max * self.imbalance_ratio**exponents).astype(int)
         if np.any(n < 1):
             raise ValueError(f"n_max={self.n_max} and imbalance_ratio={self.imbalance_ratio} "
@@ -201,20 +222,23 @@ class TrainConfig:
             raise ValueError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
         if self.step_size is None:
             object.__setattr__(self, "step_size", _STEP_SIZES[self.regime])
-        for name, ok, rule in (("e_h", self.e_h > 0, "> 0"),
-                               ("step_size", self.step_size > 0, "> 0"),
-                               ("momentum", 0 <= self.momentum < 1, "in [0, 1)")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
-        ms = tuple(map(int, self.milestones))
-        in_range = not ms or (1 <= ms[0] and ms[-1] < self.epochs)
-        if not in_range or any(b <= a for a, b in zip(ms, ms[1:])):
+        _check_int(self, "epochs", 1)
+        _check_int(self, "batch_size", 1)
+        _check_int(self, "seed", 0)
+        _check_float(self, "e_h", lambda v: v > 0, "> 0")
+        _check_float(self, "step_size", lambda v: v > 0, "> 0")
+        _check_float(self, "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
+        ms = self.milestones
+        if not isinstance(ms, (list, tuple)) or any(type(m) is not int for m in ms):
+            raise ValueError(f"milestones must be a list of integers, got {ms!r}")
+        ends = (0, *ms, self.epochs)  # 0 < ms[0] < ... < ms[-1] < epochs
+        if any(b <= a for a, b in zip(ends, ends[1:])):
             raise ValueError("milestones must be strictly increasing and in [1, epochs), "
                              f"got {list(ms)}")
         if not ms:  # decay at 80% and 90% of the epochs, deduped for tiny epoch counts
             ms = tuple(sorted({m for m in (int(0.8 * self.epochs), int(0.9 * self.epochs))
                                if 0 < m < self.epochs}))
-        object.__setattr__(self, "milestones", ms)
+        object.__setattr__(self, "milestones", tuple(ms))
 
     @property
     def fixed_etf(self) -> bool:

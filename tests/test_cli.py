@@ -359,6 +359,14 @@ class TestTrainCommand:
             assert run("train", "--config", cfg, "--out", tmp_path / name) == EXIT_OK
         assert payload_bytes(tmp_path / "int") == payload_bytes(tmp_path / "float")
 
+    def test_null_step_size_is_the_regime_default(self, tmp_path):
+        """TrainConfig takes step_size None as the regime's default, so JSON null means unset."""
+        cfg = tmp_path / "cfg.json"
+        for name, train in (("null", {"epochs": 2, "step_size": None}), ("unset", {"epochs": 2})):
+            write_train_config(cfg, train=train)
+            assert run("train", "--config", cfg, "--out", tmp_path / name) == EXIT_OK
+        assert payload_bytes(tmp_path / "null") == payload_bytes(tmp_path / "unset")
+
     def test_missing_field_named(self, tmp_path, capsys):
         cfg = {"dataset": {"num_classes": 3}, "regimes": [], "seeds": []}
         path = tmp_path / "bad.json"
@@ -392,17 +400,19 @@ class TestTrainCommand:
                          "imbalance_ratio": 0.25, "colour": 1}, "unknown key 'dataset.colour'"),
             ("model", {"hidden_sizes": [8], "depth": 2}, "unknown key 'model.depth'"),
             ("model", [8], "config field 'model' must be an object"),
-            ("train", {"epochs": "x"}, "'train.epochs' must be an integer >= 1, got 'x'"),
-            ("train", {"epochs": 0}, "'train.epochs' must be an integer >= 1, got 0"),
-            ("train", {"epochs": 1.5}, "'train.epochs' must be an integer >= 1, got 1.5"),
+            ("train", {"epochs": "x"},
+             "config block 'train': epochs must be an integer >= 1, got 'x'"),
+            ("train", {"epochs": 0}, "config block 'train': epochs must be an integer >= 1, got 0"),
+            ("train", {"epochs": 1.5},
+             "config block 'train': epochs must be an integer >= 1, got 1.5"),
             ("train", {"epochs": 1, "batch_size": "x"},
-             "'train.batch_size' must be an integer >= 1, got 'x'"),
+             "config block 'train': batch_size must be an integer >= 1, got 'x'"),
             ("train", {"epochs": 1, "milestones": 5},
-             "'train.milestones' must be a list of integers, got 5"),
+             "config block 'train': milestones must be a list of integers, got 5"),
             ("train", {"epochs": 1, "momentum": None},
-             "'train.momentum' must be a finite number, got None"),
+             "config block 'train': momentum must be a finite number, got None"),
             ("dataset", {"num_classes": 3, "input_dim": 6, "n_max": "10", "imbalance_ratio": 0.25},
-             "'dataset.n_max' must be an integer >= 1, got '10'"),
+             "config block 'dataset': n_max must be an integer >= 1, got '10'"),
             # a dataset comes from the generator only; train() takes arrays through the library
             ("dataset", {"num_classes": 3, "train_csv": "t.csv"},
              "config has unknown key 'dataset.train_csv'"),
@@ -424,7 +434,7 @@ class TestTrainCommand:
             ("train", {"epochs": 1, "momentum": -0.5},
              "config block 'train': momentum must be in [0, 1), got -0.5"),
             ("dataset", {"num_classes": 1, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25},
-             "'dataset.num_classes' must be >= 2, got 1"),
+             "config block 'dataset': num_classes must be an integer >= 2, got 1"),
             ("model", {"hidden_sizes": [8], "feature_dim": 1},
              "'model.feature_dim' must be >= dataset.num_classes - 1 = 2, got 1"),
             ("seeds", [],
@@ -682,7 +692,8 @@ class TestInputRefusedBeforeOutput:
         ("train", {"epochs": 3, "milestones": [2, 1]}, ("'train'", "milestones")),
         ("dataset", {"imbalance_ratio": 0}, ("'dataset'", "imbalance_ratio")),
         ("dataset", {"imbalance_ratio": 2}, ("'dataset'", "imbalance_ratio")),
-        ("dataset", {"input_dim": 1}, ("'dataset.input_dim'",)),
+        ("dataset", {"input_dim": 1},
+         ("config block 'dataset': input_dim must be an integer >= 2, got 1",)),
         ("dataset", {"n_max": 1, "imbalance_ratio": 0.1}, ("'dataset'", "n_max")),
         # the generator overflows: the drawn features hold inf, and numpy stays silent
         pytest.param("dataset", {"noise_scale": 1e308},
@@ -691,8 +702,10 @@ class TestInputRefusedBeforeOutput:
         ("train", {"epochs": 3, "milestones": [0]}, ("'train'", "milestones")),
         ("train", {"epochs": 3, "milestones": [-5]}, ("'train'", "milestones")),
         # an integer past float range
-        ("train", {"epochs": 3, "e_h": 10**400}, ("'train.e_h' must be a finite number",)),
-        ("dataset", {"noise_scale": -10**400}, ("'dataset.noise_scale' must be a finite number",)),
+        ("train", {"epochs": 3, "e_h": 10**400},
+         ("config block 'train': e_h must be a finite number",)),
+        ("dataset", {"noise_scale": -10**400},
+         ("config block 'dataset': noise_scale must be a finite number",)),
         # sizes numpy refuses at once, before allocating anything
         ("model", {"hidden_sizes": [2**62]}, ("config block 'model': array is too big",)),
         ("model", {"feature_dim": 2**62}, ("config block 'model': array is too big",)),

@@ -10,10 +10,13 @@ Each example redraws a few values of a small valid input, so most
 examples still run. Floats range over all finite values, 1e300 and
 negatives included, and seeds include -1 (and 2**63 and 10**300 in a train
 config); every size (K, d, counts, epochs, steps, trials) stays small
-because memory and loops grow with it.
+because memory and loops grow with it. In a train config an integer key
+also draws true, 2.5 and "3", and a float key true, "1", NaN and
++-Infinity, which ``json.dumps`` writes and ``json.load`` reads back.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -28,6 +31,14 @@ GATE = settings(max_examples=25, deadline=None)
 
 floats = st.floats(allow_nan=False, allow_infinity=False)
 K_VALUES, D_VALUES, SEEDS = st.integers(-1, 5), st.integers(-1, 8), st.integers(-1, 3)
+
+
+def config_ints(low, high):
+    """Integers in [low, high], or a JSON value that is no integer."""
+    return st.integers(low, high) | st.sampled_from([True, 2.5, "3"])
+
+
+config_floats = floats | st.sampled_from([True, "1", math.nan, math.inf, -math.inf])
 
 
 def csv_list(values):
@@ -102,16 +113,18 @@ class TestExitCodeGate:
     @GATE
     @given(
         mutated({"num_classes": 3, "input_dim": 4, "n_max": 6, "imbalance_ratio": 0.5},
-                {"num_classes": K_VALUES, "input_dim": D_VALUES, "n_max": st.integers(-1, 8),
-                 "imbalance_ratio": floats, "separation": floats, "noise_scale": floats,
-                 "test_per_class": st.integers(-1, 4)}),
+                {"num_classes": config_ints(-1, 5), "input_dim": config_ints(-1, 8),
+                 "n_max": config_ints(-1, 8), "imbalance_ratio": config_floats,
+                 "separation": config_floats, "noise_scale": config_floats,
+                 "test_per_class": config_ints(-1, 4)}),
         mutated({"hidden_sizes": [4], "feature_dim": 3},
-                {"hidden_sizes": st.lists(st.integers(-1, 4), max_size=2),
-                 "feature_dim": D_VALUES}),
+                {"hidden_sizes": st.lists(config_ints(-1, 4), max_size=2),
+                 "feature_dim": config_ints(-1, 8)}),
         mutated({"epochs": 2, "batch_size": 4},
-                {"epochs": st.integers(-1, 3), "batch_size": st.integers(-1, 8),
-                 "step_size": floats, "milestones": st.lists(st.integers(-2, 4), max_size=3),
-                 "momentum": floats, "e_h": floats}),
+                {"epochs": config_ints(-1, 3), "batch_size": config_ints(-1, 8),
+                 "step_size": config_floats,
+                 "milestones": st.lists(config_ints(-2, 4), max_size=3),
+                 "momentum": config_floats, "e_h": config_floats}),
         st.lists(st.sampled_from(REGIMES), min_size=1, max_size=2),
         st.lists(st.integers(0, 2) | st.sampled_from([2**63, 10**300]), min_size=1, max_size=2),
     )

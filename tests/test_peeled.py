@@ -1,6 +1,7 @@
 """Projected gradient descent on the (decoupled) layer-peeled model."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -521,6 +522,23 @@ class TestMatchesReference:
             _reference_optimize(prob, loss, **config)
         with pytest.raises(NumericDivergence, match=f"^{expected.value}$"):
             optimize(prob, loss, **config)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("lengths", [None, [1.0, 2.0, 0.5, 3.0, 0.25]])
+    @pytest.mark.parametrize("loss", ["ce", "dr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_fixed_classifier_fails_step_0(self, lengths, loss, bad):
+        """A fixed classifier never moves: it is checked once, by the step-0 loss, not each step."""
+        prob = make_dlpm()
+        clf = prob.classifier if lengths is None else scale_classifier(prob.classifier.frame,
+                                                                       lengths)
+        cols = clf.scaled_columns.copy()
+        cols[3, 4] = bad  # class 4 has one sample
+        prob.classifier = replace(clf, scaled_columns=cols)
+        message = {"ce": "non-finite logits in softmax",
+                   "dr": "loss or distance to the optimum out of range at step 0"}[loss]
+        with pytest.raises(NumericDivergence, match=f"^{message}$"):
+            optimize(prob, loss, step_size=0.5, max_steps=10)
 
 
 class TestMinorityProbe:

@@ -1,5 +1,9 @@
 """Backbone, synthetic data, normalization, and the training loop."""
 
+import math
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +40,7 @@ class TestDatasetSpec:
         np.testing.assert_array_equal(spec.counts(), [100, 100, 100, 100])
 
     def test_geometric_decay(self):
-        spec = SyntheticDatasetSpec(num_classes=10, input_dim=5, n_max=500, imbalance_ratio=0.01)
+        spec = SyntheticDatasetSpec(num_classes=10, input_dim=9, n_max=500, imbalance_ratio=0.01)
         counts = spec.counts()
         assert counts[0] == 500 and counts[-1] == 5
         ratios = counts[:-1] / counts[1:]
@@ -55,15 +59,25 @@ class TestDatasetSpec:
     @pytest.mark.filterwarnings("error")  # numpy warns when a cast to int64 wraps
     @pytest.mark.parametrize("n_max", [2**53, 2**63, 10**20])
     def test_n_max_too_large(self, n_max):
-        spec = SyntheticDatasetSpec(num_classes=3, input_dim=5, n_max=n_max, imbalance_ratio=1.0)
         with pytest.raises(ValueError, match=f"n_max={n_max} is too large"):
-            spec.counts()
+            SyntheticDatasetSpec(num_classes=3, input_dim=5, n_max=n_max, imbalance_ratio=1.0)
 
     @pytest.mark.parametrize("test_per_class", [2**63, 10**20])
     def test_test_per_class_too_large(self, test_per_class):
         with pytest.raises(ValueError, match=f"test_per_class={test_per_class} is too large"):
             SyntheticDatasetSpec(num_classes=3, input_dim=5, n_max=10, imbalance_ratio=1.0,
                                  test_per_class=test_per_class)
+
+    @pytest.mark.parametrize("field,value,rule", [
+        ("num_classes", 1, "an integer >= 2"), ("input_dim", 1, "an integer >= 2"),
+        ("n_max", 10.5, "an integer >= 1"), ("test_per_class", -1, "an integer >= 0"),
+        ("separation", math.nan, "a finite number"), ("imbalance_ratio", 0.0, r"in \(0, 1\]"),
+    ])
+    def test_bad_values_rejected_at_construction(self, field, value, rule):
+        """Each field is checked when the spec is built; the message names field, rule and value."""
+        base = dict(num_classes=3, input_dim=5, n_max=10, imbalance_ratio=0.5)
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {re.escape(repr(value))}$"):
+            SyntheticDatasetSpec(**{**base, field: value})
 
     def test_n_max_below_2_53_exact(self):
         spec = SyntheticDatasetSpec(num_classes=3, input_dim=5, n_max=2**53 - 1, imbalance_ratio=1.0)
@@ -246,6 +260,45 @@ class TestClassWeights:
             class_weights([5, 0])
 
 
+#: what a JSON config can hold in one field (json.load reads NaN and +-Infinity too)
+json_values = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                        st.lists(st.integers(-2, 4) | st.floats(), max_size=3))
+
+
+def check_built(cls, kwargs):
+    """Build ``cls``: it either refuses with ValueError or holds only well-typed values."""
+    try:
+        config = cls(**kwargs)
+    except ValueError:
+        return
+    for f in fields(cls):
+        value = getattr(config, f.name)
+        if f.type is int:
+            assert type(value) is int and 0 <= value < 2**63, f.name
+        elif f.type is float:
+            assert type(value) is float and math.isfinite(value), f.name
+    if cls is TrainConfig:
+        assert all(type(m) is int for m in config.milestones)
+
+
+class TestConfigValues:
+    """Any value in any field is stored well-typed or refused with ValueError, never a TypeError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from([f.name for f in fields(SyntheticDatasetSpec)]),
+                           json_values, max_size=3))
+    def test_dataset_spec(self, changes):
+        base = dict(num_classes=3, input_dim=4, n_max=6, imbalance_ratio=0.5)
+        check_built(SyntheticDatasetSpec, {**base, **changes})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(REGIMES),
+           st.dictionaries(st.sampled_from([f.name for f in fields(TrainConfig) if f.name != "regime"]),
+                           json_values, max_size=3))
+    def test_train_config(self, regime, changes):
+        check_built(TrainConfig, {"epochs": 3, "regime": regime, **changes})
+
+
 def tiny_problem(seed=0):
     spec = SyntheticDatasetSpec(
         num_classes=3, input_dim=6, n_max=24, imbalance_ratio=0.25, seed=seed, test_per_class=16
@@ -317,13 +370,17 @@ class TestTrain:
         ("step_size", -0.1, "> 0"), ("step_size", 0.0, "> 0"),
         ("momentum", -0.5, r"in \[0, 1\)"), ("momentum", 1, r"in \[0, 1\)"),
         ("momentum", 1.5, r"in \[0, 1\)"),
+        ("epochs", 0, "an integer >= 1"), ("epochs", 2.5, "an integer >= 1"),
+        ("epochs", True, "an integer >= 1"), ("batch_size", 0, "an integer >= 1"),
+        ("step_size", math.inf, "a finite number"), ("e_h", math.inf, "a finite number"),
+        ("milestones", (1.7,), "a list of integers"),
     ])
     def test_bad_ranges_rejected_at_construction(self, field, value, rule):
-        message = f"{field} must be {rule}, got {value}"
+        message = f"{field} must be {rule}, got {re.escape(repr(value))}"
         with pytest.raises(ValueError, match=message):
-            TrainConfig(epochs=3, **{field: value})
+            TrainConfig(**{"epochs": 3, field: value})
         with pytest.raises(ValueError, match=message):
-            TrainConfig(epochs=3, regime="etf-dr", **{field: value})
+            TrainConfig(**{"epochs": 3, "regime": "etf-dr", field: value})
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_step_size_defaults_per_regime(self, regime):
