@@ -17,8 +17,9 @@ K, d = 10, 20
 clf = uniform_classifier(generate_etf(d, K, seed=0), 1.0)
 
 print("=== DR at gamma = sqrt(E_H/E_W): ratio vs the (1+cos)/2 bound ===")
-for delta in (0.01, 0.05, 0.1):
-    [records] = run_regularity_sweep(clf, [("dr", 1.0)], delta, trials=500, seed=1)
+deltas = (0.01, 0.05, 0.1)
+runs = run_regularity_sweep(clf, [("dr", 1.0)], deltas, trials=500, seed=1)
+for delta, [records] in zip(deltas, runs):
     worst = max(r.ratio - r.bound for r in records)
     raw_dev = max(abs(r.raw_ratio - r.bound) for r in records)
     print(
@@ -29,8 +30,8 @@ print()
 
 print("=== Paired CE vs DR at matched starts (delta = 0.01) ===")
 steps = [("dr", 1.0)] + [("ce", gamma) for gamma in (0.05, 0.1, 0.5, 1.0)]
-run = run_regularity_sweep(clf, steps, 0.01, trials=500, seed=2)
-out = check_sweep(steps, [0.01], [run])[0]["paired_dominance"]
+runs = run_regularity_sweep(clf, steps, [0.01], trials=500, seed=2)
+out = check_sweep(steps, [0.01], runs)[0]["paired_dominance"]
 print(f"uniformity gate: off-class softmax deviation < {out['uniformity_gate']:g}")
 print(f"{'gamma_CE':>8} {'gated':>6} {'CE pre-proj':>12} {'DR pre-proj':>12} {'CE>=DR':>7} {'CE proj':>9} {'DR proj':>9}")
 for cfg in out["configs"]:
@@ -52,7 +53,7 @@ print("is a statement about the un-projected step.")
 print()
 
 print("=== CE at the per-trial ideal rate tracks the bound ===")
-[records] = run_regularity_sweep(clf, [("ce-opt", None)], 0.01, trials=300, seed=3)
+[[records]] = run_regularity_sweep(clf, [("ce-opt", None)], [0.01], trials=300, seed=3)
 gaps = [r.raw_ratio - r.bound for r in records]
 print(
     f"rate gamma*(h) = (K-1)/K sqrt(E_H/E_W) (1-cos)/(1-p_c): pre-projection "

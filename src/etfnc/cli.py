@@ -232,8 +232,7 @@ def cmd_regularity(args):
     gamma_dr = float(np.sqrt(args.e_h / clf.e_w))
     steps = ([("ce", g) for g in gammas] + [("dr", gamma_dr)]
              + [("ce-opt", None)] * args.instance_optimal)
-    runs = [reg.run_regularity_sweep(clf, steps, delta, args.trials, args.seed, args.e_h)
-            for delta in deltas]
+    runs = reg.run_regularity_sweep(clf, steps, deltas, args.trials, args.seed, args.e_h)
     verdict, passed = reg.check_sweep(steps, deltas, runs)
     records = [r for run in runs for step_records in run for r in step_records]
     files = {

@@ -20,9 +20,10 @@ shrink an overshooting CE step below DR's bound, so the CE >= DR
 dominance is a statement about ``raw_ratio``; the DR <= bound check
 holds for both.
 
-One pass over the trials per delta draws each start once and takes
-every (kind, gamma) step from it; ``check_sweep`` builds the dominance
-summary from the records of that same pass and judges both claims on it.
+One pass over the trials draws each trial's class and tangent once,
+builds its start at every delta and takes every (kind, gamma) step from
+that start; ``check_sweep`` builds the dominance summary from the records
+of that same pass and judges both claims on it.
 """
 
 import math
@@ -58,7 +59,7 @@ def offclass_deviation(p: np.ndarray, c: int) -> float:
     return float(np.abs(p[others] - resid).max())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RegularityRecord:
     trial: int
     loss_kind: str
@@ -88,18 +89,20 @@ def _squared(x: float) -> np.float64:
     return np.float64(x) ** 2
 
 
-def _sample_start(classifier: FixedClassifier, delta: float, e_h: float, rng):
-    """Start point h* + delta |h*| u (u tangent, unit), rescaled to the sphere |h*| = sqrt(E_H)."""
-    K = classifier.num_classes
-    c = int(rng.integers(K))
-    root_e_h = np.sqrt(e_h)
-    h_star = root_e_h * classifier.frame.columns[:, c]
+def _draw_trial(classifier: FixedClassifier, h_stars, e_h: float, rng):
+    """A trial's class c and unit tangent u at h*_c, drawn once and shared by every delta."""
+    c = int(rng.integers(classifier.num_classes))
     u = rng.standard_normal(classifier.dim)
-    u -= (u @ h_star) / e_h * h_star
+    u -= (u @ h_stars[c]) / e_h * h_stars[c]
     u /= _norm(u)
+    return c, u
+
+
+def _start(h_star, u, delta: float, root_e_h):
+    """Start point h* + delta |h*| u, rescaled to the sphere |h*| = sqrt(E_H)."""
     h0 = h_star + (delta * root_e_h) * u
     h0 *= root_e_h / _norm(h0)
-    return c, h_star, h0
+    return h0
 
 
 def ce_instance_rate(K: int, e_h: float, e_w: float, cos: float, p_c: float) -> float:
@@ -122,21 +125,23 @@ def check_classifier(classifier: FixedClassifier) -> None:
 def run_regularity_sweep(
     classifier: FixedClassifier,
     steps,
-    delta: float,
+    deltas,
     trials: int,
     seed: int,
     e_h: float = 1.0,
 ) -> list:
-    """One projected step per trial for each ``(kind, gamma)`` in ``steps``.
+    """One projected step per trial, delta and ``(kind, gamma)`` in ``steps``.
 
     ``kind`` is the record's ``loss_kind``: ``ce`` or ``dr`` at the fixed
     rate ``gamma``, or ``ce-opt`` (``gamma`` None), CE at the per-trial
-    bound-matching rate, reported for illustration. Returns one list of
-    RegularityRecords per step. Trial t draws its start once, with rng
-    seed (seed, t), and every step starts from it, so the lists are
-    paired by trial. ``delta`` is a fraction of |h*| = sqrt(e_h), so a
-    start lies at about the same angle to h* at every e_h. Trials starting
-    within DIST_GUARD sqrt(e_h) of h* are excluded.
+    bound-matching rate, reported for illustration. Returns one run per
+    delta, a list of RegularityRecords per step: ``runs[i][j]`` is delta i,
+    step j. Trial t draws its class and unit tangent once, with rng seed
+    (seed, t), builds its start at each delta from them, and takes every
+    step from that start, so the lists are paired by trial. A delta is a
+    fraction of |h*| = sqrt(e_h), so a start lies at about the same angle
+    to h* at every e_h. Trials starting within DIST_GUARD sqrt(e_h) of h*
+    are excluded. A divergence names the first (trial, delta) in trial order.
     """
     for kind, _ in steps:
         if kind not in ("ce", "dr", "ce-opt"):
@@ -150,61 +155,65 @@ def run_regularity_sweep(
         w_norms = [np.linalg.norm(W[:, k]) for k in range(K)]  # |w_c|: the columns are strided
         if not all(0 < n < np.inf for n in w_norms):  # cos(h, w_c) would divide by |w_c|
             raise NumericDivergence(f"classifier column norms under- or overflow at e_w={e_w:g}")
-        per_step = [[] for _ in steps]
+        root_e_h = np.sqrt(e_h)
+        h_stars = [root_e_h * classifier.frame.columns[:, k] for k in range(K)]
+        runs = [[[] for _ in steps] for _ in deltas]
         guard = DIST_GUARD * math.sqrt(e_h)
         for t in range(trials):
-            rng = np.random.default_rng([seed, t])
-            c, h_star, h0 = _sample_start(classifier, delta, e_h, rng)
-            # rescaling |h* + delta u| over- or underflowed, or |h0|^2 = E_H is subnormal: too
-            # few bits for the ratios, and project_ball's ulp nudges would not shrink it
-            n0_sq = h0.dot(h0)
-            if not _TINY <= n0_sq < np.inf:
-                raise NumericDivergence(f"start of trial {t} at delta={delta:g} left the sphere")
-            n0 = math.sqrt(n0_sq)
-            dist0 = _norm(h0 - h_star)
-            if dist0 < guard:
-                continue
-            dist0_sq = _squared(dist0)
-            w, w_norm = W[:, c], w_norms[c]
-            cos_raw = float(h0.dot(w) / (n0 * w_norm))
-            # within ~1e-8 of h* the cosine can round to 1 + ulp
-            cos0 = min(cos_raw, 1.0)
-            bound = dr_eta_bound(cos0)
-            p = softmax_probs(h0, W)  # one softmax per trial: uniformity, CE gradient and rate
-            uniformity_dev = offclass_deviation(p, c)
-            # ce and ce-opt share CE's gradient, -(pull + push)
-            grad_ce, grad_dr = -np.add(*_pull_push(p, c, W)), dr_grad(h0, classifier, c, e_h)
-            for records, (kind, gamma) in zip(per_step, steps):
-                if kind == "ce-opt" and p[c] == 1.0:  # the rate divides by 1 - p_c
-                    raise NumericDivergence(
-                        f"instance-optimal rate undefined in trial {t}: p_c rounds to 1")
-                g = (ce_instance_rate(K, e_h, e_w, cos_raw, p[c]) if kind == "ce-opt"
-                     else float(gamma))
-                pre = h0 - g * (grad_dr if kind == "dr" else grad_ce)
-                if not np.isfinite(pre).all():
-                    raise NumericDivergence(f"non-finite step in trial {t}")
-                h1 = project_ball(pre, e_h)
-                h1_sq = h1.dot(h1)
-                raw_ratio = float(_squared(_norm(pre - h_star)) / dist0_sq)
-                if not math.isfinite(raw_ratio):  # |pre - h*|^2 overflows, or dist0^2 underflows
-                    raise NumericDivergence(f"raw ratio not finite in trial {t} at delta={delta:g}")
-                records.append(
-                    RegularityRecord(
-                        trial=t,
-                        loss_kind=kind,
-                        gamma=g,
-                        delta=delta,
-                        class_index=c,
-                        cos_before=cos0,
-                        ratio=float(_squared(_norm(h1 - h_star)) / dist0_sq),
-                        raw_ratio=raw_ratio,
-                        bound=bound,
-                        uniformity_dev=uniformity_dev,
-                        sphere_dev=float(abs(h1_sq - e_h)),
-                        cos_after=float(h1.dot(w) / (math.sqrt(h1_sq) * w_norm)),
+            c, u = _draw_trial(classifier, h_stars, e_h, np.random.default_rng([seed, t]))
+            h_star, w, w_norm = h_stars[c], W[:, c], w_norms[c]
+            for delta, per_step in zip(deltas, runs):
+                h0 = _start(h_star, u, delta, root_e_h)
+                # rescaling |h* + delta u| over- or underflowed, or |h0|^2 = E_H is subnormal:
+                # too few bits for the ratios, and project_ball's ulp nudges would not shrink it
+                n0_sq = h0.dot(h0)
+                if not _TINY <= n0_sq < np.inf:
+                    raise NumericDivergence(f"start of trial {t} at delta={delta:g} left the sphere")
+                n0 = math.sqrt(n0_sq)
+                dist0 = _norm(h0 - h_star)
+                if dist0 < guard:
+                    continue
+                dist0_sq = _squared(dist0)
+                cos_raw = float(h0.dot(w) / (n0 * w_norm))
+                # within ~1e-8 of h* the cosine can round to 1 + ulp
+                cos0 = min(cos_raw, 1.0)
+                bound = dr_eta_bound(cos0)
+                p = softmax_probs(h0, W)  # one softmax per start: uniformity, CE gradient, rate
+                uniformity_dev = offclass_deviation(p, c)
+                # ce and ce-opt share CE's gradient, -(pull + push)
+                grad_ce, grad_dr = -np.add(*_pull_push(p, c, W)), dr_grad(h0, classifier, c, e_h)
+                for records, (kind, gamma) in zip(per_step, steps):
+                    if kind == "ce-opt" and p[c] == 1.0:  # the rate divides by 1 - p_c
+                        raise NumericDivergence(
+                            f"instance-optimal rate undefined in trial {t}: p_c rounds to 1")
+                    g = (ce_instance_rate(K, e_h, e_w, cos_raw, p[c]) if kind == "ce-opt"
+                         else float(gamma))
+                    pre = h0 - g * (grad_dr if kind == "dr" else grad_ce)
+                    if not np.isfinite(pre).all():
+                        raise NumericDivergence(f"non-finite step in trial {t}")
+                    h1 = project_ball(pre, e_h)
+                    h1_sq = h1.dot(h1)
+                    raw_ratio = float(_squared(_norm(pre - h_star)) / dist0_sq)
+                    if not math.isfinite(raw_ratio):  # |pre - h*|^2 overflows, or dist0^2 underflows
+                        raise NumericDivergence(
+                            f"raw ratio not finite in trial {t} at delta={delta:g}")
+                    records.append(
+                        RegularityRecord(
+                            trial=t,
+                            loss_kind=kind,
+                            gamma=g,
+                            delta=delta,
+                            class_index=c,
+                            cos_before=cos0,
+                            ratio=float(_squared(_norm(h1 - h_star)) / dist0_sq),
+                            raw_ratio=raw_ratio,
+                            bound=bound,
+                            uniformity_dev=uniformity_dev,
+                            sphere_dev=float(abs(h1_sq - e_h)),
+                            cos_after=float(h1.dot(w) / (math.sqrt(h1_sq) * w_norm)),
+                        )
                     )
-                )
-    return per_step
+    return runs
 
 
 #: gate on offclass_deviation for the CE-vs-DR dominance assertion
@@ -220,8 +229,8 @@ DOMINANCE_SLACK = 1e-9
 def check_sweep(steps, deltas, runs):
     """``(summary fields, passed)`` of a sweep.
 
-    ``runs[i]`` is ``run_regularity_sweep(classifier, steps, deltas[i], ...)``
-    as returned, so every step lists the same trials. ``dr_bound`` holds the
+    ``runs`` is ``run_regularity_sweep(classifier, steps, deltas, ...)`` as
+    returned, so ``runs[i]`` holds deltas[i] and its steps list the same trials. ``dr_bound`` holds the
     worst ratio - bound, sphere deviation and cos_after over all DR records;
     it is absent when there are none. ``paired_dominance``
     pairs each fixed-rate CE step with the first DR step; it is absent when

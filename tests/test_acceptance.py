@@ -160,7 +160,7 @@ def test_criterion_4_contraction_bound_and_dominance():
         for d in (K - 1, 2 * K):
             clf = e.uniform_classifier(e.generate_etf(d, K, K + d), 1.0)
             for delta in deltas:
-                records = run_regularity_sweep(clf, [("dr", 1.0)], delta, 500, 41)[0]
+                records = run_regularity_sweep(clf, [("dr", 1.0)], [delta], 500, 41)[0][0]
                 assert records
                 worst_bound = max(worst_bound, max(r.ratio - r.bound for r in records))
                 worst_sphere = max(worst_sphere, max(r.sphere_dev for r in records))
@@ -173,7 +173,7 @@ def test_criterion_4_contraction_bound_and_dominance():
     details = []
     for K in (4, 10):
         clf = e.uniform_classifier(e.generate_etf(2 * K, K, 3 * K), 1.0)
-        runs = [run_regularity_sweep(clf, steps, delta, 500, 42) for delta in deltas]
+        runs = run_regularity_sweep(clf, steps, deltas, 500, 42)
         out = check_sweep(steps, deltas, runs)[0]["paired_dominance"]
         for cfg in out["configs"]:
             total_configs += 1

@@ -234,6 +234,23 @@ class TestRegularityCommand:
                             for rows in (runs[e_h], runs["1"]))
             np.testing.assert_allclose(scaled, unit, rtol=1e-9)
 
+    def test_divergence_names_first_trial_over_every_delta(self, tmp_path, capsys):
+        """The sweep runs trial by trial, each trial over every delta.
+
+        |h* + delta u|^2 overflows at the first delta from trial 12 on, at the
+        second from trial 0: trial 0 at the second delta is named.
+        """
+        out = tmp_path / "run"
+        assert run("regularity", "--K", 4, "--d", 6, "--trials", 20,
+                   "--deltas", "1.3407807929942596e154,1e300", "--out", out) == EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "numeric divergence: start of trial 0 at delta=1e+300 left the sphere\n")
+        assert not out.exists()
+        assert run("regularity", "--K", 4, "--d", 6, "--trials", 20,
+                   "--deltas", "1.3407807929942596e154", "--out", out) == EXIT_DIVERGED
+        assert "start of trial 12 at delta=1.34078e+154" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_paired_dominance_summary_present(self, tmp_path):
         out = tmp_path / "run"
         code = run(
@@ -264,7 +281,7 @@ class TestRegularityCommand:
         gammas = [float(g) for g in args["--gammas"].split(",")]
         deltas = [float(d) for d in args["--deltas"].split(",")]
         steps = [("dr", float(np.sqrt(1.0 / clf.e_w)))] + [("ce", g) for g in gammas]
-        runs = [run_regularity_sweep(clf, steps, d, 30, 2) for d in deltas]
+        runs = run_regularity_sweep(clf, steps, deltas, 30, 2)
         verdict = json.loads(json.dumps(check_sweep(steps, deltas, runs)[0]))
         summary = json.loads((out / "summary.json").read_text())
         assert summary["paired_dominance"] == verdict["paired_dominance"]

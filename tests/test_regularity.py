@@ -31,7 +31,7 @@ def make_classifier(d=16, K=10, e_w=1.0, seed=0):
 def dominance(clf, gammas, deltas, trials, seed, e_h=1.0):
     """CE at each of ``gammas`` paired with DR at sqrt(E_H/E_W), as the CLI pairs them."""
     steps = [("dr", float(np.sqrt(e_h / clf.e_w)))] + [("ce", g) for g in gammas]
-    runs = [run_regularity_sweep(clf, steps, delta, trials, seed, e_h) for delta in deltas]
+    runs = run_regularity_sweep(clf, steps, deltas, trials, seed, e_h)
     return check_sweep(steps, deltas, runs)[0]["paired_dominance"]
 
 
@@ -40,27 +40,27 @@ class TestContractionRatio:
 
     def test_one_step_exact_convergence(self):
         # a step that swamps h0 points along w*_c, and projection lands it on h*
-        records = run_regularity_sweep(make_classifier(), [("dr", 1e100)], 0.05, 20, 0)[0]
+        records = run_regularity_sweep(make_classifier(), [("dr", 1e100)], [0.05], 20, 0)[0][0]
         assert len(records) == 20
         assert all(r.ratio < 1e-20 for r in records)
 
     def test_no_progress(self):
         for records in run_regularity_sweep(make_classifier(), [("ce", 0.0), ("dr", 0.0)],
-                                            0.05, 20, 0):
+                                            [0.05], 20, 0)[0]:
             np.testing.assert_allclose([r.ratio for r in records], 1.0)
 
     def test_ratio_of_squared_distances(self):
         # DR iterates stay on the sphere |h|^2 = E_H, where |h - h*|^2 = 2 E_H (1 - cos)
         for delta in (0.05, 0.1):
-            for r in run_regularity_sweep(make_classifier(), [("dr", 0.5)], delta, 50, 6)[0]:
+            for r in run_regularity_sweep(make_classifier(), [("dr", 0.5)], [delta], 50, 6)[0][0]:
                 expected = (1.0 - r.cos_after) / (1.0 - r.cos_before)
                 np.testing.assert_allclose(r.ratio, expected, rtol=1e-9)
 
     def test_at_optimum_signaled(self):
         """A start within DIST_GUARD of h* is excluded: it yields no record."""
         clf = make_classifier()
-        assert run_regularity_sweep(clf, [("dr", 1.0)], DIST_GUARD / 10, 20, 0) == [[]]
-        assert len(run_regularity_sweep(clf, [("dr", 1.0)], DIST_GUARD * 1e3, 20, 0)[0]) == 20
+        assert run_regularity_sweep(clf, [("dr", 1.0)], [DIST_GUARD / 10], 20, 0) == [[[]]]
+        assert len(run_regularity_sweep(clf, [("dr", 1.0)], [DIST_GUARD * 1e3], 20, 0)[0][0]) == 20
 
 
 @st.composite
@@ -122,7 +122,7 @@ class TestOffclassUniformity:
 
     def test_small_near_optimum(self):
         clf = make_classifier()
-        records = run_regularity_sweep(clf, [("dr", 1.0)], 0.01, 100, 3)[0]
+        records = run_regularity_sweep(clf, [("dr", 1.0)], [0.01], 100, 3)[0][0]
         assert all(r.uniformity_dev < 0.01 for r in records)
 
     def test_large_for_wrong_alignment(self):
@@ -137,7 +137,7 @@ class TestDrBound:
         clf = make_classifier(d, K)
         gamma = 1.0  # sqrt(E_H / E_W)
         for delta in (0.01, 0.05, 0.1):
-            records = run_regularity_sweep(clf, [("dr", gamma)], delta, 200, 11)[0]
+            records = run_regularity_sweep(clf, [("dr", gamma)], [delta], 200, 11)[0][0]
             assert records, (K, d, delta)
             worst = max(r.ratio - r.bound for r in records)
             assert worst <= 1e-9, (K, d, delta, worst)
@@ -145,21 +145,21 @@ class TestDrBound:
     def test_raw_ratio_equals_bound_on_sphere(self):
         """Pre-projection DR distance at gamma* matches (1+cos)/2 exactly."""
         clf = make_classifier()
-        records = run_regularity_sweep(clf, [("dr", 1.0)], 0.05, 200, 5)[0]
+        records = run_regularity_sweep(clf, [("dr", 1.0)], [0.05], 200, 5)[0][0]
         worst = max(abs(r.raw_ratio - r.bound) for r in records)
         assert worst < 1e-12
 
     def test_sphere_preserved_and_cos_nonnegative(self):
         clf = make_classifier()
         for delta in (0.01, 0.1):
-            for r in run_regularity_sweep(clf, [("dr", 1.0)], delta, 200, 7)[0]:
+            for r in run_regularity_sweep(clf, [("dr", 1.0)], [delta], 200, 7)[0][0]:
                 assert r.sphere_dev <= 1e-9
                 assert r.cos_after >= 0.0
 
     def test_deterministic_per_seed(self):
         clf = make_classifier()
-        a = run_regularity_sweep(clf, [("dr", 1.0)], 0.05, 50, 9)[0]
-        b = run_regularity_sweep(clf, [("dr", 1.0)], 0.05, 50, 9)[0]
+        a = run_regularity_sweep(clf, [("dr", 1.0)], [0.05], 50, 9)[0][0]
+        b = run_regularity_sweep(clf, [("dr", 1.0)], [0.05], 50, 9)[0][0]
         assert [(r.ratio, r.bound) for r in a] == [(r.ratio, r.bound) for r in b]
 
 
@@ -167,13 +167,13 @@ class TestStartSampling:
     def test_starts_near_h_star(self):
         clf = make_classifier()
         delta = 0.05
-        for r in run_regularity_sweep(clf, [("dr", 1.0)], delta, 100, 1)[0]:
+        for r in run_regularity_sweep(clf, [("dr", 1.0)], [delta], 100, 1)[0][0]:
             # distance after re-projection stays within ~delta
             assert 1.0 - r.cos_before <= delta**2  # dist^2 = 2 E_H (1 - cos)
 
     def test_zero_delta_all_excluded(self):
         clf = make_classifier()
-        assert run_regularity_sweep(clf, [("dr", 1.0)], 0.0, 20, 0) == [[]]
+        assert run_regularity_sweep(clf, [("dr", 1.0)], [0.0], 20, 0) == [[[]]]
 
 
 class TestPairedDominance:
@@ -189,8 +189,8 @@ class TestPairedDominance:
     def test_matched_starts(self):
         """CE and DR trials with the same (seed, trial) share the start point."""
         clf = make_classifier()
-        ce = run_regularity_sweep(clf, [("ce", 0.5)], 0.05, 40, 13)[0]
-        dr = run_regularity_sweep(clf, [("dr", 1.0)], 0.05, 40, 13)[0]
+        ce = run_regularity_sweep(clf, [("ce", 0.5)], [0.05], 40, 13)[0][0]
+        dr = run_regularity_sweep(clf, [("dr", 1.0)], [0.05], 40, 13)[0][0]
         for a, b in zip(ce, dr):
             assert a.trial == b.trial
             np.testing.assert_allclose(a.cos_before, b.cos_before, atol=1e-15)
@@ -205,7 +205,7 @@ class TestInstanceOptimalRate:
         uniformity deviation, on either side.
         """
         clf = make_classifier()
-        records = run_regularity_sweep(clf, [("ce-opt", None)], 0.01, 100, 4)[0]
+        records = run_regularity_sweep(clf, [("ce-opt", None)], [0.01], 100, 4)[0][0]
         assert records
         for r in records:
             assert abs(r.raw_ratio - r.bound) < 10 * max(r.uniformity_dev, 1e-6)
@@ -213,7 +213,7 @@ class TestInstanceOptimalRate:
     def test_instance_optimal_needs_ce(self):
         clf = make_classifier()
         with pytest.raises(ValueError, match="unknown step kind 'dr-opt'"):
-            run_regularity_sweep(clf, [("dr-opt", None)], 0.01, 10, 0)
+            run_regularity_sweep(clf, [("dr-opt", None)], [0.01], 10, 0)
 
 
 # The sweep as it was before it shared one softmax per trial and took norms as
@@ -318,18 +318,20 @@ class TestSweep:
     def test_matches_separate_runs(self, e_w, e_h):
         clf = make_classifier(e_w=e_w)
         steps = STEPS + [("dr", float(np.sqrt(e_h / e_w)))]
-        sweep = run_regularity_sweep(clf, steps, 0.05, 40, 13, e_h)
+        [sweep] = run_regularity_sweep(clf, steps, [0.05], 40, 13, e_h)
         assert len(sweep) == len(steps)
         for (loss, gamma), records in zip(steps, sweep):
-            assert records == run_regularity_sweep(clf, [(loss, gamma)], 0.05, 40, 13, e_h)[0]
+            assert records == run_regularity_sweep(clf, [(loss, gamma)], [0.05], 40, 13, e_h)[0][0]
             assert bits(records) == bits(reference_records(clf, loss, gamma, 0.05, 40, 13, e_h))
 
     def test_default_run_matches_frozen_reference_bitwise(self):
         """The CLI's default sweep (7500 records), where rare last-ulp slips show up."""
         clf = uniform_classifier(generate_etf(20, 10, derive_seed(0, "etf")), 1.0)
         steps = [("ce", g) for g in (0.05, 0.1, 0.5, 1.0)] + [("dr", 1.0)]
-        for delta in (0.01, 0.05, 0.1):
-            sweep = run_regularity_sweep(clf, steps, delta, 500, 0)
+        deltas = (0.01, 0.05, 0.1)
+        runs = run_regularity_sweep(clf, steps, deltas, 500, 0)
+        assert len(runs) == len(deltas)
+        for delta, sweep in zip(deltas, runs):
             for (loss, gamma), records in zip(steps, sweep):
                 assert bits(records) == bits(reference_records(clf, loss, gamma, delta, 500, 0))
 
@@ -338,45 +340,64 @@ class TestSweep:
         K=st.integers(3, 16),
         d=st.integers(2, 32),
         seed=st.integers(0, 2**16),
-        delta=st.sampled_from([0.01, 0.05, 0.1, 0.7]),
+        deltas=st.lists(st.sampled_from([0.01, 0.05, 0.1, 0.7]), min_size=1, max_size=3),
         e_h=st.sampled_from([1.0, 0.3, 2.5, 9.0]),
         e_w=st.sampled_from([1.0, 0.05, 4.0, 6.0]),  # logits stay below ~8: p_c < 1
         gammas=st.lists(st.sampled_from([0.0, 0.05, 0.5, 3.0, 1e3]), min_size=1, max_size=3),
     )
-    def test_matches_separate_runs_property(self, K, d, seed, delta, e_h, e_w, gammas):
+    def test_matches_separate_runs_property(self, K, d, seed, deltas, e_h, e_w, gammas):
+        """A multi-delta sweep equals its one-delta sweeps, and the frozen reference, bit for bit."""
         clf = make_classifier(max(d, K - 1), K, e_w=e_w, seed=seed)
         steps = ([("dr", float(np.sqrt(e_h / clf.e_w)))] + [("ce", g) for g in gammas]
                  + [("ce-opt", None), ("dr", gammas[0])])
-        sweep = run_regularity_sweep(clf, steps, delta, 8, seed, e_h)
-        for (loss, gamma), records in zip(steps, sweep):
-            assert bits(records) == bits(reference_records(clf, loss, gamma, delta, 8, seed, e_h))
+        runs = run_regularity_sweep(clf, steps, deltas, 8, seed, e_h)
+        assert len(runs) == len(deltas)
+        for delta, sweep in zip(deltas, runs):
+            [alone] = run_regularity_sweep(clf, steps, [delta], 8, seed, e_h)
+            assert [bits(records) for records in sweep] == [bits(records) for records in alone]
+            for (loss, gamma), records in zip(steps, sweep):
+                assert bits(records) == bits(
+                    reference_records(clf, loss, gamma, delta, 8, seed, e_h))
+
+    def test_one_generator_per_trial(self, monkeypatch):
+        """Trial t builds its generator once and draws its class and tangent for every delta."""
+        clf, built, default_rng = make_classifier(), [], np.random.default_rng
+
+        def counting_rng(seed):
+            built.append(tuple(seed))
+            return default_rng(seed)
+
+        monkeypatch.setattr("etfnc.regularity.np.random.default_rng", counting_rng)
+        runs = run_regularity_sweep(clf, STEPS, [0.01, 0.05, 0.1], 20, 3)
+        assert built == [(3, t) for t in range(20)]
+        assert [len(records) for run in runs for records in run] == [20] * 3 * len(STEPS)
 
     def test_excluded_trials_drop_from_every_step(self):
         clf = make_classifier()
-        assert run_regularity_sweep(clf, STEPS, 0.0, 5, 0) == [[] for _ in STEPS]
+        assert run_regularity_sweep(clf, STEPS, [0.0], 5, 0) == [[[] for _ in STEPS]]
 
     def test_overflowing_start_diverges(self):
         """|h* + delta u| overflows, so the start would rescale to 0 and its cosine to NaN."""
         with pytest.raises(NumericDivergence, match="start of trial 0 at delta=1e\\+300"):
-            run_regularity_sweep(make_classifier(), STEPS, 1e300, 5, 0)
+            run_regularity_sweep(make_classifier(), STEPS, [1e300], 5, 0)
 
     def test_underflowing_columns_diverge_before_trials(self):
         """A subnormal E_W: every |w_c|^2 underflows, so cos(h, w_c) would divide by 0."""
         with pytest.raises(NumericDivergence, match="classifier column norms under- or overflow"):
-            run_regularity_sweep(make_classifier(e_w=5e-324), STEPS, 0.05, 0, 0)
+            run_regularity_sweep(make_classifier(e_w=5e-324), STEPS, [0.05], 0, 0)
 
     def test_bad_step_rejected_before_trials(self):
         clf = make_classifier()
         with pytest.raises(ValueError, match="unknown step kind 'xx'"):
-            run_regularity_sweep(clf, [("ce", 0.1), ("xx", 0.1)], 0.05, 10, 0)
+            run_regularity_sweep(clf, [("ce", 0.1), ("xx", 0.1)], [0.05], 10, 0)
         with pytest.raises(ValueError, match="unknown step kind 'dr-opt'"):
-            run_regularity_sweep(clf, [("dr-opt", None)], 0.05, 10, 0)
+            run_regularity_sweep(clf, [("dr-opt", None)], [0.05], 10, 0)
 
     def test_one_dimension_rejected_before_trials(self):
         """The sphere of d = 1 is two points: a start has no tangent direction to move along."""
         clf = uniform_classifier(generate_etf(1, 2, 0), 1.0)
         with pytest.raises(ValueError, match="regularity experiment needs d >= 2, got d=1"):
-            run_regularity_sweep(clf, STEPS, 0.05, 10, 0)
+            run_regularity_sweep(clf, STEPS, [0.05], 10, 0)
 
 
 class TestPairDominance:
@@ -411,7 +432,7 @@ class TestPairDominance:
         """The first DR step is the reference; ce-opt steps are not paired."""
         clf = make_classifier()
         steps = [("ce-opt", None), ("ce", 0.5), ("dr", 1.0), ("ce", 0.1), ("dr", 0.5)]
-        runs = [run_regularity_sweep(clf, steps, delta, 30, 8) for delta in (0.05, 0.01)]
+        runs = run_regularity_sweep(clf, steps, [0.05, 0.01], 30, 8)
         assert check_sweep(steps, [0.05, 0.01], runs)[0]["paired_dominance"] == dominance(
             clf, [0.5, 0.1], [0.05, 0.01], 30, 8)
 
@@ -419,7 +440,7 @@ class TestPairDominance:
                                        [("ce", 0.5)]])
     def test_nothing_to_pair(self, steps):
         clf = make_classifier()
-        fields, _ = check_sweep(steps, [0.05], [run_regularity_sweep(clf, steps, 0.05, 5, 0)])
+        fields, _ = check_sweep(steps, [0.05], run_regularity_sweep(clf, steps, [0.05], 5, 0))
         assert "paired_dominance" not in fields
 
 
@@ -429,7 +450,7 @@ class TestCheckSweep:
     STEPS = [("dr", 1.0), ("ce", 0.1)]
 
     def sweep(self):
-        return run_regularity_sweep(make_classifier(), self.STEPS, 0.01, 100, 3)
+        return run_regularity_sweep(make_classifier(), self.STEPS, [0.01], 100, 3)[0]
 
     def doctored(self, at, trials, **values):
         """The sweep with ``values`` set on the records of step ``at`` for ``trials``."""
@@ -439,7 +460,7 @@ class TestCheckSweep:
 
     def test_real_sweep_passes(self):
         clf = make_classifier()
-        runs = [run_regularity_sweep(clf, self.STEPS, d, 100, 3) for d in (0.01, 0.05)]
+        runs = run_regularity_sweep(clf, self.STEPS, [0.01, 0.05], 100, 3)
         fields, passed = check_sweep(self.STEPS, [0.01, 0.05], runs)
         assert passed
         assert fields["dr_bound"]["passed"]
@@ -454,7 +475,7 @@ class TestCheckSweep:
     def test_sweep_without_dr_records_fails(self):
         """CE records alone check neither the bound nor the dominance."""
         steps = [("ce", 0.1), ("ce", 0.5)]
-        run = run_regularity_sweep(make_classifier(), steps, 0.01, 100, 3)
+        run = run_regularity_sweep(make_classifier(), steps, [0.01], 100, 3)[0]
         assert all(run)
         assert check_sweep(steps, [0.01], [run]) == ({}, False)
 
