@@ -24,19 +24,29 @@ One pass over the trials draws each trial's class and tangent once,
 builds its start at every delta and takes every (kind, gamma) step from
 that start; ``check_sweep`` builds the dominance summary from the records
 of that same pass and judges both claims on it.
+
+The pass is array code over blocks of trials, and its records equal those
+of the one-vector loop bit for bit. Every dot and norm is a stacked
+np.matmul, whose items are the BLAS calls that ``v.dot(w)`` and ``h @ W``
+make, and a row standing for a strided classifier column W[:, c] keeps a
+non-unit stride, since the BLAS dot sums a contiguous pair in another order.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .etf import FixedClassifier
-from .losses import NumericDivergence, _pull_push, dr_grad, softmax_probs
-from .peeled import project_ball
+from .losses import NumericDivergence, softmax_probs
+from .peeled import _NUDGE
 
 #: trials closer to the optimum than this times |h*| = sqrt(E_H) are excluded, not ratios
 DIST_GUARD = 1e-12
+#: trials per block of the sweep's array code. Its (n, d) temporaries stay small: at d = 20
+#: one block of 500 trials left the process 1 MB larger than the one-vector loop, 128 did not
+BLOCK_TRIALS = 128
 _TINY = np.finfo(float).tiny
 
 
@@ -98,18 +108,12 @@ def _draw_trial(classifier: FixedClassifier, h_stars, e_h: float, rng):
     return c, u
 
 
-def _start(h_star, u, delta: float, root_e_h):
-    """Start point h* + delta |h*| u, rescaled to the sphere |h*| = sqrt(E_H)."""
-    h0 = h_star + (delta * root_e_h) * u
-    h0 *= root_e_h / _norm(h0)
-    return h0
-
-
 def ce_instance_rate(K: int, e_h: float, e_w: float, cos: float, p_c: float) -> float:
     """The per-instance CE rate that would match DR's bound.
 
     gamma* = (K-1)/K * sqrt(E_H/E_W) * (1 - cos(h, w*_c)) / (1 - p_c(h)); it
-    depends on h, so it is not an admissible fixed learning rate.
+    depends on h, so it is not an admissible fixed learning rate. ``cos`` and
+    ``p_c`` may be arrays, one entry per start.
     """
     return (K - 1) / K * math.sqrt(e_h / e_w) * (1.0 - cos) / (1.0 - p_c)
 
@@ -120,6 +124,178 @@ def check_classifier(classifier: FixedClassifier) -> None:
         raise ValueError("regularity experiment needs a uniform-length classifier")
     if classifier.dim < 2:  # the sphere of d = 1 is two points: no tangent start direction
         raise ValueError(f"regularity experiment needs d >= 2, got d={classifier.dim}")
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[i] . B[i] for every row i, each summed as ``A[i].dot(B[i])`` sums it.
+
+    A stacked np.matmul of (n, 1, d) by (n, d, 1) calls, per row, the BLAS
+    dot that ``v.dot(w)`` calls; einsum sums in another order. The BLAS dot
+    sums a non-unit-stride operand in another order than a contiguous one,
+    so a row of B must keep the stride of the vector it stands for.
+    """
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _class_columns(W: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """Rows W[:, c] for c in cls, each with a non-unit stride like the column it copies.
+
+    A spare column keeps the stride above one element when cls has one
+    entry; a contiguous row would take the BLAS dot's other summation order.
+    """
+    cols = np.empty((W.shape[0], len(cls) + 1))
+    cols[:, :-1] = W[:, cls]
+    return cols[:, :-1].T
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``_squared`` of each entry, one scalar pow each: array x ** 2 differs in ~1 of 1000."""
+    return np.array([_squared(v) for v in x])
+
+
+def _ce_grads(P: np.ndarray, p_c: np.ndarray, cls: np.ndarray, W: np.ndarray,
+              cols: np.ndarray) -> np.ndarray:
+    """CE's gradient -(pull + push) of ``losses._pull_push`` at each row of probabilities P.
+
+    Row i has class cls[i], own probability p_c[i] and column cols[i] =
+    W[:, cls[i]]. A class's push is the one gemv of ``_pull_push``,
+    W[:, others] @ p[others], broadcast over the rows of that class: no
+    (n, d, K-1) gather of off-class columns.
+    """
+    push = np.empty(cols.shape)
+    for k in range(W.shape[1]):
+        of_k = cls == k
+        if not of_k.any():
+            continue
+        others = np.arange(W.shape[1]) != k
+        p_others = np.ascontiguousarray(P[of_k][:, others])
+        push[of_k] = -np.matmul(W[:, others], p_others[:, :, None])[:, :, 0]
+    pull = (1.0 - p_c)[:, None] * cols
+    return -(pull + push)
+
+
+def _project_ball_rows(pre: np.ndarray, e_h: float):
+    """``project_ball(pre[i], e_h)`` of every row, in place; (squared row norms, failed rows).
+
+    A row fails where project_ball raises: its squared norm overflows or is
+    NaN, or e_h / |v|^2 underflows. Failed rows are left as they were.
+    ``peeled._project_rows`` takes its norms with einsum, in another order.
+    """
+    nsq = _row_dots(pre, pre)
+    over = np.flatnonzero(~(nsq <= e_h))
+    scale = np.sqrt(e_h / nsq[over])
+    failed = np.zeros(len(pre), dtype=bool)
+    failed[over] = ~(scale > 0)
+    fit = scale > 0
+    over, scale = over[fit], scale[fit]
+    h1 = pre[over] * scale[:, None]
+    while True:  # the scaled row may round outside the ball: nudge it down by ulps
+        grown = _row_dots(h1, h1) > e_h
+        if not grown.any():
+            break
+        h1[grown] *= _NUDGE
+    pre[over] = h1
+    return nsq, failed
+
+
+def _sweep_block(classifier, steps, deltas, e_h, h_stars, w_norms, drawn, first, runs):
+    """Every delta and step of the trials first, first + 1, ... drawn as ``drawn``.
+
+    Appends their records to ``runs`` and returns the divergences met, as
+    ``(trial, delta index, stage, message)``: stage -1 is the start, 4j to
+    4j + 3 are step j's rate, step, projection and ratio, so the least is
+    the one the one-vector loop meets first.
+    """
+    K, W, e_w = classifier.num_classes, classifier.scaled_columns, classifier.e_w
+    root_e_h, guard = np.sqrt(e_h), DIST_GUARD * math.sqrt(e_h)
+    trials = np.arange(first, first + len(drawn))
+    classes = np.array([c for c, _ in drawn])
+    tangents = np.array([u for _, u in drawn])
+    failures = []
+
+    def fail(mask, trial_of, i, stage, message):
+        """Note the first row r of ``mask``, trial trial_of[r], as a divergence at (delta i, stage).
+
+        ``message(t, r)`` words it.
+        """
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            t = int(trial_of[bad[0]])
+            failures.append((t, i, stage, message(t, bad[0])))
+
+    for i, (delta, per_step) in enumerate(zip(deltas, runs)):
+        h0 = h_stars[classes] + (delta * root_e_h) * tangents
+        h0 *= (root_e_h / np.sqrt(_row_dots(h0, h0)))[:, None]
+        # rescaling |h* + delta u| over- or underflowed, or |h0|^2 = E_H is subnormal:
+        # too few bits for the ratios, and the projection's ulp nudges would not shrink it
+        n0_sq = _row_dots(h0, h0)
+        off = ~((_TINY <= n0_sq) & (n0_sq < np.inf))
+        fail(off, trials, i, -1,
+             lambda t, _: f"start of trial {t} at delta={delta:g} left the sphere")
+        diff = h0 - h_stars[classes]
+        dist0 = np.sqrt(_row_dots(diff, diff))
+        rows = np.flatnonzero(~off & ~(dist0 < guard))
+        if not rows.size:
+            continue
+        live, cls, h0, dist0 = trials[rows], classes[rows], h0[rows], dist0[rows]
+        h_star = h_stars[cls]
+        cols = _class_columns(W, cls)
+        col_norms = w_norms[cls]
+        dist0_sq = _squares(dist0)
+        # |h0|^2 and |w_c|^2 are finite, so the cosine is too
+        h0_dot_w = _row_dots(h0, cols)
+        cos_raw = h0_dot_w / (np.sqrt(n0_sq[rows]) * col_norms)
+        # within ~1e-8 of h* the cosine can round to 1 + ulp
+        cos0 = np.where(1.0 < cos_raw, 1.0, cos_raw)
+        bound = ((1.0 + cos0) / 2.0).tolist()
+        # one softmax per start: uniformity, CE gradient, rate; a (n, 1, d) stack of
+        # starts makes its h @ W one gemv per start
+        P = softmax_probs(h0[:, None, :], W)[:, 0, :]
+        own = np.arange(len(cls)), cls
+        p_c = P[own]
+        spread = np.abs(P - ((1.0 - p_c) / (K - 1))[:, None])  # offclass_deviation
+        spread[own] = 0.0
+        uniformity_dev = spread.max(axis=1).tolist()
+        grad_ce = _ce_grads(P, p_c, cls, W, cols)
+        lengths = classifier.lengths[cls] * root_e_h  # dr_grad's targets t
+        grad_dr = (h0_dot_w / lengths - 1.0)[:, None] * cols
+        trial_ids, cos0, class_ids = live.tolist(), cos0.tolist(), cls.tolist()
+        for j, (records, (kind, gamma)) in enumerate(zip(per_step, steps)):
+            rate = "None" if gamma is None else format(gamma, "g")
+            at = f"at delta={delta:g}, step ({kind}, {rate})"
+            if kind == "ce-opt":
+                fail(p_c == 1.0, live, i, 4 * j, lambda t, _: (  # the rate divides by 1 - p_c
+                    f"instance-optimal rate undefined in trial {t}: p_c rounds to 1 {at}"))
+                g = ce_instance_rate(K, e_h, e_w, cos_raw, p_c)
+                pre = h0 - g[:, None] * grad_ce
+                rates = list(g)
+            else:
+                pre = h0 - float(gamma) * (grad_dr if kind == "dr" else grad_ce)
+                rates = [float(gamma)] * len(live)
+            pre = np.ascontiguousarray(pre)  # its dots sum contiguous rows, as pre.dot(pre) does
+            fail(~np.isfinite(pre).all(axis=1), live, i, 4 * j + 1,
+                 lambda t, _: f"non-finite step in trial {t} {at}")
+            diff = pre - h_star
+            raw_ratio = _squares(np.sqrt(_row_dots(diff, diff))) / dist0_sq
+            nsq, failed = _project_ball_rows(pre, e_h)
+            h1 = pre
+            fail(failed, live, i, 4 * j + 2, lambda t, r: (
+                f"squared norm {float(nsq[r])} has no finite projection onto "
+                f"|x|^2 <= {e_h}: trial {t} {at}"))
+            # |pre - h*|^2 overflows, or dist0^2 underflows
+            fail(~np.isfinite(raw_ratio), live, i, 4 * j + 3,
+                 lambda t, _: f"raw ratio not finite in trial {t} {at}")
+            if failures:  # the sweep raises: no records needed
+                continue
+            h1_sq = _row_dots(h1, h1)
+            diff = h1 - h_star
+            ratio = _squares(np.sqrt(_row_dots(diff, diff))) / dist0_sq
+            cos_after = _row_dots(h1, cols) / (np.sqrt(h1_sq) * col_norms)
+            records.extend(map(
+                RegularityRecord, trial_ids, repeat(kind), rates, repeat(delta), class_ids,
+                cos0, ratio.tolist(), raw_ratio.tolist(), bound, uniformity_dev,
+                np.abs(h1_sq - e_h).tolist(), cos_after.tolist()))
+    return failures
 
 
 def run_regularity_sweep(
@@ -141,7 +317,14 @@ def run_regularity_sweep(
     step from that start, so the lists are paired by trial. A delta is a
     fraction of |h*| = sqrt(e_h), so a start lies at about the same angle
     to h* at every e_h. Trials starting within DIST_GUARD sqrt(e_h) of h*
-    are excluded. A divergence names the first (trial, delta) in trial order.
+    are excluded.
+
+    Each block of BLOCK_TRIALS trials runs as array code, delta by delta.
+    Every dot and norm is a stacked np.matmul (``_row_dots``), and the rows
+    that stand for the strided class columns W[:, c] keep a non-unit
+    stride, so each record holds the bits of the one-vector form. A
+    divergence raises the first failing (trial, delta, step) in trial
+    order, each trial over every delta and every step, and names all three.
     """
     for kind, _ in steps:
         if kind not in ("ce", "dr", "ce-opt"):
@@ -149,70 +332,22 @@ def run_regularity_sweep(
     check_classifier(classifier)
 
     K, W, e_w = classifier.num_classes, classifier.scaled_columns, classifier.e_w
-    # an over- or underflow surfaces as a NumericDivergence: at the start, the step or the
-    # projection (a start whose norm underflows to 0 divides by it)
-    with np.errstate(over="ignore", divide="ignore"):
-        w_norms = [np.linalg.norm(W[:, k]) for k in range(K)]  # |w_c|: the columns are strided
+    # an over- or underflow, or a NaN, is found by explicit checks and raised as a
+    # NumericDivergence: at the start, the step, the projection or the ratio
+    with np.errstate(all="ignore"):
+        w_norms = np.array([np.linalg.norm(W[:, k]) for k in range(K)])  # strided columns
         if not all(0 < n < np.inf for n in w_norms):  # cos(h, w_c) would divide by |w_c|
             raise NumericDivergence(f"classifier column norms under- or overflow at e_w={e_w:g}")
         root_e_h = np.sqrt(e_h)
-        h_stars = [root_e_h * classifier.frame.columns[:, k] for k in range(K)]
+        h_stars = np.array([root_e_h * classifier.frame.columns[:, k] for k in range(K)])
         runs = [[[] for _ in steps] for _ in deltas]
-        guard = DIST_GUARD * math.sqrt(e_h)
-        for t in range(trials):
-            c, u = _draw_trial(classifier, h_stars, e_h, np.random.default_rng([seed, t]))
-            h_star, w, w_norm = h_stars[c], W[:, c], w_norms[c]
-            for delta, per_step in zip(deltas, runs):
-                h0 = _start(h_star, u, delta, root_e_h)
-                # rescaling |h* + delta u| over- or underflowed, or |h0|^2 = E_H is subnormal:
-                # too few bits for the ratios, and project_ball's ulp nudges would not shrink it
-                n0_sq = h0.dot(h0)
-                if not _TINY <= n0_sq < np.inf:
-                    raise NumericDivergence(f"start of trial {t} at delta={delta:g} left the sphere")
-                n0 = math.sqrt(n0_sq)
-                dist0 = _norm(h0 - h_star)
-                if dist0 < guard:
-                    continue
-                dist0_sq = _squared(dist0)
-                cos_raw = float(h0.dot(w) / (n0 * w_norm))
-                # within ~1e-8 of h* the cosine can round to 1 + ulp
-                cos0 = min(cos_raw, 1.0)
-                bound = dr_eta_bound(cos0)
-                p = softmax_probs(h0, W)  # one softmax per start: uniformity, CE gradient, rate
-                uniformity_dev = offclass_deviation(p, c)
-                # ce and ce-opt share CE's gradient, -(pull + push)
-                grad_ce, grad_dr = -np.add(*_pull_push(p, c, W)), dr_grad(h0, classifier, c, e_h)
-                for records, (kind, gamma) in zip(per_step, steps):
-                    if kind == "ce-opt" and p[c] == 1.0:  # the rate divides by 1 - p_c
-                        raise NumericDivergence(
-                            f"instance-optimal rate undefined in trial {t}: p_c rounds to 1")
-                    g = (ce_instance_rate(K, e_h, e_w, cos_raw, p[c]) if kind == "ce-opt"
-                         else float(gamma))
-                    pre = h0 - g * (grad_dr if kind == "dr" else grad_ce)
-                    if not np.isfinite(pre).all():
-                        raise NumericDivergence(f"non-finite step in trial {t}")
-                    h1 = project_ball(pre, e_h)
-                    h1_sq = h1.dot(h1)
-                    raw_ratio = float(_squared(_norm(pre - h_star)) / dist0_sq)
-                    if not math.isfinite(raw_ratio):  # |pre - h*|^2 overflows, or dist0^2 underflows
-                        raise NumericDivergence(
-                            f"raw ratio not finite in trial {t} at delta={delta:g}")
-                    records.append(
-                        RegularityRecord(
-                            trial=t,
-                            loss_kind=kind,
-                            gamma=g,
-                            delta=delta,
-                            class_index=c,
-                            cos_before=cos0,
-                            ratio=float(_squared(_norm(h1 - h_star)) / dist0_sq),
-                            raw_ratio=raw_ratio,
-                            bound=bound,
-                            uniformity_dev=uniformity_dev,
-                            sphere_dev=float(abs(h1_sq - e_h)),
-                            cos_after=float(h1.dot(w) / (math.sqrt(h1_sq) * w_norm)),
-                        )
-                    )
+        for first in range(0, trials, BLOCK_TRIALS):
+            drawn = [_draw_trial(classifier, h_stars, e_h, np.random.default_rng([seed, t]))
+                     for t in range(first, min(first + BLOCK_TRIALS, trials))]
+            failures = _sweep_block(classifier, steps, deltas, e_h, h_stars, w_norms, drawn,
+                                    first, runs)
+            if failures:
+                raise NumericDivergence(min(failures)[3])
     return runs
 
 

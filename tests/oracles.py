@@ -3,13 +3,38 @@
 The library computes losses and gradients through the batch kernels
 ``ce_terms`` and ``dr_terms``; these functions restate the paper's
 per-sample forms (eqs. (3)-(7)) for the tests to compare against, along
-with the reader of the ``frame.csv`` text that the tests round-trip.
+with the reader of the ``frame.csv`` text that the tests round-trip and
+the one-vector-at-a-time regularity sweep that the batched sweep must
+reproduce bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from etfnc.etf import EtfFrame
-from etfnc.losses import ce_terms, decompose_pull_push_classifier, decompose_pull_push_feature
+from etfnc.losses import (
+    NumericDivergence,
+    _pull_push,
+    ce_terms,
+    decompose_pull_push_classifier,
+    decompose_pull_push_feature,
+    dr_grad,
+    softmax_probs,
+)
+from etfnc.peeled import project_ball
+from etfnc.regularity import (
+    _TINY,
+    DIST_GUARD,
+    RegularityRecord,
+    _draw_trial,
+    _norm,
+    _squared,
+    ce_instance_rate,
+    check_classifier,
+    dr_eta_bound,
+    offclass_deviation,
+)
 
 
 def ce_loss(h, label, W) -> float:
@@ -59,3 +84,92 @@ def frame_from_csv_text(text: str, rotation_seed: int = 0) -> EtfFrame:
         columns=columns,
         rotation_seed=rotation_seed,
     )
+
+
+def _start(h_star, u, delta, root_e_h):
+    """Start point h* + delta |h*| u, rescaled to the sphere |h*| = sqrt(E_H)."""
+    h0 = h_star + (delta * root_e_h) * u
+    h0 *= root_e_h / _norm(h0)
+    return h0
+
+
+def regularity_sweep_loop(classifier, steps, deltas, trials, seed, e_h=1.0):
+    """``run_regularity_sweep`` one trial, delta and step at a time, with its messages.
+
+    The loop the library ran before it batched the trials: for trial t, for
+    each delta, one start, one softmax and both gradients as vectors, then
+    every ``(kind, gamma)`` step with ``project_ball``. The first failure in
+    that order is raised. numpy's warnings are off: every failure is
+    checked explicitly.
+    """
+    for kind, _ in steps:
+        if kind not in ("ce", "dr", "ce-opt"):
+            raise ValueError(f"unknown step kind {kind!r}")
+    check_classifier(classifier)
+
+    K, W, e_w = classifier.num_classes, classifier.scaled_columns, classifier.e_w
+    with np.errstate(all="ignore"):
+        w_norms = [np.linalg.norm(W[:, k]) for k in range(K)]
+        if not all(0 < n < np.inf for n in w_norms):
+            raise NumericDivergence(f"classifier column norms under- or overflow at e_w={e_w:g}")
+        root_e_h = np.sqrt(e_h)
+        h_stars = [root_e_h * classifier.frame.columns[:, k] for k in range(K)]
+        runs = [[[] for _ in steps] for _ in deltas]
+        guard = DIST_GUARD * math.sqrt(e_h)
+        for t in range(trials):
+            c, u = _draw_trial(classifier, h_stars, e_h, np.random.default_rng([seed, t]))
+            h_star, w, w_norm = h_stars[c], W[:, c], w_norms[c]
+            for delta, per_step in zip(deltas, runs):
+                h0 = _start(h_star, u, delta, root_e_h)
+                n0_sq = h0.dot(h0)
+                if not _TINY <= n0_sq < np.inf:
+                    raise NumericDivergence(
+                        f"start of trial {t} at delta={delta:g} left the sphere")
+                n0 = math.sqrt(n0_sq)
+                dist0 = _norm(h0 - h_star)
+                if dist0 < guard:
+                    continue
+                dist0_sq = _squared(dist0)
+                cos_raw = float(h0.dot(w) / (n0 * w_norm))
+                cos0 = min(cos_raw, 1.0)
+                bound = dr_eta_bound(cos0)
+                p = softmax_probs(h0, W)
+                uniformity_dev = offclass_deviation(p, c)
+                grad_ce, grad_dr = -np.add(*_pull_push(p, c, W)), dr_grad(h0, classifier, c, e_h)
+                for records, (kind, gamma) in zip(per_step, steps):
+                    at = (f"trial {t} at delta={delta:g}, step "
+                          f"({kind}, {'None' if gamma is None else format(gamma, 'g')})")
+                    if kind == "ce-opt" and p[c] == 1.0:
+                        raise NumericDivergence(
+                            f"instance-optimal rate undefined in trial {t}: p_c rounds to 1 "
+                            f"at delta={delta:g}, step (ce-opt, None)")
+                    g = (ce_instance_rate(K, e_h, e_w, cos_raw, p[c]) if kind == "ce-opt"
+                         else float(gamma))
+                    pre = h0 - g * (grad_dr if kind == "dr" else grad_ce)
+                    if not np.isfinite(pre).all():
+                        raise NumericDivergence(f"non-finite step in {at}")
+                    try:
+                        h1 = project_ball(pre, e_h)
+                    except NumericDivergence as err:
+                        raise NumericDivergence(f"{err}: {at}") from None
+                    h1_sq = h1.dot(h1)
+                    raw_ratio = float(_squared(_norm(pre - h_star)) / dist0_sq)
+                    if not math.isfinite(raw_ratio):
+                        raise NumericDivergence(f"raw ratio not finite in {at}")
+                    records.append(
+                        RegularityRecord(
+                            trial=t,
+                            loss_kind=kind,
+                            gamma=g,
+                            delta=delta,
+                            class_index=c,
+                            cos_before=cos0,
+                            ratio=float(_squared(_norm(h1 - h_star)) / dist0_sq),
+                            raw_ratio=raw_ratio,
+                            bound=bound,
+                            uniformity_dev=uniformity_dev,
+                            sphere_dev=float(abs(h1_sq - e_h)),
+                            cos_after=float(h1.dot(w) / (math.sqrt(h1_sq) * w_norm)),
+                        )
+                    )
+    return runs

@@ -814,6 +814,13 @@ class TestNumericBreakdownDiverges:
         # every raw ratio is finite, about 1e307, but the sum of 20 overflows in their mean
         (("--gammas", "1e152", "--trials", "20"),
          "mean ratio overflows at delta=0.01, gamma_ce=1e+152"),
+        # CE's gradient is about |w_c| = 100, so the step itself leaves float range
+        (("--gammas", "1e308", "--e-h", "1e-4", "--e-w", "1e4"),
+         "non-finite step in trial 0 at delta=0.01, step (ce, 1e+308)"),
+        # a projection divergence names its trial, delta and step too
+        (("--gammas", "1e308", "--e-w", "1e4", "--deltas", "0.01,0.05"),
+         "squared norm inf has no finite projection onto |x|^2 <= 1.0: "
+         "trial 0 at delta=0.01, step (ce, 1e+308)"),
     ])
     def test_regularity_start(self, tmp_path, capsys, argv, message):
         code = run("regularity", "--K", 4, "--d", 6, "--trials", 5, *argv, "--out", tmp_path / "x")
@@ -826,8 +833,8 @@ class TestNumericBreakdownDiverges:
         """At e_h = 1e4 the logits saturate: p_c rounds to 1, and the rate would divide by 0."""
         argv = ("regularity", "--K", 10, "--d", 20, "--trials", 20, "--e-h", "1e4")
         assert run(*argv, "--instance-optimal", "--out", tmp_path / "x") == EXIT_DIVERGED
-        assert ("instance-optimal rate undefined in trial 0: p_c rounds to 1"
-                in capsys.readouterr().err)
+        assert ("instance-optimal rate undefined in trial 0: p_c rounds to 1 "
+                "at delta=0.01, step (ce-opt, None)" in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
         assert run(*argv, "--out", tmp_path / "y") == EXIT_OK
         assert "regularity: ok (300 records)" in capsys.readouterr().out

@@ -63,6 +63,37 @@ PINNED = {
                 "9c11c29e23d2eed120d3ead0c8e620e5b90d84cee77357c71d94a9ca2b56a8f3",
         },
     ),
+    "regularity-two-classes": (  # K = 2, d = 2: the push of each class is one column
+        ("regularity", "--K", 2, "--d", 2, "--instance-optimal"),
+        EXIT_OK,
+        {
+            "records.csv":
+                "4eb70b62a7e2cae95114e44ba6ef27a4ae8fda54def039e1548786c4cd83d078",
+            "summary.json":
+                "805049bbf26f599ebd0e5cc5564b325421e051b16d5d98c2d154d78960e85598",
+        },
+    ),
+    "regularity-small-features": (  # E_H = 1e-6 against E_W = 1e6, with ce-opt rates
+        ("regularity", "--K", 10, "--d", 20, "--e-h", "1e-6", "--e-w", "1e6",
+         "--instance-optimal"),
+        EXIT_OK,
+        {
+            "records.csv":
+                "c2def7a02bcb6dd3d2cf3174478143b99fa2dd55cfcbbfb42b1ed6d9efc984d5",
+            "summary.json":
+                "2d7a64e248b275075f8725fa34a75cd637bf35114df2734582ed21746d29d011",
+        },
+    ),
+    "regularity-wide": (  # K = 16, d = 40: another stride and block shape
+        ("regularity", "--K", 16, "--d", 40, "--e-h", "0.3", "--e-w", "6"),
+        EXIT_OK,
+        {
+            "records.csv":
+                "ff6aed0d4e2237edb79ead9e282b90d8a373bc50d1798357932289af20b3fbdf",
+            "summary.json":
+                "82d9483d53c931081b3b70f38e53dcc3d2c3a30f7a37ebac2fa1b615f3440c13",
+        },
+    ),
     "regularity-all-excluded": (  # every start excluded: a header-only records.csv
         ("regularity", "--deltas", "1e-13", "--trials", 20, "--K", 4, "--d", 8),
         EXIT_CHECK_FAILED,

@@ -11,17 +11,21 @@ from hypothesis import strategies as st
 from etfnc.etf import generate_etf, uniform_classifier
 from etfnc.losses import NumericDivergence, dr_grad, softmax_probs
 from etfnc.regularity import (
+    BLOCK_TRIALS,
     BOUND_TOL,
     DIST_GUARD,
     DOMINANCE_FRAC,
     RegularityRecord,
+    _class_columns,
     _norm,
+    _row_dots,
     check_sweep,
     dr_eta_bound,
     offclass_deviation,
     run_regularity_sweep,
 )
 from etfnc.serialize import derive_seed
+from oracles import regularity_sweep_loop
 
 
 def make_classifier(d=16, K=10, e_w=1.0, seed=0):
@@ -398,6 +402,131 @@ class TestSweep:
         clf = uniform_classifier(generate_etf(1, 2, 0), 1.0)
         with pytest.raises(ValueError, match="regularity experiment needs d >= 2, got d=1"):
             run_regularity_sweep(clf, STEPS, [0.05], 10, 0)
+
+
+def cli_instance(K=10, d=20, seed=0, e_h=1.0, e_w=1.0, gammas=(0.05, 0.1, 0.5, 1.0),
+                 deltas=(0.01, 0.05, 0.1), trials=500, instance_optimal=False):
+    """``run_regularity_sweep``'s arguments as ``etfnc regularity`` builds them from its flags."""
+    clf = uniform_classifier(generate_etf(d, K, derive_seed(seed, "etf")), e_w)
+    steps = ([("ce", g) for g in gammas] + [("dr", float(np.sqrt(e_h / clf.e_w)))]
+             + [("ce-opt", None)] * instance_optimal)
+    return clf, steps, list(deltas), trials, seed, e_h
+
+
+def outcome(sweep, *args):
+    """The bits of every record list of a sweep, or the type and message of what it raised."""
+    try:
+        return [[bits(records) for records in run] for run in sweep(*args)]
+    except (ValueError, NumericDivergence) as err:
+        return type(err), str(err)
+
+
+def mostly(common, rare):
+    """One of ``common`` three times in four, else one of ``rare``."""
+    return st.one_of(*[st.sampled_from(common)] * 3, st.sampled_from(rare))
+
+
+class TestBatchedSweep:
+    """The batched sweep equals the one-vector loop of ``oracles``: records bit for bit,
+    or the same exception with the same message."""
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param({"seed": seed}, id=f"default-seed{seed}") for seed in (0, 1000, 2000, 5000)
+    ] + [
+        pytest.param({"K": 6, "d": 9, "e_w": 4.0, "instance_optimal": True}, id="K6-ce-opt"),
+        pytest.param({"K": 7, "d": 9, "e_h": 2.0, "e_w": 4.0, "instance_optimal": True},
+                     id="K7-ce-opt"),
+        # logits large enough that the absolute uniformity gate admits tangential pushes
+        pytest.param({"K": 11, "d": 10, "e_h": 16.95692372296018, "e_w": 12.268171069137315,
+                      "deltas": (0.0006816733169454591,), "gammas": (0.06058149237855077,),
+                      "trials": 40, "seed": 7}, id="K11-wide-logits"),
+        pytest.param({"K": 3, "d": 2, "e_h": 1e-6, "e_w": 1e6}, id="K3-small-features"),
+        pytest.param({"K": 12, "d": 17, "e_h": 1e3, "e_w": 1e-3}, id="K12-large-features"),
+        pytest.param({"K": 2, "d": 2}, id="K2"),
+        pytest.param({"K": 16, "d": 40, "e_h": 0.3, "e_w": 6.0}, id="K16-d40"),
+    ])
+    def test_matches_loop_bitwise(self, flags):
+        args = cli_instance(**flags)
+        got = outcome(run_regularity_sweep, *args)
+        assert isinstance(got, list)
+        assert got == outcome(regularity_sweep_loop, *args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(2, 12),
+        d=st.integers(2, 24),
+        seed=st.integers(0, 2**16),
+        trials=st.integers(0, 2 * BLOCK_TRIALS + 3),
+        # 1e-13 excludes every start; the last two overflow |h* + delta u|
+        deltas=st.lists(mostly([0.01, 0.05, 0.7], [1e-13, 1.3407807929942596e154, 1e300]),
+                        min_size=1, max_size=3),
+        # they overflow the raw ratio, its mean, the projection or the step
+        gammas=st.lists(mostly([0.05, 0.5, 3.0, 1e3], [1e152, 1e153, 1e300, 1e308]),
+                        min_size=1, max_size=3),
+        # 1e4 saturates the logits, so p_c rounds to 1; 1e-310 and below are subnormal
+        e_h=mostly([1.0, 0.3, 1e4, 1e-6], [1e300, 1e-307, 1e-310, 1e-320, 5e-324]),
+        e_w=mostly([1.0, 4.0, 1e-4, 1e4], [1e300, 5e-324]),
+        instance_optimal=st.booleans(),
+    )
+    def test_matches_loop_property(self, K, d, seed, trials, deltas, gammas, e_h, e_w,
+                                   instance_optimal):
+        args = cli_instance(K, max(d, K - 1), seed, e_h, e_w, gammas, deltas, trials,
+                            instance_optimal)
+        assert outcome(run_regularity_sweep, *args) == outcome(regularity_sweep_loop, *args)
+
+    def test_non_finite_step_names_trial_delta_and_step(self):
+        """CE's gradient is about |w_c| = 100: a rate of 1e308 steps past float range."""
+        clf = make_classifier(d=6, K=4, e_w=1e4)
+        steps = [("dr", 1.0), ("ce", 1e308)]
+        message = r"^non-finite step in trial 0 at delta=0\.01, step \(ce, 1e\+308\)$"
+        with pytest.raises(NumericDivergence, match=message):
+            run_regularity_sweep(clf, steps, [0.01, 0.05], 5, 0, e_h=1e-4)
+
+
+class TestStackedMatmul:
+    """The dispatch rule the batched sweep's bits rest on, compared as int64 bit patterns.
+
+    A stacked np.matmul computes each item with the BLAS call that the
+    one-vector form makes, so a numpy or BLAS change that breaks this fails
+    here by name.
+    """
+
+    def setup_method(self):
+        rng = np.random.default_rng(7)
+        self.K, self.d, self.n = 10, 20, 300
+        self.W = rng.standard_normal((self.d, self.K))
+        self.H = rng.standard_normal((self.n, self.d))
+        self.classes = rng.integers(self.K, size=self.n)
+
+    @staticmethod
+    def assert_bits_equal(got, expected):
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                      np.asarray(expected).view(np.int64))
+
+    def test_row_dots_equal_contiguous_dot(self):
+        G = self.H[::-1].copy()
+        self.assert_bits_equal(_row_dots(self.H, G), [h.dot(g) for h, g in zip(self.H, G)])
+
+    @pytest.mark.parametrize("n", [300, 1])
+    def test_row_dots_equal_strided_dot(self, n):
+        """Rows with the column's non-unit stride sum as h.dot(W[:, c]) does, one row too."""
+        H, classes = self.H[:n], self.classes[:n]
+        cols = _class_columns(self.W, classes)
+        assert cols.strides[1] != cols.itemsize
+        self.assert_bits_equal(_row_dots(H, cols),
+                               [h.dot(self.W[:, c]) for h, c in zip(H, classes)])
+
+    def test_stacked_softmax_equals_per_row(self):
+        P = softmax_probs(self.H[:, None, :], self.W)[:, 0, :]
+        self.assert_bits_equal(P, [softmax_probs(h, self.W) for h in self.H])
+
+    def test_broadcast_gemv_equals_per_vector(self):
+        P = softmax_probs(self.H[:, None, :], self.W)[:, 0, :]
+        for k in range(self.K):
+            others = np.arange(self.K) != k
+            block = np.ascontiguousarray(P[self.classes == k][:, others])
+            got = np.matmul(self.W[:, others], block[:, :, None])[:, :, 0]
+            self.assert_bits_equal(got, [self.W[:, others] @ p for p in block])
 
 
 class TestPairDominance:
