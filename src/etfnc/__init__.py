@@ -41,13 +41,8 @@ from .peeled import (
     lpm_problem,
     minority_collapse_probe,
     optimize,
-    project_ball,
 )
-from .regularity import (
-    RegularityRecord,
-    dr_eta_bound,
-    offclass_deviation,
-)
+from .regularity import RegularityRecord
 from .trainer import (
     MlpBackbone,
     SyntheticDatasetSpec,

@@ -31,31 +31,6 @@ import numpy as np
 from .etf import FixedClassifier
 from .losses import NumericDivergence, ce_terms, dr_terms
 
-#: shrink factor of project_ball's ulp nudge
-_NUDGE = 1.0 - 4.0 * np.finfo(float).eps
-
-
-def project_ball(v: np.ndarray, E: float) -> np.ndarray:
-    """Orthogonal projection of v onto the ball {x : |x|^2 <= E}.
-
-    Returns v unchanged for interior points, else v * sqrt(E)/|v|. The
-    scaled result is nudged down by ulps if rounding left it outside the
-    ball, so the projection is exactly idempotent.
-    """
-    if E <= 0:
-        raise ValueError("ball radius squared E must be positive")
-    v = np.asarray(v, dtype=float)
-    nsq = float(v.dot(v))
-    if nsq <= E:
-        return v
-    scale = math.sqrt(E / nsq)
-    if not scale > 0:  # |v|^2 overflowed or is NaN, or E / |v|^2 underflowed
-        raise NumericDivergence(f"squared norm {nsq} has no finite projection onto |x|^2 <= {E}")
-    w = v * scale
-    while float(w.dot(w)) > E:
-        w = w * _NUDGE
-    return w
-
 
 def _project_rows(X: np.ndarray, E: float) -> bool:
     """Project the rows of X onto the ball |x|^2 <= E in place; True if any row moved."""

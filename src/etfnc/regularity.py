@@ -40,7 +40,6 @@ import numpy as np
 
 from .etf import FixedClassifier
 from .losses import NumericDivergence, softmax_probs
-from .peeled import _NUDGE
 
 #: trials closer to the optimum than this times |h*| = sqrt(E_H) are excluded, not ratios
 DIST_GUARD = 1e-12
@@ -48,25 +47,9 @@ DIST_GUARD = 1e-12
 #: one block of 500 trials left the process 1 MB larger than the one-vector loop, 128 did not
 BLOCK_TRIALS = 128
 _TINY = np.finfo(float).tiny
-
-
-def dr_eta_bound(cos_angle: float) -> float:
-    """The DR regularity number (1 + cos) / 2."""
-    if not -1.0 <= cos_angle <= 1.0:
-        raise ValueError(f"cosine must lie in [-1, 1], got {cos_angle}")
-    return (1.0 + cos_angle) / 2.0
-
-
-def offclass_deviation(p: np.ndarray, c: int) -> float:
-    """max over k != c of |p_k - (1 - p_c) / (K - 1)| for the class probabilities p of h.
-
-    Zero exactly when h is aligned with w*_c (ETF symmetry); the
-    contraction comparison for CE assumes this holds approximately.
-    """
-    K = len(p)
-    resid = (1.0 - p[c]) / (K - 1)
-    others = np.arange(K) != c
-    return float(np.abs(p[others] - resid).max())
+#: shrink factor of the ball projection's ulp nudge, here and in the one-vector
+#: ``project_ball`` of tests/oracles.py
+_NUDGE = 1.0 - 4.0 * np.finfo(float).eps
 
 
 @dataclass(slots=True)
@@ -175,19 +158,22 @@ def _ce_grads(P: np.ndarray, p_c: np.ndarray, cls: np.ndarray, W: np.ndarray,
 
 
 def _project_ball_rows(pre: np.ndarray, e_h: float):
-    """``project_ball(pre[i], e_h)`` of every row, in place; (squared row norms, failed rows).
+    """The one-vector ``project_ball`` of tests/oracles.py on every row of pre, in place.
 
-    A row fails where project_ball raises: its squared norm overflows or is
-    NaN, or e_h / |v|^2 underflows. Failed rows are left as they were.
+    Returns (squared row norms, failed rows). A row fails where
+    project_ball raises: its squared norm overflows or is NaN, or the
+    ratio e_h / |v|^2 is not a normal float: a subnormal ratio keeps so few
+    bits that the scaled row can lie ~1e-5 outside the ball, ~1e9 ulp
+    nudges away. Failed rows are left as they were.
     ``peeled._project_rows`` takes its norms with einsum, in another order.
     """
     nsq = _row_dots(pre, pre)
     over = np.flatnonzero(~(nsq <= e_h))
-    scale = np.sqrt(e_h / nsq[over])
+    ratio = e_h / nsq[over]
+    fit = ratio >= _TINY
     failed = np.zeros(len(pre), dtype=bool)
-    failed[over] = ~(scale > 0)
-    fit = scale > 0
-    over, scale = over[fit], scale[fit]
+    failed[over] = ~fit
+    over, scale = over[fit], np.sqrt(ratio[fit])
     h1 = pre[over] * scale[:, None]
     while True:  # the scaled row may round outside the ball: nudge it down by ulps
         grown = _row_dots(h1, h1) > e_h
@@ -253,7 +239,7 @@ def _sweep_block(classifier, steps, deltas, e_h, h_stars, w_norms, drawn, first,
         P = softmax_probs(h0[:, None, :], W)[:, 0, :]
         own = np.arange(len(cls)), cls
         p_c = P[own]
-        spread = np.abs(P - ((1.0 - p_c) / (K - 1))[:, None])  # offclass_deviation
+        spread = np.abs(P - ((1.0 - p_c) / (K - 1))[:, None])  # oracles.offclass_deviation
         spread[own] = 0.0
         uniformity_dev = spread.max(axis=1).tolist()
         grad_ce = _ce_grads(P, p_c, cls, W, cols)
@@ -351,7 +337,7 @@ def run_regularity_sweep(
     return runs
 
 
-#: gate on offclass_deviation for the CE-vs-DR dominance assertion
+#: gate on a record's uniformity_dev for the CE-vs-DR dominance assertion
 UNIFORMITY_GATE = 1e-3
 #: slack on DR's projected ratio - (1 + cos) / 2
 BOUND_TOL = 1e-9

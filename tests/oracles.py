@@ -5,7 +5,9 @@ The library computes losses and gradients through the batch kernels
 per-sample forms (eqs. (3)-(7)) for the tests to compare against, along
 with the reader of the ``frame.csv`` text that the tests round-trip and
 the one-vector-at-a-time regularity sweep that the batched sweep must
-reproduce bit for bit.
+reproduce bit for bit, with its one-vector ball projection, off-class
+uniformity and DR bound (1 + cos) / 2, which the batched sweep computes
+row by row.
 """
 
 import math
@@ -22,8 +24,8 @@ from etfnc.losses import (
     dr_grad,
     softmax_probs,
 )
-from etfnc.peeled import project_ball
 from etfnc.regularity import (
+    _NUDGE,
     _TINY,
     DIST_GUARD,
     RegularityRecord,
@@ -32,8 +34,6 @@ from etfnc.regularity import (
     _squared,
     ce_instance_rate,
     check_classifier,
-    dr_eta_bound,
-    offclass_deviation,
 )
 
 
@@ -84,6 +84,48 @@ def frame_from_csv_text(text: str, rotation_seed: int = 0) -> EtfFrame:
         columns=columns,
         rotation_seed=rotation_seed,
     )
+
+
+def project_ball(v: np.ndarray, E: float) -> np.ndarray:
+    """Orthogonal projection of v onto the ball {x : |x|^2 <= E}.
+
+    Returns v unchanged for interior points, else v * sqrt(E)/|v|. The
+    scaled result is nudged down by ulps if rounding left it outside the
+    ball, so the projection is exactly idempotent.
+    """
+    if E <= 0:
+        raise ValueError("ball radius squared E must be positive")
+    v = np.asarray(v, dtype=float)
+    nsq = float(v.dot(v))
+    if nsq <= E:
+        return v
+    ratio = E / nsq
+    # |v|^2 overflowed or is NaN, or E / |v|^2 is subnormal: too few bits for the nudges to end
+    if not ratio >= _TINY:
+        raise NumericDivergence(f"squared norm {nsq} has no finite projection onto |x|^2 <= {E}")
+    w = v * math.sqrt(ratio)
+    while float(w.dot(w)) > E:
+        w = w * _NUDGE
+    return w
+
+
+def dr_eta_bound(cos_angle: float) -> float:
+    """The DR regularity number (1 + cos) / 2."""
+    if not -1.0 <= cos_angle <= 1.0:
+        raise ValueError(f"cosine must lie in [-1, 1], got {cos_angle}")
+    return (1.0 + cos_angle) / 2.0
+
+
+def offclass_deviation(p: np.ndarray, c: int) -> float:
+    """max over k != c of |p_k - (1 - p_c) / (K - 1)| for the class probabilities p of h.
+
+    Zero exactly when h is aligned with w*_c (ETF symmetry); the
+    contraction comparison for CE assumes this holds approximately.
+    """
+    K = len(p)
+    resid = (1.0 - p[c]) / (K - 1)
+    others = np.arange(K) != c
+    return float(np.abs(p[others] - resid).max())
 
 
 def _start(h_star, u, delta, root_e_h):

@@ -821,6 +821,9 @@ class TestNumericBreakdownDiverges:
         (("--gammas", "1e308", "--e-w", "1e4", "--deltas", "0.01,0.05"),
          "squared norm inf has no finite projection onto |x|^2 <= 1.0: "
          "trial 0 at delta=0.01, step (ce, 1e+308)"),
+        # E_H / |pre|^2 = 1e-317 is subnormal: too few bits for the ulp nudges to end
+        (("--e-h", "1e-307", "--gammas", "1e5"),
+         "has no finite projection onto |x|^2 <= 1e-307: trial 0 at delta=0.01, step (ce, 100000)"),
     ])
     def test_regularity_start(self, tmp_path, capsys, argv, message):
         code = run("regularity", "--K", 4, "--d", 6, "--trials", 5, *argv, "--out", tmp_path / "x")

@@ -21,9 +21,9 @@ from etfnc.peeled import (
     lpm_problem,
     minority_collapse_probe,
     optimize,
-    project_ball,
 )
 from etfnc.serialize import table
+from oracles import project_ball
 
 
 def make_dlpm(d=8, K=5, counts=(10, 5, 3, 2, 1), e_h=1.0, e_w=1.0, seed=0, frame_seed=1):
@@ -32,6 +32,8 @@ def make_dlpm(d=8, K=5, counts=(10, 5, 3, 2, 1), e_h=1.0, e_w=1.0, seed=0, frame
 
 
 class TestProjectBall:
+    """The one-vector projection of ``oracles``, the reference of the regularity sweep's."""
+
     def test_interior_point_unchanged(self):
         v = np.array([0.1, 0.2])
         assert np.array_equal(project_ball(v, 1.0), v)
@@ -60,10 +62,13 @@ class TestProjectBall:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("v,E", [
         ([1e200, 0.0], 1.0), ([-1e155, 1e155, 3.0], 1.0), ([np.nan, 1.0], 1.0),
-        ([1e100, 0.0], 1e-300),
+        ([1e100, 0.0], 1e-300), ([1e5, 0.0], 1e-307),
     ])
     def test_out_of_range_squared_norm_diverges(self, v, E):
-        """v @ v is inf or NaN, or E / v @ v underflows: the scale would be 0 or NaN, not v/|v|."""
+        """v @ v is inf or NaN, or E / v @ v underflows: the scale would be 0 or NaN, not v/|v|.
+
+        A subnormal E / v @ v (1e-317) keeps too few bits: the ulp nudges would run ~1.3e8 times.
+        """
         with pytest.raises(NumericDivergence, match="no finite projection"):
             project_ball(np.array(v), E)
 

@@ -1,6 +1,7 @@
 """One-step contraction ratios, the DR bound, and the CE/DR ordering."""
 
 import json
+import math
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -9,23 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etfnc.etf import generate_etf, uniform_classifier
-from etfnc.losses import NumericDivergence, dr_grad, softmax_probs
+from etfnc.losses import NumericDivergence, softmax_probs
 from etfnc.regularity import (
     BLOCK_TRIALS,
     BOUND_TOL,
     DIST_GUARD,
     DOMINANCE_FRAC,
-    RegularityRecord,
+    _NUDGE,
     _class_columns,
     _norm,
+    _project_ball_rows,
     _row_dots,
     check_sweep,
-    dr_eta_bound,
-    offclass_deviation,
     run_regularity_sweep,
 )
 from etfnc.serialize import derive_seed
-from oracles import regularity_sweep_loop
+from oracles import dr_eta_bound, offclass_deviation, project_ball, regularity_sweep_loop
 
 
 def make_classifier(d=16, K=10, e_w=1.0, seed=0):
@@ -220,92 +220,6 @@ class TestInstanceOptimalRate:
             run_regularity_sweep(clf, [("dr-opt", None)], [0.01], 10, 0)
 
 
-# The sweep as it was before it shared one softmax per trial and took norms as
-# sqrt(v . v): frozen here, so the live code is checked against fixed arithmetic.
-
-
-def reference_sample_start(clf, delta, e_h, rng):
-    K = clf.num_classes
-    c = int(rng.integers(K))
-    h_star = np.sqrt(e_h) * clf.frame.columns[:, c]
-    u = rng.standard_normal(clf.dim)
-    u -= (u @ h_star) / e_h * h_star
-    u /= np.linalg.norm(u)
-    h0 = h_star + (delta * np.sqrt(e_h)) * u
-    h0 *= np.sqrt(e_h) / np.linalg.norm(h0)
-    return c, h_star, h0
-
-
-def reference_project_ball(v, E):
-    v = np.asarray(v, dtype=float)
-    nsq = float(v @ v)
-    if nsq <= E:
-        return v
-    w = v * np.sqrt(E / nsq)
-    while float(w @ w) > E:
-        w = w * (1.0 - 4.0 * np.finfo(float).eps)
-    return w
-
-
-def reference_uniformity(h, clf, c):
-    p = softmax_probs(h, clf.scaled_columns)
-    K = clf.num_classes
-    resid = (1.0 - p[c]) / (K - 1)
-    others = np.arange(K) != c
-    return float(np.abs(p[others] - resid).max())
-
-
-def reference_ce_grad(h, c, W):
-    p = softmax_probs(h, W)
-    pull = (1.0 - p[c]) * W[:, c]
-    others = np.arange(W.shape[1]) != c
-    push = -(W[:, others] @ p[others])
-    return -(pull + push)
-
-
-def reference_instance_rate(clf, h, c, e_h):
-    K = clf.num_classes
-    w = clf.scaled_columns[:, c]
-    cos = float(h @ w / (np.linalg.norm(h) * np.linalg.norm(w)))
-    p = softmax_probs(h, clf.scaled_columns)
-    return (K - 1) / K * np.sqrt(e_h / clf.e_w) * (1.0 - cos) / (1.0 - p[c])
-
-
-def reference_records(clf, loss_kind, gamma, delta, trials, seed, e_h=1.0):
-    """One step per trial, each (step, trial) drawing and evaluating its own start."""
-    instance_opt = loss_kind == "ce-opt"
-    records = []
-    for t in range(trials):
-        c, h_star, h0 = reference_sample_start(clf, delta, e_h, np.random.default_rng([seed, t]))
-        dist0 = np.linalg.norm(h0 - h_star)
-        if dist0 < DIST_GUARD * np.sqrt(e_h):
-            continue
-        w = clf.scaled_columns[:, c]
-        cos0 = min(float(h0 @ w / (np.linalg.norm(h0) * np.linalg.norm(w))), 1.0)
-        g = reference_instance_rate(clf, h0, c, e_h) if instance_opt else float(gamma)
-        if loss_kind == "dr":
-            grad = dr_grad(h0, clf, c, e_h)
-        else:
-            grad = reference_ce_grad(h0, c, clf.scaled_columns)
-        pre = h0 - g * grad
-        h1 = reference_project_ball(pre, e_h)
-        records.append(RegularityRecord(
-            trial=t,
-            loss_kind=loss_kind,
-            gamma=g,
-            delta=delta,
-            class_index=c,
-            cos_before=cos0,
-            ratio=float(np.linalg.norm(h1 - h_star) ** 2 / dist0**2),
-            raw_ratio=float(np.linalg.norm(pre - h_star) ** 2 / dist0**2),
-            bound=dr_eta_bound(cos0),
-            uniformity_dev=reference_uniformity(h0, clf, c),
-            sphere_dev=float(abs(h1 @ h1 - e_h)),
-            cos_after=float(h1 @ w / (np.linalg.norm(h1) * np.linalg.norm(w))),
-        ))
-    return records
-
-
 def bits(records):
     """Each record's fields, floats as float.hex: equal only bit for bit (0.0 != -0.0)."""
     return [tuple(float(v).hex() if isinstance(v, float) else v
@@ -326,18 +240,8 @@ class TestSweep:
         assert len(sweep) == len(steps)
         for (loss, gamma), records in zip(steps, sweep):
             assert records == run_regularity_sweep(clf, [(loss, gamma)], [0.05], 40, 13, e_h)[0][0]
-            assert bits(records) == bits(reference_records(clf, loss, gamma, 0.05, 40, 13, e_h))
-
-    def test_default_run_matches_frozen_reference_bitwise(self):
-        """The CLI's default sweep (7500 records), where rare last-ulp slips show up."""
-        clf = uniform_classifier(generate_etf(20, 10, derive_seed(0, "etf")), 1.0)
-        steps = [("ce", g) for g in (0.05, 0.1, 0.5, 1.0)] + [("dr", 1.0)]
-        deltas = (0.01, 0.05, 0.1)
-        runs = run_regularity_sweep(clf, steps, deltas, 500, 0)
-        assert len(runs) == len(deltas)
-        for delta, sweep in zip(deltas, runs):
-            for (loss, gamma), records in zip(steps, sweep):
-                assert bits(records) == bits(reference_records(clf, loss, gamma, delta, 500, 0))
+            alone = regularity_sweep_loop(clf, [(loss, gamma)], [0.05], 40, 13, e_h)[0][0]
+            assert bits(records) == bits(alone)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -350,7 +254,8 @@ class TestSweep:
         gammas=st.lists(st.sampled_from([0.0, 0.05, 0.5, 3.0, 1e3]), min_size=1, max_size=3),
     )
     def test_matches_separate_runs_property(self, K, d, seed, deltas, e_h, e_w, gammas):
-        """A multi-delta sweep equals its one-delta sweeps, and the frozen reference, bit for bit."""
+        """A multi-delta sweep equals its one-delta sweeps, and the loop oracle one step
+        at a time, bit for bit."""
         clf = make_classifier(max(d, K - 1), K, e_w=e_w, seed=seed)
         steps = ([("dr", float(np.sqrt(e_h / clf.e_w)))] + [("ce", g) for g in gammas]
                  + [("ce-opt", None), ("dr", gammas[0])])
@@ -361,7 +266,7 @@ class TestSweep:
             assert [bits(records) for records in sweep] == [bits(records) for records in alone]
             for (loss, gamma), records in zip(steps, sweep):
                 assert bits(records) == bits(
-                    reference_records(clf, loss, gamma, delta, 8, seed, e_h))
+                    regularity_sweep_loop(clf, [(loss, gamma)], [delta], 8, seed, e_h)[0][0])
 
     def test_one_generator_per_trial(self, monkeypatch):
         """Trial t builds its generator once and draws its class and tangent for every delta."""
@@ -527,6 +432,84 @@ class TestStackedMatmul:
             block = np.ascontiguousarray(P[self.classes == k][:, others])
             got = np.matmul(self.W[:, others], block[:, :, None])[:, :, 0]
             self.assert_bits_equal(got, [self.W[:, others] @ p for p in block])
+
+
+def projected_or_none(v, e_h):
+    """``oracles.project_ball(v, e_h)``, or None where it raises."""
+    try:
+        return project_ball(v, e_h)
+    except NumericDivergence:
+        return None
+
+
+@st.composite
+def ball_rows(draw):
+    """(rows, e_h): C-contiguous rows inside the ball |x|^2 <= e_h, at its sphere, outside it,
+    and so far outside that |v|^2 overflows or e_h / |v|^2 is subnormal or 0."""
+    e_h = draw(mostly([1.0, 0.3, 9.0, 1e-300], [2.3e-308, 1e-150, 1e150, 1e300]))
+    n, d = draw(st.integers(1, 24)), draw(st.integers(1, 64))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, d))
+    rows /= np.sqrt(_row_dots(rows, rows))[:, None]
+    # log10 |v| / sqrt(e_h): inside, on, outside, and past 153.8, where e_h / |v|^2 is subnormal
+    exponents = draw(st.lists(st.one_of(st.floats(-3, 0), st.just(0.0), st.floats(0, 3),
+                                        st.floats(150, 170)), min_size=n, max_size=n))
+    ulps = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    with np.errstate(all="ignore"):
+        lengths = [math.sqrt(e_h) * 10.0**x * (1.0 + k * np.finfo(float).eps)
+                   for x, k in zip(exponents, ulps)]
+        rows *= np.array(lengths)[:, None]
+    return rows, e_h
+
+
+class TestProjectBallRows:
+    """``_project_ball_rows`` is the one-vector ``oracles.project_ball`` row by row.
+
+    A projected row has the oracle's bits, compared as int64 bit patterns,
+    and a row fails, left as it was, exactly where the oracle raises. Both
+    run under the sweep's ``np.errstate(all="ignore")``.
+    """
+
+    @staticmethod
+    def kinds(rows, e_h):
+        """Check the kernel against the oracle on rows; the kind of each row's projection."""
+        pre, kinds = rows.copy(), []
+        with np.errstate(all="ignore"):
+            nsq, failed = _project_ball_rows(pre, e_h)
+            for v, got, n_sq, fail in zip(rows, pre, nsq, failed):
+                want = projected_or_none(v, e_h)
+                assert float_bits(n_sq) == float_bits(v.dot(v))
+                assert fail == (want is None)
+                np.testing.assert_array_equal(got.view(np.int64),
+                                              (v if fail else want).view(np.int64))
+                scaled = v * math.sqrt(e_h / n_sq)
+                kinds.append("inside" if n_sq <= e_h else "failed" if fail
+                             else "scaled" if np.array_equal(got, scaled)
+                             else "one nudge" if np.array_equal(got, scaled * _NUDGE)
+                             else "nudges")
+        return kinds
+
+    @settings(max_examples=150, deadline=None)
+    @given(ball_rows())
+    def test_matches_oracle_row_by_row(self, drawn):
+        self.kinds(*drawn)
+
+    @pytest.mark.parametrize("e_h,d,lengths,expected", [
+        # unit-scale rows: about a quarter of the scaled ones round outside and take one nudge
+        (1.0, 8, [0.5] * 50 + [3.0] * 200, {"inside", "scaled", "one nudge"}),
+        # near the normal floor the squares of 1000 entries are subnormal: up to 5 nudges
+        (2.3e-308, 1000, [3.0] * 200, {"scaled", "one nudge", "nudges"}),
+        # |v|^2 overflows; e_h / |v|^2 is subnormal (1e-310: too few bits for the nudges to end)
+        # or 0 (1e-330)
+        (1e-300, 6, [1e305, 1e155, 1e165], {"failed"}),
+    ])
+    def test_covers_every_path(self, e_h, d, lengths, expected):
+        """Seeded rows that reach each path of the kernel: inside, scaled, nudged and failed.
+
+        ``lengths`` are |v| / sqrt(e_h).
+        """
+        rows = np.random.default_rng(11).standard_normal((len(lengths), d))
+        rows *= (np.array(lengths) * math.sqrt(e_h) / np.sqrt(_row_dots(rows, rows)))[:, None]
+        assert set(self.kinds(rows, e_h)) == expected
 
 
 class TestPairDominance:
