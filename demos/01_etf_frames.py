@@ -11,8 +11,8 @@ import json
 
 import numpy as np
 
-from etfnc import generate_etf, scale_classifier, verify_etf
-from etfnc.etf import frame_from_json_dict, frame_to_json_dict
+from etfnc.etf import (frame_from_json_dict, frame_to_json_dict, generate_etf, scale_classifier,
+                       verify_etf)
 
 np.set_printoptions(precision=4, suppress=True)
 

@@ -14,14 +14,9 @@ steered by other classes' geometry.
 
 import numpy as np
 
-from etfnc import (
-    decompose_pull_push_classifier,
-    decompose_pull_push_feature,
-    dr_grad,
-    generate_etf,
-    uniform_classifier,
-)
 from etfnc.batches import FeatureBatch
+from etfnc.etf import generate_etf, uniform_classifier
+from etfnc.losses import decompose_pull_push_classifier, decompose_pull_push_feature, dr_grad
 
 np.set_printoptions(precision=4, suppress=True)
 rng = np.random.default_rng(0)

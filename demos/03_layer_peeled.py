@@ -12,14 +12,8 @@ an ETF, but heavy imbalance merges the minor-class columns.
 
 import numpy as np
 
-from etfnc import (
-    dlpm_problem,
-    generate_etf,
-    lpm_problem,
-    minority_collapse_probe,
-    optimize,
-    uniform_classifier,
-)
+from etfnc.etf import generate_etf, uniform_classifier
+from etfnc.peeled import dlpm_problem, lpm_problem, minority_collapse_probe, optimize
 
 np.set_printoptions(precision=4, suppress=True)
 

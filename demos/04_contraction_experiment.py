@@ -10,7 +10,7 @@ CE's radial overshoot, making its projected iterate look deceptively
 good this close to the optimum.
 """
 
-from etfnc import generate_etf, uniform_classifier
+from etfnc.etf import generate_etf, uniform_classifier
 from etfnc.regularity import check_sweep, run_regularity_sweep
 
 K, d = 10, 20

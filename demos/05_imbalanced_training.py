@@ -16,8 +16,9 @@ import sys
 
 import numpy as np
 
-from etfnc import MlpBackbone, SyntheticDatasetSpec, TrainConfig, make_imbalanced_dataset, train
 from etfnc.serialize import derive_seed
+from etfnc.trainer import (MlpBackbone, SyntheticDatasetSpec, TrainConfig, make_imbalanced_dataset,
+                           train)
 
 REGIMES = ("learnable-ce", "learnable-wce", "etf-ce", "etf-dr")
 n_seeds = int(sys.argv[1]) if len(sys.argv) > 1 else 1

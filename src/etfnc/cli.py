@@ -23,12 +23,15 @@ leaves --out behind; exit 4 writes the payloads of the failed check.
 A negative number in exponent form needs --flag=value (--gamma=-1e+300).
 With BLAS pinned to one thread, train's runs use one process per usable CPU, with the same
 payloads; each worker takes its jobs from the fork, and is sent only a job's index.
+A command loads its module when it runs (a train pool also loads multiprocessing), so
+`import etfnc.cli` loads only etf, losses, batches and serialize, which every command shares.
 """
 
 import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 from contextlib import contextmanager
@@ -36,14 +39,10 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from . import peeled as lp
-from . import regularity as reg
-from . import trainer as tr
 from .etf import (STRUCT_TOL, GramReport, frame_to_json_dict, generate_etf, uniform_classifier,
                   verify_etf)
 from .losses import NumericDivergence
 from .serialize import derive_seed, sha256_file, table, write_csv, write_json
-from .trainer import SyntheticDatasetSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,11 +67,21 @@ def _blame(what):
         raise ConfigError(f"{what}: {e}") from None
 
 
+def _environment():
+    """The Python, numpy and BLAS versions and the BLAS thread variables (None if unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "threads": {v: os.environ.get(v)
+                        for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 def _write_run(out, command, config, files):
     """Write a run: every payload of ``files``, then manifest.json hashing them.
 
     ``files`` maps a file name to its payload: a CSV (header, rows), whose
-    header None writes no header row, or a JSON value.
+    header None writes no header row, or a JSON value. Only the manifest
+    records the environment and the time.
     """
     os.makedirs(out, exist_ok=True)
     for name, payload in files.items():
@@ -86,6 +95,7 @@ def _write_run(out, command, config, files):
         "config": config,
         "artifacts": {name: sha256_file(f"{out}/{name}") for name in files},
         "created_at_unix": time.time(),
+        "environment": _environment(),
     })
 
 
@@ -164,6 +174,7 @@ def _parse_minor_classes(args, counts):
 
 
 def cmd_peeled(args):
+    from . import peeled as lp
     _check_flags(args, positive=("d", "gamma", "e_h", "e_w"), nonnegative=("steps", "stop_tol"))
     if args.minor_classes and args.mode != "lpm":
         raise ConfigError("--minor-classes needs lpm mode")
@@ -216,6 +227,7 @@ def cmd_peeled(args):
 
 
 def cmd_regularity(args):
+    from . import regularity as reg
     gammas = _list("--gammas", args.gammas, float)
     deltas = _list("--deltas", args.deltas, float)
     _check_flags(args, positive=("e_h", "e_w", "trials"))
@@ -272,16 +284,6 @@ def _keys(cls, *skip):
 _MODEL_DEFAULTS = {"hidden_sizes": [64], "feature_dim": 16}
 _MODEL = {"hidden_sizes": (_int_list(1), "a list of integers >= 1"),
           "feature_dim": (_is_int, "an integer >= 1")}
-#: the (settable, required) keys of each block; a run's seed and regime come from the top level
-_BLOCKS = {"dataset": _keys(SyntheticDatasetSpec, "seed"), "model": (list(_MODEL), []),
-           "train": _keys(tr.TrainConfig, "regime", "seed")}
-_TOP = {
-    "regimes": ((lambda v: isinstance(v, list) and len(v) > 0 and all(r in tr.REGIMES for r in v)),
-                f"a list of one or more regimes from {', '.join(tr.REGIMES)}"),
-    # a seed names payload files, so it is capped like an integer flag
-    "seeds": ((lambda v: _int_list(0)(v) and 0 < len(v) and max(v) < 2**63),
-              "a list of one or more integers >= 0 and < 2**63"),
-}
 
 
 def _check_config(cfg):
@@ -289,9 +291,21 @@ def _check_config(cfg):
 
     A bad shape raises ConfigError naming the key; the config types check the values.
     """
+    from . import trainer as tr
+    # the (settable, required) keys of each block; a run's seed and regime come from the top level
+    blocks = {"dataset": _keys(tr.SyntheticDatasetSpec, "seed"), "model": (list(_MODEL), []),
+              "train": _keys(tr.TrainConfig, "regime", "seed")}
+    top = {
+        "regimes": (lambda v: isinstance(v, list) and len(v) > 0
+                    and all(r in tr.REGIMES for r in v),
+                    f"a list of one or more regimes from {', '.join(tr.REGIMES)}"),
+        # a seed names payload files, so it is capped like an integer flag
+        "seeds": (lambda v: _int_list(0)(v) and 0 < len(v) and max(v) < 2**63,
+                  "a list of one or more integers >= 0 and < 2**63"),
+    }
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    for block, (allowed, required) in _BLOCKS.items():
+    for block, (allowed, required) in blocks.items():
         node = cfg.get(block, {})
         if not isinstance(node, dict):
             raise ConfigError(f"config field '{block}' must be an object")
@@ -304,13 +318,13 @@ def _check_config(cfg):
             raise ConfigError(f"config is missing required field '{block}.{missing[0]}'")
     model = {**_MODEL_DEFAULTS, **cfg.get("model", {})}
     checks = ([(f"model.{key}", model, key, check) for key, check in _MODEL.items()]
-              + [(key, cfg, key, check) for key, check in _TOP.items()])
+              + [(key, cfg, key, check) for key, check in top.items()])
     for path, node, key, (test, what) in checks:
         if key not in node:
             raise ConfigError(f"config is missing required field '{path}'")
         if not test(node[key]):
             raise ConfigError(f"config field '{path}' must be {what}, got {node[key]!r}")
-    for key in _TOP:  # a repeat would train twice and write one payload name twice
+    for key in top:  # a repeat would train twice and write one payload name twice
         repeated = [v for i, v in enumerate(cfg[key]) if v in cfg[key][:i]]
         if repeated:
             raise ConfigError(f"config field '{key}' repeats {repeated[0]!r}")
@@ -353,7 +367,7 @@ def _run_map(jobs):
         if workers < 2:
             yield map(_train_run, range(len(jobs)))
         else:
-            import multiprocessing  # here: multiprocessing.pool adds ~17 ms to `import etfnc.cli`
+            import multiprocessing
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 yield pool.imap(_train_run, range(len(jobs)))
     finally:
@@ -365,11 +379,13 @@ def _train_run(i):
 
     The model comes back because a pool worker trains its own copy.
     """
+    from .trainer import train
     model, train_set, test_set, config = _JOBS[i]
-    return model, tr.train(model, train_set, test_set, config)
+    return model, train(model, train_set, test_set, config)
 
 
 def cmd_train(args):
+    from . import trainer as tr
     cfg = _read_json(args.config, "config file")
     model_cfg = _check_config(cfg)
     ds, regimes, seeds = cfg["dataset"], cfg["regimes"], cfg["seeds"]
@@ -377,7 +393,7 @@ def cmd_train(args):
         configs = {(seed, regime): tr.TrainConfig(regime=regime, seed=seed, **cfg["train"])
                    for seed in seeds for regime in regimes}
     with _blame("config block 'dataset'"):
-        datasets = {seed: tr.make_imbalanced_dataset(SyntheticDatasetSpec(
+        datasets = {seed: tr.make_imbalanced_dataset(tr.SyntheticDatasetSpec(
             **dict(ds, seed=derive_seed(seed, "dataset")))) for seed in seeds}
     sizes = [datasets[seeds[0]][0].dim, *model_cfg["hidden_sizes"], model_cfg["feature_dim"]]
     keys = [(seed, regime) for seed in seeds for regime in regimes]

@@ -132,8 +132,13 @@ def _class_columns(W: np.ndarray, cls: np.ndarray) -> np.ndarray:
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
-    """``_squared`` of each entry, one scalar pow each: array x ** 2 differs in ~1 of 1000."""
-    return np.array([_squared(v) for v in x])
+    """``_squared`` of each entry, one scalar pow each: array x ** 2 differs in ~1 of 1000.
+
+    A float's ** 2 calls the C pow of np.float64 ** 2, but raises OverflowError past ~1.3e154."""
+    try:
+        return np.array([v ** 2 for v in x.tolist()])
+    except OverflowError:
+        return np.array([_squared(v) for v in x])
 
 
 def _ce_grads(P: np.ndarray, p_c: np.ndarray, cls: np.ndarray, W: np.ndarray,

@@ -16,15 +16,19 @@ import numpy as np
 def write_csv(path, header, rows):
     """Write a CSV, with a header row unless ``header`` is None; floats at 17 significant digits.
 
+    ``rows`` is read once, in order: a list, a ``table`` view or a 2-D array.
     Row cells may be floats, ints, bools or strings; each column takes its
-    format from the first row, and no cell is quoted. Line endings are
+    format from the first row read, and no cell is quoted. Line endings are
     fixed to '\\n' so payloads are byte-identical across platforms.
     """
     with open(path, "w", newline="") as f:
         if header is not None:
             f.write(",".join(header) + "\n")
-        if len(rows):
-            line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is not None:
+            line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
+            f.write(line % tuple(first))
             f.writelines(line % tuple(r) for r in rows)
 
 
@@ -38,13 +42,27 @@ def _columns(name, path, value):
     return [([name], path, False)]
 
 
+class _Rows:
+    """The CSV rows of ``records``, built one at a time as they are read."""
+
+    def __init__(self, records, row):
+        self._records, self._row = records, row
+
+    def __len__(self):
+        return len(self._records)
+
+    def __iter__(self):
+        return map(self._row, self._records)
+
+
 def table(cls, records) -> tuple:
     """(header, rows) of a CSV with one column per field of the dataclass ``cls``, in field order.
 
     A nested dataclass field ``f`` spreads over ``f_<its field>`` columns and
     an array field over ``f_0 ... f_{n-1}``, its width taken from the first
-    record. With no records the header is the field names of ``cls``. The
-    column plan is built once, from the first record.
+    record. With no records the header is the field names of ``cls`` and the
+    rows []. The column plan is built once, from the first record; the rows
+    are a ``len``-sized view of ``records`` that builds a row as it is read.
     """
     if not records:
         return [f.name for f in fields(cls)], []
@@ -54,9 +72,9 @@ def table(cls, records) -> tuple:
     # attrgetter of one path returns the value, of more a tuple
     get = attrgetter(*paths) if len(paths) > 1 else lambda r, one=attrgetter(*paths): (one(r),)
     if not any(spread):
-        return header, [get(r) for r in records]
-    return header, [[c for v, s in zip(get(r), spread) for c in (v if s else (v,))]
-                    for r in records]
+        return header, _Rows(records, get)
+    return header, _Rows(records, lambda r: [c for v, s in zip(get(r), spread)
+                                             for c in (v if s else (v,))])
 
 
 def write_json(path, obj):

@@ -12,11 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import etfnc as e
 from conftest import central_diff, rel_error
 from etfnc.batches import FeatureBatch
 from etfnc.cli import main as cli_main
-from etfnc.peeled import dlpm_problem, lpm_problem, optimize
+from etfnc.etf import generate_etf, uniform_classifier
+from etfnc.losses import (ce_terms, decompose_pull_push_classifier, decompose_pull_push_feature,
+                          dr_grad)
+from etfnc.metrics import nc_report
+from etfnc.peeled import dlpm_problem, lpm_problem, minority_collapse_probe, optimize
 from etfnc.regularity import check_sweep, run_regularity_sweep
 from etfnc.serialize import derive_seed
 from etfnc.trainer import MlpBackbone, SyntheticDatasetSpec, TrainConfig, make_imbalanced_dataset, train
@@ -37,7 +40,7 @@ def test_criterion_1_etf_structure():
     for K in (2, 4, 10, 64):
         for d in (K - 1, K, 2 * K):
             for seed in range(20):
-                frame = e.generate_etf(d, K, seed)
+                frame = generate_etf(d, K, seed)
                 worst_gram = max(worst_gram, np.abs(frame.gram() - frame.gram_target()).max())
                 worst_sum = max(worst_sum, np.abs(frame.columns.sum(axis=1)).max())
     _check(
@@ -61,9 +64,9 @@ def test_criterion_2_gradient_oracles():
         fd = central_diff(lambda x: ce_loss(x, c, W), h)
         worst_fd = max(worst_fd, rel_error(ce_feature_grad(h, c, W), fd))
 
-        clf = e.uniform_classifier(e.generate_etf(d, K, i), e_w=2.0)
+        clf = uniform_classifier(generate_etf(d, K, i), e_w=2.0)
         fd = central_diff(lambda x: dr_loss(x, clf, c, 1.5), h)
-        worst_fd = max(worst_fd, rel_error(e.dr_grad(h, clf, c, 1.5), fd))
+        worst_fd = max(worst_fd, rel_error(dr_grad(h, clf, c, 1.5), fd))
 
     for i in range(200):  # CE classifier gradient on batches
         d, K, N = 4, 3, 12
@@ -87,11 +90,11 @@ def test_criterion_2_gradient_oracles():
         W = rng.standard_normal((d, K))
         h = rng.standard_normal(d)
         c = int(rng.integers(K))
-        pull, push = e.decompose_pull_push_feature(h, c, W)
-        grad = W @ (e.ce_terms(h, c, W)[1] - np.eye(K)[c])  # W dL/dlogits, the batch kernel's form
+        pull, push = decompose_pull_push_feature(h, c, W)
+        grad = W @ (ce_terms(h, c, W)[1] - np.eye(K)[c])  # W dL/dlogits, the batch kernel's form
         worst_split = max(worst_split, rel_error(pull + push, -grad))
         batch = FeatureBatch(rng.standard_normal((N, d)), rng.integers(K, size=N), K)
-        pull, push = e.decompose_pull_push_classifier(batch, W, c)
+        pull, push = decompose_pull_push_classifier(batch, W, c)
         worst_split = max(worst_split, rel_error(pull + push, -ce_grad_classifier(batch, W, c)))
     _check(
         2, "analytic gradients vs finite differences; exact pull/push splits",
@@ -113,7 +116,7 @@ def test_criterion_3_dlpm_oracle_equivalence():
     which clears the gap within ~1.1e3 steps (projection makes the
     pull-only step stable at any fixed rate).
     """
-    clf = e.uniform_classifier(e.generate_etf(16, 10, 0), 1.0)
+    clf = uniform_classifier(generate_etf(16, 10, 0), 1.0)
     results = {}
     for loss_kind, gamma in (("ce", 0.5), ("dr", 512.0)):
         worst_gap, worst_steps = 0.0, 0
@@ -138,10 +141,10 @@ def test_claim_3_dr_steps_do_not_grow_with_scale():
     The gap is compared with 1e-3 sqrt(E_H E_W), its size relative to the optimum.
     Measured: DR stops at step 1095 at both scales; CE at 16 ends at gap 0.354 sqrt(E_H E_W).
     """
-    frame = e.generate_etf(16, 10, 0)
+    frame = generate_etf(16, 10, 0)
 
     def run(loss_kind, gamma, scale):
-        prob = dlpm_problem(e.uniform_classifier(frame, scale), COUNTS_C3, scale, 0)
+        prob = dlpm_problem(uniform_classifier(frame, scale), COUNTS_C3, scale, 0)
         return optimize(prob, loss_kind, gamma, max_steps=5000, stop_tol=1e-3 * scale)
 
     dr = [run("dr", 512.0, scale) for scale in (1.0, 16.0)]
@@ -158,7 +161,7 @@ def test_criterion_4_contraction_bound_and_dominance():
     worst_bound, worst_sphere, worst_cos = -np.inf, 0.0, np.inf
     for K in (4, 10):
         for d in (K - 1, 2 * K):
-            clf = e.uniform_classifier(e.generate_etf(d, K, K + d), 1.0)
+            clf = uniform_classifier(generate_etf(d, K, K + d), 1.0)
             for delta in deltas:
                 records = run_regularity_sweep(clf, [("dr", 1.0)], [delta], 500, 41)[0][0]
                 assert records
@@ -172,7 +175,7 @@ def test_criterion_4_contraction_bound_and_dominance():
     dom_ok, gated_configs, total_configs = True, 0, 0
     details = []
     for K in (4, 10):
-        clf = e.uniform_classifier(e.generate_etf(2 * K, K, 3 * K), 1.0)
+        clf = uniform_classifier(generate_etf(2 * K, K, 3 * K), 1.0)
         runs = run_regularity_sweep(clf, steps, deltas, 500, 42)
         out = check_sweep(steps, deltas, runs)[0]["paired_dominance"]
         for cfg in out["configs"]:
@@ -199,11 +202,11 @@ def test_criterion_5_minority_collapse_probe():
     prob = lpm_problem(16, 10, counts, 1.0, 1.0, seed=50, feature_seed=51)
     traj = optimize(prob, "ce", step_size=0.5, max_steps=20000, stop_tol=1e-5)
     assert traj.stop_reason == "grad_norm", "LPM did not reach gradient norm < 1e-5"
-    probe = e.minority_collapse_probe(traj.final.classifier, [5, 6, 7, 8, 9])
+    probe = minority_collapse_probe(traj.final.classifier, [5, 6, 7, 8, 9])
     balanced = -1.0 / 9.0
     lpm_ok = probe.mean_cosine >= balanced + 0.3  # calibrated runs reach ~1.0
 
-    clf = e.uniform_classifier(e.generate_etf(16, 10, 50), 1.0)
+    clf = uniform_classifier(generate_etf(16, 10, 50), 1.0)
     dprob = dlpm_problem(clf, counts, 1.0, feature_seed=51)
     dtraj = optimize(dprob, "ce", step_size=0.5, max_steps=5000, stop_tol=1e-4)
     means = np.stack(
@@ -222,10 +225,10 @@ def test_criterion_5_minority_collapse_probe():
 
 def test_criterion_6_metrics_at_collapse():
     """Exact ETF placement: all collapse statistics at their ideal values."""
-    frame = e.generate_etf(12, 10, 6)
+    frame = generate_etf(12, 10, 6)
     feats = np.repeat(frame.columns.T, 2, axis=0)  # power-of-two count: exact means
     batch = FeatureBatch(feats, np.repeat(np.arange(10), 2), 10)
-    rep = e.nc_report(batch, frame.columns)
+    rep = nc_report(batch, frame.columns)
     target = -1.0 / 9.0
     ok = (
         rep.sigma_w_trace == 0.0

@@ -53,7 +53,11 @@ class TestEtfCommand:
         report = (out / "gram_report.csv").read_text().splitlines()
         assert report[0].startswith("max_deviation")
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest) == {"command", "config", "artifacts", "created_at_unix"}
+        assert set(manifest) == {"command", "config", "artifacts", "created_at_unix",
+                                 "environment"}
+        assert set(manifest["environment"]) == {"python", "numpy", "blas", "threads"}
+        assert set(manifest["environment"]["threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert set(manifest["artifacts"]) == {"frame.json", "frame.csv", "gram_report.csv"}
 
     def test_invalid_dims_nonzero_exit(self, tmp_path):
@@ -624,11 +628,19 @@ class TestTrainPool:
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    """The benchmark's setup_s times `import etfnc.cli`; the pool's import waits for a pooled run."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import etfnc.cli, sys; print('multiprocessing' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    """The benchmark's setup_s times `import etfnc.cli`; a command's module waits for its run.
+
+    The package root loads no submodule; the cli loads only the modules every command shares.
+    """
+    code = ("import json, sys\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith(('etfnc.', 'multi')))\n"
+            "import etfnc\nroot = loaded()\nimport etfnc.cli\nprint(json.dumps([root, loaded()]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True)
+    root, cli_loaded = json.loads(proc.stdout)
+    assert root == []
+    assert cli_loaded == ["etfnc.batches", "etfnc.cli", "etfnc.etf", "etfnc.losses",
+                          "etfnc.serialize"]
 
 
 class TestInputRefusedBeforeOutput:

@@ -2,15 +2,10 @@
 
 import numpy as np
 
-from etfnc import (
-    analytic_optimum,
-    dlpm_problem,
-    generate_etf,
-    nc_report,
-    optimize,
-    uniform_classifier,
-)
 from etfnc.batches import FeatureBatch
+from etfnc.etf import generate_etf, uniform_classifier
+from etfnc.metrics import nc_report
+from etfnc.peeled import analytic_optimum, dlpm_problem, optimize
 from oracles import dr_loss
 
 

@@ -352,7 +352,7 @@ class TestOptimizeLpm:
         prob = lpm_problem(6, 3, [4, 4, 4], 1.0, 1.0, 0, 0)
         traj = optimize(prob, "ce", step_size=0.5, max_steps=5)
         header, rows = table(StepRecord, traj.records)
-        last = dict(zip(header, rows[-1]))
+        last = dict(zip(header, list(rows)[-1]))
         assert np.isnan(last["gap"])
         assert last["grad_norm"] > 0
         assert header[4:] == ["mean_dist_0", "mean_dist_1", "mean_dist_2"]

@@ -21,6 +21,8 @@ from etfnc.regularity import (
     _norm,
     _project_ball_rows,
     _row_dots,
+    _squared,
+    _squares,
     check_sweep,
     run_regularity_sweep,
 )
@@ -424,6 +426,17 @@ class TestStackedMatmul:
     def test_stacked_softmax_equals_per_row(self):
         P = softmax_probs(self.H[:, None, :], self.W)[:, 0, :]
         self.assert_bits_equal(P, [softmax_probs(h, self.W) for h in self.H])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("top", [1.34e154, 1.36e154])  # the second squares past float range
+    def test_float_squares_equal_scalar_pow(self, top):
+        """A Python float's ** 2 calls np.float64's C pow; past ~1.3e154 _squares takes that."""
+        rng = np.random.default_rng(11)
+        x = np.exp(rng.uniform(math.log(5e-324), math.log(top), 20000))
+        x[:2] = 5e-324, top
+        got = _squares(x)
+        self.assert_bits_equal(got, [_squared(v) for v in x])
+        assert np.isinf(got).any() == (top > 1.35e154)
 
     def test_broadcast_gemv_equals_per_vector(self):
         P = softmax_probs(self.H[:, None, :], self.W)[:, 0, :]

@@ -58,15 +58,14 @@ class TestTable:
         header, rows = table(Record, records)
         assert header == ["step", "kind", "rate", "dist_0", "dist_1", "dist_2",
                           "train_avg", "train_std"]
-        assert isinstance(rows, list)
-        assert [list(r) for r in rows] == [[0, "ce", 0.5, 1.0, 2.0, 3.0, 4.0, 5.0],
-                                           [1, "dr", 0.25, 6.0, 7.0, 8.0, 9.0, 10.0]]
+        assert [list(r) for r in list(rows)] == [[0, "ce", 0.5, 1.0, 2.0, 3.0, 4.0, 5.0],
+                                                 [1, "dr", 0.25, 6.0, 7.0, 8.0, 9.0, 10.0]]
 
     def test_str_and_numpy_scalar_stay_one_column(self):
         """A str has a length and an np.float64 a size of 1; each is still one cell."""
         header, rows = table(Panel, [Panel("ce-opt", np.float64(0.5))])
         assert header == ["avg", "std"]
-        assert isinstance(rows, list) and list(rows[0]) == ["ce-opt", 0.5]
+        assert [list(r) for r in list(rows)] == [["ce-opt", 0.5]]
 
     @pytest.mark.parametrize("value,header,row", [
         (1.5, ["x"], [1.5]),
@@ -76,6 +75,21 @@ class TestTable:
     def test_one_field(self, value, header, row):
         got_header, rows = table(One, [One(value)])
         assert got_header == header and [list(r) for r in rows] == [row]
+
+    def test_rows_are_a_sized_view(self, tmp_path):
+        """A view, a list and a 2-D array of the same cells write the same bytes; len holds."""
+        records = [Panel(0.1 * i, -1.0 / (i + 3)) for i in range(5)]
+        header, rows = table(Panel, records)
+        cells = [[r.avg, r.std] for r in records]
+        texts = []
+        for form in (cells, rows, np.array(cells)):
+            write_csv(tmp_path / "t.csv", header, form)
+            texts.append((tmp_path / "t.csv").read_bytes())
+            assert len(rows) == len(records)
+        assert texts[0].startswith(b"avg,std\n0,-0.33333333333333331\n") and len(texts[0]) > 100
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        write_csv(tmp_path / "t.csv", *table(Panel, []))
+        assert (tmp_path / "t.csv").read_text() == "avg,std\n"
 
     def test_written_csv(self, tmp_path):
         path = tmp_path / "t.csv"
