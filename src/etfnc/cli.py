@@ -16,13 +16,13 @@ This module parses argv and checks flags and a train config's JSON shape; value
 rules and verdicts live in the library (the config types, peeled problems, check_sweep).
 A ValueError or MemoryError raised while building a run's inputs becomes a
 ConfigError naming the flag, config block or file.
-Each cmd_* function writes nothing: it returns its exit code, the config
-the manifest records and its payloads by file name. Only main writes them,
-with the manifest, after the command returned, so exit 2 or 3 never
-leaves --out behind; exit 4 writes the payloads of the failed check.
+Each cmd_* writes nothing: it returns its exit code, the manifest's config, its payloads by file
+name and the manifest's "run" block (train: its worker count). Only main writes them, after the
+command returned, so exit 2 or 3 leaves no --out; exit 4 writes the failed check's payloads.
 A negative number in exponent form needs --flag=value (--gamma=-1e+300).
 With BLAS pinned to one thread, train's runs use one process per usable CPU, with the same
-payloads; each worker takes its jobs from the fork, and is sent only a job's index.
+payloads; each worker takes its jobs from the fork and is sent only a job's index, and
+once the pool has forked its parent keeps no job input (datasets, initial models).
 A command loads its module when it runs (a train pool also loads multiprocessing), so
 `import etfnc.cli` loads only etf, losses, batches and serialize, which every command shares.
 """
@@ -76,12 +76,12 @@ def _environment():
                         for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
-def _write_run(out, command, config, files):
+def _write_run(out, command, config, files, run):
     """Write a run: every payload of ``files``, then manifest.json hashing them.
 
     ``files`` maps a file name to its payload: a CSV (header, rows), whose
     header None writes no header row, or a JSON value. Only the manifest
-    records the environment and the time.
+    records ``run`` (what a command reports of how it ran), the environment and the time.
     """
     os.makedirs(out, exist_ok=True)
     for name, payload in files.items():
@@ -96,6 +96,7 @@ def _write_run(out, command, config, files):
         "artifacts": {name: sha256_file(f"{out}/{name}") for name in files},
         "created_at_unix": time.time(),
         "environment": _environment(),
+        "run": run,
     })
 
 
@@ -145,9 +146,9 @@ def cmd_etf(args):
     config = {"d": args.d, "K": args.K, "seed": args.seed, "tol": args.tol}
     if not report.passed:
         print(f"etf: FAIL max deviation {report.max_deviation:.3e} > {args.tol:g}", file=sys.stderr)
-        return EXIT_CHECK_FAILED, config, files
+        return EXIT_CHECK_FAILED, config, files, {}
     print(f"etf: ok, max Gram deviation {report.max_deviation:.3e}")
-    return EXIT_OK, config, files
+    return EXIT_OK, config, files, {}
 
 
 # --- peeled -------------------------------------------------------------------
@@ -199,17 +200,15 @@ def cmd_peeled(args):
         "e_h": args.e_h,
         "e_w": args.e_w,
         "class_counts": [int(c) for c in counts],
-        "labels": [int(v) for v in final.labels],
-        "features": final.features.tolist(),
+        "labels": final.labels,
+        "features": final.features,
         "stop_reason": traj.stop_reason,
     }
     if final.is_fixed_classifier:
-        state["classifier"] = dict(
-            frame_to_json_dict(final.classifier.frame),
-            lengths=[float(v) for v in final.classifier.lengths],
-        )
+        state["classifier"] = dict(frame_to_json_dict(final.classifier.frame),
+                                   lengths=final.classifier.lengths)
     else:
-        state["classifier_matrix"] = np.asarray(final.classifier).tolist()
+        state["classifier_matrix"] = np.asarray(final.classifier)
     files = {"trajectory.csv": table(lp.StepRecord, traj.records), "final_state.json": state}
     if probe is not None:
         files["probe.csv"] = (["class_i", "class_j", "cosine"], probe.pairs)
@@ -220,7 +219,7 @@ def cmd_peeled(args):
     else:
         print(f"peeled dlpm: {traj.stop_reason} after {traj.records[-1].step} steps, "
               f"final gap {traj.records[-1].gap:.3e}")
-    return EXIT_OK, _flags(args), files
+    return EXIT_OK, _flags(args), files, {}
 
 
 # --- regularity ----------------------------------------------------------------
@@ -258,9 +257,9 @@ def cmd_regularity(args):
                f"{guard:g} of the optimum and were excluded" if not records
                else "bound or dominance check FAILED")
         print(f"regularity: {why}", file=sys.stderr)
-        return EXIT_CHECK_FAILED, _flags(args), files
+        return EXIT_CHECK_FAILED, _flags(args), files, {}
     print(f"regularity: ok ({len(records)} records)")
-    return EXIT_OK, _flags(args), files
+    return EXIT_OK, _flags(args), files, {}
 
 
 # --- train ----------------------------------------------------------------------
@@ -355,21 +354,25 @@ _JOBS = []
 
 @contextmanager
 def _run_map(jobs):
-    """Yield the ``(model, log)`` of every job in job order, trained in process or in a pool.
+    """Yield the worker count and the ``(model, log)`` of every job in job order.
 
-    The pool is a fork pool of ``_train_workers(len(jobs))`` processes. A
-    run's error is raised when its job is reached; leaving the block stops
-    and joins every worker and releases the jobs.
+    The jobs train in process or in a fork pool of ``_train_workers(len(jobs))`` processes.
+    ``jobs`` is taken over and emptied, and the pool's parent lets go of the jobs once every
+    worker has forked. A run's error is raised when its job is reached; leaving the block
+    stops and joins every worker and releases the jobs.
     """
     _JOBS[:] = jobs  # before the pool forks
+    jobs.clear()
+    indices = range(len(_JOBS))
     try:
-        workers = _train_workers(len(jobs))
+        workers = _train_workers(len(indices))
         if workers < 2:
-            yield map(_train_run, range(len(jobs)))
+            yield workers, map(_train_run, indices)
         else:
             import multiprocessing
             with multiprocessing.get_context("fork").Pool(workers) as pool:
-                yield pool.imap(_train_run, range(len(jobs)))
+                _JOBS.clear()  # every worker holds its own copy from the fork
+                yield workers, pool.imap(_train_run, indices)
     finally:
         _JOBS.clear()
 
@@ -379,6 +382,8 @@ def _train_run(i):
 
     The model comes back because a pool worker trains its own copy.
     """
+    if not _JOBS:  # a worker forked to replace a dead one, after the parent let go of the jobs
+        raise RuntimeError(f"train job {i}: no jobs in a worker forked after the pool's start")
     from .trainer import train
     model, train_set, test_set, config = _JOBS[i]
     return model, train(model, train_set, test_set, config)
@@ -400,19 +405,18 @@ def cmd_train(args):
     with _blame("config block 'model'"):  # before any training: numpy may refuse a size
         jobs = [(tr.MlpBackbone.init(sizes, derive_seed(seed, f"model:{regime}")),
                  *datasets[seed], configs[seed, regime]) for seed, regime in keys]
+    del datasets  # the jobs hold the only references, which _run_map takes over
 
     summary = {"runs": [], "config_file": args.config}
     accs = {regime: [] for regime in regimes}  # final_bal_acc per seed
     files = {}
-    with _run_map(jobs) as results:
+    with _run_map(jobs) as (workers, results):
         for (seed, regime), (model, log) in zip(keys, results):
             name = f"trainlog_{regime}_seed{seed}.csv"
             files[name] = table(tr.EpochRecord, log.records)
             files[f"model_{regime}_seed{seed}.json"] = {
-                "regime": regime, "seed": seed,
-                "weights": [w.tolist() for w in model.weights],
-                "biases": [b.tolist() for b in model.biases],
-                "classifier": np.asarray(log.classifier).tolist(),
+                "regime": regime, "seed": seed, "weights": model.weights,
+                "biases": model.biases, "classifier": log.classifier,
             }
             tail = log.records[-max(1, len(log.records) // 4):]  # the final quarter
             summary["runs"].append({
@@ -429,7 +433,7 @@ def cmd_train(args):
         for regime, a in accs.items()
     }
     files["summary.json"] = summary
-    return EXIT_OK, cfg, files
+    return EXIT_OK, cfg, files, {"workers": workers}
 
 
 # --- parser -----------------------------------------------------------------------
@@ -501,14 +505,14 @@ def main(argv=None) -> int:
             path = os.path.dirname(path)
         if not os.path.isdir(path):
             raise ConfigError(f"--out {args.out}: {path} exists and is not a directory")
-        code, config, files = args.func(args)
+        code, config, files, ran = args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericDivergence as e:
         print(f"numeric divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    _write_run(args.out, args.command, config, files)
+    _write_run(args.out, args.command, config, files, ran)
     return code
 
 

@@ -73,6 +73,7 @@ def nc_report(batch: FeatureBatch, W: np.ndarray) -> NcReport:
 
     dev = feats - means[batch.labels]
     sigma_w = dev.T @ dev / batch.size
+    del dev  # not held through the nc4 temporaries below
 
     m_hat = centered / norms[:, None]
     off = ~np.eye(batch.num_classes, dtype=bool)

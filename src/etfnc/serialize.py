@@ -77,13 +77,22 @@ def table(cls, records) -> tuple:
                                              for c in (v if s else (v,))])
 
 
+def _numpy_value(o):
+    """A numpy value as json.dump writes it; an array of ndim > 1 goes one row at a time."""
+    if isinstance(o, np.ndarray) and o.ndim > 1:
+        return list(o)
+    if isinstance(o, (np.ndarray, np.generic)):
+        return o.tolist()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def write_json(path, obj):
     """Write JSON with sorted keys and a trailing newline (stable bytes).
 
-    A NaN or infinity is not JSON: it raises ValueError, never writes ``Infinity``.
+    A numpy value writes as its ``tolist()``. NaN or infinity raises ValueError, never ``Infinity``.
     """
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False, default=_numpy_value)
         f.write("\n")
 
 

@@ -184,12 +184,13 @@ def make_imbalanced_dataset(spec: SyntheticDatasetSpec):
     rng_test = np.random.default_rng([spec.seed, 2])
     per_test = spec.test_per_class or spec.n_max
 
-    def draw(rng, per_class):
-        xs, ys = [], []
-        for k in range(K):
-            xs.append(centers[k] + spec.noise_scale * rng.standard_normal((per_class[k], spec.input_dim)))
-            ys.append(np.full(per_class[k], k, dtype=int))
-        return FeatureBatch(np.vstack(xs), np.concatenate(ys), K)
+    def draw(rng, per_class):  # in place, each class's rows round as center + scale * normal
+        xs = np.empty((per_class.sum(), spec.input_dim))
+        for k, rows in enumerate(np.split(xs, np.cumsum(per_class)[:-1])):
+            rng.standard_normal(out=rows)
+            rows *= spec.noise_scale
+            rows += centers[k]
+        return FeatureBatch(xs, np.repeat(np.arange(K), per_class), K)
 
     with np.errstate(over="ignore"):  # an overflow draws inf, which FeatureBatch refuses
         return draw(rng_train, counts), draw(rng_test, np.full(K, per_test))

@@ -7,14 +7,15 @@ with the reader of the ``frame.csv`` text that the tests round-trip and
 the one-vector-at-a-time regularity sweep that the batched sweep must
 reproduce bit for bit, with its one-vector ball projection, off-class
 uniformity and DR bound (1 + cos) / 2, which the batched sweep computes
-row by row.
+row by row, and the per-class stacked draw of the synthetic dataset, which
+the in-place draw must reproduce bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from etfnc.etf import EtfFrame
+from etfnc.etf import EtfFrame, generate_etf
 from etfnc.losses import (
     NumericDivergence,
     _pull_push,
@@ -84,6 +85,22 @@ def frame_from_csv_text(text: str, rotation_seed: int = 0) -> EtfFrame:
         columns=columns,
         rotation_seed=rotation_seed,
     )
+
+
+def imbalanced_dataset_stacked(spec):
+    """[(features, labels)] of the train and test sets, each class drawn apart and stacked."""
+    K = spec.num_classes
+    centers = spec.separation * generate_etf(spec.input_dim, K, spec.seed).columns.T
+    per_test = np.full(K, spec.test_per_class or spec.n_max)
+    sets = []
+    for stream, per_class in ((1, spec.counts()), (2, per_test)):
+        rng = np.random.default_rng([spec.seed, stream])
+        xs, ys = [], []
+        for k in range(K):
+            xs.append(centers[k] + spec.noise_scale * rng.standard_normal((per_class[k], spec.input_dim)))
+            ys.append(np.full(per_class[k], k, dtype=int))
+        sets.append((np.vstack(xs), np.concatenate(ys)))
+    return sets
 
 
 def project_ball(v: np.ndarray, E: float) -> np.ndarray:

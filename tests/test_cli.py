@@ -8,17 +8,18 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from etfnc import cli
+from etfnc import cli, trainer
 from etfnc.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_parser, main
 from etfnc.batches import FeatureBatch
 from etfnc.etf import generate_etf, uniform_classifier
 from etfnc.regularity import check_sweep, run_regularity_sweep
-from etfnc.serialize import derive_seed
+from etfnc.serialize import derive_seed, table
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,7 +55,8 @@ class TestEtfCommand:
         assert report[0].startswith("max_deviation")
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == {"command", "config", "artifacts", "created_at_unix",
-                                 "environment"}
+                                 "environment", "run"}
+        assert manifest["run"] == {}
         assert set(manifest["environment"]) == {"python", "numpy", "blas", "threads"}
         assert set(manifest["environment"]["threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
@@ -605,6 +607,42 @@ class TestTrainPool:
             assert cli._JOBS == []
         assert len(payloads[1]) == 2 * 2 + 1
         assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("threads,workers", [("1", 2), ("2", 1)])
+    def test_pool_parent_releases_jobs_at_fork(self, tmp_path, monkeypatch, threads, workers):
+        """A pool's parent holds no test set when it reads the first result; in process it does.
+
+        The manifest records how many processes trained the runs.
+        """
+        cfg = write_train_config(tmp_path / "cfg.json", train={"epochs": 2})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        test_sets, released = [], []
+
+        def dataset(spec):
+            train_set, test_set = make_dataset(spec)
+            test_sets.append(weakref.ref(test_set.features))
+            return train_set, test_set
+
+        def table_of_result(cls, records):  # the parent tabulates each result as it reads it
+            released.append([ref() is None for ref in test_sets])
+            return table(cls, records)
+
+        make_dataset = trainer.make_imbalanced_dataset
+        monkeypatch.setattr(trainer, "make_imbalanced_dataset", dataset)
+        monkeypatch.setattr(cli, "table", table_of_result)
+        out = tmp_path / "out"
+        assert run("train", "--config", cfg, "--out", out) == EXIT_OK
+        assert released == [[workers == 2]] * 2
+        assert json.loads((out / "manifest.json").read_text())["run"] == {"workers": workers}
+        assert cli._JOBS == []
+
+    def test_worker_without_jobs_refuses(self):
+        """A worker forked after the parent released the jobs (to replace a dead one) says so."""
+        assert cli._JOBS == []
+        with pytest.raises(RuntimeError,
+                           match="train job 3: no jobs in a worker forked after the pool's start"):
+            cli._train_run(3)
 
     @pytest.mark.parametrize("regimes,message", [
         (REGIMES[:3], "non-finite logits in softmax"),

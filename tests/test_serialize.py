@@ -1,6 +1,7 @@
 """CSV/JSON serialization: payload text that parses back to the same values; table layouts."""
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etfnc.serialize import table, write_csv
+from etfnc.serialize import table, write_csv, write_json
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.finfo(float).max,
          -np.finfo(float).max, np.finfo(float).tiny, 0.1, 1.0 / 3.0]
@@ -102,3 +103,56 @@ class TestTable:
         assert path.read_text() == "a,b\n"
         write_csv(path, ["ok", "x", "z"], [[True, np.nan, -0.0], [np.False_, 1.0, 0.0]])
         assert path.read_text() == "ok,x,z\n1,nan,-0\n0,1,0\n"
+
+
+def as_lists(obj):
+    """``obj`` with each numpy array or scalar replaced by its ``tolist()``, as payloads were built."""
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(v) for v in obj]
+    return obj.tolist() if isinstance(obj, (np.ndarray, np.generic)) else obj
+
+
+class TestWriteJson:
+    """Arrays and numpy scalars write the bytes of their tolist(); refusals are unchanged."""
+
+    def same_bytes(self, path, payload):
+        write_json(path, payload)
+        from_arrays = path.read_bytes()
+        write_json(path, as_lists(payload))
+        assert from_arrays == path.read_bytes()
+        return from_arrays
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES),
+                    min_size=1, max_size=12),
+           st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=6),
+           st.integers(1, 4))
+    def test_arrays_write_their_tolist_bytes(self, tmp_path_factory, values, ints, width):
+        floats, ints = np.array(values), np.array(ints, dtype=np.int64)
+        payload = {
+            "features": floats[: len(floats) // width * width].reshape(-1, width),  # 0 rows too
+            "nested": [floats, {"labels": ints, "column": ints[:, None], "cube": floats[:, None, None]}],
+            "scalars": [np.float64(values[0]), np.int64(ints[0]), np.bool_(True), 7, "text"],
+        }
+        self.same_bytes(tmp_path_factory.mktemp("json") / "p.json", payload)
+
+    def test_edges_and_layout(self, tmp_path):
+        payload = {"w": [np.array([[-0.0, 5e-324], [1.7976931348623157e308, 1.0]])],
+                   "n": np.array([3, -1]), "empty": np.zeros((0, 2))}
+        text = self.same_bytes(tmp_path / "p.json", payload).decode()
+        assert json.loads(text)["w"][0] == [[-0.0, 5e-324], [1.7976931348623157e308, 1.0]]
+        assert text.startswith('{\n  "empty": [],\n  "n": [\n    3,\n    -1\n  ],\n  "w": [\n')
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_entry_refused(self, tmp_path, bad):
+        for payload in (np.array([[1.0, bad]]), {"x": np.array([bad])}, [np.float64(bad)]):
+            with pytest.raises(ValueError, match="Out of range float values"):
+                write_json(tmp_path / "p.json", payload)
+
+    @pytest.mark.parametrize("obj,name", [({1, 2}, "set"), (object(), "object"),
+                                          (np.complex128(1j), "complex")])
+    def test_unsupported_object_refused(self, tmp_path, obj, name):
+        with pytest.raises(TypeError, match=f"Object of type {name} is not JSON serializable"):
+            write_json(tmp_path / "p.json", {"x": [obj]})

@@ -31,7 +31,7 @@ from etfnc.trainer import (
     _normalize_rows,
     _normalize_rows_vjp,
 )
-from oracles import ce_loss, dr_loss, feature_normalize
+from oracles import ce_loss, dr_loss, feature_normalize, imbalanced_dataset_stacked
 
 
 class TestDatasetSpec:
@@ -92,6 +92,25 @@ class TestDatasetSpec:
         assert np.array_equal(tr1.features, tr2.features)
         assert np.array_equal(te1.features, te2.features)
         np.testing.assert_array_equal(np.bincount(te1.labels), [7, 7, 7])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_draw_equals_stacked_draw_bitwise(self, data):
+        """The in-place draw (scale, then center) rounds as center + scale * normal did."""
+        K = data.draw(st.integers(2, 8))
+        n_max = data.draw(st.integers(1, 60))
+        spec = SyntheticDatasetSpec(
+            num_classes=K, input_dim=data.draw(st.integers(K - 1, 40)), n_max=n_max,
+            imbalance_ratio=data.draw(st.floats(1 / n_max, 1.0)),  # the smallest count reaches 1
+            separation=data.draw(st.floats(-10, 10)),
+            noise_scale=data.draw(st.sampled_from([0.0, -0.0, -1.0, 1.0]) | st.floats(-1e3, 1e3)),
+            seed=data.draw(st.integers(0, 2**32)), test_per_class=data.draw(st.integers(0, 9)))
+        for batch, (features, labels) in zip(make_imbalanced_dataset(spec),
+                                             imbalanced_dataset_stacked(spec)):
+            assert batch.features.shape == features.shape
+            np.testing.assert_array_equal(batch.features.view(np.int64), features.view(np.int64))
+            assert batch.labels.dtype == labels.dtype
+            np.testing.assert_array_equal(batch.labels, labels)
 
 
 def reference_forward(model, x):
