@@ -20,8 +20,9 @@ print("=== DR at gamma = sqrt(E_H/E_W): ratio vs the (1+cos)/2 bound ===")
 deltas = (0.01, 0.05, 0.1)
 runs = run_regularity_sweep(clf, [("dr", 1.0)], deltas, trials=500, seed=1)
 for delta, [records] in zip(deltas, runs):
-    worst = max(r.ratio - r.bound for r in records)
-    raw_dev = max(abs(r.raw_ratio - r.bound) for r in records)
+    # records is a structured array: one column per records.csv field
+    worst = (records["ratio"] - records["bound"]).max()
+    raw_dev = abs(records["raw_ratio"] - records["bound"]).max()
     print(
         f"delta={delta:4}: projected ratio - bound <= {worst:+.2e} on all "
         f"{len(records)} trials; pre-projection ratio == bound to {raw_dev:.1e}"
@@ -54,10 +55,10 @@ print()
 
 print("=== CE at the per-trial ideal rate tracks the bound ===")
 [[records]] = run_regularity_sweep(clf, [("ce-opt", None)], [0.01], trials=300, seed=3)
-gaps = [r.raw_ratio - r.bound for r in records]
+gaps = records["raw_ratio"] - records["bound"]
 print(
     f"rate gamma*(h) = (K-1)/K sqrt(E_H/E_W) (1-cos)/(1-p_c): pre-projection "
-    f"ratio - bound in [{min(gaps):+.1e}, {max(gaps):+.1e}] over {len(records)} trials"
+    f"ratio - bound in [{gaps.min():+.1e}, {gaps.max():+.1e}] over {len(records)} trials"
 )
 print("(residue is the off-class non-uniformity; the rate varies per trial, so")
 print("it is not an admissible fixed learning rate)")

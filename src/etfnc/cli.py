@@ -243,22 +243,23 @@ def cmd_regularity(args):
     gamma_dr = float(np.sqrt(args.e_h / clf.e_w))
     steps = ([("ce", g) for g in gammas] + [("dr", gamma_dr)]
              + [("ce-opt", None)] * args.instance_optimal)
-    runs = reg.run_regularity_sweep(clf, steps, deltas, args.trials, args.seed, args.e_h)
+    with _blame("--trials"):  # each (delta, step) array is allocated --trials rows long
+        runs = reg.run_regularity_sweep(clf, steps, deltas, args.trials, args.seed, args.e_h)
     verdict, passed = reg.check_sweep(steps, deltas, runs)
-    records = [r for run in runs for step_records in run for r in step_records]
+    header, rows = table(reg.RECORD, [records for run in runs for records in run])
     files = {
-        "records.csv": table(reg.RegularityRecord, records),
+        "records.csv": (header, rows),
         "summary.json": {"trials": args.trials, "K": args.K, "d": args.d,
                          "e_h": args.e_h, "e_w": args.e_w, **verdict},
     }
     if not passed:
         guard = reg.DIST_GUARD * math.sqrt(args.e_h)
         why = (f"no records: all {args.trials * len(deltas)} trials started within "
-               f"{guard:g} of the optimum and were excluded" if not records
+               f"{guard:g} of the optimum and were excluded" if not rows
                else "bound or dominance check FAILED")
         print(f"regularity: {why}", file=sys.stderr)
         return EXIT_CHECK_FAILED, _flags(args), files, {}
-    print(f"regularity: ok ({len(records)} records)")
+    print(f"regularity: ok ({len(rows)} records)")
     return EXIT_OK, _flags(args), files, {}
 
 
@@ -358,8 +359,8 @@ def _run_map(jobs):
 
     The jobs train in process or in a fork pool of ``_train_workers(len(jobs))`` processes.
     ``jobs`` is taken over and emptied, and the pool's parent lets go of the jobs once every
-    worker has forked. A run's error is raised when its job is reached; leaving the block
-    stops and joins every worker and releases the jobs.
+    worker has forked. A run's error is raised when its job is reached, a dead worker's lost job
+    as a RuntimeError; leaving the block stops and joins every worker and releases the jobs.
     """
     _JOBS[:] = jobs  # before the pool forks
     jobs.clear()
@@ -372,9 +373,21 @@ def _run_map(jobs):
             import multiprocessing
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 _JOBS.clear()  # every worker holds its own copy from the fork
-                yield workers, pool.imap(_train_run, indices)
+                results, forked = pool.imap(_train_run, indices), multiprocessing.active_children()
+                yield workers, (_result(results, i, forked) for i in indices)
     finally:
         _JOBS.clear()
+
+
+def _result(results, i, forked):
+    """Job ``i``'s result, next of the imap ``results``; RuntimeError once a ``forked`` one died."""
+    import multiprocessing
+    while True:
+        try:
+            return results.next(timeout=1.0)  # seconds between checks on the workers
+        except multiprocessing.TimeoutError:
+            if any(p.exitcode is not None for p in forked):
+                raise RuntimeError(f"train job {i} lost: a pool worker died") from None
 
 
 def _train_run(i):

@@ -22,8 +22,9 @@ holds for both.
 
 One pass over the trials draws each trial's class and tangent once,
 builds its start at every delta and takes every (kind, gamma) step from
-that start; ``check_sweep`` builds the dominance summary from the records
-of that same pass and judges both claims on it.
+that start, into one ``RECORD`` structured array per (delta, step) whose
+fields are the columns of records.csv; ``check_sweep`` reduces their
+columns to the dominance summary and judges both claims on it.
 
 The pass is array code over blocks of trials, and its records equal those
 of the one-vector loop bit for bit. Every dot and norm is a stacked
@@ -33,8 +34,6 @@ non-unit stride, since the BLAS dot sums a contiguous pair in another order.
 """
 
 import math
-from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -52,20 +51,13 @@ _TINY = np.finfo(float).tiny
 _NUDGE = 1.0 - 4.0 * np.finfo(float).eps
 
 
-@dataclass(slots=True)
-class RegularityRecord:
-    trial: int
-    loss_kind: str
-    gamma: float
-    delta: float
-    class_index: int
-    cos_before: float
-    ratio: float       # projected-iterate distance ratio
-    raw_ratio: float   # pre-projection distance ratio (the bounded quantity)
-    bound: float       # (1 + cos_before) / 2
-    uniformity_dev: float
-    sphere_dev: float  # | |h1|^2 - E_H |
-    cos_after: float
+#: one record of the sweep, its fields in the order of records.csv's columns: ``ratio`` is the
+#: projected iterate's distance ratio, ``raw_ratio`` the pre-projection one (the bounded
+#: quantity), ``bound`` (1 + cos_before) / 2 and ``sphere_dev`` | |h1|^2 - E_H |
+RECORD = np.dtype([("trial", np.int64), ("loss_kind", "U6"), ("gamma", float), ("delta", float),
+                   ("class_index", np.int64)] + [(name, float) for name in (
+                       "cos_before", "ratio", "raw_ratio", "bound", "uniformity_dev",
+                       "sphere_dev", "cos_after")])
 
 
 def _norm(v: np.ndarray) -> float:
@@ -189,13 +181,13 @@ def _project_ball_rows(pre: np.ndarray, e_h: float):
     return nsq, failed
 
 
-def _sweep_block(classifier, steps, deltas, e_h, h_stars, w_norms, drawn, first, runs):
+def _sweep_block(classifier, steps, deltas, e_h, h_stars, w_norms, drawn, first, runs, filled):
     """Every delta and step of the trials first, first + 1, ... drawn as ``drawn``.
 
-    Appends their records to ``runs`` and returns the divergences met, as
-    ``(trial, delta index, stage, message)``: stage -1 is the start, 4j to
-    4j + 3 are step j's rate, step, projection and ratio, so the least is
-    the one the one-vector loop meets first.
+    Writes their records into ``runs[i][j]`` from row ``filled[i]`` on, which it advances, and
+    returns the divergences met, as ``(trial, delta index, stage, message)``: stage -1 is the
+    start, 4j to 4j + 3 are step j's rate, step, projection and ratio, so the least is the one
+    the one-vector loop meets first.
     """
     K, W, e_w = classifier.num_classes, classifier.scaled_columns, classifier.e_w
     root_e_h, guard = np.sqrt(e_h), DIST_GUARD * math.sqrt(e_h)
@@ -238,7 +230,7 @@ def _sweep_block(classifier, steps, deltas, e_h, h_stars, w_norms, drawn, first,
         cos_raw = h0_dot_w / (np.sqrt(n0_sq[rows]) * col_norms)
         # within ~1e-8 of h* the cosine can round to 1 + ulp
         cos0 = np.where(1.0 < cos_raw, 1.0, cos_raw)
-        bound = ((1.0 + cos0) / 2.0).tolist()
+        bound = (1.0 + cos0) / 2.0
         # one softmax per start: uniformity, CE gradient, rate; a (n, 1, d) stack of
         # starts makes its h @ W one gemv per start
         P = softmax_probs(h0[:, None, :], W)[:, 0, :]
@@ -246,11 +238,11 @@ def _sweep_block(classifier, steps, deltas, e_h, h_stars, w_norms, drawn, first,
         p_c = P[own]
         spread = np.abs(P - ((1.0 - p_c) / (K - 1))[:, None])  # oracles.offclass_deviation
         spread[own] = 0.0
-        uniformity_dev = spread.max(axis=1).tolist()
+        uniformity_dev = spread.max(axis=1)
         grad_ce = _ce_grads(P, p_c, cls, W, cols)
         lengths = classifier.lengths[cls] * root_e_h  # dr_grad's targets t
         grad_dr = (h0_dot_w / lengths - 1.0)[:, None] * cols
-        trial_ids, cos0, class_ids = live.tolist(), cos0.tolist(), cls.tolist()
+        span = slice(filled[i], filled[i] + len(live))
         for j, (records, (kind, gamma)) in enumerate(zip(per_step, steps)):
             rate = "None" if gamma is None else format(gamma, "g")
             at = f"at delta={delta:g}, step ({kind}, {rate})"
@@ -259,10 +251,9 @@ def _sweep_block(classifier, steps, deltas, e_h, h_stars, w_norms, drawn, first,
                     f"instance-optimal rate undefined in trial {t}: p_c rounds to 1 {at}"))
                 g = ce_instance_rate(K, e_h, e_w, cos_raw, p_c)
                 pre = h0 - g[:, None] * grad_ce
-                rates = list(g)
             else:
-                pre = h0 - float(gamma) * (grad_dr if kind == "dr" else grad_ce)
-                rates = [float(gamma)] * len(live)
+                g = float(gamma)
+                pre = h0 - g * (grad_dr if kind == "dr" else grad_ce)
             pre = np.ascontiguousarray(pre)  # its dots sum contiguous rows, as pre.dot(pre) does
             fail(~np.isfinite(pre).all(axis=1), live, i, 4 * j + 1,
                  lambda t, _: f"non-finite step in trial {t} {at}")
@@ -282,10 +273,12 @@ def _sweep_block(classifier, steps, deltas, e_h, h_stars, w_norms, drawn, first,
             diff = h1 - h_star
             ratio = _squares(np.sqrt(_row_dots(diff, diff))) / dist0_sq
             cos_after = _row_dots(h1, cols) / (np.sqrt(h1_sq) * col_norms)
-            records.extend(map(
-                RegularityRecord, trial_ids, repeat(kind), rates, repeat(delta), class_ids,
-                cos0, ratio.tolist(), raw_ratio.tolist(), bound, uniformity_dev,
-                np.abs(h1_sq - e_h).tolist(), cos_after.tolist()))
+            block = records[span]
+            for name, value in zip(RECORD.names, (
+                    live, kind, g, delta, cls, cos0, ratio, raw_ratio, bound, uniformity_dev,
+                    np.abs(h1_sq - e_h), cos_after)):
+                block[name] = value
+        filled[i] = span.stop
     return failures
 
 
@@ -302,15 +295,16 @@ def run_regularity_sweep(
     ``kind`` is the record's ``loss_kind``: ``ce`` or ``dr`` at the fixed
     rate ``gamma``, or ``ce-opt`` (``gamma`` None), CE at the per-trial
     bound-matching rate, reported for illustration. Returns one run per
-    delta, a list of RegularityRecords per step: ``runs[i][j]`` is delta i,
-    step j. Trial t draws its class and unit tangent once, with rng seed
-    (seed, t), builds its start at each delta from them, and takes every
-    step from that start, so the lists are paired by trial. A delta is a
+    delta, a ``RECORD`` array per step: ``runs[i][j]`` is delta i, step j.
+    Trial t draws its class and unit tangent once, with rng seed (seed, t),
+    builds its start at each delta from them, and takes every step from
+    that start, so the arrays are paired by trial. A delta is a
     fraction of |h*| = sqrt(e_h), so a start lies at about the same angle
     to h* at every e_h. Trials starting within DIST_GUARD sqrt(e_h) of h*
     are excluded.
 
-    Each block of BLOCK_TRIALS trials runs as array code, delta by delta.
+    Each block of BLOCK_TRIALS trials runs as array code, delta by delta,
+    in place in arrays of ``trials`` rows, whose filled rows are returned.
     Every dot and norm is a stacked np.matmul (``_row_dots``), and the rows
     that stand for the strided class columns W[:, c] keep a non-unit
     stride, so each record holds the bits of the one-vector form. A
@@ -331,15 +325,16 @@ def run_regularity_sweep(
             raise NumericDivergence(f"classifier column norms under- or overflow at e_w={e_w:g}")
         root_e_h = np.sqrt(e_h)
         h_stars = np.array([root_e_h * classifier.frame.columns[:, k] for k in range(K)])
-        runs = [[[] for _ in steps] for _ in deltas]
+        runs = [[np.empty(trials, RECORD) for _ in steps] for _ in deltas]
+        filled = [0] * len(deltas)
         for first in range(0, trials, BLOCK_TRIALS):
             drawn = [_draw_trial(classifier, h_stars, e_h, np.random.default_rng([seed, t]))
                      for t in range(first, min(first + BLOCK_TRIALS, trials))]
             failures = _sweep_block(classifier, steps, deltas, e_h, h_stars, w_norms, drawn,
-                                    first, runs)
+                                    first, runs, filled)
             if failures:
                 raise NumericDivergence(min(failures)[3])
-    return runs
+    return [[records[:n] for records in run] for run, n in zip(runs, filled)]
 
 
 #: gate on a record's uniformity_dev for the CE-vs-DR dominance assertion
@@ -350,6 +345,12 @@ BOUND_TOL = 1e-9
 DOMINANCE_FRAC = 0.99
 #: slack on CE's raw ratio against DR's, per trial and in the mean
 DOMINANCE_SLACK = 1e-9
+
+
+def _first(fold, columns):
+    """Python's ``fold`` (max or min) over NaN-free ``columns`` in order: a tie keeps the first."""
+    arg = np.argmax if fold is max else np.argmin
+    return fold(float(c[arg(c)]) for c in columns)
 
 
 def check_sweep(steps, deltas, runs):
@@ -370,13 +371,13 @@ def check_sweep(steps, deltas, runs):
     <= BOUND_TOL, and on every gated config raw CE >= raw DR - DOMINANCE_SLACK on
     >= DOMINANCE_FRAC of trials and in the mean.
     """
-    all_dr = [r for run in runs for records in run for r in records if r.loss_kind == "dr"]
+    all_dr = [r for run in runs for r, (kind, _) in zip(run, steps) if kind == "dr" and len(r)]
     summary, passed = {}, bool(all_dr)
     if all_dr:
-        worst = max(r.ratio - r.bound for r in all_dr)
+        worst = _first(max, (r["ratio"] - r["bound"] for r in all_dr))
         summary["dr_bound"] = {"max_ratio_minus_bound": worst, "passed": worst <= BOUND_TOL,
-                              "max_sphere_dev": max(r.sphere_dev for r in all_dr),
-                              "min_cos_after": min(r.cos_after for r in all_dr)}
+                              "max_sphere_dev": _first(max, (r["sphere_dev"] for r in all_dr)),
+                              "min_cos_after": _first(min, (r["cos_after"] for r in all_dr))}
         passed &= worst <= BOUND_TOL
     dr_at = next((i for i, (kind, _) in enumerate(steps) if kind == "dr"), None)
     ce_at = [i for i, (kind, _) in enumerate(steps) if kind == "ce"]
@@ -385,33 +386,33 @@ def check_sweep(steps, deltas, runs):
     dom = {"gamma_dr": float(steps[dr_at][1]), "uniformity_gate": UNIFORMITY_GATE, "configs": []}
     for delta, run in zip(deltas, runs):
         dr = run[dr_at]
-        bound_gap = max((r.ratio - r.bound) for r in dr) if dr else None
+        bound_gap = _first(max, [dr["ratio"] - dr["bound"]]) if len(dr) else None
         for j in ce_at:
             gamma, ce = steps[j][1], run[j]
-            paired = [(c, d) for c, d in zip(ce, dr) if c.uniformity_dev < UNIFORMITY_GATE]
+            gated = ce["uniformity_dev"] < UNIFORMITY_GATE
+            ce_raw, dr_raw = ce["raw_ratio"][gated], dr["raw_ratio"][gated]
             cfg = {
                 "delta": delta,
                 "gamma_ce": float(gamma),
                 "trials": len(dr),
-                "gated_trials": len(paired),
+                "gated_trials": len(ce_raw),
                 "dr_max_ratio_minus_bound": bound_gap,
             }
-            if paired:
-                raw_ok = [c.raw_ratio >= d.raw_ratio - DOMINANCE_SLACK for c, d in paired]
+            if cfg["gated_trials"]:
                 with np.errstate(over="ignore"):  # a sum past float range is refused below
                     cfg.update(
-                        raw_dominance_frac=float(np.mean(raw_ok)),
-                        mean_ce_raw=float(np.mean([c.raw_ratio for c, _ in paired])),
-                        mean_dr_raw=float(np.mean([d.raw_ratio for _, d in paired])),
-                        mean_ce_ratio=float(np.mean([c.ratio for c, _ in paired])),
-                        mean_dr_ratio=float(np.mean([d.ratio for _, d in paired])),
+                        raw_dominance_frac=float(np.mean(ce_raw >= dr_raw - DOMINANCE_SLACK)),
+                        mean_ce_raw=float(np.mean(ce_raw)),
+                        mean_dr_raw=float(np.mean(dr_raw)),
+                        mean_ce_ratio=float(np.mean(ce["ratio"][gated])),
+                        mean_dr_ratio=float(np.mean(dr["ratio"][gated])),
                     )
                 if not all(math.isfinite(v) for k, v in cfg.items() if k.startswith("mean_")):
                     raise NumericDivergence(
                         f"mean ratio overflows at delta={delta:g}, gamma_ce={gamma:g}")
                 passed &= (cfg["raw_dominance_frac"] >= DOMINANCE_FRAC
                            and cfg["mean_ce_raw"] >= cfg["mean_dr_raw"] - DOMINANCE_SLACK)
-            elif dr:
+            elif len(dr):
                 cfg.update(raw_dominance_frac=None, note="no trials passed the gate")
             else:
                 cfg.update(raw_dominance_frac=None,

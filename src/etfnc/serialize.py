@@ -12,6 +12,8 @@ from operator import attrgetter
 
 import numpy as np
 
+CHUNK_ROWS = 128  # rows of a structured array that table converts to Python values at once
+
 
 def write_csv(path, header, rows):
     """Write a CSV, with a header row unless ``header`` is None; floats at 17 significant digits.
@@ -43,27 +45,31 @@ def _columns(name, path, value):
 
 
 class _Rows:
-    """The CSV rows of ``records``, built one at a time as they are read."""
+    """``count`` CSV rows, built by ``rows()`` a few at a time each time they are read."""
 
-    def __init__(self, records, row):
-        self._records, self._row = records, row
+    def __init__(self, count, rows):
+        self._count, self._rows = count, rows
 
     def __len__(self):
-        return len(self._records)
+        return self._count
 
     def __iter__(self):
-        return map(self._row, self._records)
+        return self._rows()
 
 
 def table(cls, records) -> tuple:
-    """(header, rows) of a CSV with one column per field of the dataclass ``cls``, in field order.
+    """(header, rows) of a CSV with one column per field of ``cls``, in field order.
 
-    A nested dataclass field ``f`` spreads over ``f_<its field>`` columns and
-    an array field over ``f_0 ... f_{n-1}``, its width taken from the first
-    record. With no records the header is the field names of ``cls`` and the
-    rows []. The column plan is built once, from the first record; the rows
-    are a ``len``-sized view of ``records`` that builds a row as it is read.
+    ``cls`` is a dataclass and ``records`` its instances, or a structured dtype and ``records``
+    arrays of it. A nested dataclass field ``f`` spreads over ``f_<its field>`` columns and an
+    array field over ``f_0 ... f_{n-1}``, its width taken from the first record. With no records
+    the header is the field names of ``cls``. The rows are a view of ``records``, sized by their
+    count, that builds rows as they are read, CHUNK_ROWS rows of an array at a time.
     """
+    if isinstance(cls, np.dtype):
+        return list(cls.names), _Rows(sum(map(len, records)), lambda: (
+            row for a in records for i in range(0, len(a), CHUNK_ROWS)
+            for row in a[i:i + CHUNK_ROWS].tolist()))
     if not records:
         return [f.name for f in fields(cls)], []
     plan = [c for f in fields(cls) for c in _columns(f.name, f.name, getattr(records[0], f.name))]
@@ -72,9 +78,9 @@ def table(cls, records) -> tuple:
     # attrgetter of one path returns the value, of more a tuple
     get = attrgetter(*paths) if len(paths) > 1 else lambda r, one=attrgetter(*paths): (one(r),)
     if not any(spread):
-        return header, _Rows(records, get)
-    return header, _Rows(records, lambda r: [c for v, s in zip(get(r), spread)
-                                             for c in (v if s else (v,))])
+        return header, _Rows(len(records), lambda: map(get, records))
+    return header, _Rows(len(records), lambda: ([c for v, s in zip(get(r), spread)
+                                                 for c in (v if s else (v,))] for r in records))
 
 
 def _numpy_value(o):

@@ -7,11 +7,15 @@ with the reader of the ``frame.csv`` text that the tests round-trip and
 the one-vector-at-a-time regularity sweep that the batched sweep must
 reproduce bit for bit, with its one-vector ball projection, off-class
 uniformity and DR bound (1 + cos) / 2, which the batched sweep computes
-row by row, and the per-class stacked draw of the synthetic dataset, which
-the in-place draw must reproduce bit for bit.
+row by row; that sweep's records, one ``RegularityRecord`` each, and the
+per-record ``check_sweep`` over them, whose fields and verdict the
+library's column reductions must reproduce exactly; and the per-class
+stacked draw of the synthetic dataset, which the in-place draw must
+reproduce bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +32,11 @@ from etfnc.losses import (
 from etfnc.regularity import (
     _NUDGE,
     _TINY,
+    BOUND_TOL,
     DIST_GUARD,
-    RegularityRecord,
+    DOMINANCE_FRAC,
+    DOMINANCE_SLACK,
+    UNIFORMITY_GATE,
     _draw_trial,
     _norm,
     _squared,
@@ -145,6 +152,24 @@ def offclass_deviation(p: np.ndarray, c: int) -> float:
     return float(np.abs(p[others] - resid).max())
 
 
+@dataclass(slots=True)
+class RegularityRecord:
+    """One record of the one-vector sweep: the fields of ``regularity.RECORD``, in its order."""
+
+    trial: int
+    loss_kind: str
+    gamma: float
+    delta: float
+    class_index: int
+    cos_before: float
+    ratio: float       # projected-iterate distance ratio
+    raw_ratio: float   # pre-projection distance ratio (the bounded quantity)
+    bound: float       # (1 + cos_before) / 2
+    uniformity_dev: float
+    sphere_dev: float  # | |h1|^2 - E_H |
+    cos_after: float
+
+
 def _start(h_star, u, delta, root_e_h):
     """Start point h* + delta |h*| u, rescaled to the sphere |h*| = sqrt(E_H)."""
     h0 = h_star + (delta * root_e_h) * u
@@ -154,6 +179,8 @@ def _start(h_star, u, delta, root_e_h):
 
 def regularity_sweep_loop(classifier, steps, deltas, trials, seed, e_h=1.0):
     """``run_regularity_sweep`` one trial, delta and step at a time, with its messages.
+
+    It returns lists of ``RegularityRecord``s where the library returns ``RECORD`` arrays.
 
     The loop the library ran before it batched the trials: for trial t, for
     each delta, one start, one softmax and both gradients as vectors, then
@@ -232,3 +259,60 @@ def regularity_sweep_loop(classifier, steps, deltas, trials, seed, e_h=1.0):
                         )
                     )
     return runs
+
+
+def check_sweep_records(steps, deltas, runs):
+    """``regularity.check_sweep`` over lists of ``RegularityRecord``s, one record at a time.
+
+    The per-record form the library ran before it reduced record columns;
+    its ``(summary fields, passed)`` and messages are the reference.
+    """
+    all_dr = [r for run in runs for records in run for r in records if r.loss_kind == "dr"]
+    summary, passed = {}, bool(all_dr)
+    if all_dr:
+        worst = max(r.ratio - r.bound for r in all_dr)
+        summary["dr_bound"] = {"max_ratio_minus_bound": worst, "passed": worst <= BOUND_TOL,
+                              "max_sphere_dev": max(r.sphere_dev for r in all_dr),
+                              "min_cos_after": min(r.cos_after for r in all_dr)}
+        passed &= worst <= BOUND_TOL
+    dr_at = next((i for i, (kind, _) in enumerate(steps) if kind == "dr"), None)
+    ce_at = [i for i, (kind, _) in enumerate(steps) if kind == "ce"]
+    if dr_at is None or not ce_at:
+        return summary, passed
+    dom = {"gamma_dr": float(steps[dr_at][1]), "uniformity_gate": UNIFORMITY_GATE, "configs": []}
+    for delta, run in zip(deltas, runs):
+        dr = run[dr_at]
+        bound_gap = max((r.ratio - r.bound) for r in dr) if dr else None
+        for j in ce_at:
+            gamma, ce = steps[j][1], run[j]
+            paired = [(c, d) for c, d in zip(ce, dr) if c.uniformity_dev < UNIFORMITY_GATE]
+            cfg = {
+                "delta": delta,
+                "gamma_ce": float(gamma),
+                "trials": len(dr),
+                "gated_trials": len(paired),
+                "dr_max_ratio_minus_bound": bound_gap,
+            }
+            if paired:
+                raw_ok = [c.raw_ratio >= d.raw_ratio - DOMINANCE_SLACK for c, d in paired]
+                with np.errstate(over="ignore"):  # a sum past float range is refused below
+                    cfg.update(
+                        raw_dominance_frac=float(np.mean(raw_ok)),
+                        mean_ce_raw=float(np.mean([c.raw_ratio for c, _ in paired])),
+                        mean_dr_raw=float(np.mean([d.raw_ratio for _, d in paired])),
+                        mean_ce_ratio=float(np.mean([c.ratio for c, _ in paired])),
+                        mean_dr_ratio=float(np.mean([d.ratio for _, d in paired])),
+                    )
+                if not all(math.isfinite(v) for k, v in cfg.items() if k.startswith("mean_")):
+                    raise NumericDivergence(
+                        f"mean ratio overflows at delta={delta:g}, gamma_ce={gamma:g}")
+                passed &= (cfg["raw_dominance_frac"] >= DOMINANCE_FRAC
+                           and cfg["mean_ce_raw"] >= cfg["mean_dr_raw"] - DOMINANCE_SLACK)
+            elif dr:
+                cfg.update(raw_dominance_frac=None, note="no trials passed the gate")
+            else:
+                cfg.update(raw_dominance_frac=None,
+                           note="no trials: every start was excluded at the optimum")
+            dom["configs"].append(cfg)
+    summary["paired_dominance"] = dom
+    return summary, passed

@@ -164,10 +164,10 @@ def test_criterion_4_contraction_bound_and_dominance():
             clf = uniform_classifier(generate_etf(d, K, K + d), 1.0)
             for delta in deltas:
                 records = run_regularity_sweep(clf, [("dr", 1.0)], [delta], 500, 41)[0][0]
-                assert records
-                worst_bound = max(worst_bound, max(r.ratio - r.bound for r in records))
-                worst_sphere = max(worst_sphere, max(r.sphere_dev for r in records))
-                worst_cos = min(worst_cos, min(r.cos_after for r in records))
+                assert len(records)
+                worst_bound = max(worst_bound, (records["ratio"] - records["bound"]).max())
+                worst_sphere = max(worst_sphere, records["sphere_dev"].max())
+                worst_cos = min(worst_cos, records["cos_after"].min())
     bound_ok = worst_bound <= 1e-9 and worst_sphere <= 1e-9 and worst_cos >= 0.0
 
     gammas = [0.05, 0.1, 0.5, 1.0]  # sqrt(E_H/E_W) = 1.0 coincides with the sweep

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -293,6 +294,23 @@ class TestRegularityCommand:
         assert summary["paired_dominance"] == verdict["paired_dominance"]
         assert summary["dr_bound"] == verdict["dr_bound"]
         assert len(verdict["paired_dominance"]["configs"]) == len(gammas) * len(deltas)
+
+    def test_default_run_traced_peak(self, tmp_path):
+        """The default run holds its 7500 records as arrays: a traced peak under 1.5 MB.
+
+        As one Python object each, from the sweep to records.csv, they raised it past 2 MB.
+        A first run loads what any first command loads once, so the second one is traced.
+        """
+        argv = ("regularity", "--K", 10, "--d", 20)
+        assert run(*argv, "--out", tmp_path / "first") == EXIT_OK
+        tracemalloc.start()
+        try:
+            assert run(*argv, "--out", tmp_path / "run") == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "run" / "records.csv").read_text().splitlines()) == 7501
+        assert peak < 1.5e6
 
     def test_dr_reference_rate(self, tmp_path):
         out = tmp_path / "run"
@@ -644,6 +662,32 @@ class TestTrainPool:
                            match="train job 3: no jobs in a worker forked after the pool's start"):
             cli._train_run(3)
 
+    def test_dead_worker_fails_within_seconds(self, tmp_path):
+        """A worker killed in its job (SIGKILL, as by the OOM killer) fails train at once.
+
+        train exits non-zero, names the job left without a result and writes no --out; a
+        pool that waits for the lost job forever fails on the timeout instead.
+        """
+        cfg = write_train_config(tmp_path / "cfg.json", regimes=self.REGIMES[:3],
+                                 train={"epochs": 2})
+        code = ("import os, signal, sys\n"
+                "from etfnc import cli\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "train_run = cli._train_run\n"
+                "def dies_in_job_1(i):\n"
+                "    if i == 1:\n"
+                "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                "    return train_run(i)\n"
+                "cli._train_run = dies_in_job_1\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        out = tmp_path / "x"
+        proc = subprocess.run([sys.executable, "-c", code, "train", "--config", cfg, "--out", out],
+                              env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.endswith("RuntimeError: train job 1 lost: a pool worker died\n")
+        assert "train: learnable-ce seed 0" in proc.stdout and not out.exists()
+
     @pytest.mark.parametrize("regimes,message", [
         (REGIMES[:3], "non-finite logits in softmax"),
         # job 0 fails with a message of its own; a later job's error must not overtake it
@@ -726,6 +770,8 @@ class TestInputRefusedBeforeOutput:
          "--d/--K: regularity experiment needs d >= 2, got d=1"),
         (("regularity", "--K", 4, "--d", 6, "--trials", 3, "--gammas=-1"),
          "--gammas entries must be finite and > 0, got '-1'"),
+        # each (delta, step) record array is allocated --trials rows long, before any trial
+        (("regularity", "--K", 4, "--d", 6, "--trials", 2**62), "--trials: array is too big"),
     ])
     def test_flags(self, tmp_path, capsys, argv, named):
         out = tmp_path / "x"

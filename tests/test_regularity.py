@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from etfnc.regularity import (
     BOUND_TOL,
     DIST_GUARD,
     DOMINANCE_FRAC,
+    RECORD,
     _NUDGE,
     _class_columns,
     _norm,
@@ -27,7 +28,14 @@ from etfnc.regularity import (
     run_regularity_sweep,
 )
 from etfnc.serialize import derive_seed
-from oracles import dr_eta_bound, offclass_deviation, project_ball, regularity_sweep_loop
+from oracles import (
+    RegularityRecord,
+    check_sweep_records,
+    dr_eta_bound,
+    offclass_deviation,
+    project_ball,
+    regularity_sweep_loop,
+)
 
 
 def make_classifier(d=16, K=10, e_w=1.0, seed=0):
@@ -48,24 +56,24 @@ class TestContractionRatio:
         # a step that swamps h0 points along w*_c, and projection lands it on h*
         records = run_regularity_sweep(make_classifier(), [("dr", 1e100)], [0.05], 20, 0)[0][0]
         assert len(records) == 20
-        assert all(r.ratio < 1e-20 for r in records)
+        assert (records["ratio"] < 1e-20).all()
 
     def test_no_progress(self):
         for records in run_regularity_sweep(make_classifier(), [("ce", 0.0), ("dr", 0.0)],
                                             [0.05], 20, 0)[0]:
-            np.testing.assert_allclose([r.ratio for r in records], 1.0)
+            np.testing.assert_allclose(records["ratio"], 1.0)
 
     def test_ratio_of_squared_distances(self):
         # DR iterates stay on the sphere |h|^2 = E_H, where |h - h*|^2 = 2 E_H (1 - cos)
         for delta in (0.05, 0.1):
-            for r in run_regularity_sweep(make_classifier(), [("dr", 0.5)], [delta], 50, 6)[0][0]:
-                expected = (1.0 - r.cos_after) / (1.0 - r.cos_before)
-                np.testing.assert_allclose(r.ratio, expected, rtol=1e-9)
+            r = run_regularity_sweep(make_classifier(), [("dr", 0.5)], [delta], 50, 6)[0][0]
+            expected = (1.0 - r["cos_after"]) / (1.0 - r["cos_before"])
+            np.testing.assert_allclose(r["ratio"], expected, rtol=1e-9)
 
     def test_at_optimum_signaled(self):
         """A start within DIST_GUARD of h* is excluded: it yields no record."""
         clf = make_classifier()
-        assert run_regularity_sweep(clf, [("dr", 1.0)], [DIST_GUARD / 10], 20, 0) == [[[]]]
+        assert lengths(run_regularity_sweep(clf, [("dr", 1.0)], [DIST_GUARD / 10], 20, 0)) == [[0]]
         assert len(run_regularity_sweep(clf, [("dr", 1.0)], [DIST_GUARD * 1e3], 20, 0)[0][0]) == 20
 
 
@@ -129,7 +137,7 @@ class TestOffclassUniformity:
     def test_small_near_optimum(self):
         clf = make_classifier()
         records = run_regularity_sweep(clf, [("dr", 1.0)], [0.01], 100, 3)[0][0]
-        assert all(r.uniformity_dev < 0.01 for r in records)
+        assert (records["uniformity_dev"] < 0.01).all()
 
     def test_large_for_wrong_alignment(self):
         clf = make_classifier()
@@ -144,42 +152,42 @@ class TestDrBound:
         gamma = 1.0  # sqrt(E_H / E_W)
         for delta in (0.01, 0.05, 0.1):
             records = run_regularity_sweep(clf, [("dr", gamma)], [delta], 200, 11)[0][0]
-            assert records, (K, d, delta)
-            worst = max(r.ratio - r.bound for r in records)
+            assert len(records), (K, d, delta)
+            worst = (records["ratio"] - records["bound"]).max()
             assert worst <= 1e-9, (K, d, delta, worst)
 
     def test_raw_ratio_equals_bound_on_sphere(self):
         """Pre-projection DR distance at gamma* matches (1+cos)/2 exactly."""
         clf = make_classifier()
         records = run_regularity_sweep(clf, [("dr", 1.0)], [0.05], 200, 5)[0][0]
-        worst = max(abs(r.raw_ratio - r.bound) for r in records)
+        worst = np.abs(records["raw_ratio"] - records["bound"]).max()
         assert worst < 1e-12
 
     def test_sphere_preserved_and_cos_nonnegative(self):
         clf = make_classifier()
         for delta in (0.01, 0.1):
-            for r in run_regularity_sweep(clf, [("dr", 1.0)], [delta], 200, 7)[0][0]:
-                assert r.sphere_dev <= 1e-9
-                assert r.cos_after >= 0.0
+            r = run_regularity_sweep(clf, [("dr", 1.0)], [delta], 200, 7)[0][0]
+            assert (r["sphere_dev"] <= 1e-9).all()
+            assert (r["cos_after"] >= 0.0).all()
 
     def test_deterministic_per_seed(self):
         clf = make_classifier()
         a = run_regularity_sweep(clf, [("dr", 1.0)], [0.05], 50, 9)[0][0]
         b = run_regularity_sweep(clf, [("dr", 1.0)], [0.05], 50, 9)[0][0]
-        assert [(r.ratio, r.bound) for r in a] == [(r.ratio, r.bound) for r in b]
+        assert bits(a) == bits(b)
 
 
 class TestStartSampling:
     def test_starts_near_h_star(self):
         clf = make_classifier()
         delta = 0.05
-        for r in run_regularity_sweep(clf, [("dr", 1.0)], [delta], 100, 1)[0][0]:
-            # distance after re-projection stays within ~delta
-            assert 1.0 - r.cos_before <= delta**2  # dist^2 = 2 E_H (1 - cos)
+        r = run_regularity_sweep(clf, [("dr", 1.0)], [delta], 100, 1)[0][0]
+        # distance after re-projection stays within ~delta
+        assert (1.0 - r["cos_before"] <= delta**2).all()  # dist^2 = 2 E_H (1 - cos)
 
     def test_zero_delta_all_excluded(self):
         clf = make_classifier()
-        assert run_regularity_sweep(clf, [("dr", 1.0)], [0.0], 20, 0) == [[[]]]
+        assert lengths(run_regularity_sweep(clf, [("dr", 1.0)], [0.0], 20, 0)) == [[0]]
 
 
 class TestPairedDominance:
@@ -197,9 +205,8 @@ class TestPairedDominance:
         clf = make_classifier()
         ce = run_regularity_sweep(clf, [("ce", 0.5)], [0.05], 40, 13)[0][0]
         dr = run_regularity_sweep(clf, [("dr", 1.0)], [0.05], 40, 13)[0][0]
-        for a, b in zip(ce, dr):
-            assert a.trial == b.trial
-            np.testing.assert_allclose(a.cos_before, b.cos_before, atol=1e-15)
+        np.testing.assert_array_equal(ce["trial"], dr["trial"])
+        np.testing.assert_allclose(ce["cos_before"], dr["cos_before"], atol=1e-15)
 
 
 class TestInstanceOptimalRate:
@@ -212,9 +219,9 @@ class TestInstanceOptimalRate:
         """
         clf = make_classifier()
         records = run_regularity_sweep(clf, [("ce-opt", None)], [0.01], 100, 4)[0][0]
-        assert records
-        for r in records:
-            assert abs(r.raw_ratio - r.bound) < 10 * max(r.uniformity_dev, 1e-6)
+        assert len(records)
+        gap = np.abs(records["raw_ratio"] - records["bound"])
+        assert (gap < 10 * np.maximum(records["uniformity_dev"], 1e-6)).all()
 
     def test_instance_optimal_needs_ce(self):
         clf = make_classifier()
@@ -223,9 +230,18 @@ class TestInstanceOptimalRate:
 
 
 def bits(records):
-    """Each record's fields, floats as float.hex: equal only bit for bit (0.0 != -0.0)."""
-    return [tuple(float(v).hex() if isinstance(v, float) else v
-                  for v in astuple(r)) for r in records]
+    """The bytes of a record array, or of the loop oracle's RegularityRecords as a RECORD array.
+
+    Equal only bit for bit, in every field (0.0 != -0.0).
+    """
+    if isinstance(records, list):
+        records = np.array([astuple(r) for r in records], dtype=RECORD)
+    return records.tobytes()
+
+
+def lengths(runs):
+    """The record count of every (delta, step) array of a sweep."""
+    return [[len(records) for records in run] for run in runs]
 
 
 STEPS = [("ce", 0.05), ("dr", 1.0), ("ce", 0.5), ("ce-opt", None), ("ce", 0.5)]
@@ -241,7 +257,8 @@ class TestSweep:
         [sweep] = run_regularity_sweep(clf, steps, [0.05], 40, 13, e_h)
         assert len(sweep) == len(steps)
         for (loss, gamma), records in zip(steps, sweep):
-            assert records == run_regularity_sweep(clf, [(loss, gamma)], [0.05], 40, 13, e_h)[0][0]
+            assert bits(records) == bits(
+                run_regularity_sweep(clf, [(loss, gamma)], [0.05], 40, 13, e_h)[0][0])
             alone = regularity_sweep_loop(clf, [(loss, gamma)], [0.05], 40, 13, e_h)[0][0]
             assert bits(records) == bits(alone)
 
@@ -285,7 +302,7 @@ class TestSweep:
 
     def test_excluded_trials_drop_from_every_step(self):
         clf = make_classifier()
-        assert run_regularity_sweep(clf, STEPS, [0.0], 5, 0) == [[[] for _ in STEPS]]
+        assert lengths(run_regularity_sweep(clf, STEPS, [0.0], 5, 0)) == [[0] * len(STEPS)]
 
     def test_overflowing_start_diverges(self):
         """|h* + delta u| overflows, so the start would rescale to 0 and its cosine to NaN."""
@@ -321,7 +338,7 @@ def cli_instance(K=10, d=20, seed=0, e_h=1.0, e_w=1.0, gammas=(0.05, 0.1, 0.5, 1
 
 
 def outcome(sweep, *args):
-    """The bits of every record list of a sweep, or the type and message of what it raised."""
+    """The bits of every record array of a sweep, or the type and message of what it raised."""
     try:
         return [[bits(records) for records in run] for run in sweep(*args)]
     except (ValueError, NumericDivergence) as err:
@@ -569,8 +586,64 @@ class TestPairDominance:
         assert "paired_dominance" not in fields
 
 
+#: a synthetic record's float fields draw from these: signed zeros, the least subnormal,
+#: values on either side of UNIFORMITY_GATE, and 1e308, two of which overflow a mean
+FIELD_VALUES = [0.0, -0.0, 5e-324, 1e-4, 1e-3, 0.5, 1.0, 1.5, 1e308]
+
+
+@st.composite
+def synthetic_sweeps(draw):
+    """(steps, deltas, runs) shaped as ``run_regularity_sweep`` returns them, with drawn values.
+
+    Every step of a delta holds the same trials, 0 to 10000 of them. Each float
+    field draws from its own few of FIELD_VALUES, or from the signed zeros.
+    """
+    kinds = draw(st.lists(st.sampled_from(["ce", "dr", "ce-opt"]), max_size=2))
+    kinds += draw(st.sampled_from([["dr", "ce"], ["ce", "dr"], ["ce", "ce-opt", "dr"],
+                                   ["dr"], ["ce"]]))
+    steps = [(kind, None if kind == "ce-opt" else draw(st.sampled_from([0.05, 0.5, 1.0])))
+             for kind in kinds]
+    deltas = draw(st.lists(st.sampled_from([0.01, 0.05, 0.1]), min_size=1, max_size=3))
+    floats = [name for name in RECORD.names if RECORD[name] == np.float64 and name != "delta"]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a max or min over signed zeros alone keeps the first read
+    pools = {name: [0.0, -0.0] if rng.random() < 0.3 else
+             rng.choice(FIELD_VALUES, size=rng.integers(1, 4)) for name in floats}
+    runs = []
+    for delta in deltas:
+        n = draw(st.one_of(st.integers(0, 9), st.sampled_from([0, 300, 10000])))
+        run = []
+        for kind, gamma in steps:
+            records = np.zeros(n, RECORD)
+            records["trial"], records["loss_kind"], records["delta"] = np.arange(n), kind, delta
+            records["class_index"] = rng.integers(10, size=n)
+            for name in floats:
+                records[name] = rng.choice(pools[name], size=n)
+            run.append(records)
+        runs.append(run)
+    return steps, deltas, runs
+
+
+def verdict(check, *args):
+    """The repr of ``check(*args)``, or the message of the NumericDivergence it raised."""
+    try:
+        return repr(check(*args))
+    except NumericDivergence as err:
+        return f"NumericDivergence: {err}"
+
+
 class TestCheckSweep:
     """At delta 0.01 every one of the 100 trials passes the uniformity gate."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(synthetic_sweeps())
+    def test_matches_per_record_oracle(self, sweep):
+        """Column reductions give the per-record oracle's fields and verdict exactly: equal
+        reprs, so 0.0 and -0.0, float and int all count; or they raise its message."""
+        steps, deltas, runs = sweep
+        records = [[[RegularityRecord(*row) for row in a.tolist()] for a in run] for run in runs]
+        assert verdict(check_sweep, steps, deltas, runs) == verdict(
+            check_sweep_records, steps, deltas, records)
 
     STEPS = [("dr", 1.0), ("ce", 0.1)]
 
@@ -580,7 +653,9 @@ class TestCheckSweep:
     def doctored(self, at, trials, **values):
         """The sweep with ``values`` set on the records of step ``at`` for ``trials``."""
         run = self.sweep()
-        run[at] = [replace(r, **values) if r.trial in trials else r for r in run[at]]
+        doctored = np.isin(run[at]["trial"], list(trials))
+        for name, value in values.items():
+            run[at][name][doctored] = value
         return check_sweep(self.STEPS, [0.01], [run])
 
     def test_real_sweep_passes(self):
@@ -593,7 +668,7 @@ class TestCheckSweep:
         assert fields["paired_dominance"]["configs"][0]["gated_trials"] == 100
 
     def test_sweep_without_records_fails(self):
-        fields, passed = check_sweep(self.STEPS, [0.01], [[[], []]])
+        fields, passed = check_sweep(self.STEPS, [0.01], [[np.empty(0, RECORD)] * 2])
         assert not passed
         assert "dr_bound" not in fields
 
@@ -601,7 +676,7 @@ class TestCheckSweep:
         """CE records alone check neither the bound nor the dominance."""
         steps = [("ce", 0.1), ("ce", 0.5)]
         run = run_regularity_sweep(make_classifier(), steps, [0.01], 100, 3)[0]
-        assert all(run)
+        assert all(map(len, run))
         assert check_sweep(steps, [0.01], [run]) == ({}, False)
 
     def test_bound_at_tolerance_passes(self):

@@ -92,6 +92,32 @@ class TestTable:
         write_csv(tmp_path / "t.csv", *table(Panel, []))
         assert (tmp_path / "t.csv").read_text() == "avg,std\n"
 
+    def test_structured_arrays(self, tmp_path):
+        """Tuples, one structured array and the same rows over several arrays write one text.
+
+        The header is the dtype's names, rows cross the chunk of 128 rows that becomes Python
+        values at once, and len holds before and after a write; no rows write the header alone.
+        """
+        kind = np.dtype([("trial", np.int64), ("loss_kind", "U6"), ("ratio", float)])
+        cells = [(i, "ce-opt" if i % 3 else "dr", -0.0 if i == 1 else 1.0 / (i + 3))
+                 for i in range(300)]
+        whole = np.array(cells, dtype=kind)
+        texts = []
+        for header, rows in ((list(kind.names), cells), table(kind, [whole]),
+                             table(kind, [whole[:1], whole[1:1], whole[1:129], whole[129:]])):
+            assert len(rows) == 300
+            write_csv(tmp_path / "t.csv", header, rows)
+            assert len(rows) == 300
+            texts.append((tmp_path / "t.csv").read_bytes())
+        assert texts[0].startswith(
+            b"trial,loss_kind,ratio\n0,dr,0.33333333333333331\n1,ce-opt,-0\n")
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        for arrays in ([], [whole[:0]], [whole[:0], whole[5:5]]):
+            header, rows = table(kind, arrays)
+            assert len(rows) == 0
+            write_csv(tmp_path / "t.csv", header, rows)
+            assert (tmp_path / "t.csv").read_text() == "trial,loss_kind,ratio\n"
+
     def test_written_csv(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, *table(Record, [Record(3, "ce", 0.1, np.array([0.5]), Panel(1.0, 2.0))]))
