@@ -22,7 +22,10 @@ command returned, so exit 2 or 3 leaves no --out; exit 4 writes the failed check
 A negative number in exponent form needs --flag=value (--gamma=-1e+300).
 With BLAS pinned to one thread, train's runs use one process per usable CPU, with the same
 payloads; each worker takes its jobs from the fork and is sent only a job's index, and
-once the pool has forked its parent keeps no job input (datasets, initial models).
+once the pool has forked its parent keeps no job input (initial models). The parent draws
+no dataset: a run draws its seed's (train, test) sets where it trains, in a pool worker or
+in process, and each process holds one seed's sets at a time. Each epoch's features are
+written over the last epoch's.
 A command loads its module when it runs (a train pool also loads multiprocessing), so
 `import etfnc.cli` loads only etf, losses, batches and serialize, which every command shares.
 """
@@ -348,9 +351,11 @@ def _train_workers(runs):
     return min(runs, len(os.sched_getaffinity(0))) if pooled else 1
 
 
-#: the (model, train set, test set, config) jobs of the running train command;
+#: the (model, dataset spec, config) jobs of the running train command;
 #: a fork worker inherits them, so a worker is sent only a job's index
 _JOBS = []
+#: {spec: (train set, test set)} of the last dataset this process drew
+_DRAWN = {}
 
 
 @contextmanager
@@ -360,7 +365,8 @@ def _run_map(jobs):
     The jobs train in process or in a fork pool of ``_train_workers(len(jobs))`` processes.
     ``jobs`` is taken over and emptied, and the pool's parent lets go of the jobs once every
     worker has forked. A run's error is raised when its job is reached, a dead worker's lost job
-    as a RuntimeError; leaving the block stops and joins every worker and releases the jobs.
+    as a RuntimeError; leaving the block stops and joins every worker and releases the jobs
+    and the datasets drawn in process.
     """
     _JOBS[:] = jobs  # before the pool forks
     jobs.clear()
@@ -373,10 +379,13 @@ def _run_map(jobs):
             import multiprocessing
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 _JOBS.clear()  # every worker holds its own copy from the fork
-                results, forked = pool.imap(_train_run, indices), multiprocessing.active_children()
+                # the workers before any job: one that dies in its job is no longer active
+                forked = multiprocessing.active_children()
+                results = pool.imap(_train_run, indices)
                 yield workers, (_result(results, i, forked) for i in indices)
     finally:
         _JOBS.clear()
+        _DRAWN.clear()
 
 
 def _result(results, i, forked):
@@ -390,6 +399,19 @@ def _result(results, i, forked):
                 raise RuntimeError(f"train job {i} lost: a pool worker died") from None
 
 
+def _datasets(spec):
+    """The (train set, test set) of ``spec``, drawn only if it is not the last spec drawn here.
+
+    A process holds one spec's sets at a time: it lets go of them before it draws another.
+    """
+    from . import trainer as tr
+    if spec not in _DRAWN:
+        _DRAWN.clear()
+        with _blame("config block 'dataset'"):
+            _DRAWN[spec] = tr.make_imbalanced_dataset(spec)
+    return _DRAWN[spec]
+
+
 def _train_run(i):
     """Train job ``i`` of ``_JOBS``: ``(model, log)``.
 
@@ -398,8 +420,8 @@ def _train_run(i):
     if not _JOBS:  # a worker forked to replace a dead one, after the parent let go of the jobs
         raise RuntimeError(f"train job {i}: no jobs in a worker forked after the pool's start")
     from .trainer import train
-    model, train_set, test_set, config = _JOBS[i]
-    return model, train(model, train_set, test_set, config)
+    model, spec, config = _JOBS[i]
+    return model, train(model, *_datasets(spec), config)
 
 
 def cmd_train(args):
@@ -410,15 +432,15 @@ def cmd_train(args):
     with _blame("config block 'train'"):
         configs = {(seed, regime): tr.TrainConfig(regime=regime, seed=seed, **cfg["train"])
                    for seed in seeds for regime in regimes}
-    with _blame("config block 'dataset'"):
-        datasets = {seed: tr.make_imbalanced_dataset(tr.SyntheticDatasetSpec(
-            **dict(ds, seed=derive_seed(seed, "dataset")))) for seed in seeds}
-    sizes = [datasets[seeds[0]][0].dim, *model_cfg["hidden_sizes"], model_cfg["feature_dim"]]
+    with _blame("config block 'dataset'"):  # each run draws its seed's sets where it trains
+        specs = {seed: tr.SyntheticDatasetSpec(**dict(ds, seed=derive_seed(seed, "dataset")))
+                 for seed in seeds}
+        specs[seeds[0]].counts()  # a class count rounded to zero is refused before any run
+    sizes = [specs[seeds[0]].input_dim, *model_cfg["hidden_sizes"], model_cfg["feature_dim"]]
     keys = [(seed, regime) for seed in seeds for regime in regimes]
     with _blame("config block 'model'"):  # before any training: numpy may refuse a size
         jobs = [(tr.MlpBackbone.init(sizes, derive_seed(seed, f"model:{regime}")),
-                 *datasets[seed], configs[seed, regime]) for seed, regime in keys]
-    del datasets  # the jobs hold the only references, which _run_map takes over
+                 specs[seed], configs[seed, regime]) for seed, regime in keys]
 
     summary = {"runs": [], "config_file": args.config}
     accs = {regime: [] for regime in regimes}  # final_bal_acc per seed

@@ -27,9 +27,13 @@ from .batches import FeatureBatch
 def class_and_global_means(batch: FeatureBatch):
     """Per-class means (K, d) and the sample-weighted global mean (d,)."""
     counts = batch.counts()
-    # A stable sort keeps each class's rows in sample order, so each slice is a
-    # C-contiguous copy of features[labels == k], row for row: its mean rounds alike.
-    rows = batch.features[np.argsort(batch.labels, kind="stable")]
+    rows, labels = batch.features, batch.labels
+    # Each class's slice must hold the C-contiguous rows of features[labels == k] in
+    # sample order, so its mean rounds alike. Class-sorted labels over C-contiguous
+    # rows (every dataset and feature batch of train) already are that; otherwise a
+    # stable sort gathers them.
+    if not (rows.flags.c_contiguous and np.all(labels[:-1] <= labels[1:])):
+        rows = rows[np.argsort(labels, kind="stable")]
     means = np.array([rows[e - n:e].mean(axis=0) for n, e in zip(counts, np.cumsum(counts))])
     return means, batch.features.mean(axis=0)
 

@@ -55,11 +55,12 @@ class MlpBackbone:
     def feature_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, out: np.ndarray = None):
         """Features for a (B, d_in) batch, and the cache backward needs.
 
         The cache lists the layer inputs: ``x``, then each hidden ReLU output.
         Each layer is rectified in place in its fresh product array, never in ``x``.
+        The features are written into ``out`` when given, a (B, d) float array.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.weights[0].shape[1]:
@@ -67,11 +68,12 @@ class MlpBackbone:
                 f"input dim {x.shape[1]} != layer dim {self.weights[0].shape[1]}"
             )
         inputs, a = [], x
+        last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if l:  # rectify the hidden layer below; the last layer stays linear
                 np.multiply(a, a > 0, out=a)
             inputs.append(a)
-            a = a @ w.T
+            a = np.matmul(a, w.T, out=out if l == last else None)
             a += b
         return a, inputs
 
@@ -90,12 +92,13 @@ class MlpBackbone:
         return d_ws, d_bs
 
 
-def _normalize_rows(F: np.ndarray, e_h: float):
+def _normalize_rows(F: np.ndarray, e_h: float, out: np.ndarray = None):
     """Row-wise sphere normalization, (normalized rows, row norms).
 
     (Near-)zero rows map to zero instead of raising: samples whose every
     hidden unit is dead produce an exactly-zero feature at init, and such
-    rows simply contribute nothing until the parameters move.
+    rows simply contribute nothing until the parameters move. The rows
+    are written into ``out`` when given, which may be ``F`` itself.
     """
     norms = np.linalg.norm(F, axis=1, keepdims=True)
     dead = norms <= 1e-12
@@ -103,7 +106,7 @@ def _normalize_rows(F: np.ndarray, e_h: float):
         # infinite norm zeroes both the normalized row and its pulled-back
         # gradient, so dead rows drop out of the step entirely
         norms = np.where(dead, np.inf, norms)
-    return F * (np.sqrt(e_h) / norms), norms
+    return np.multiply(F, np.sqrt(e_h) / norms, out=out), norms
 
 
 def _normalize_rows_vjp(F: np.ndarray, norms: np.ndarray, G: np.ndarray, e_h: float):
@@ -279,10 +282,14 @@ def _build_classifier(config: TrainConfig, feature_dim: int, counts: np.ndarray,
     return clf.scaled_columns, clf
 
 
-def _features_for_metrics(model, x, config):
-    f, _ = model.forward(x)
+def _features_for_metrics(model, x, config, out=None):
+    """The features the metrics read for inputs ``x``, written into ``out`` when given.
+
+    The hidden layers are let go before the fixed-ETF regimes normalize the rows in place.
+    """
+    f = model.forward(x, out)[0]
     if config.fixed_etf:
-        f, _ = _normalize_rows(f, config.e_h)
+        _normalize_rows(f, config.e_h, out=f)
     return f
 
 
@@ -307,6 +314,9 @@ def train(model: MlpBackbone, train_set: FeatureBatch, test_set: FeatureBatch,
     velocities = [np.zeros_like(p) for p in params]
     N = train_set.size
     log = TrainLog()
+    # each epoch writes its features over the last epoch's arrays; freeing them between
+    # epochs would have the allocator hand the pages back and fault them in again
+    train_feats = test_feats = None
 
     for epoch in range(config.epochs):
         # overflow here surfaces as the divergence errors below
@@ -349,8 +359,8 @@ def train(model: MlpBackbone, train_set: FeatureBatch, test_set: FeatureBatch,
                     v += g
                     p -= lr * v
 
-            train_feats = _features_for_metrics(model, train_set.features, config)
-            test_feats = _features_for_metrics(model, test_set.features, config)
+            train_feats = _features_for_metrics(model, train_set.features, config, train_feats)
+            test_feats = _features_for_metrics(model, test_set.features, config, test_feats)
         if not all(np.all(np.isfinite(a)) for a in (W, train_feats, test_feats)):
             raise NumericDivergence(f"parameters diverged at epoch {epoch}")
         # one point up to rounding, or a spread too small to square (1e-154**2 is subnormal)

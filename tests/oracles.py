@@ -10,8 +10,9 @@ uniformity and DR bound (1 + cos) / 2, which the batched sweep computes
 row by row; that sweep's records, one ``RegularityRecord`` each, and the
 per-record ``check_sweep`` over them, whose fields and verdict the
 library's column reductions must reproduce exactly; and the per-class
-stacked draw of the synthetic dataset, which the in-place draw must
-reproduce bit for bit.
+stacked draw of the synthetic dataset and the class means of a
+stable-argsort gather, which the in-place draw and the direct class
+slices of sorted labels must reproduce bit for bit.
 """
 
 import math
@@ -108,6 +109,18 @@ def imbalanced_dataset_stacked(spec):
             ys.append(np.full(per_class[k], k, dtype=int))
         sets.append((np.vstack(xs), np.concatenate(ys)))
     return sets
+
+
+def class_and_global_means_gathered(batch):
+    """Per-class means (K, d) and the global mean (d,), each class's rows gathered by a stable sort.
+
+    A stable sort keeps each class's rows in sample order, so each slice is a
+    C-contiguous copy of features[labels == k], row for row.
+    """
+    counts = batch.counts()
+    rows = batch.features[np.argsort(batch.labels, kind="stable")]
+    means = np.array([rows[e - n:e].mean(axis=0) for n, e in zip(counts, np.cumsum(counts))])
+    return means, batch.features.mean(axis=0)
 
 
 def project_ball(v: np.ndarray, E: float) -> np.ndarray:

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -627,33 +626,35 @@ class TestTrainPool:
         assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("threads,workers", [("1", 2), ("2", 1)])
-    def test_pool_parent_releases_jobs_at_fork(self, tmp_path, monkeypatch, threads, workers):
-        """A pool's parent holds no test set when it reads the first result; in process it does.
+    def test_pool_parent_draws_no_dataset(self, tmp_path, monkeypatch, threads, workers):
+        """A run draws its seed's datasets where it trains: never in a pool's parent.
 
-        The manifest records how many processes trained the runs.
+        In process each seed is drawn once. The manifest records how many processes
+        trained the runs.
         """
-        cfg = write_train_config(tmp_path / "cfg.json", train={"epochs": 2})
+        cfg = write_train_config(tmp_path / "cfg.json", train={"epochs": 2}, seeds=[0, 1])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-        test_sets, released = [], []
+        draws = tmp_path / "draws.txt"  # a pool worker's calls reach the parent only here
 
         def dataset(spec):
-            train_set, test_set = make_dataset(spec)
-            test_sets.append(weakref.ref(test_set.features))
-            return train_set, test_set
-
-        def table_of_result(cls, records):  # the parent tabulates each result as it reads it
-            released.append([ref() is None for ref in test_sets])
-            return table(cls, records)
+            with open(draws, "a") as f:
+                f.write(f"{os.getpid()} {spec.seed}\n")
+            return make_dataset(spec)
 
         make_dataset = trainer.make_imbalanced_dataset
         monkeypatch.setattr(trainer, "make_imbalanced_dataset", dataset)
-        monkeypatch.setattr(cli, "table", table_of_result)
         out = tmp_path / "out"
         assert run("train", "--config", cfg, "--out", out) == EXIT_OK
-        assert released == [[workers == 2]] * 2
+        drawn = [line.split() for line in draws.read_text().splitlines()]
+        seeds = [str(derive_seed(seed, "dataset")) for seed in (0, 1)]
+        if workers == 1:
+            assert drawn == [[str(os.getpid()), seed] for seed in seeds]
+        else:
+            assert str(os.getpid()) not in {pid for pid, _ in drawn}
+            assert sorted({seed for _, seed in drawn}) == sorted(seeds)
         assert json.loads((out / "manifest.json").read_text())["run"] == {"workers": workers}
-        assert cli._JOBS == []
+        assert cli._JOBS == [] and cli._DRAWN == {}
 
     def test_worker_without_jobs_refuses(self):
         """A worker forked after the parent released the jobs (to replace a dead one) says so."""
@@ -687,6 +688,30 @@ class TestTrainPool:
         assert proc.returncode == 1
         assert proc.stderr.endswith("RuntimeError: train job 1 lost: a pool worker died\n")
         assert "train: learnable-ce seed 0" in proc.stdout and not out.exists()
+
+    def test_worker_dead_before_pool_is_watched(self, tmp_path):
+        """A worker that dies in its first job, however soon, still fails train.
+
+        ``active_children`` is slowed down so that a worker the pool watches only after handing
+        out the jobs is already dead and unlisted when the list is taken, and train would hang.
+        """
+        cfg = write_train_config(tmp_path / "cfg.json", train={"epochs": 2})
+        code = ("import multiprocessing, os, signal, sys, time\n"
+                "from etfnc import cli\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "active_children = multiprocessing.active_children\n"
+                "multiprocessing.active_children = lambda: time.sleep(1) or active_children()\n"
+                "def dies(i):\n"
+                "    os.kill(os.getpid(), signal.SIGKILL)\n"
+                "cli._train_run = dies\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        out = tmp_path / "x"
+        proc = subprocess.run([sys.executable, "-c", code, "train", "--config", cfg, "--out", out],
+                              env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.endswith("RuntimeError: train job 0 lost: a pool worker died\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("regimes,message", [
         (REGIMES[:3], "non-finite logits in softmax"),
@@ -823,30 +848,41 @@ class TestInputRefusedBeforeOutput:
         ("model", {"hidden_sizes": [2**62]}, ("config block 'model': array is too big",)),
         ("model", {"feature_dim": 2**62}, ("config block 'model': array is too big",)),
     ])
-    def test_train_config(self, tmp_path, capsys, block, value, named):
+    def test_train_config(self, tmp_path, capsys, monkeypatch, block, value, named):
+        """Refused alike pooled and in process, where a pool worker draws the datasets."""
         base = {"num_classes": 3, "input_dim": 6, "n_max": 20, "imbalance_ratio": 0.25}
         cfg = write_train_config(tmp_path / "cfg.json",
                                  **{block: {**base, **value} if block == "dataset" else value})
         out = tmp_path / "x"
-        assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert all(name in err for name in named), err
-        assert not out.exists()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for threads in ("1", "2"):  # pooled, then in process
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert all(name in err for name in named) and "Traceback" not in err, err
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("test_per_class,message", [
         (10**20, "config block 'dataset': test_per_class=100000000000000000000 is too large"),
         # 10**12 rows of 24 floats: 175 TiB, past any address space, so numpy refuses at once
         (10**12, "config block 'dataset': Unable to allocate"),
     ])
-    def test_test_per_class_too_large(self, tmp_path, capsys, test_per_class, message):
+    def test_test_per_class_too_large(self, tmp_path, capsys, monkeypatch, test_per_class,
+                                      message):
+        """Refused alike pooled and in process, where a pool worker draws the datasets."""
         cfg = write_train_config(tmp_path / "cfg.json", dataset={
             "num_classes": 3, "input_dim": 24, "n_max": 20, "imbalance_ratio": 0.25,
             "test_per_class": test_per_class})
         out = tmp_path / "x"
-        assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err, err
-        assert not out.exists()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for threads in ("1", "2"):  # pooled, then in process
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            assert run("train", "--config", cfg, "--out", out) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, err
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("seed", [2**63, 10**300], ids=["2**63", "10**300"])
     def test_seed_past_int64(self, tmp_path, capsys, seed):

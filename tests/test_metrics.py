@@ -1,5 +1,7 @@
 """Neural-collapse statistics: values at exact collapse, invariances, oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from etfnc.batches import FeatureBatch
 from etfnc.etf import generate_etf
 from etfnc.metrics import NcReport, class_and_global_means, nc_report
 from etfnc.serialize import table
+from oracles import class_and_global_means_gathered
 
 
 def assert_reports_close(r1, r2, atol):
@@ -274,6 +277,35 @@ def test_means_equal_mask_oracle_exactly(batch):
     assert means.shape == ref_means.shape
     assert np.array_equal(means, ref_means)
     assert np.array_equal(h_g, ref_h_g)
+
+
+@st.composite
+def means_inputs(draw):
+    """A ``labeled_features`` batch, its features C- or F-ordered, one more class maybe empty."""
+    batch = draw(labeled_features())
+    feats, labels, K = batch.features, batch.labels, batch.num_classes
+    if draw(st.booleans()):
+        feats = np.asfortranarray(feats)
+    if draw(st.booleans()):  # class k gets no row
+        k = draw(st.integers(0, K))
+        labels, K = labels + (labels >= k), K + 1
+    return FeatureBatch(feats, labels, K)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(means_inputs())
+def test_means_equal_gathered_oracle_bitwise(batch):
+    """Sorted labels over C-contiguous rows are sliced directly; the means keep their bits."""
+    try:
+        ref_means, ref_h_g = class_and_global_means_gathered(batch)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            class_and_global_means(batch)
+        return
+    means, h_g = class_and_global_means(batch)
+    assert means.shape == ref_means.shape
+    assert means.tobytes() == ref_means.tobytes()
+    assert h_g.tobytes() == ref_h_g.tobytes()
 
 
 def reference_report(batch, W):
