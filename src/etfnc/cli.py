@@ -21,11 +21,9 @@ name and the manifest's "run" block (train: its worker count). Only main writes 
 command returned, so exit 2 or 3 leaves no --out; exit 4 writes the failed check's payloads.
 A negative number in exponent form needs --flag=value (--gamma=-1e+300).
 With BLAS pinned to one thread, train's runs use one process per usable CPU, with the same
-payloads; each worker takes its jobs from the fork and is sent only a job's index, and
-once the pool has forked its parent keeps no job input (initial models). The parent draws
-no dataset: a run draws its seed's (train, test) sets where it trains, in a pool worker or
-in process, and each process holds one seed's sets at a time. Each epoch's features are
-written over the last epoch's.
+payloads. A job is sent by value (layer sizes, model seed, dataset spec, config): each run
+builds its model and draws its seed's (train, test) sets where it trains, in a pool worker
+or in process, so a pool's parent holds neither. Each epoch's features overwrite the last's.
 A command loads its module when it runs (a train pool also loads multiprocessing), so
 `import etfnc.cli` loads only etf, losses, batches and serialize, which every command shares.
 """
@@ -351,77 +349,52 @@ def _train_workers(runs):
     return min(runs, len(os.sched_getaffinity(0))) if pooled else 1
 
 
-#: the (model, dataset spec, config) jobs of the running train command;
-#: a fork worker inherits them, so a worker is sent only a job's index
-_JOBS = []
-#: {spec: (train set, test set)} of the last dataset this process drew
-_DRAWN = {}
-
-
 @contextmanager
 def _run_map(jobs):
     """Yield the worker count and the ``(model, log)`` of every job in job order.
 
-    The jobs train in process or in a fork pool of ``_train_workers(len(jobs))`` processes.
-    ``jobs`` is taken over and emptied, and the pool's parent lets go of the jobs once every
-    worker has forked. A run's error is raised when its job is reached, a dead worker's lost job
-    as a RuntimeError; leaving the block stops and joins every worker and releases the jobs
-    and the datasets drawn in process.
+    The jobs train in process or in a fork pool of ``_train_workers(len(jobs))`` processes,
+    which is sent each job by value. A run's error is raised when its job is reached, a dead
+    worker as a RuntimeError; leaving the block stops and joins every worker.
     """
-    _JOBS[:] = jobs  # before the pool forks
-    jobs.clear()
-    indices = range(len(_JOBS))
-    try:
-        workers = _train_workers(len(indices))
-        if workers < 2:
-            yield workers, map(_train_run, indices)
-        else:
-            import multiprocessing
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                _JOBS.clear()  # every worker holds its own copy from the fork
-                # the workers before any job: one that dies in its job is no longer active
-                forked = multiprocessing.active_children()
-                results = pool.imap(_train_run, indices)
-                yield workers, (_result(results, i, forked) for i in indices)
-    finally:
-        _JOBS.clear()
-        _DRAWN.clear()
+    workers = _train_workers(len(jobs))
+    if workers < 2:
+        yield workers, map(_train_run, jobs)
+    else:
+        import multiprocessing
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            # the workers before any job: one that dies in its job is no longer active
+            forked = multiprocessing.active_children()
+            results = pool.imap(_train_run, jobs)
+            yield workers, (_result(results, i, forked) for i in range(len(jobs)))
 
 
 def _result(results, i, forked):
-    """Job ``i``'s result, next of the imap ``results``; RuntimeError once a ``forked`` one died."""
+    """Job ``i``'s result, next of the imap ``results``; RuntimeError once a ``forked`` one died.
+
+    The dead worker may have held any job not yet returned, so the error names the job awaited.
+    """
     import multiprocessing
     while True:
         try:
             return results.next(timeout=1.0)  # seconds between checks on the workers
         except multiprocessing.TimeoutError:
             if any(p.exitcode is not None for p in forked):
-                raise RuntimeError(f"train job {i} lost: a pool worker died") from None
+                raise RuntimeError(f"a pool worker died before train job {i} returned") from None
 
 
-def _datasets(spec):
-    """The (train set, test set) of ``spec``, drawn only if it is not the last spec drawn here.
+def _train_run(job):
+    """Train one ``(layer sizes, model seed, dataset spec, config)`` job: ``(model, log)``.
 
-    A process holds one spec's sets at a time: it lets go of them before it draws another.
+    The run builds its model and draws its seed's sets where it trains; the model comes
+    back because a pool worker trains its own.
     """
     from . import trainer as tr
-    if spec not in _DRAWN:
-        _DRAWN.clear()
-        with _blame("config block 'dataset'"):
-            _DRAWN[spec] = tr.make_imbalanced_dataset(spec)
-    return _DRAWN[spec]
-
-
-def _train_run(i):
-    """Train job ``i`` of ``_JOBS``: ``(model, log)``.
-
-    The model comes back because a pool worker trains its own copy.
-    """
-    if not _JOBS:  # a worker forked to replace a dead one, after the parent let go of the jobs
-        raise RuntimeError(f"train job {i}: no jobs in a worker forked after the pool's start")
-    from .trainer import train
-    model, spec, config = _JOBS[i]
-    return model, train(model, *_datasets(spec), config)
+    sizes, seed, spec, config = job
+    model = tr.MlpBackbone.init(sizes, seed)
+    with _blame("config block 'dataset'"):
+        train_set, test_set = tr.make_imbalanced_dataset(spec)
+    return model, tr.train(model, train_set, test_set, config)
 
 
 def cmd_train(args):
@@ -438,9 +411,10 @@ def cmd_train(args):
         specs[seeds[0]].counts()  # a class count rounded to zero is refused before any run
     sizes = [specs[seeds[0]].input_dim, *model_cfg["hidden_sizes"], model_cfg["feature_dim"]]
     keys = [(seed, regime) for seed in seeds for regime in regimes]
-    with _blame("config block 'model'"):  # before any training: numpy may refuse a size
-        jobs = [(tr.MlpBackbone.init(sizes, derive_seed(seed, f"model:{regime}")),
-                 specs[seed], configs[seed, regime]) for seed, regime in keys]
+    with _blame("config block 'model'"):  # before any run: numpy may refuse a size
+        tr.MlpBackbone.init(sizes, 0)  # each run builds its own model where it trains
+    jobs = [(sizes, derive_seed(seed, f"model:{regime}"), specs[seed], configs[seed, regime])
+            for seed, regime in keys]
 
     summary = {"runs": [], "config_file": args.config}
     accs = {regime: [] for regime in regimes}  # final_bal_acc per seed

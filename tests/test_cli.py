@@ -603,8 +603,8 @@ class TestTrainPool:
         assert len(payloads[0]) == 2 * 2 * len(self.REGIMES) + 1
         assert payloads[0] == payloads[1]
 
-    def test_workers_take_jobs_from_the_fork(self, tmp_path, monkeypatch):
-        """A dataset that cannot be pickled still trains in the pool: no job crosses a pipe."""
+    def test_no_dataset_crosses_a_pipe(self, tmp_path, monkeypatch):
+        """A dataset that cannot be pickled still trains in the pool: each run draws its own."""
         cfg = write_train_config(tmp_path / "cfg.json", regimes=self.REGIMES[:2],
                                  train={"epochs": 2})
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -621,73 +621,85 @@ class TestTrainPool:
             assert run("train", "--config", cfg, "--out", out) == EXIT_OK
             payloads.append(payload_bytes(out))
             assert multiprocessing.active_children() == []
-            assert cli._JOBS == []
         assert len(payloads[1]) == 2 * 2 + 1
         assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("threads,workers", [("1", 2), ("2", 1)])
     def test_pool_parent_draws_no_dataset(self, tmp_path, monkeypatch, threads, workers):
-        """A run draws its seed's datasets where it trains: never in a pool's parent.
+        """Each run builds its model and draws its seed's datasets where it trains.
 
-        In process each seed is drawn once. The manifest records how many processes
-        trained the runs.
+        A pool's parent draws no dataset and builds one model only, to check the model block
+        before any run. The manifest records how many processes trained the runs.
         """
         cfg = write_train_config(tmp_path / "cfg.json", train={"epochs": 2}, seeds=[0, 1])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-        draws = tmp_path / "draws.txt"  # a pool worker's calls reach the parent only here
+        calls = tmp_path / "calls.txt"  # a pool worker's calls reach the parent only here
 
-        def dataset(spec):
-            with open(draws, "a") as f:
-                f.write(f"{os.getpid()} {spec.seed}\n")
-            return make_dataset(spec)
+        def logged(what, make, seed):
+            def call(*args):
+                with open(calls, "a") as f:
+                    f.write(f"{os.getpid()} {what} {seed(*args)}\n")
+                return make(*args)
+            return call
 
-        make_dataset = trainer.make_imbalanced_dataset
-        monkeypatch.setattr(trainer, "make_imbalanced_dataset", dataset)
+        monkeypatch.setattr(trainer, "make_imbalanced_dataset",
+                            logged("draw", trainer.make_imbalanced_dataset, lambda spec: spec.seed))
+        monkeypatch.setattr(trainer.MlpBackbone, "init",
+                            logged("init", trainer.MlpBackbone.init, lambda sizes, seed: seed))
         out = tmp_path / "out"
         assert run("train", "--config", cfg, "--out", out) == EXIT_OK
-        drawn = [line.split() for line in draws.read_text().splitlines()]
-        seeds = [str(derive_seed(seed, "dataset")) for seed in (0, 1)]
-        if workers == 1:
-            assert drawn == [[str(os.getpid()), seed] for seed in seeds]
-        else:
-            assert str(os.getpid()) not in {pid for pid, _ in drawn}
-            assert sorted({seed for _, seed in drawn}) == sorted(seeds)
+        lines = [line.split() for line in calls.read_text().splitlines()]
+        parent = str(os.getpid())
+        assert lines[0][:2] == [parent, "init"]  # the model block's check, before any run
+        by_process = {}
+        for pid, what, seed in lines[1:]:
+            by_process.setdefault(pid, []).append((what, seed))
+        assert (parent in by_process) == (workers == 1)
+        # each run builds its model, then draws its seed's sets, in the process that trains it
+        runs = [(seed, regime) for seed in (0, 1) for regime in ("learnable-ce", "etf-dr")]
+        assert len(lines) == 1 + 2 * len(runs)
+        assert sorted(pair for made in by_process.values() for pair in zip(made[::2], made[1::2])) \
+            == sorted((("init", str(derive_seed(seed, f"model:{regime}"))),
+                       ("draw", str(derive_seed(seed, "dataset")))) for seed, regime in runs)
         assert json.loads((out / "manifest.json").read_text())["run"] == {"workers": workers}
-        assert cli._JOBS == [] and cli._DRAWN == {}
-
-    def test_worker_without_jobs_refuses(self):
-        """A worker forked after the parent released the jobs (to replace a dead one) says so."""
-        assert cli._JOBS == []
-        with pytest.raises(RuntimeError,
-                           match="train job 3: no jobs in a worker forked after the pool's start"):
-            cli._train_run(3)
 
     def test_dead_worker_fails_within_seconds(self, tmp_path):
         """A worker killed in its job (SIGKILL, as by the OOM killer) fails train at once.
 
-        train exits non-zero, names the job left without a result and writes no --out; a
-        pool that waits for the lost job forever fails on the timeout instead.
+        train exits non-zero, names a job the parent awaits that has not returned, writes no
+        --out and leaves no live worker; a pool that waits for the lost job forever fails on the
+        timeout instead. Job 1's worker dies either after job 0 returned, or while job 0 still
+        runs: then the error names job 0 but must not call it lost.
         """
         cfg = write_train_config(tmp_path / "cfg.json", regimes=self.REGIMES[:3],
                                  train={"epochs": 2})
-        code = ("import os, signal, sys\n"
-                "from etfnc import cli\n"
-                "os.sched_getaffinity = lambda pid: {0, 1}\n"
-                "train_run = cli._train_run\n"
-                "def dies_in_job_1(i):\n"
-                "    if i == 1:\n"
-                "        os.kill(os.getpid(), signal.SIGKILL)\n"
-                "    return train_run(i)\n"
-                "cli._train_run = dies_in_job_1\n"
-                "sys.exit(cli.main(sys.argv[1:]))\n")
-        out = tmp_path / "x"
-        proc = subprocess.run([sys.executable, "-c", code, "train", "--config", cfg, "--out", out],
-                              env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 1
-        assert proc.stderr.endswith("RuntimeError: train job 1 lost: a pool worker died\n")
-        assert "train: learnable-ce seed 0" in proc.stdout and not out.exists()
+        for sleeps, awaited in ((0, 1), (3, 0)):
+            code = ("import multiprocessing, os, signal, sys, time\n"
+                    "from etfnc import cli\n"
+                    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                    "train_run = cli._train_run\n"
+                    "def hooked(job):\n"
+                    "    if job[3].regime == 'learnable-wce':\n"
+                    "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                    "    if job[3].regime == 'learnable-ce':\n"
+                    f"        time.sleep({sleeps})\n"
+                    "    return train_run(job)\n"
+                    "cli._train_run = hooked\n"
+                    "try:\n"
+                    "    sys.exit(cli.main(sys.argv[1:]))\n"
+                    "finally:\n"
+                    "    print('live children:', len(multiprocessing.active_children()))\n")
+            out = tmp_path / f"sleeps{sleeps}"
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "train", "--config", cfg, "--out", out],
+                env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+                capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1
+            assert proc.stderr.endswith(
+                f"RuntimeError: a pool worker died before train job {awaited} returned\n")
+            assert ("train: learnable-ce seed 0" in proc.stdout) == (awaited == 1)
+            assert proc.stdout.endswith("live children: 0\n") and not out.exists()
 
     def test_worker_dead_before_pool_is_watched(self, tmp_path):
         """A worker that dies in its first job, however soon, still fails train.
@@ -701,7 +713,7 @@ class TestTrainPool:
                 "os.sched_getaffinity = lambda pid: {0, 1}\n"
                 "active_children = multiprocessing.active_children\n"
                 "multiprocessing.active_children = lambda: time.sleep(1) or active_children()\n"
-                "def dies(i):\n"
+                "def dies(job):\n"
                 "    os.kill(os.getpid(), signal.SIGKILL)\n"
                 "cli._train_run = dies\n"
                 "sys.exit(cli.main(sys.argv[1:]))\n")
@@ -710,7 +722,8 @@ class TestTrainPool:
                               env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1
-        assert proc.stderr.endswith("RuntimeError: train job 0 lost: a pool worker died\n")
+        assert proc.stderr.endswith(
+            "RuntimeError: a pool worker died before train job 0 returned\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("regimes,message", [
